@@ -16,16 +16,17 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import curve_fit
 
 from .gates import (cns, gate_to_json, iswap, locally_equivalent,
                     makhlin_invariants, universality_class, weyl_coordinates)
-from .hamiltonian import bq_factors, dipolar_constants, effective_field
+from .hamiltonian import dipolar_constants
 from .operators import SpinSystem, basis_state
 from .propagator import (DEFAULT_STEPS_PER_PERIOD, CWSegment, Delay,
                          IdealRotation, RFDrive, extract_gate, run_sequence)
 from .readout import classify_state, fid_to_csv, simulate_fid, stick_spectrum
-from .recoupling import (plans_to_json, predicted_exchange_period,
-                         solve_plans, theta_from_period)
+from .recoupling import (operating_point, plans_to_json, solve_plans,
+                         theta_from_period)
 from .units import (GAMMA_C13, GLYCINE_CC_DISTANCE, HBAR, MU0_OVER_4PI,
                     TWO_PI, deg_to_rad, hz_to_angular, ppm_to_hz, rad_to_deg)
 
@@ -127,42 +128,72 @@ def build_system(cfg):
         raise ConfigError(f"invalid system block: {exc}") from None
 
 
+def _field(blk, key, where):
+    """blk[key]; a missing key raises a ConfigError naming `where.key`."""
+    if key not in blk:
+        raise ConfigError(f"{where}.{key} is missing")
+    return blk[key]
+
+
+def _spin_indices(values, n_spins, field):
+    if not isinstance(values, (list, tuple)) or not all(
+            type(v) is int and 0 <= v < n_spins for v in values):
+        raise ConfigError(f"{field} must list spin indices in 0..{n_spins - 1}, "
+                          f"got {values!r}")
+    return tuple(values)
+
+
 def build_drive(cfg):
     blk = cfg.get("drive")
     if blk is None:
         return None
-    return RFDrive(omega_1=hz_to_angular(float(blk["amplitude_hz"])),
+    return RFDrive(omega_1=hz_to_angular(float(_field(blk, "amplitude_hz", "drive"))),
                    phase=deg_to_rad(float(blk.get("phase_deg", 0.0))))
 
 
 def build_events(cfg, drive=None):
-    """Event list from the config's sequence block."""
+    """Event list from the config's sequence block.
+
+    A missing field, an out-of-range spin index, an unknown rotation axis or
+    an event that is not an object raises a ConfigError that names the
+    field, e.g. sequence[0].axis.
+    """
     if drive is None:
         drive = build_drive(cfg)
+    n_spins = build_system(cfg).n_spins
     drive_blk = cfg.get("drive", {})
     trim = bool(drive_blk.get("trim", True))
-    skip_trim = tuple(drive_blk.get("skip_trim", ()))
+    skip_trim = _spin_indices(drive_blk.get("skip_trim", ()), n_spins,
+                              "drive.skip_trim")
     events = []
     for k, ev in enumerate(cfg.get("sequence", [])):
+        where = f"sequence[{k}]"
+        if not isinstance(ev, dict):
+            raise ConfigError(f"{where} must be an object, got {ev!r}")
         kind = ev.get("type")
         if kind == "pulse":
+            axis = _field(ev, "axis", where)
+            if axis not in ("x", "y", "z"):
+                raise ConfigError(f"{where}.axis must be x, y or z, got {axis!r}")
             events.append(IdealRotation(
-                targets=tuple(ev["targets"]),
-                axis=ev["axis"],
-                angle=deg_to_rad(float(ev["angle_deg"]))))
+                targets=_spin_indices(_field(ev, "targets", where), n_spins,
+                                      f"{where}.targets"),
+                axis=axis,
+                angle=deg_to_rad(float(_field(ev, "angle_deg", where)))))
         elif kind == "cw":
             if drive is None:
-                raise ConfigError(f"sequence[{k}]: cw event needs a drive block")
+                raise ConfigError(f"{where}: cw event needs a drive block")
             events.append(CWSegment(
                 drive=drive,
-                duration=float(ev["duration_s"]),
+                duration=float(_field(ev, "duration_s", where)),
                 trim=bool(ev.get("trim", trim)),
-                skip_trim=tuple(ev.get("skip_trim", skip_trim))))
+                skip_trim=_spin_indices(ev.get("skip_trim", skip_trim), n_spins,
+                                        f"{where}.skip_trim")))
         elif kind == "delay":
-            events.append(Delay(duration=float(ev["duration_s"]),
+            events.append(Delay(duration=float(_field(ev, "duration_s", where)),
                                 dipolar_on=bool(ev.get("dipolar_on", True))))
         else:
-            raise ConfigError(f"sequence[{k}]: unknown event type {kind!r}")
+            raise ConfigError(f"{where}: unknown event type {kind!r}")
     return events
 
 
@@ -191,8 +222,6 @@ def fit_exchange_period(times, values, period_guess, window_periods=2.0):
     The fit window defaults to two predicted periods; the initial guess
     comes from the analytic prediction so the optimizer only refines it.
     """
-    from scipy.optimize import curve_fit
-
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if window_periods is not None:
@@ -230,14 +259,14 @@ def transfer_fraction(traj):
     return max(0.0, float(exchanged.max()) / abs(gap))
 
 
-def analytic_period(system, drive):
-    """Predicted exchange period for the class-a, m=2 condition."""
+def analytic_point(system, drive):
+    """Class-a, m=2 operating point of the drive on the system's pair."""
     constants = dipolar_constants(system.gamma, system.r, system.theta_d)
-    beta_i = effective_field(system.offsets[0], drive.omega_1).beta
-    beta_s = effective_field(system.offsets[1], drive.omega_1).beta
-    b, _ = bq_factors(beta_i, beta_s)
-    coupling = 0.5 * abs(b) * constants.harmonic(2)
-    return predicted_exchange_period(coupling)
+    point = operating_point(system.offsets[0], system.offsets[1],
+                            drive.omega_1, constants, "a", 2)
+    if point.coupling <= 0:
+        raise ValueError("coupling must be positive")
+    return point
 
 
 # ---------------------------------------------------------------- presets
@@ -248,7 +277,7 @@ def preset_config(name):
     if name == "fig3a":
         system = build_system(cfg)
         drive = build_drive(cfg)
-        duration = 2.0 * analytic_period(system, drive)
+        duration = 2.0 * analytic_point(system, drive).exchange_period
         cfg["sequence"] = [
             {"type": "pulse", "targets": [0], "axis": "x", "angle_deg": 180.0},
             {"type": "cw", "duration_s": duration},
@@ -287,22 +316,21 @@ def _simulate_report(cfg, steps_override=None):
                         steps_per_period=steps)
     report = {"max_transfer_fraction": transfer_fraction(traj)}
     if drive is not None and any(isinstance(e, CWSegment) for e in events):
-        guess = analytic_period(system, drive)
-        report["analytic_period_s"] = guess
+        point = analytic_point(system, drive)
+        report["analytic_period_s"] = point.exchange_period
         try:
-            fit = fit_exchange_period(traj.times, traj.iz, guess)
+            fit = fit_exchange_period(traj.times, traj.iz,
+                                      point.exchange_period)
         except RuntimeError:
             fit = None
         if fit is not None and fit.amplitude > 0.05:
             constants = dipolar_constants(system.gamma, system.r,
                                           system.theta_d)
-            beta_i = effective_field(system.offsets[0], drive.omega_1).beta
-            beta_s = effective_field(system.offsets[1], drive.omega_1).beta
-            b, _ = bq_factors(beta_i, beta_s)
             report["fitted_period_s"] = fit.period
             report["fitted_amplitude"] = fit.amplitude
             try:
-                theta = theta_from_period(fit.period, b, constants.omega_full)
+                theta = theta_from_period(fit.period, point.b_factor,
+                                          constants.omega_full)
                 report["theta_d_deg_from_period"] = rad_to_deg(theta)
             except ValueError as exc:
                 report["theta_d_deg_from_period"] = None
@@ -313,7 +341,6 @@ def _simulate_report(cfg, steps_override=None):
 def run_fig4(cfg, steps_override=None, threshold=0.2):
     """Truth table: prepare each basis state, evolve half a period, classify."""
     system = build_system(cfg)
-    drive = build_drive(cfg)
     steps = _steps_per_period(cfg, steps_override)
 
     fit_cfg = preset_config("fig3a")
@@ -321,10 +348,9 @@ def run_fig4(cfg, steps_override=None, threshold=0.2):
     _, fit_report = _simulate_report(fit_cfg)
     half_period = 0.5 * fit_report["fitted_period_s"]
 
-    segment = CWSegment(drive=drive, duration=half_period,
-                        trim=bool(cfg.get("drive", {}).get("trim", True)),
-                        skip_trim=tuple(cfg.get("drive", {}).get("skip_trim", ())))
-    gate = extract_gate(system, [segment], steps_per_period=steps)
+    events = build_events(dict(cfg, sequence=[
+        {"type": "cw", "duration_s": half_period}]))
+    gate = extract_gate(system, events, steps_per_period=steps)
 
     table = {}
     spectra = {}
@@ -488,21 +514,20 @@ def build_parser():
                     "solving, spin dynamics, gate analysis, and readout.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    with_config = [sub.add_parser(name)
+                   for name in ("solve", "simulate", "gate", "spectrum")]
+    for p in with_config:
         p.add_argument("--config", metavar="PATH",
                        help="JSON experiment config (default: built-in "
                             "glycine parameters)")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+    repro = sub.add_parser("repro", help="reproduction presets")
+    repro.add_argument("preset", choices=("fig3a", "fig3b", "fig4"))
+    for p in with_config + [repro]:
         p.add_argument("--out", metavar="DIR", default="",
                        help="output directory (default: current directory)")
         p.add_argument("--steps-per-period", type=int, metavar="N",
                        help="integrator steps per rotor period")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    for name in ("solve", "simulate", "gate", "spectrum"):
-        add_common(sub.add_parser(name))
-    repro = sub.add_parser("repro", help="reproduction presets")
-    repro.add_argument("preset", choices=("fig3a", "fig3b", "fig4"))
-    add_common(repro)
     return parser
 
 

@@ -107,15 +107,6 @@ def locally_equivalent(u, v, tol=1e-9):
     return abs(gu1 - gv1) <= tol and abs(gu2 - gv2) <= tol
 
 
-def phase_aligned_distance(u, v):
-    """max-norm distance between gates after optimal global phase alignment."""
-    u = np.asarray(u)
-    v = np.asarray(v)
-    overlap = np.trace(v.conj().T @ u)
-    phase = overlap / abs(overlap) if abs(overlap) > 1e-12 else 1.0
-    return float(np.abs(u / phase - v).max())
-
-
 def operator_fidelity(u, v):
     """|Tr(v^dag u)| / dim, the phase-insensitive operator overlap."""
     u = np.asarray(u)
@@ -134,9 +125,8 @@ class CnsCircuit:
     b2: np.ndarray
     phi: float
 
-    def compose(self, middle=None):
-        mid = u_flip(self.phi) if middle is None else middle
-        return np.kron(self.a1, self.b1) @ mid @ np.kron(self.a2, self.b2)
+    def compose(self):
+        return np.kron(self.a1, self.b1) @ u_flip(self.phi) @ np.kron(self.a2, self.b2)
 
 
 def cns_circuit(phi):
@@ -279,7 +269,3 @@ def gate_to_json(u):
     """Row-major [re, im] pairs, the on-disk form of a gate matrix."""
     u = np.asarray(u, dtype=complex)
     return [[[float(x.real), float(x.imag)] for x in row] for row in u]
-
-
-def gate_from_json(data):
-    return np.array([[complex(re, im) for re, im in row] for row in data])

@@ -1,8 +1,9 @@
 """Hamiltonian construction for a homonuclear pair under MAS and CW drive.
 
-Covers the MAS-modulated dipolar coupling, the rotating-frame Hamiltonian
-with RF, the tilted-frame transform, and the analytic zeroth-order average
-Hamiltonians for the two recoupling classes with their scaling factors.
+Covers the MAS-modulated dipolar coupling, the offset and RF part of the
+rotating-frame Hamiltonian, effective fields, and the analytic zeroth-order
+average Hamiltonians for the two recoupling classes with their scaling
+factors.
 """
 
 from dataclasses import dataclass
@@ -83,12 +84,6 @@ def constants_from_full(omega_full, theta_d):
     )
 
 
-def dipolar_modulation(t, system, constants):
-    """MAS modulation D(t) of the pair coupling, rad/s. Vectorized over t."""
-    arg = system.omega_r * np.asarray(t) + system.phi
-    return constants.omega_d1 * np.cos(arg) + constants.omega_d2 * np.cos(2.0 * arg)
-
-
 def dipolar_coupling_operator(n_spins, pair):
     """The secular homonuclear form I_z S_z - (1/4)(I+S- + I-S+) on a pair."""
     i, j = pair
@@ -103,17 +98,11 @@ def dipolar_coupling_operator(n_spins, pair):
     return iz @ sz - 0.25 * (ip @ sm + im @ sp)
 
 
-def dipolar_hamiltonian(d_value, n_spins, pair):
-    """Dipolar Hamiltonian at instantaneous coupling d_value (rad/s)."""
-    return d_value * dipolar_coupling_operator(n_spins, pair)
-
-
 def static_drive_hamiltonian(system, drive):
     """Offset + RF part of the rotating-frame Hamiltonian (time independent)."""
     n = system.n_spins
-    offsets = drive.offsets if drive is not None and drive.offsets is not None else system.offsets
     h = np.zeros((2**n, 2**n), dtype=complex)
-    for k, dw in enumerate(offsets):
+    for k, dw in enumerate(system.offsets):
         h = h + dw * spin_operator(n, k, "z")
     if drive is not None and drive.omega_1 != 0.0:
         cx, sx = math.cos(drive.phase), math.sin(drive.phase)
@@ -122,15 +111,6 @@ def static_drive_hamiltonian(system, drive):
                 cx * spin_operator(n, k, "x") + sx * spin_operator(n, k, "y")
             )
     return h
-
-
-def rotating_frame_hamiltonian(t, system, drive, constants, pair=(0, 1)):
-    """Full rotating-frame Hamiltonian at time t: offsets + RF + MAS dipolar."""
-    if drive is not None and drive.omega_1 < 0:
-        raise ValueError("drive amplitude must be non-negative")
-    h = static_drive_hamiltonian(system, drive)
-    d = dipolar_modulation(t, system, constants)
-    return h + d * dipolar_coupling_operator(system.n_spins, pair)
 
 
 def effective_field(delta_omega, omega_1):
@@ -143,15 +123,6 @@ def effective_field(delta_omega, omega_1):
     omega_e = math.hypot(delta_omega, omega_1)
     beta = 0.0 if omega_e == 0.0 else math.atan2(omega_1, delta_omega)
     return EffectiveField(omega_e=omega_e, beta=beta)
-
-
-def tilt_transform(beta_i, beta_s, n_spins=2, pair=(0, 1)):
-    """Unitary into the tilted rotating frame: exp(-i b_I I_y) exp(-i b_S S_y)."""
-    from scipy.linalg import expm
-
-    i, j = pair
-    gen = beta_i * spin_operator(n_spins, i, "y") + beta_s * spin_operator(n_spins, j, "y")
-    return expm(-1j * gen)
 
 
 def bq_factors(beta_i, beta_s):

@@ -11,8 +11,7 @@ Integration is by piecewise step exponentials. Segments built from the
 standard offset+RF+MAS-dipolar structure carry their rotor-harmonic
 decomposition, and each step uses the exact integral of the Hamiltonian
 plus the leading commutator correction, so the generator is analytic and
-the step error is far below the sampling error. A bare callable
-hamiltonian_fn falls back to midpoint sampling. Every step exponential is
+the step error is far below the sampling error. Every step exponential is
 taken via Hermitian eigendecomposition, keeping unitarity at roundoff.
 """
 
@@ -20,6 +19,7 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
+from scipy.linalg import expm
 
 from .hamiltonian import (
     dipolar_constants,
@@ -38,19 +38,14 @@ class RFDrive:
 
     omega_1  amplitude, rad/s
     phase    RF phase, rad (0 = x)
-    offsets  optional per-spin offsets (rad/s) overriding the system's,
-             for segments where the carrier is moved
     """
 
     omega_1: float
     phase: float = 0.0
-    offsets: tuple = None
 
     def __post_init__(self):
         if self.omega_1 < 0:
             raise ValueError("drive amplitude must be non-negative")
-        if self.offsets is not None:
-            object.__setattr__(self, "offsets", tuple(float(o) for o in self.offsets))
 
 
 @dataclass(frozen=True)
@@ -181,8 +176,6 @@ class HarmonicHamiltonian:
 
 
 def rotation_unitary(n_spins, targets, axis, angle):
-    from scipy.linalg import expm
-
     gen = sum(spin_operator(n_spins, k, axis) for k in targets)
     return expm(-1j * angle * np.asarray(gen))
 
@@ -194,15 +187,8 @@ def apply_ideal_pulse(rho, n_spins, event):
 
 
 def _step_unitaries(hamiltonian_fn, t0, t1, steps):
-    """Per-step unitaries, batched. Uses the exact-integral generators when
-    the Hamiltonian exposes its harmonic structure, midpoint sampling
-    otherwise."""
-    dt = (t1 - t0) / steps
-    if hasattr(hamiltonian_fn, "step_generators"):
-        ms = hamiltonian_fn.step_generators(t0, t1, steps)
-    else:
-        mids = t0 + (np.arange(steps) + 0.5) * dt
-        ms = np.stack([np.asarray(hamiltonian_fn(t), dtype=complex) * dt for t in mids])
+    """Per-step unitaries exp(-i M_k) of a HarmonicHamiltonian, batched."""
+    ms = hamiltonian_fn.step_generators(t0, t1, steps)
     if not np.all(np.isfinite(ms)):
         raise ValueError("Hamiltonian produced non-finite entries")
     evals, evecs = np.linalg.eigh(ms)
@@ -235,17 +221,14 @@ def _segment_hamiltonian(system, drive, constants, pair=(0, 1), dipolar_on=True)
 
 def trim_unitaries(system, segment):
     """Opening and closing trim rotations for a CW segment (identity if off)."""
-    from scipy.linalg import expm
-
     n = system.n_spins
     if not segment.trim:
         eye = np.eye(2**n, dtype=complex)
         return eye, eye
     drive = segment.drive
-    offsets = drive.offsets if drive.offsets is not None else system.offsets
     cph, sph = math.cos(drive.phase), math.sin(drive.phase)
     gen = np.zeros((2**n, 2**n), dtype=complex)
-    for k, dw in enumerate(offsets):
+    for k, dw in enumerate(system.offsets):
         if k in segment.skip_trim:
             continue
         beta = effective_field(dw, drive.omega_1).beta
@@ -256,24 +239,33 @@ def trim_unitaries(system, segment):
     return u_open, u_open.conj().T
 
 
-class _Sampler:
-    def __init__(self, sample_every, pair_ops):
-        self.sample_every = sample_every
-        self.iz_op, self.sz_op = pair_ops
-        self.times = []
-        self.iz = []
-        self.sz = []
-        self._next = 0.0
+def _timed_events(system, events, steps_per_period, pair):
+    """Walk a sequence once, yielding (event, t0, hamiltonian, steps, u_open, u_close).
 
-    def record(self, t, rho, view=None):
-        obs = rho if view is None else view @ rho @ view.conj().T
-        self.times.append(t)
-        self.iz.append(expectation(obs, self.iz_op).real)
-        self.sz.append(expectation(obs, self.sz_op).real)
-        self._next += self.sample_every
-
-    def due(self, t):
-        return t >= self._next - 1e-15
+    This is the only dispatch over event types. An IdealRotation yields its
+    rotation unitary as u_open and None for the rest. A Delay or CWSegment
+    yields its HarmonicHamiltonian over [t0, t0 + duration] with the step
+    count; a CWSegment also yields its trim pair, a Delay None for both.
+    """
+    n = system.n_spins
+    constants = dipolar_constants(system.gamma, system.r, system.theta_d)
+    t = 0.0
+    for event in events:
+        if isinstance(event, IdealRotation):
+            u = rotation_unitary(n, event.targets, event.axis, event.angle)
+            yield event, t, None, 0, u, None
+            continue
+        if isinstance(event, Delay):
+            u_open = u_close = None
+            fn = _segment_hamiltonian(system, None, constants, pair, event.dipolar_on)
+        elif isinstance(event, CWSegment):
+            u_open, u_close = trim_unitaries(system, event)
+            fn = _segment_hamiltonian(system, event.drive, constants, pair)
+        else:
+            raise TypeError(f"unknown event type {type(event).__name__}")
+        steps = max(1, math.ceil(event.duration / system.rotor_period * steps_per_period))
+        yield event, t, fn, steps, u_open, u_close
+        t += event.duration
 
 
 def run_sequence(initial, system, events, sample_every,
@@ -283,57 +275,49 @@ def run_sequence(initial, system, events, sample_every,
     The t = 0 sample is taken after any leading instantaneous pulses, i.e.
     it reflects the prepared state. During a trimmed CW segment the sampled
     observables are taken through the closing trim pulse (the state itself
-    keeps evolving under the drive).
+    keeps evolving under the drive). A sample is due at the first step end
+    past each multiple of sample_every.
     """
     n = system.n_spins
-    constants = dipolar_constants(system.gamma, system.r, system.theta_d)
-    pair_ops = (spin_operator(n, pair[0], "z"), spin_operator(n, pair[1], "z"))
-    sampler = _Sampler(sample_every, pair_ops)
+    iz_op = spin_operator(n, pair[0], "z")
+    sz_op = spin_operator(n, pair[1], "z")
     rho = np.array(initial, dtype=complex)
-    t = 0.0
-    started = False
+    times, iz, sz = [], [], []
+    next_sample = 0.0
 
-    for event in events:
-        if isinstance(event, IdealRotation):
-            rho = apply_ideal_pulse(rho, n, event)
+    def sample(t, view=None):
+        nonlocal next_sample
+        obs = rho if view is None else view @ rho @ view.conj().T
+        times.append(t)
+        iz.append(expectation(obs, iz_op).real)
+        sz.append(expectation(obs, sz_op).real)
+        next_sample += sample_every
+
+    t = 0.0
+    for event, t0, fn, steps, u_open, u_close in _timed_events(
+            system, events, steps_per_period, pair):
+        if fn is None:
+            rho = u_open @ rho @ u_open.conj().T
             continue
-        if not isinstance(event, (Delay, CWSegment)):
-            raise TypeError(f"unknown event type {type(event).__name__}")
-        if not started:
-            sampler.record(t, rho)
-            started = True
+        if not times:
+            sample(t0)
         if event.duration == 0.0:
             continue
-        if isinstance(event, Delay):
-            fn = _segment_hamiltonian(system, None, constants, pair, event.dipolar_on)
-            rho, t = _propagate_sampling(rho, fn, t, event.duration,
-                                         steps_per_period, system, sampler, None)
-        else:
-            u_open, u_close = trim_unitaries(system, event)
+        t = t0 + event.duration
+        if u_open is not None:
             rho = u_open @ rho @ u_open.conj().T
-            fn = _segment_hamiltonian(system, event.drive, constants, pair)
-            rho, t = _propagate_sampling(rho, fn, t, event.duration,
-                                         steps_per_period, system, sampler, u_close)
+        dt = event.duration / steps
+        for k, uk in enumerate(_step_unitaries(fn, t0, t, steps)):
+            rho = uk @ rho @ uk.conj().T
+            t_step = t0 + (k + 1) * dt
+            if t_step >= next_sample - 1e-15:
+                sample(t_step, u_close)
+        if u_close is not None:
             rho = u_close @ rho @ u_close.conj().T
 
-    if not started:
-        sampler.record(t, rho)
-    elif sampler.times[-1] < t:
-        sampler.record(t, rho)
-    return Trajectory(times=np.array(sampler.times),
-                      iz=np.array(sampler.iz), sz=np.array(sampler.sz))
-
-
-def _propagate_sampling(rho, fn, t0, duration, steps_per_period, system, sampler, view):
-    steps = max(1, math.ceil(duration / system.rotor_period * steps_per_period))
-    dt = duration / steps
-    t = t0
-    for k, uk in enumerate(_step_unitaries(fn, t0, t0 + duration, steps)):
-        rho = uk @ rho @ uk.conj().T
-        t = t0 + (k + 1) * dt
-        if sampler.due(t):
-            sampler.record(t, rho, view)
-    return rho, t0 + duration
+    if not times or times[-1] < t:
+        sample(t)
+    return Trajectory(times=np.array(times), iz=np.array(iz), sz=np.array(sz))
 
 
 def extract_gate(system, events, steps_per_period=DEFAULT_STEPS_PER_PERIOD,
@@ -344,36 +328,23 @@ def extract_gate(system, events, steps_per_period=DEFAULT_STEPS_PER_PERIOD,
     z-precession exp(-i T (w_eI I_z + w_eS S_z)) accumulated over trimmed CW
     segments is divided out on the left, exposing the recoupled bilinear part.
     """
-    from scipy.linalg import expm
-
     n = system.n_spins
-    constants = dipolar_constants(system.gamma, system.r, system.theta_d)
     u = np.eye(2**n, dtype=complex)
-    t = 0.0
     precession = np.zeros((2**n, 2**n), dtype=complex)
 
-    for event in events:
-        if isinstance(event, IdealRotation):
-            u = rotation_unitary(n, event.targets, event.axis, event.angle) @ u
-        elif isinstance(event, Delay):
-            fn = _segment_hamiltonian(system, None, constants, pair, event.dipolar_on)
-            steps = max(1, math.ceil(event.duration / system.rotor_period * steps_per_period))
-            u = segment_propagator(fn, t, t + event.duration, steps) @ u
-            t += event.duration
-        elif isinstance(event, CWSegment):
-            u_open, u_close = trim_unitaries(system, event)
-            fn = _segment_hamiltonian(system, event.drive, constants, pair)
-            steps = max(1, math.ceil(event.duration / system.rotor_period * steps_per_period))
-            ucw = segment_propagator(fn, t, t + event.duration, steps)
-            u = u_close @ ucw @ u_open @ u
-            t += event.duration
-            drive = event.drive
-            offsets = drive.offsets if drive.offsets is not None else system.offsets
-            for k, dw in enumerate(offsets):
-                omega_e = effective_field(dw, drive.omega_1).omega_e
-                precession = precession + event.duration * omega_e * spin_operator(n, k, "z")
-        else:
-            raise TypeError(f"unknown event type {type(event).__name__}")
+    for event, t0, fn, steps, u_open, u_close in _timed_events(
+            system, events, steps_per_period, pair):
+        if fn is None:
+            u = u_open @ u
+            continue
+        useg = segment_propagator(fn, t0, t0 + event.duration, steps)
+        if u_open is None:
+            u = useg @ u
+            continue
+        u = u_close @ useg @ u_open @ u
+        for k, dw in enumerate(system.offsets):
+            omega_e = effective_field(dw, event.drive.omega_1).omega_e
+            precession = precession + event.duration * omega_e * spin_operator(n, k, "z")
 
     if remove_effective_precession:
         u = expm(1j * precession) @ u

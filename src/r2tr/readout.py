@@ -22,14 +22,9 @@ class UnclassifiableStateError(ValueError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Signed stick spectrum; peaks are (offset_hz, amplitude) per spin.
-
-    trace, when present, is a (frequencies_hz, real_amplitude) pair from an
-    FID transform.
-    """
+    """Signed stick spectrum; peaks are (offset_hz, amplitude) per spin."""
 
     peaks: tuple
-    trace: tuple = None
 
     def to_csv(self, path):
         with open(path, "w") as fh:
@@ -68,25 +63,6 @@ def simulate_fid(rho, system, duration, dwell):
     for amp, dw in zip(amplitudes, system.offsets):
         fid += amp * np.exp(1j * dw * ts)
     return fid
-
-
-def spectrum_from_fid(fid, dwell, system=None):
-    """Discrete Fourier transform of an FID into a Spectrum.
-
-    The dense trace covers the full Nyquist band; stick peaks are read off
-    at the frequency bins nearest the system offsets when a system is given.
-    """
-    npts = len(fid)
-    freqs = np.fft.fftshift(np.fft.fftfreq(npts, d=dwell))
-    amps = np.fft.fftshift(np.fft.fft(fid)) / npts
-    # the detected signal is e^{+i w t}; peaks land at +offset
-    trace = (freqs, amps.real * 2.0)
-    peaks = []
-    if system is not None:
-        for dw in system.offsets:
-            k = int(np.argmin(np.abs(freqs - angular_to_hz(dw))))
-            peaks.append((freqs[k], trace[1][k]))
-    return Spectrum(peaks=tuple(peaks), trace=trace)
 
 
 def classify_state(spectrum, threshold=0.2):

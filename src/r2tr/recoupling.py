@@ -10,6 +10,7 @@ layered on top by the caller.
 from dataclasses import dataclass, asdict
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -97,24 +98,6 @@ def solve_amplitude(delta_i, delta_s, omega_r, condition_class, m,
     return [r for r in roots if abs(f(r)) < tol]
 
 
-def rank_mechanisms(omega_0i, omega_0s, omega_d):
-    """Ordered mechanism recommendation with carrier-placement guidance.
-
-    The flip-flop mechanism suits pairs whose isotropic shift difference
-    exceeds the dipolar coupling; the flop-flop mechanism suits differences
-    comparable to or below it (ties go to flop-flop). Guidance: flip-flop
-    wants offsets well above the RF amplitude, flop-flop well below.
-    """
-    diff = abs(omega_0i - omega_0s)
-    flip = ("flip-flop", "place the carrier so offsets are much larger than "
-                         "the RF amplitude")
-    flop = ("flop-flop", "place the carrier so offsets are much smaller than "
-                         "the RF amplitude")
-    if diff > omega_d:
-        return [flip, flop]
-    return [flop, flip]
-
-
 def _mechanism_score(condition_class, delta_i, delta_s, omega_1):
     # heuristic rank from the carrier-placement guidance: offsets much
     # larger (class a) or much smaller (class b) than the RF amplitude
@@ -137,14 +120,33 @@ def predicted_exchange_period(coupling):
     return 2.0 * math.pi / (2.0 * coupling)
 
 
-def make_plan(delta_i, delta_s, omega_r, condition_class, m, omega_1, constants):
-    """Assemble a RecouplingPlan for a solved (or proposed) amplitude."""
+class OperatingPoint(NamedTuple):
+    """Tilt angles, B/Q factors, coupling (rad/s) and exchange period (s) of
+    one drive amplitude; the period is inf when the coupling vanishes."""
+
+    beta_i: float
+    beta_s: float
+    b_factor: float
+    q_factor: float
+    coupling: float
+    exchange_period: float
+
+
+def operating_point(delta_i, delta_s, omega_1, constants, condition_class, m):
+    """Matching arithmetic of a (class, m) condition at amplitude omega_1."""
     beta_i = effective_field(delta_i, omega_1).beta
     beta_s = effective_field(delta_s, omega_1).beta
     b, q = bq_factors(beta_i, beta_s)
     factor = abs(b) if condition_class == "a" else abs(q)
-    omega_dm = constants.harmonic(m)
-    coupling = 0.5 * factor * omega_dm
+    coupling = 0.5 * factor * constants.harmonic(m)
+    period = predicted_exchange_period(coupling) if coupling > 0 else math.inf
+    return OperatingPoint(beta_i, beta_s, b, q, coupling, period)
+
+
+def make_plan(delta_i, delta_s, omega_r, condition_class, m, omega_1, constants):
+    """Assemble a RecouplingPlan for a solved (or proposed) amplitude."""
+    point = operating_point(delta_i, delta_s, omega_1, constants,
+                            condition_class, m)
     residual = condition_residual(delta_i, delta_s, omega_1, omega_r,
                                   condition_class, m)
     warning = None
@@ -160,9 +162,8 @@ def make_plan(delta_i, delta_s, omega_r, condition_class, m, omega_1, constants)
         delta_s=delta_s,
         omega_1=omega_1,
         residual=residual,
-        coupling=coupling,
-        exchange_period=(predicted_exchange_period(coupling)
-                         if coupling > 0 else math.inf),
+        coupling=point.coupling,
+        exchange_period=point.exchange_period,
         mechanism_score=_mechanism_score(condition_class, delta_i, delta_s, omega_1),
         warning=warning,
     )

@@ -135,11 +135,51 @@ def test_cli_solve_no_solution(tmp_path, capsys):
     assert "no solution" in out
 
 
-def test_cli_malformed_config_exit_code(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{")
-    assert main(["solve", "--config", str(bad)]) == 2
-    assert "error:" in capsys.readouterr().err
+PULSE = {"type": "pulse", "targets": [0], "axis": "x", "angle_deg": 180.0}
+
+
+def _without(event, key):
+    return {k: v for k, v in event.items() if k != key}
+
+
+@pytest.mark.parametrize("patch, field", [
+    pytest.param(None, "not valid JSON", id="bad-json"),
+    pytest.param({"sequence": [dict(PULSE, targets=[5])]},
+                 "sequence[0].targets", id="target-out-of-range"),
+    pytest.param({"sequence": [dict(PULSE, axis="+")]},
+                 "sequence[0].axis", id="unknown-axis"),
+    pytest.param({"sequence": [PULSE, {"type": "cw"}]},
+                 "sequence[1].duration_s", id="cw-missing-duration"),
+    pytest.param({"sequence": [_without(PULSE, "targets")]},
+                 "sequence[0].targets", id="pulse-missing-targets"),
+    pytest.param({"sequence": [_without(PULSE, "axis")]},
+                 "sequence[0].axis", id="pulse-missing-axis"),
+    pytest.param({"sequence": [_without(PULSE, "angle_deg")]},
+                 "sequence[0].angle_deg", id="pulse-missing-angle"),
+    pytest.param({"drive": dict(glycine_defaults()["drive"], skip_trim=[7])},
+                 "drive.skip_trim", id="skip-trim-out-of-range"),
+    pytest.param({"sequence": [PULSE, 5]}, "sequence[1]", id="event-not-object"),
+])
+def test_cli_malformed_config_exit_code(tmp_path, capsys, patch, field):
+    if patch is None:
+        path = tmp_path / "bad.json"
+        path.write_text("{")
+    else:
+        path = write_config(tmp_path, {**glycine_defaults(), **patch})
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert field in captured.err
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize("flag", [["--format", "json"], ["--config", "cfg.json"]],
+                         ids=["format", "config"])
+def test_cli_repro_rejects_ignored_flags(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["repro", "fig3a", *flag])
+    assert exc.value.code == 2
 
 
 def test_cli_simulate_writes_trajectory(tmp_path, capsys):

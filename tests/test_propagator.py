@@ -166,21 +166,41 @@ def test_extract_gate_zero_duration_is_identity():
     assert np.allclose(u, np.eye(4))
 
 
-def test_extract_gate_unitary_and_composition():
+def _cw(rotor_periods, **kwargs):
+    sys = glycine_system()
+    return CWSegment(drive=RFDrive(omega_1=hz_to_angular(2339.0)),
+                     duration=rotor_periods * sys.rotor_period, **kwargs)
+
+
+@pytest.mark.parametrize("events", [
+    pytest.param([IdealRotation((0,), "x", np.pi), _cw(5, skip_trim=(1,))],
+                 id="pulse-cw"),
+    # segments start off rotor-period boundaries
+    pytest.param([IdealRotation((0,), "x", np.pi), _cw(1.3, skip_trim=(1,)),
+                  Delay(duration=0.45 * glycine_system().rotor_period,
+                        dipolar_on=False),
+                  _cw(2.2)],
+                 id="pulse-cw-delay-cw"),
+    pytest.param([IdealRotation((0,), "x", np.pi), _cw(0.0), _cw(2.5)],
+                 id="zero-duration-cw"),
+    pytest.param([IdealRotation((0, 1), "y", 0.6), _cw(3.3, trim=False)],
+                 id="untrimmed"),
+])
+def test_extract_gate_unitary_and_composition(events):
     sys = glycine_system(phi=0.25)
-    seg = CWSegment(drive=RFDrive(omega_1=hz_to_angular(2339.0)),
-                    duration=5 * sys.rotor_period, skip_trim=(1,))
-    u = extract_gate(sys, [IdealRotation((0,), "x", np.pi), seg],
-                     steps_per_period=512)
+    u = extract_gate(sys, events, steps_per_period=512)
     check_unitary(u, tol=1e-9)
-    # composing the gate reproduces run_sequence's endpoint
-    traj = run_sequence(basis_state("00"), sys,
-                        [IdealRotation((0,), "x", np.pi), seg],
-                        sample_every=10.0, steps_per_period=512)
+    # run_sequence walks the same events: its last sample is the state the
+    # gate produces
+    traj = run_sequence(basis_state("00"), sys, events,
+                        sample_every=0.37 * sys.rotor_period,
+                        steps_per_period=512)
     rho = basis_state("00")
     rho = u @ rho @ u.conj().T
-    iz = expectation(rho, spin_operator(2, 0, "z")).real
-    assert iz == pytest.approx(traj.iz[-1], abs=1e-9)
+    assert expectation(rho, spin_operator(2, 0, "z")).real == pytest.approx(
+        traj.iz[-1], abs=1e-9)
+    assert expectation(rho, spin_operator(2, 1, "z")).real == pytest.approx(
+        traj.sz[-1], abs=1e-9)
 
 
 def test_event_validation():

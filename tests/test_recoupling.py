@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from r2tr.hamiltonian import dipolar_constants
-from r2tr.recoupling import (condition_residual, make_plan, plans_to_json,
-                             predicted_exchange_period, rank_mechanisms,
+from r2tr.recoupling import (condition_residual, make_plan, operating_point,
+                             plans_to_json, predicted_exchange_period,
                              solve_amplitude, solve_plans, theta_from_period)
 from r2tr.units import GAMMA_C13, GLYCINE_CC_DISTANCE, TWO_PI, deg_to_rad
 
@@ -133,9 +133,15 @@ def test_plan_warns_on_small_shift_difference():
     assert plan.warning is not None
 
 
-def test_rank_mechanisms_prefers_matching_regime():
+def test_operating_point_glycine():
     c = glycine_constants()
-    first, _ = rank_mechanisms(D_I, D_S, c.omega_full)[0]
-    assert first == "flip-flop"
-    first, _ = rank_mechanisms(TWO_PI * 10.0, TWO_PI * 20.0, c.omega_full)[0]
-    assert first == "flop-flop"
+    point = operating_point(D_I, D_S, TWO_PI * 2339.0, c, "a", 2)
+    assert np.degrees(point.beta_i) == pytest.approx(49.467364, abs=1e-4)
+    assert np.degrees(point.beta_s) == pytest.approx(7.129919, abs=1e-4)
+    assert point.b_factor == pytest.approx(-0.182023118, abs=1e-8)
+    assert point.q_factor == pytest.approx(0.067976882, abs=1e-8)
+    assert point.coupling == pytest.approx(0.5 * abs(point.b_factor) * c.omega_d2)
+    assert point.exchange_period == predicted_exchange_period(point.coupling)
+    # no coupling along the spinning axis: no exchange
+    assert operating_point(D_I, D_S, TWO_PI * 2339.0, glycine_constants(0.0),
+                           "a", 2).exchange_period == math.inf

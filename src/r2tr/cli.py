@@ -93,37 +93,43 @@ def build_system(cfg):
         blk = cfg["system"]
     except KeyError:
         raise ConfigError("config is missing the 'system' block") from None
-    gamma = float(blk.get("gamma_rad_per_s_per_t", GAMMA_C13))
+
+    def number(key, default=None):
+        value = _field(blk, key, "system") if default is None else blk.get(key, default)
+        return _number(value, f"system.{key}")
+
+    def numbers(key):
+        values = blk[key]
+        if not isinstance(values, list):
+            raise ConfigError(f"system.{key} must be a list of numbers, got {values!r}")
+        return [_number(v, f"system.{key}[{k}]") for k, v in enumerate(values)]
+
+    gamma = number("gamma_rad_per_s_per_t", GAMMA_C13)
     has_r = "r_angstrom" in blk
     has_coupling = "coupling_hz" in blk
     if has_r == has_coupling:
         raise ConfigError(
             "system block needs exactly one of 'r_angstrom' or 'coupling_hz'")
     if has_r:
-        r = float(blk["r_angstrom"]) * 1e-10
+        r = number("r_angstrom") * 1e-10
     else:
-        r = _radius_from_coupling(gamma, float(blk["coupling_hz"]))
+        r = _radius_from_coupling(gamma, number("coupling_hz"))
     if "offsets_hz" in blk:
-        offsets_hz = [float(o) for o in blk["offsets_hz"]]
+        offsets_hz = numbers("offsets_hz")
     elif "offsets_ppm" in blk:
-        carrier = blk.get("carrier_mhz")
-        if carrier is None:
+        if "carrier_mhz" not in blk:
             raise ConfigError("'offsets_ppm' requires 'carrier_mhz'")
-        offsets_hz = [ppm_to_hz(float(p), float(carrier))
-                      for p in blk["offsets_ppm"]]
+        carrier = number("carrier_mhz")
+        offsets_hz = [ppm_to_hz(p, carrier) for p in numbers("offsets_ppm")]
     else:
         raise ConfigError("system block needs 'offsets_hz' or 'offsets_ppm'")
+    theta_d = deg_to_rad(number("theta_d_deg", 0.0))
+    phi = deg_to_rad(number("phi_deg", 0.0))
+    omega_r = hz_to_angular(number("spin_rate_hz"))
     try:
-        return SpinSystem(
-            gamma=gamma,
-            r=r,
-            theta_d=deg_to_rad(float(blk.get("theta_d_deg", 0.0))),
-            phi=deg_to_rad(float(blk.get("phi_deg", 0.0))),
-            omega_r=hz_to_angular(float(blk["spin_rate_hz"])),
-            offsets=tuple(hz_to_angular(o) for o in offsets_hz),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"system block is missing {exc}") from None
+        return SpinSystem(gamma=gamma, r=r, theta_d=theta_d, phi=phi,
+                          omega_r=omega_r,
+                          offsets=tuple(hz_to_angular(o) for o in offsets_hz))
     except ValueError as exc:
         raise ConfigError(f"invalid system block: {exc}") from None
 
@@ -133,6 +139,21 @@ def _field(blk, key, where):
     if key not in blk:
         raise ConfigError(f"{where}.{key} is missing")
     return blk[key]
+
+
+def _number(value, field, minimum=-math.inf):
+    """value as a float; anything but a finite number >= minimum raises a
+    ConfigError naming `field`."""
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+    if not (math.isfinite(number) and number >= minimum):
+        bound = "" if minimum == -math.inf else f" >= {minimum:g}"
+        raise ConfigError(f"{field} must be a finite number{bound}, got {value!r}")
+    return number
 
 
 def _spin_indices(values, n_spins, field):
@@ -147,16 +168,18 @@ def build_drive(cfg):
     blk = cfg.get("drive")
     if blk is None:
         return None
-    return RFDrive(omega_1=hz_to_angular(float(_field(blk, "amplitude_hz", "drive"))),
-                   phase=deg_to_rad(float(blk.get("phase_deg", 0.0))))
+    amplitude = _number(_field(blk, "amplitude_hz", "drive"), "drive.amplitude_hz", 0.0)
+    phase = _number(blk.get("phase_deg", 0.0), "drive.phase_deg")
+    return RFDrive(omega_1=hz_to_angular(amplitude), phase=deg_to_rad(phase))
 
 
 def build_events(cfg, drive=None):
     """Event list from the config's sequence block.
 
-    A missing field, an out-of-range spin index, an unknown rotation axis or
-    an event that is not an object raises a ConfigError that names the
-    field, e.g. sequence[0].axis.
+    A missing field, a number that is not finite, a negative duration, an
+    out-of-range spin index, an unknown rotation axis or an event that is
+    not an object raises a ConfigError that names the field, e.g.
+    sequence[0].axis.
     """
     if drive is None:
         drive = build_drive(cfg)
@@ -171,6 +194,9 @@ def build_events(cfg, drive=None):
         if not isinstance(ev, dict):
             raise ConfigError(f"{where} must be an object, got {ev!r}")
         kind = ev.get("type")
+        if kind in ("cw", "delay"):
+            duration = _number(_field(ev, "duration_s", where),
+                               f"{where}.duration_s", 0.0)
         if kind == "pulse":
             axis = _field(ev, "axis", where)
             if axis not in ("x", "y", "z"):
@@ -179,18 +205,19 @@ def build_events(cfg, drive=None):
                 targets=_spin_indices(_field(ev, "targets", where), n_spins,
                                       f"{where}.targets"),
                 axis=axis,
-                angle=deg_to_rad(float(_field(ev, "angle_deg", where)))))
+                angle=deg_to_rad(_number(_field(ev, "angle_deg", where),
+                                         f"{where}.angle_deg"))))
         elif kind == "cw":
             if drive is None:
                 raise ConfigError(f"{where}: cw event needs a drive block")
             events.append(CWSegment(
                 drive=drive,
-                duration=float(_field(ev, "duration_s", where)),
+                duration=duration,
                 trim=bool(ev.get("trim", trim)),
                 skip_trim=_spin_indices(ev.get("skip_trim", skip_trim), n_spins,
                                         f"{where}.skip_trim")))
         elif kind == "delay":
-            events.append(Delay(duration=float(_field(ev, "duration_s", where)),
+            events.append(Delay(duration=duration,
                                 dipolar_on=bool(ev.get("dipolar_on", True))))
         else:
             raise ConfigError(f"{where}: unknown event type {kind!r}")
@@ -198,10 +225,16 @@ def build_events(cfg, drive=None):
 
 
 def _steps_per_period(cfg, override=None):
-    if override is not None:
-        return int(override)
-    return int(cfg.get("integrator", {}).get("steps_per_period",
-                                             DEFAULT_STEPS_PER_PERIOD))
+    """Integrator steps per rotor period: the --steps-per-period override if
+    given, else integrator.steps_per_period; a whole number >= 1."""
+    field, value = "--steps-per-period", override
+    if override is None:
+        field = "integrator.steps_per_period"
+        value = cfg.get("integrator", {}).get("steps_per_period",
+                                              DEFAULT_STEPS_PER_PERIOD)
+    if _number(value, field, 1.0) != int(value):
+        raise ConfigError(f"{field} must be a whole number, got {value!r}")
+    return int(value)
 
 
 # --------------------------------------------------------------- analysis
@@ -310,7 +343,8 @@ def _simulate_report(cfg, steps_override=None):
     drive = build_drive(cfg)
     events = build_events(cfg, drive)
     steps = _steps_per_period(cfg, steps_override)
-    sample_every = float(cfg.get("sample_every_s") or system.rotor_period)
+    sample_every = (_number(cfg.get("sample_every_s", 0.0), "sample_every_s", 0.0)
+                    or system.rotor_period)
     initial = basis_state(cfg.get("initial_state", "00"))
     traj = run_sequence(initial, system, events, sample_every,
                         steps_per_period=steps)
@@ -323,7 +357,8 @@ def _simulate_report(cfg, steps_override=None):
                                       point.exchange_period)
         except RuntimeError:
             fit = None
-        if fit is not None and fit.amplitude > 0.05:
+        # <I_z> lies in [-1/2, 1/2], so a real swing is at most 1
+        if fit is not None and 0.05 < fit.amplitude <= 1.0:
             constants = dipolar_constants(system.gamma, system.r,
                                           system.theta_d)
             report["fitted_period_s"] = fit.period
@@ -385,7 +420,8 @@ def cmd_solve(cfg, args):
     constants = dipolar_constants(system.gamma, system.r, system.theta_d)
     solve_blk = cfg.get("solve", {})
     classes = tuple(solve_blk.get("classes", ("a", "b")))
-    harmonics = tuple(int(m) for m in solve_blk.get("harmonics", (1, 2)))
+    harmonics = tuple(int(_number(m, f"solve.harmonics[{k}]", 1.0))
+                      for k, m in enumerate(solve_blk.get("harmonics", (1, 2))))
     plans = solve_plans(system.offsets[0], system.offsets[1], system.omega_r,
                         constants, classes=classes, harmonics=harmonics)
     text = plans_to_json(plans)
@@ -468,10 +504,11 @@ def cmd_spectrum(cfg, args):
     print(f"wrote {path}")
     fid_blk = cfg.get("fid")
     if fid_blk:
-        fid = simulate_fid(rho, system, float(fid_blk["duration_s"]),
-                           float(fid_blk["dwell_s"]))
+        dwell = _number(_field(fid_blk, "dwell_s", "fid"), "fid.dwell_s")
+        fid = simulate_fid(rho, system, _number(_field(fid_blk, "duration_s", "fid"),
+                                                "fid.duration_s", 0.0), dwell)
         fid_path = _out_path(args.out, "fid.csv")
-        fid_to_csv(fid, float(fid_blk["dwell_s"]), fid_path)
+        fid_to_csv(fid, dwell, fid_path)
         print(f"wrote {fid_path}")
     return 0
 
@@ -479,8 +516,7 @@ def cmd_spectrum(cfg, args):
 def cmd_repro(args):
     name = args.preset
     cfg = preset_config(name)
-    if args.steps_per_period:
-        cfg["integrator"] = {"steps_per_period": int(args.steps_per_period)}
+    cfg["integrator"] = {"steps_per_period": _steps_per_period(cfg, args.steps_per_period)}
     if name in ("fig3a", "fig3b"):
         traj, report = _simulate_report(cfg)
         csv_path = _out_path(args.out, f"{name}_trajectory.csv")
@@ -495,7 +531,7 @@ def cmd_repro(args):
         else:
             print(f"max transfer: {report['max_transfer_fraction']:.4g}")
         return 0
-    report, spectra = run_fig4(cfg, args.steps_per_period)
+    report, spectra = run_fig4(cfg)
     for label, spectrum in spectra.items():
         spectrum.to_csv(_out_path(args.out, f"fig4_{label}_spectrum.csv"))
     report_path = _out_path(args.out, "fig4_report.json")
@@ -514,18 +550,20 @@ def build_parser():
                     "solving, spin dynamics, gate analysis, and readout.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    with_config = [sub.add_parser(name)
-                   for name in ("solve", "simulate", "gate", "spectrum")]
-    for p in with_config:
+    solve, simulate, gate, spectrum = (
+        sub.add_parser(name) for name in ("solve", "simulate", "gate", "spectrum"))
+    repro = sub.add_parser("repro", help="reproduction presets")
+    repro.add_argument("preset", choices=("fig3a", "fig3b", "fig4"))
+    for p in (solve, simulate, gate, spectrum):
         p.add_argument("--config", metavar="PATH",
                        help="JSON experiment config (default: built-in "
                             "glycine parameters)")
+    for p in (simulate, spectrum):
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-    repro = sub.add_parser("repro", help="reproduction presets")
-    repro.add_argument("preset", choices=("fig3a", "fig3b", "fig4"))
-    for p in with_config + [repro]:
+    for p in (solve, simulate, gate, spectrum, repro):
         p.add_argument("--out", metavar="DIR", default="",
                        help="output directory (default: current directory)")
+    for p in (simulate, gate, spectrum, repro):
         p.add_argument("--steps-per-period", type=int, metavar="N",
                        help="integrator steps per rotor period")
     return parser

@@ -48,10 +48,6 @@ def spin_operator(n_spins, index, axis):
     return _spin_operator_cached(n_spins, index, axis)
 
 
-def identity(n_spins):
-    return np.eye(2**n_spins, dtype=complex)
-
-
 def basis_state(label):
     """Pure density matrix for a computational basis ket, e.g. '01' -> |0>|1><...|.
 

@@ -3,16 +3,19 @@
 Events are ideal (instantaneous) rotations, free-evolution delays and CW
 irradiation segments. CW segments are wrapped with trim pulses that align
 each spin's quantization axis with its effective field before the drive
-and undo the rotation afterwards; mid-segment observables are sampled
-through the closing trim pulse, which is what a point-by-point experiment
-measures.
+and undo the rotation afterwards.
 
-Integration is by piecewise step exponentials. Segments built from the
-standard offset+RF+MAS-dipolar structure carry their rotor-harmonic
-decomposition, and each step uses the exact integral of the Hamiltonian
-plus the leading commutator correction, so the generator is analytic and
-the step error is far below the sampling error. Every step exponential is
-taken via Hermitian eigendecomposition, keeping unitarity at roundoff.
+One walk over the events folds every step unitary into the sequence
+unitary U and records sampled views (t, V): the unitary a measurement at
+t sees, through the closing trim pulse inside a CW segment, as in a
+point-by-point experiment. `extract_gate` returns U; `run_sequence`
+evaluates V rho V^dag at the samples only.
+
+Integration is by piecewise step exponentials. Each segment's Hamiltonian
+carries its rotor-harmonic decomposition, and each step uses its exact
+integral plus the leading commutator correction, so the step error is far
+below the sampling error. Every step exponential is taken via Hermitian
+eigendecomposition, keeping unitarity at roundoff.
 """
 
 from dataclasses import dataclass
@@ -180,12 +183,6 @@ def rotation_unitary(n_spins, targets, axis, angle):
     return expm(-1j * angle * np.asarray(gen))
 
 
-def apply_ideal_pulse(rho, n_spins, event):
-    """rho -> U rho U^dag for an instantaneous rotation event."""
-    u = rotation_unitary(n_spins, event.targets, event.axis, event.angle)
-    return u @ rho @ u.conj().T
-
-
 def _step_unitaries(hamiltonian_fn, t0, t1, steps):
     """Per-step unitaries exp(-i M_k) of a HarmonicHamiltonian, batched."""
     ms = hamiltonian_fn.step_generators(t0, t1, steps)
@@ -196,19 +193,25 @@ def _step_unitaries(hamiltonian_fn, t0, t1, steps):
     return np.einsum("kij,kj,klj->kil", evecs, phases, evecs.conj())
 
 
+def _fold(u, unitaries, marks=()):
+    """Fold the step unitaries into u, one uk @ u per step (the only loop over
+    them); return u and the partial products after the steps in marks."""
+    marks, partial = set(marks), []
+    for k, uk in enumerate(unitaries):
+        u = uk @ u
+        if k in marks:
+            partial.append(u)
+    return u, partial
+
+
 def segment_propagator(hamiltonian_fn, t0, t1, steps):
     """Time-ordered propagator over [t0, t1] under a time-dependent Hamiltonian."""
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if t1 == t0:
-        dim = np.asarray(hamiltonian_fn(t0)).shape[0]
-        return np.eye(dim, dtype=complex)
-    u = None
-    for uk in _step_unitaries(hamiltonian_fn, t0, t1, steps):
-        u = uk if u is None else uk @ u
-    return u
+    u = np.eye(np.asarray(hamiltonian_fn(t0)).shape[0], dtype=complex)
+    return u if t1 == t0 else _fold(u, _step_unitaries(hamiltonian_fn, t0, t1, steps))[0]
 
 
 def _segment_hamiltonian(system, drive, constants, pair=(0, 1), dipolar_on=True):
@@ -222,14 +225,11 @@ def _segment_hamiltonian(system, drive, constants, pair=(0, 1), dipolar_on=True)
 def trim_unitaries(system, segment):
     """Opening and closing trim rotations for a CW segment (identity if off)."""
     n = system.n_spins
-    if not segment.trim:
-        eye = np.eye(2**n, dtype=complex)
-        return eye, eye
     drive = segment.drive
     cph, sph = math.cos(drive.phase), math.sin(drive.phase)
     gen = np.zeros((2**n, 2**n), dtype=complex)
     for k, dw in enumerate(system.offsets):
-        if k in segment.skip_trim:
+        if not segment.trim or k in segment.skip_trim:
             continue
         beta = effective_field(dw, drive.omega_1).beta
         # rotation axis perpendicular to both z and the RF field direction
@@ -239,33 +239,60 @@ def trim_unitaries(system, segment):
     return u_open, u_open.conj().T
 
 
-def _timed_events(system, events, steps_per_period, pair):
-    """Walk a sequence once, yielding (event, t0, hamiltonian, steps, u_open, u_close).
+def _due_steps(ends, due, every, last):
+    """Steps at which samples fall due, and the next due time: the first step
+    end past `last` and `due` (less 1e-15 s of slack), then `due` += `every`."""
+    marks = []
+    k = int(np.searchsorted(ends, last, side="right"))
+    while (k := max(k, int(np.searchsorted(ends, due - 1e-15)))) < len(ends):
+        marks.append(k)
+        due += every
+        k += 1
+    return marks, due
 
-    This is the only dispatch over event types. An IdealRotation yields its
-    rotation unitary as u_open and None for the rest. A Delay or CWSegment
-    yields its HarmonicHamiltonian over [t0, t0 + duration] with the step
-    count; a CWSegment also yields its trim pair, a Delay None for both.
+
+def _propagate(system, events, steps_per_period, pair, sample_every):
+    """Walk a sequence once; return its unitary U and the samples [(t, V)].
+
+    This is the only dispatch over event types, and every step unitary is
+    folded into U here. V is the unitary a measurement at t sees: U so far,
+    taken through the closing trim pulse inside a CW segment. Samples are
+    taken at t = 0 after any leading pulses, at the first step end past
+    each multiple of sample_every, and at the end of the sequence (the last
+    sample holds U, so it includes any trailing pulses).
     """
     n = system.n_spins
     constants = dipolar_constants(system.gamma, system.r, system.theta_d)
-    t = 0.0
+    eye = np.eye(2**n, dtype=complex)
+    u, samples = eye, []
+    t, due = 0.0, sample_every
     for event in events:
         if isinstance(event, IdealRotation):
-            u = rotation_unitary(n, event.targets, event.axis, event.angle)
-            yield event, t, None, 0, u, None
+            u = rotation_unitary(n, event.targets, event.axis, event.angle) @ u
             continue
         if isinstance(event, Delay):
-            u_open = u_close = None
+            u_open = u_close = eye
             fn = _segment_hamiltonian(system, None, constants, pair, event.dipolar_on)
         elif isinstance(event, CWSegment):
             u_open, u_close = trim_unitaries(system, event)
             fn = _segment_hamiltonian(system, event.drive, constants, pair)
         else:
             raise TypeError(f"unknown event type {type(event).__name__}")
+        if not samples:
+            samples.append((t, u))
+        if event.duration == 0.0:
+            continue
+        t0, t = t, t + event.duration
         steps = max(1, math.ceil(event.duration / system.rotor_period * steps_per_period))
-        yield event, t, fn, steps, u_open, u_close
-        t += event.duration
+        ends = t0 + np.arange(1, steps + 1) * (event.duration / steps)
+        marks, due = _due_steps(ends, due, sample_every, samples[-1][0])
+        u, partial = _fold(u_open @ u, _step_unitaries(fn, t0, t, steps), marks)
+        samples += [(float(ends[k]), u_close @ v) for k, v in zip(marks, partial)]
+        u = u_close @ u
+    if samples and samples[-1][0] >= t:
+        t = samples.pop()[0]  # a sample at the end gives way to U
+    samples.append((t, u))
+    return u, samples
 
 
 def run_sequence(initial, system, events, sample_every,
@@ -276,48 +303,16 @@ def run_sequence(initial, system, events, sample_every,
     it reflects the prepared state. During a trimmed CW segment the sampled
     observables are taken through the closing trim pulse (the state itself
     keeps evolving under the drive). A sample is due at the first step end
-    past each multiple of sample_every.
+    past each multiple of sample_every. The last sample is the state at the
+    end of the sequence, after any trailing pulses.
     """
-    n = system.n_spins
-    iz_op = spin_operator(n, pair[0], "z")
-    sz_op = spin_operator(n, pair[1], "z")
-    rho = np.array(initial, dtype=complex)
-    times, iz, sz = [], [], []
-    next_sample = 0.0
-
-    def sample(t, view=None):
-        nonlocal next_sample
-        obs = rho if view is None else view @ rho @ view.conj().T
-        times.append(t)
-        iz.append(expectation(obs, iz_op).real)
-        sz.append(expectation(obs, sz_op).real)
-        next_sample += sample_every
-
-    t = 0.0
-    for event, t0, fn, steps, u_open, u_close in _timed_events(
-            system, events, steps_per_period, pair):
-        if fn is None:
-            rho = u_open @ rho @ u_open.conj().T
-            continue
-        if not times:
-            sample(t0)
-        if event.duration == 0.0:
-            continue
-        t = t0 + event.duration
-        if u_open is not None:
-            rho = u_open @ rho @ u_open.conj().T
-        dt = event.duration / steps
-        for k, uk in enumerate(_step_unitaries(fn, t0, t, steps)):
-            rho = uk @ rho @ uk.conj().T
-            t_step = t0 + (k + 1) * dt
-            if t_step >= next_sample - 1e-15:
-                sample(t_step, u_close)
-        if u_close is not None:
-            rho = u_close @ rho @ u_close.conj().T
-
-    if not times or times[-1] < t:
-        sample(t)
-    return Trajectory(times=np.array(times), iz=np.array(iz), sz=np.array(sz))
+    _, samples = _propagate(system, events, steps_per_period, pair, sample_every)
+    rho = np.asarray(initial, dtype=complex)
+    states = [v @ rho @ v.conj().T for _, v in samples]
+    iz_op, sz_op = (spin_operator(system.n_spins, k, "z") for k in pair)
+    return Trajectory(times=np.array([t for t, _ in samples]),
+                      iz=np.array([expectation(r, iz_op).real for r in states]),
+                      sz=np.array([expectation(r, sz_op).real for r in states]))
 
 
 def extract_gate(system, events, steps_per_period=DEFAULT_STEPS_PER_PERIOD,
@@ -325,27 +320,16 @@ def extract_gate(system, events, steps_per_period=DEFAULT_STEPS_PER_PERIOD,
     """Total rotating-frame unitary of a sequence (identity propagated through).
 
     With remove_effective_precession=True, the known effective-field
-    z-precession exp(-i T (w_eI I_z + w_eS S_z)) accumulated over trimmed CW
+    z-precession exp(-i T (w_eI I_z + w_eS S_z)) accumulated over the CW
     segments is divided out on the left, exposing the recoupled bilinear part.
     """
+    u, _ = _propagate(system, events, steps_per_period, pair, math.inf)
+    if not remove_effective_precession:
+        return u
     n = system.n_spins
-    u = np.eye(2**n, dtype=complex)
-    precession = np.zeros((2**n, 2**n), dtype=complex)
-
-    for event, t0, fn, steps, u_open, u_close in _timed_events(
-            system, events, steps_per_period, pair):
-        if fn is None:
-            u = u_open @ u
-            continue
-        useg = segment_propagator(fn, t0, t0 + event.duration, steps)
-        if u_open is None:
-            u = useg @ u
-            continue
-        u = u_close @ useg @ u_open @ u
-        for k, dw in enumerate(system.offsets):
-            omega_e = effective_field(dw, event.drive.omega_1).omega_e
-            precession = precession + event.duration * omega_e * spin_operator(n, k, "z")
-
-    if remove_effective_precession:
-        u = expm(1j * precession) @ u
-    return u
+    precession = sum((event.duration * effective_field(dw, event.drive.omega_1).omega_e
+                      * spin_operator(n, k, "z")
+                      for event in events if isinstance(event, CWSegment)
+                      for k, dw in enumerate(system.offsets)),
+                     np.zeros((2**n, 2**n), dtype=complex))
+    return expm(1j * precession) @ u

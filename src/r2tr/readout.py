@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import expectation, spin_operator
-from .propagator import IdealRotation, apply_ideal_pulse
+from .propagator import rotation_unitary
 from .units import angular_to_hz
 
 
@@ -53,8 +53,8 @@ def simulate_fid(rho, system, duration, dwell):
     if dwell <= 0:
         raise ValueError("dwell must be positive")
     n = system.n_spins
-    pulse = IdealRotation(targets=tuple(range(n)), axis="y", angle=np.pi / 2)
-    rho = apply_ideal_pulse(np.asarray(rho, dtype=complex), n, pulse)
+    u = rotation_unitary(n, range(n), "y", np.pi / 2)
+    rho = u @ np.asarray(rho, dtype=complex) @ u.conj().T
     amplitudes = [expectation(rho, spin_operator(n, k, "+"))
                   for k in range(n)]
     npts = int(round(duration / dwell))

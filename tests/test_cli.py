@@ -1,11 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from r2tr.cli import (ConfigError, build_events, build_system,
-                      fit_exchange_period, glycine_defaults, load_config,
-                      main, preset_config, transfer_fraction)
+from r2tr.cli import (ConfigError, _simulate_report, build_events,
+                      build_system, fit_exchange_period, glycine_defaults,
+                      load_config, main, preset_config, transfer_fraction)
 from r2tr.propagator import CWSegment, Delay, IdealRotation, Trajectory
 from r2tr.units import TWO_PI
 
@@ -142,31 +143,57 @@ def _without(event, key):
     return {k: v for k, v in event.items() if k != key}
 
 
-@pytest.mark.parametrize("patch, field", [
-    pytest.param(None, "not valid JSON", id="bad-json"),
+def _system(**fields):
+    return {"system": dict(glycine_defaults()["system"], **fields)}
+
+
+SIMULATE = ["simulate"]
+
+
+@pytest.mark.parametrize("patch, field, argv", [
+    pytest.param(None, "not valid JSON", SIMULATE, id="bad-json"),
     pytest.param({"sequence": [dict(PULSE, targets=[5])]},
-                 "sequence[0].targets", id="target-out-of-range"),
+                 "sequence[0].targets", SIMULATE, id="target-out-of-range"),
     pytest.param({"sequence": [dict(PULSE, axis="+")]},
-                 "sequence[0].axis", id="unknown-axis"),
+                 "sequence[0].axis", SIMULATE, id="unknown-axis"),
     pytest.param({"sequence": [PULSE, {"type": "cw"}]},
-                 "sequence[1].duration_s", id="cw-missing-duration"),
+                 "sequence[1].duration_s", SIMULATE, id="cw-missing-duration"),
     pytest.param({"sequence": [_without(PULSE, "targets")]},
-                 "sequence[0].targets", id="pulse-missing-targets"),
+                 "sequence[0].targets", SIMULATE, id="pulse-missing-targets"),
     pytest.param({"sequence": [_without(PULSE, "axis")]},
-                 "sequence[0].axis", id="pulse-missing-axis"),
+                 "sequence[0].axis", SIMULATE, id="pulse-missing-axis"),
     pytest.param({"sequence": [_without(PULSE, "angle_deg")]},
-                 "sequence[0].angle_deg", id="pulse-missing-angle"),
+                 "sequence[0].angle_deg", SIMULATE, id="pulse-missing-angle"),
     pytest.param({"drive": dict(glycine_defaults()["drive"], skip_trim=[7])},
-                 "drive.skip_trim", id="skip-trim-out-of-range"),
-    pytest.param({"sequence": [PULSE, 5]}, "sequence[1]", id="event-not-object"),
+                 "drive.skip_trim", SIMULATE, id="skip-trim-out-of-range"),
+    pytest.param({"sequence": [PULSE, 5]}, "sequence[1]", SIMULATE,
+                 id="event-not-object"),
+    pytest.param(_system(r_angstrom=math.nan), "system.r_angstrom", ["solve"],
+                 id="r-nan"),
+    pytest.param(_system(offsets_hz=[2000.0, math.inf]), "system.offsets_hz[1]",
+                 ["solve"], id="offset-infinite"),
+    pytest.param(_system(spin_rate_hz=[1]), "system.spin_rate_hz", SIMULATE,
+                 id="spin-rate-not-number"),
+    pytest.param({"sequence": [PULSE, {"type": "cw", "duration_s": math.nan}]},
+                 "sequence[1].duration_s", SIMULATE, id="duration-nan"),
+    pytest.param({"sequence": [PULSE, {"type": "delay", "duration_s": -1e-3}]},
+                 "sequence[1].duration_s", SIMULATE, id="duration-negative"),
+    pytest.param({"integrator": {"steps_per_period": 0}},
+                 "integrator.steps_per_period", SIMULATE, id="config-steps-zero"),
+    pytest.param({}, "--steps-per-period", ["repro", "fig3a", "--steps-per-period", "0"],
+                 id="repro-steps-zero"),
+    pytest.param({}, "--steps-per-period", ["simulate", "--steps-per-period", "-5"],
+                 id="steps-negative"),
 ])
-def test_cli_malformed_config_exit_code(tmp_path, capsys, patch, field):
+def test_cli_malformed_config_exit_code(tmp_path, capsys, patch, field, argv):
+    path = tmp_path / "cfg.json"
     if patch is None:
-        path = tmp_path / "bad.json"
         path.write_text("{")
     else:
-        path = write_config(tmp_path, {**glycine_defaults(), **patch})
-    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+        write_config(tmp_path, {**glycine_defaults(), **patch})
+    if argv[0] != "repro":
+        argv = [*argv, "--config", str(path)]
+    assert main([*argv, "--out", str(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert field in captured.err
@@ -174,12 +201,28 @@ def test_cli_malformed_config_exit_code(tmp_path, capsys, patch, field):
     assert "Traceback" not in captured.err + captured.out
 
 
-@pytest.mark.parametrize("flag", [["--format", "json"], ["--config", "cfg.json"]],
-                         ids=["format", "config"])
-def test_cli_repro_rejects_ignored_flags(flag, capsys):
+@pytest.mark.parametrize("argv", [
+    pytest.param(["repro", "fig3a", "--format", "json"], id="format"),
+    pytest.param(["repro", "fig3a", "--config", "cfg.json"], id="config"),
+    pytest.param(["solve", "--format", "json"], id="solve-format"),
+    pytest.param(["solve", "--steps-per-period", "64"], id="solve-steps-per-period"),
+    pytest.param(["gate", "--format", "json"], id="gate-format"),
+])
+def test_cli_repro_rejects_ignored_flags(argv, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["repro", "fig3a", *flag])
+        main(argv)
     assert exc.value.code == 2
+
+
+def test_period_fit_reported_only_for_a_real_swing():
+    # the off-condition fig3b control wobbles by about 1%: a cosine fit to it
+    # is not a period, while fig3a's full exchange is
+    _, fig3b = _simulate_report(preset_config("fig3b"))
+    assert "fitted_period_s" not in fig3b
+    assert "theta_d_deg_from_period" not in fig3b
+    _, fig3a = _simulate_report(preset_config("fig3a"))
+    assert fig3a["fitted_period_s"] == pytest.approx(3.19e-3, rel=1e-3)
+    assert "theta_d_deg_from_period" in fig3a
 
 
 def test_cli_simulate_writes_trajectory(tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from r2tr.operators import (SpinSystem, basis_state, check_density_matrix,
-                            check_unitary, expectation, identity, spin_operator)
+                            check_unitary, expectation, spin_operator)
 from r2tr.units import TWO_PI, deg_to_rad
 
 
@@ -87,10 +87,6 @@ def test_check_unitary():
     check_unitary(np.eye(4, dtype=complex))
     with pytest.raises(ValueError):
         check_unitary(2 * np.eye(4, dtype=complex))
-
-
-def test_identity():
-    assert np.allclose(identity(2), np.eye(4))
 
 
 def _system(**kw):

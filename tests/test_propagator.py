@@ -1,3 +1,4 @@
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -7,8 +8,7 @@ from r2tr.hamiltonian import (dipolar_constants, effective_field,
 from r2tr.operators import (SpinSystem, basis_state, check_density_matrix,
                             check_unitary, expectation, spin_operator)
 from r2tr.propagator import (CWSegment, Delay, HarmonicHamiltonian,
-                             IdealRotation, RFDrive, Trajectory,
-                             apply_ideal_pulse, extract_gate,
+                             IdealRotation, RFDrive, Trajectory, extract_gate,
                              rotation_unitary, run_sequence,
                              segment_propagator, trim_unitaries)
 from r2tr.units import GAMMA_C13, GLYCINE_CC_DISTANCE, TWO_PI, deg_to_rad, hz_to_angular
@@ -38,10 +38,9 @@ def test_rotation_unitary_pi_pulse():
     assert expectation(rho, spin_operator(2, 1, "z")).real == pytest.approx(0.5)
 
 
-def test_apply_ideal_pulse_preserves_density_matrix():
-    rho = basis_state("10")
-    rho = apply_ideal_pulse(rho, 2, IdealRotation((0, 1), "y", 0.77))
-    check_density_matrix(rho)
+def test_rotation_unitary_preserves_density_matrix():
+    u = rotation_unitary(2, (0, 1), "y", 0.77)
+    check_density_matrix(u @ basis_state("10") @ u.conj().T)
 
 
 def test_segment_propagator_unitary():
@@ -212,3 +211,54 @@ def test_event_validation():
         IdealRotation((), "x", np.pi)
     with pytest.raises(TypeError):
         run_sequence(basis_state("00"), glycine_system(), ["pulse"], 1e-4)
+
+
+# ---------------------------------------------------- properties of the walk
+
+T_R = glycine_system().rotor_period
+SPINS = st.lists(st.sampled_from((0, 1)), min_size=1, max_size=2, unique=True)
+DURATIONS = st.floats(0.0, 1.5).map(lambda periods: periods * T_R)
+DRIVES = st.builds(RFDrive, omega_1=st.floats(0.0, 10000.0).map(hz_to_angular),
+                   phase=st.floats(-np.pi, np.pi))
+PULSES = st.builds(IdealRotation, targets=SPINS, axis=st.sampled_from("xyz"),
+                   angle=st.floats(-np.pi, np.pi))
+TIMED = st.one_of(
+    st.builds(Delay, duration=DURATIONS, dipolar_on=st.booleans()),
+    st.builds(CWSegment, drive=DRIVES, duration=DURATIONS, trim=st.booleans(),
+              skip_trim=st.lists(st.sampled_from((0, 1)), max_size=2)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(phi=st.floats(0.0, TWO_PI),
+       events=st.lists(st.one_of(PULSES, TIMED), max_size=5),
+       sample_periods=st.floats(0.05, 1.5))
+# a delay too short to advance the clock; a pulse at the last sample's time
+@example(phi=0.0, events=[Delay(T_R, False), Delay(2.2e-210, False)],
+         sample_periods=0.0546875)
+@example(phi=0.0, events=[Delay(0.0), IdealRotation((0,), "x", 1.0), Delay(0.0)],
+         sample_periods=0.5)
+def test_walk_samples_and_gate_agree(phi, events, sample_periods):
+    system = glycine_system(phi=phi)
+    u = extract_gate(system, events, steps_per_period=16)
+    check_unitary(u, tol=1e-10)
+    traj = run_sequence(basis_state("10"), system, events,
+                        sample_every=sample_periods * T_R, steps_per_period=16)
+    assert np.all(np.diff(traj.times) > 0)
+    rho = u @ basis_state("10") @ u.conj().T
+    assert abs(expectation(rho, spin_operator(2, 0, "z")).real - traj.iz[-1]) < 1e-12
+    assert abs(expectation(rho, spin_operator(2, 1, "z")).real - traj.sz[-1]) < 1e-12
+
+
+@settings(max_examples=10, deadline=None)
+@given(phi=st.floats(0.0, TWO_PI), periods=st.floats(0.2, 2.0),
+       split=st.floats(0.05, 0.95))
+def test_untrimmed_cw_composes_in_time(phi, periods, split):
+    system = glycine_system(phi=phi)
+    drive = RFDrive(omega_1=hz_to_angular(2339.0))
+    whole = CWSegment(drive=drive, duration=periods * T_R, trim=False)
+    t1 = split * whole.duration
+    parts = [CWSegment(drive=drive, duration=t1, trim=False),
+             CWSegment(drive=drive, duration=whole.duration - t1, trim=False)]
+    u = extract_gate(system, [whole], steps_per_period=512)
+    u_parts = extract_gate(system, parts, steps_per_period=512)
+    assert np.max(np.abs(u - u_parts)) < 1e-8

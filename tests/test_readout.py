@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from r2tr.operators import SpinSystem, basis_state, identity
+from r2tr.operators import SpinSystem, basis_state
 from r2tr.readout import (Spectrum, UnclassifiableStateError, classify_state,
                           fid_to_csv, simulate_fid, stick_spectrum)
 from r2tr.units import GAMMA_C13, GLYCINE_CC_DISTANCE, TWO_PI, deg_to_rad
@@ -27,7 +27,7 @@ def test_stick_spectrum_basis_states():
 
 def test_stick_spectrum_maximally_mixed():
     sys = glycine_system()
-    sp = stick_spectrum(identity(2) / 4.0, sys)
+    sp = stick_spectrum(np.eye(4) / 4.0, sys)
     assert all(abs(a) < 1e-12 for _, a in sp.peaks)
 
 

@@ -21,7 +21,7 @@ from scipy.optimize import curve_fit
 from .gates import (cns, gate_to_json, iswap, locally_equivalent,
                     makhlin_invariants, universality_class, weyl_coordinates)
 from .hamiltonian import dipolar_constants
-from .operators import SpinSystem, basis_state
+from .operators import BASIS_LABELS, SPINS, SpinSystem, basis_state
 from .propagator import (DEFAULT_STEPS_PER_PERIOD, CWSegment, Delay,
                          IdealRotation, RFDrive, extract_gate, run_sequence)
 from .readout import classify_state, fid_to_csv, simulate_fid, stick_spectrum
@@ -31,6 +31,7 @@ from .units import (GAMMA_C13, GLYCINE_CC_DISTANCE, HBAR, MU0_OVER_4PI,
                     TWO_PI, deg_to_rad, hz_to_angular, ppm_to_hz, rad_to_deg)
 
 SCHEMA_VERSION = 1
+FLAG = (True, False)
 
 
 class ConfigError(ValueError):
@@ -89,19 +90,16 @@ def _radius_from_coupling(gamma, coupling_hz):
 
 def build_system(cfg):
     """SpinSystem from the config's system block (degrees/Hz boundary)."""
-    try:
-        blk = cfg["system"]
-    except KeyError:
-        raise ConfigError("config is missing the 'system' block") from None
+    blk = _block(cfg, "system")
 
     def number(key, default=None):
         value = _field(blk, key, "system") if default is None else blk.get(key, default)
         return _number(value, f"system.{key}")
 
-    def numbers(key):
+    def offsets(key):
         values = blk[key]
-        if not isinstance(values, list):
-            raise ConfigError(f"system.{key} must be a list of numbers, got {values!r}")
+        if not (isinstance(values, list) and len(values) == 2):
+            raise ConfigError(f"system.{key} must list the I and S offsets, got {values!r}")
         return [_number(v, f"system.{key}[{k}]") for k, v in enumerate(values)]
 
     gamma = number("gamma_rad_per_s_per_t", GAMMA_C13)
@@ -115,12 +113,12 @@ def build_system(cfg):
     else:
         r = _radius_from_coupling(gamma, number("coupling_hz"))
     if "offsets_hz" in blk:
-        offsets_hz = numbers("offsets_hz")
+        offsets_hz = offsets("offsets_hz")
     elif "offsets_ppm" in blk:
         if "carrier_mhz" not in blk:
             raise ConfigError("'offsets_ppm' requires 'carrier_mhz'")
         carrier = number("carrier_mhz")
-        offsets_hz = [ppm_to_hz(p, carrier) for p in numbers("offsets_ppm")]
+        offsets_hz = [ppm_to_hz(p, carrier) for p in offsets("offsets_ppm")]
     else:
         raise ConfigError("system block needs 'offsets_hz' or 'offsets_ppm'")
     theta_d = deg_to_rad(number("theta_d_deg", 0.0))
@@ -132,6 +130,16 @@ def build_system(cfg):
                           offsets=tuple(hz_to_angular(o) for o in offsets_hz))
     except ValueError as exc:
         raise ConfigError(f"invalid system block: {exc}") from None
+
+
+def _block(cfg, key, kind=dict):
+    """cfg[key], an object (a list for `sequence`), empty if absent; any
+    other value raises a ConfigError naming `key`."""
+    value = cfg.get(key, kind())
+    if not isinstance(value, kind):
+        noun = "an object" if kind is dict else "a list"
+        raise ConfigError(f"{key} must be {noun}, got {value!r}")
+    return value
 
 
 def _field(blk, key, where):
@@ -156,18 +164,25 @@ def _number(value, field, minimum=-math.inf):
     return number
 
 
-def _spin_indices(values, n_spins, field):
-    if not isinstance(values, (list, tuple)) or not all(
-            type(v) is int and 0 <= v < n_spins for v in values):
-        raise ConfigError(f"{field} must list spin indices in 0..{n_spins - 1}, "
-                          f"got {values!r}")
-    return tuple(values)
+def _choice(value, allowed, field):
+    """value, if it is one of `allowed` and of its type (true is not 1, nor
+    is 1.0); anything else raises a ConfigError naming `field`."""
+    if (type(value), value) not in [(type(a), a) for a in allowed]:
+        raise ConfigError(f"{field} must be one of {json.dumps(allowed)}, got {value!r}")
+    return value
+
+
+def _choices(values, allowed, field):
+    """A list of `_choice` values, as a tuple."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{field} must be a list, got {values!r}")
+    return tuple(_choice(v, allowed, f"{field}[{k}]") for k, v in enumerate(values))
 
 
 def build_drive(cfg):
-    blk = cfg.get("drive")
-    if blk is None:
+    if "drive" not in cfg:
         return None
+    blk = _block(cfg, "drive")
     amplitude = _number(_field(blk, "amplitude_hz", "drive"), "drive.amplitude_hz", 0.0)
     phase = _number(blk.get("phase_deg", 0.0), "drive.phase_deg")
     return RFDrive(omega_1=hz_to_angular(amplitude), phase=deg_to_rad(phase))
@@ -176,20 +191,18 @@ def build_drive(cfg):
 def build_events(cfg, drive=None):
     """Event list from the config's sequence block.
 
-    A missing field, a number that is not finite, a negative duration, an
-    out-of-range spin index, an unknown rotation axis or an event that is
-    not an object raises a ConfigError that names the field, e.g.
-    sequence[0].axis.
+    A missing field, a number that is not finite, a negative duration, a
+    spin index other than 0 (I) or 1 (S), an unknown rotation axis, a flag
+    that is not a boolean or an event that is not an object raises a
+    ConfigError that names the field, e.g. sequence[0].axis.
     """
     if drive is None:
         drive = build_drive(cfg)
-    n_spins = build_system(cfg).n_spins
-    drive_blk = cfg.get("drive", {})
-    trim = bool(drive_blk.get("trim", True))
-    skip_trim = _spin_indices(drive_blk.get("skip_trim", ()), n_spins,
-                              "drive.skip_trim")
+    drive_blk = _block(cfg, "drive")
+    trim = _choice(drive_blk.get("trim", True), FLAG, "drive.trim")
+    skip_trim = _choices(drive_blk.get("skip_trim", ()), SPINS, "drive.skip_trim")
     events = []
-    for k, ev in enumerate(cfg.get("sequence", [])):
+    for k, ev in enumerate(_block(cfg, "sequence", list)):
         where = f"sequence[{k}]"
         if not isinstance(ev, dict):
             raise ConfigError(f"{where} must be an object, got {ev!r}")
@@ -202,8 +215,8 @@ def build_events(cfg, drive=None):
             if axis not in ("x", "y", "z"):
                 raise ConfigError(f"{where}.axis must be x, y or z, got {axis!r}")
             events.append(IdealRotation(
-                targets=_spin_indices(_field(ev, "targets", where), n_spins,
-                                      f"{where}.targets"),
+                targets=_choices(_field(ev, "targets", where), SPINS,
+                                 f"{where}.targets"),
                 axis=axis,
                 angle=deg_to_rad(_number(_field(ev, "angle_deg", where),
                                          f"{where}.angle_deg"))))
@@ -213,25 +226,21 @@ def build_events(cfg, drive=None):
             events.append(CWSegment(
                 drive=drive,
                 duration=duration,
-                trim=bool(ev.get("trim", trim)),
-                skip_trim=_spin_indices(ev.get("skip_trim", skip_trim), n_spins,
-                                        f"{where}.skip_trim")))
+                trim=_choice(ev.get("trim", trim), FLAG, f"{where}.trim"),
+                skip_trim=_choices(ev.get("skip_trim", skip_trim), SPINS,
+                                   f"{where}.skip_trim")))
         elif kind == "delay":
-            events.append(Delay(duration=duration,
-                                dipolar_on=bool(ev.get("dipolar_on", True))))
+            events.append(Delay(duration=duration, dipolar_on=_choice(
+                ev.get("dipolar_on", True), FLAG, f"{where}.dipolar_on")))
         else:
             raise ConfigError(f"{where}: unknown event type {kind!r}")
     return events
 
 
-def _steps_per_period(cfg, override=None):
-    """Integrator steps per rotor period: the --steps-per-period override if
-    given, else integrator.steps_per_period; a whole number >= 1."""
-    field, value = "--steps-per-period", override
-    if override is None:
-        field = "integrator.steps_per_period"
-        value = cfg.get("integrator", {}).get("steps_per_period",
-                                              DEFAULT_STEPS_PER_PERIOD)
+def _steps_per_period(cfg):
+    """integrator.steps_per_period (set by --steps-per-period), a whole number >= 1."""
+    field = "integrator.steps_per_period"
+    value = _block(cfg, "integrator").get("steps_per_period", DEFAULT_STEPS_PER_PERIOD)
     if _number(value, field, 1.0) != int(value):
         raise ConfigError(f"{field} must be a whole number, got {value!r}")
     return int(value)
@@ -249,18 +258,17 @@ class PeriodFit:
     phase: float
 
 
-def fit_exchange_period(times, values, period_guess, window_periods=2.0):
+def fit_exchange_period(times, values, period_guess):
     """Fit a sinusoid to an exchange trajectory and return its period.
 
-    The fit window defaults to two predicted periods; the initial guess
-    comes from the analytic prediction so the optimizer only refines it.
+    The fit window is two predicted periods (if it holds 8 samples); the
+    initial guess comes from the analytic prediction, which the fit refines.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    if window_periods is not None:
-        mask = times <= window_periods * period_guess + 1e-12
-        if mask.sum() >= 8:
-            times, values = times[mask], values[mask]
+    mask = times <= 2.0 * period_guess + 1e-12
+    if mask.sum() >= 8:
+        times, values = times[mask], values[mask]
 
     def model(t, a, b, w, c):
         return a + b * np.cos(w * t + c)
@@ -337,15 +345,15 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _simulate_report(cfg, steps_override=None):
+def _simulate_report(cfg):
     """Run the configured sequence; return (trajectory, report dict)."""
     system = build_system(cfg)
     drive = build_drive(cfg)
     events = build_events(cfg, drive)
-    steps = _steps_per_period(cfg, steps_override)
+    steps = _steps_per_period(cfg)
     sample_every = (_number(cfg.get("sample_every_s", 0.0), "sample_every_s", 0.0)
                     or system.rotor_period)
-    initial = basis_state(cfg.get("initial_state", "00"))
+    initial = basis_state(_choice(cfg.get("initial_state", "00"), BASIS_LABELS, "initial_state"))
     traj = run_sequence(initial, system, events, sample_every,
                         steps_per_period=steps)
     report = {"max_transfer_fraction": transfer_fraction(traj)}
@@ -373,10 +381,10 @@ def _simulate_report(cfg, steps_override=None):
     return traj, report
 
 
-def run_fig4(cfg, steps_override=None, threshold=0.2):
+def run_fig4(cfg):
     """Truth table: prepare each basis state, evolve half a period, classify."""
     system = build_system(cfg)
-    steps = _steps_per_period(cfg, steps_override)
+    steps = _steps_per_period(cfg)
 
     fit_cfg = preset_config("fig3a")
     fit_cfg["integrator"] = {"steps_per_period": steps}
@@ -389,12 +397,12 @@ def run_fig4(cfg, steps_override=None, threshold=0.2):
 
     table = {}
     spectra = {}
-    for label in ("00", "01", "10", "11"):
+    for label in BASIS_LABELS:
         rho = basis_state(label)
         rho = gate @ rho @ gate.conj().T
         spectrum = stick_spectrum(rho, system)
         spectra[label] = spectrum
-        table[label] = classify_state(spectrum, threshold=threshold)
+        table[label] = classify_state(spectrum)
     report = {
         "truth_table": table,
         "half_period_s": half_period,
@@ -418,10 +426,9 @@ def _out_path(out_dir, name):
 def cmd_solve(cfg, args):
     system = build_system(cfg)
     constants = dipolar_constants(system.gamma, system.r, system.theta_d)
-    solve_blk = cfg.get("solve", {})
-    classes = tuple(solve_blk.get("classes", ("a", "b")))
-    harmonics = tuple(int(_number(m, f"solve.harmonics[{k}]", 1.0))
-                      for k, m in enumerate(solve_blk.get("harmonics", (1, 2))))
+    solve_blk = _block(cfg, "solve")
+    classes = _choices(solve_blk.get("classes", ("a", "b")), ("a", "b"), "solve.classes")
+    harmonics = _choices(solve_blk.get("harmonics", (1, 2)), (1, 2), "solve.harmonics")
     plans = solve_plans(system.offsets[0], system.offsets[1], system.omega_r,
                         constants, classes=classes, harmonics=harmonics)
     text = plans_to_json(plans)
@@ -438,7 +445,7 @@ def cmd_solve(cfg, args):
 
 
 def cmd_simulate(cfg, args):
-    traj, report = _simulate_report(cfg, args.steps_per_period)
+    traj, report = _simulate_report(cfg)
     if args.format == "json":
         path = _out_path(args.out, "trajectory.json")
         _write_json(path, {"t_s": [float(t) for t in traj.times],
@@ -458,12 +465,11 @@ def cmd_simulate(cfg, args):
 def cmd_gate(cfg, args):
     system = build_system(cfg)
     events = build_events(cfg)
-    steps = _steps_per_period(cfg, args.steps_per_period)
+    steps = _steps_per_period(cfg)
     u = extract_gate(system, events, steps_per_period=steps,
                      remove_effective_precession=True)
     g1, g2 = makhlin_invariants(u)
     angles = weyl_coordinates(u)
-    coords = (angles.theta_x, angles.theta_y, angles.theta_z)
     report = {
         "unitary": gate_to_json(u),
         "makhlin_g1": [g1.real, g1.imag],
@@ -473,9 +479,8 @@ def cmd_gate(cfg, args):
         "locally_equivalent_iswap": bool(
             locally_equivalent(u, iswap(), tol=2.5e-2)),
         "locally_equivalent_cns": bool(locally_equivalent(u, cns(), tol=2.5e-2)),
-        "weyl_coordinates": list(coords),
-        "universality_class": universality_class(
-            tuple(c / 4.0 for c in coords), tol=1e-2),
+        "weyl_coordinates": [angles.theta_x, angles.theta_y, angles.theta_z],
+        "universality_class": universality_class(angles, tol=1e-2),
     }
     path = _out_path(args.out, "gate.json")
     _write_json(path, report)
@@ -489,8 +494,8 @@ def cmd_gate(cfg, args):
 def cmd_spectrum(cfg, args):
     system = build_system(cfg)
     events = build_events(cfg)
-    steps = _steps_per_period(cfg, args.steps_per_period)
-    rho = basis_state(cfg.get("initial_state", "00"))
+    steps = _steps_per_period(cfg)
+    rho = basis_state(_choice(cfg.get("initial_state", "00"), BASIS_LABELS, "initial_state"))
     if events:
         u = extract_gate(system, events, steps_per_period=steps)
         rho = u @ rho @ u.conj().T
@@ -502,9 +507,11 @@ def cmd_spectrum(cfg, args):
         path = _out_path(args.out, "spectrum.csv")
         spectrum.to_csv(path)
     print(f"wrote {path}")
-    fid_blk = cfg.get("fid")
+    fid_blk = _block(cfg, "fid")
     if fid_blk:
-        dwell = _number(_field(fid_blk, "dwell_s", "fid"), "fid.dwell_s")
+        dwell = _number(_field(fid_blk, "dwell_s", "fid"), "fid.dwell_s", 0.0)
+        if dwell == 0.0:
+            raise ConfigError("fid.dwell_s must be positive, got 0")
         fid = simulate_fid(rho, system, _number(_field(fid_blk, "duration_s", "fid"),
                                                 "fid.duration_s", 0.0), dwell)
         fid_path = _out_path(args.out, "fid.csv")
@@ -513,10 +520,8 @@ def cmd_spectrum(cfg, args):
     return 0
 
 
-def cmd_repro(args):
+def cmd_repro(cfg, args):
     name = args.preset
-    cfg = preset_config(name)
-    cfg["integrator"] = {"steps_per_period": _steps_per_period(cfg, args.steps_per_period)}
     if name in ("fig3a", "fig3b"):
         traj, report = _simulate_report(cfg)
         csv_path = _out_path(args.out, f"{name}_trajectory.csv")
@@ -573,15 +578,19 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         if args.command == "repro":
-            return cmd_repro(args)
-        cfg = load_config(args.config) if args.config else glycine_defaults()
-        handler = {"solve": cmd_solve, "simulate": cmd_simulate,
-                   "gate": cmd_gate, "spectrum": cmd_spectrum}[args.command]
+            cfg = preset_config(args.preset)
+        else:
+            cfg = load_config(args.config) if args.config else glycine_defaults()
+        if getattr(args, "steps_per_period", None) is not None:
+            cfg["integrator"] = dict(_block(cfg, "integrator"), steps_per_period=_number(
+                args.steps_per_period, "--steps-per-period", 1.0))
+        handler = {"solve": cmd_solve, "simulate": cmd_simulate, "gate": cmd_gate,
+                   "spectrum": cmd_spectrum, "repro": cmd_repro}[args.command]
         return handler(cfg, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .operators import check_unitary, spin_operator
+from .operators import check_unitary
 
 _SQ2 = math.sqrt(2.0)
 
@@ -188,10 +188,13 @@ def _reduce_angles(angles):
 def universality_class(angles, tol=1e-9):
     """Classify a bilinear coupling by its reduced interaction angles.
 
+    CanonicalAngles carry 4x the angles of a plain (Pauli-convention) triple.
     'non-entangling' if all angles vanish, 'excluded-swap-class' if all
     three equal pi/4, 'universal' otherwise.
     """
-    reduced = angles.reduced() if isinstance(angles, CanonicalAngles) else _reduce_angles(angles)
+    if isinstance(angles, CanonicalAngles):
+        angles = (angles.theta_x / 4.0, angles.theta_y / 4.0, angles.theta_z / 4.0)
+    reduced = _reduce_angles(angles)
     if all(abs(a) <= tol for a in reduced):
         return "non-entangling"
     if all(abs(a - math.pi / 4) <= tol for a in reduced):

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .operators import spin_operator
+from .operators import SPINS, spin_operator
 from .units import HBAR, MU0_OVER_4PI
 
 
@@ -84,31 +84,27 @@ def constants_from_full(omega_full, theta_d):
     )
 
 
-def dipolar_coupling_operator(n_spins, pair):
-    """The secular homonuclear form I_z S_z - (1/4)(I+S- + I-S+) on a pair."""
-    i, j = pair
-    if i == j:
-        raise ValueError("dipolar pair needs two distinct spins")
-    iz = spin_operator(n_spins, i, "z")
-    sz = spin_operator(n_spins, j, "z")
-    ip = spin_operator(n_spins, i, "+")
-    im = spin_operator(n_spins, i, "-")
-    sp = spin_operator(n_spins, j, "+")
-    sm = spin_operator(n_spins, j, "-")
+def dipolar_coupling_operator():
+    """The secular homonuclear form I_z S_z - (1/4)(I+S- + I-S+) of the pair."""
+    iz = spin_operator(0, "z")
+    sz = spin_operator(1, "z")
+    ip = spin_operator(0, "+")
+    im = spin_operator(0, "-")
+    sp = spin_operator(1, "+")
+    sm = spin_operator(1, "-")
     return iz @ sz - 0.25 * (ip @ sm + im @ sp)
 
 
 def static_drive_hamiltonian(system, drive):
     """Offset + RF part of the rotating-frame Hamiltonian (time independent)."""
-    n = system.n_spins
-    h = np.zeros((2**n, 2**n), dtype=complex)
+    h = np.zeros((4, 4), dtype=complex)
     for k, dw in enumerate(system.offsets):
-        h = h + dw * spin_operator(n, k, "z")
+        h = h + dw * spin_operator(k, "z")
     if drive is not None and drive.omega_1 != 0.0:
         cx, sx = math.cos(drive.phase), math.sin(drive.phase)
-        for k in range(n):
+        for k in SPINS:
             h = h + drive.omega_1 * (
-                cx * spin_operator(n, k, "x") + sx * spin_operator(n, k, "y")
+                cx * spin_operator(k, "x") + sx * spin_operator(k, "y")
             )
     return h
 
@@ -149,17 +145,16 @@ def make_average_spec(condition_class, m, beta_i, beta_s, constants, phi):
     )
 
 
-def average_hamiltonian(spec, n_spins=2, pair=(0, 1)):
+def average_hamiltonian(spec):
     """Zeroth-order average Hamiltonian matrix for a recoupling setting.
 
     Class 'a': coupling * [I+S- e^{-i phase} + I-S+ e^{+i phase}]
     Class 'b': coupling * [I+S+ e^{-i phase} + I-S- e^{+i phase}]
     """
-    i, j = pair
-    ip = spin_operator(n_spins, i, "+")
-    im = spin_operator(n_spins, i, "-")
-    sp = spin_operator(n_spins, j, "+")
-    sm = spin_operator(n_spins, j, "-")
+    ip = spin_operator(0, "+")
+    im = spin_operator(0, "-")
+    sp = spin_operator(1, "+")
+    sm = spin_operator(1, "-")
     ph = np.exp(-1j * spec.phase)
     if spec.condition_class == "a":
         raw = ip @ sm * ph + im @ sp * np.conj(ph)

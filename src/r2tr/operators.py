@@ -1,19 +1,20 @@
-"""Spin-1/2 operator algebra and shared register representations.
+"""Spin-1/2 operator algebra of the two-qubit register, the I/S spin pair.
 
 Conventions fixed once here:
   * |0> is the +1/2 eigenstate of I_z (spin up); kets are ordered
     |I>|S> with the I (methylene-like) spin first.
-  * Operators act on the 2^N dimensional register space via tensor-product
-    embedding with identities on the untouched spins.
+  * Operators act on the 4 dimensional pair space: a single-spin operator
+    is embedded by a tensor product with the identity on the other spin.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 import math
 
 import numpy as np
 
-MAX_SPINS = 8
+SPINS = (0, 1)  # spin indices: 0 is I, 1 is S
+BASIS_LABELS = ("00", "01", "10", "11")
 
 _SINGLE = {
     "x": np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex),
@@ -25,27 +26,21 @@ _SINGLE = {
 
 
 @lru_cache(maxsize=None)
-def _spin_operator_cached(n_spins, index, axis):
+def spin_operator(index, axis):
+    """Single-spin operator of spin `index` (0 = I, 1 = S) on the pair.
+
+    axis is one of 'x', 'y', 'z', '+', '-'. Returns a cached read-only
+    array; copy before mutating.
+    """
+    if index not in SPINS:
+        raise IndexError(f"spin index {index} out of range for the spin pair")
+    if axis not in _SINGLE:
+        raise ValueError(f"unknown axis {axis!r}")
     op = np.eye(1, dtype=complex)
-    for k in range(n_spins):
+    for k in SPINS:
         op = np.kron(op, _SINGLE[axis] if k == index else np.eye(2))
     op.setflags(write=False)
     return op
-
-
-def spin_operator(n_spins, index, axis):
-    """Single-spin operator embedded at position `index` in an N-spin register.
-
-    axis is one of 'x', 'y', 'z', '+', '-'. Returns a read-only array;
-    copy before mutating.
-    """
-    if not 0 <= index < n_spins:
-        raise IndexError(f"spin index {index} out of range for {n_spins} spins")
-    if n_spins > MAX_SPINS:
-        raise ValueError(f"register limited to {MAX_SPINS} spins")
-    if axis not in _SINGLE:
-        raise ValueError(f"unknown axis {axis!r}")
-    return _spin_operator_cached(n_spins, index, axis)
 
 
 def basis_state(label):
@@ -53,11 +48,10 @@ def basis_state(label):
 
     '0' is spin up (+1/2 along z).
     """
-    if not label or any(c not in "01" for c in label):
-        raise ValueError(f"basis label must be a nonempty 0/1 string, got {label!r}")
-    dim = 2 ** len(label)
+    if label not in BASIS_LABELS:
+        raise ValueError(f"basis label must be one of {BASIS_LABELS}, got {label!r}")
     idx = int(label, 2)
-    rho = np.zeros((dim, dim), dtype=complex)
+    rho = np.zeros((4, 4), dtype=complex)
     rho[idx, idx] = 1.0
     return rho
 
@@ -99,7 +93,7 @@ def _fold_theta(theta_d):
 
 @dataclass(frozen=True)
 class SpinSystem:
-    """Register geometry and frequencies for a homonuclear spin pair under MAS.
+    """Geometry and frequencies of the homonuclear I/S spin pair under MAS.
 
     gamma    gyromagnetic ratio, rad s^-1 T^-1
     r        internuclear distance, m
@@ -107,7 +101,7 @@ class SpinSystem:
              (folded into [0, pi/2])
     phi      initial rotor phase, rad
     omega_r  spinning angular frequency, rad/s
-    offsets  per-spin resonance offsets from the RF carrier, rad/s
+    offsets  (I, S) resonance offsets from the RF carrier, rad/s; exactly two
     """
 
     gamma: float
@@ -115,23 +109,17 @@ class SpinSystem:
     theta_d: float
     phi: float
     omega_r: float
-    offsets: tuple = field(default=())
+    offsets: tuple
 
     def __post_init__(self):
         if self.r <= 0:
             raise ValueError("internuclear distance must be positive")
         if self.omega_r <= 0:
             raise ValueError("spinning frequency must be positive")
-        if len(self.offsets) < 2:
-            raise ValueError("at least two spins (offsets) are required")
-        if len(self.offsets) > MAX_SPINS:
-            raise ValueError(f"register limited to {MAX_SPINS} spins")
+        if len(self.offsets) != 2:
+            raise ValueError("the spin pair needs exactly two offsets")
         object.__setattr__(self, "offsets", tuple(float(o) for o in self.offsets))
         object.__setattr__(self, "theta_d", _fold_theta(self.theta_d))
-
-    @property
-    def n_spins(self):
-        return len(self.offsets)
 
     @property
     def rotor_period(self):

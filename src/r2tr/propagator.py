@@ -30,7 +30,7 @@ from .hamiltonian import (
     effective_field,
     static_drive_hamiltonian,
 )
-from .operators import expectation, spin_operator
+from .operators import SPINS, expectation, spin_operator
 
 DEFAULT_STEPS_PER_PERIOD = 1024
 
@@ -178,8 +178,8 @@ class HarmonicHamiltonian:
         return m
 
 
-def rotation_unitary(n_spins, targets, axis, angle):
-    gen = sum(spin_operator(n_spins, k, axis) for k in targets)
+def rotation_unitary(targets, axis, angle):
+    gen = sum(spin_operator(k, axis) for k in targets)
     return expm(-1j * angle * np.asarray(gen))
 
 
@@ -210,13 +210,13 @@ def segment_propagator(hamiltonian_fn, t0, t1, steps):
         raise ValueError("t1 must be >= t0")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    u = np.eye(np.asarray(hamiltonian_fn(t0)).shape[0], dtype=complex)
+    u = np.eye(4, dtype=complex)
     return u if t1 == t0 else _fold(u, _step_unitaries(hamiltonian_fn, t0, t1, steps))[0]
 
 
-def _segment_hamiltonian(system, drive, constants, pair=(0, 1), dipolar_on=True):
+def _segment_hamiltonian(system, drive, constants, dipolar_on=True):
     h0 = static_drive_hamiltonian(system, drive)
-    hd = dipolar_coupling_operator(system.n_spins, pair)
+    hd = dipolar_coupling_operator()
     d1 = constants.omega_d1 if dipolar_on else 0.0
     d2 = constants.omega_d2 if dipolar_on else 0.0
     return HarmonicHamiltonian(h0, hd, system.omega_r, system.phi, d1, d2)
@@ -224,16 +224,15 @@ def _segment_hamiltonian(system, drive, constants, pair=(0, 1), dipolar_on=True)
 
 def trim_unitaries(system, segment):
     """Opening and closing trim rotations for a CW segment (identity if off)."""
-    n = system.n_spins
     drive = segment.drive
     cph, sph = math.cos(drive.phase), math.sin(drive.phase)
-    gen = np.zeros((2**n, 2**n), dtype=complex)
+    gen = np.zeros((4, 4), dtype=complex)
     for k, dw in enumerate(system.offsets):
         if not segment.trim or k in segment.skip_trim:
             continue
         beta = effective_field(dw, drive.omega_1).beta
         # rotation axis perpendicular to both z and the RF field direction
-        axis_op = cph * spin_operator(n, k, "y") - sph * spin_operator(n, k, "x")
+        axis_op = cph * spin_operator(k, "y") - sph * spin_operator(k, "x")
         gen = gen + beta * axis_op
     u_open = expm(-1j * gen)
     return u_open, u_open.conj().T
@@ -251,7 +250,7 @@ def _due_steps(ends, due, every, last):
     return marks, due
 
 
-def _propagate(system, events, steps_per_period, pair, sample_every):
+def _propagate(system, events, steps_per_period, sample_every):
     """Walk a sequence once; return its unitary U and the samples [(t, V)].
 
     This is the only dispatch over event types, and every step unitary is
@@ -261,21 +260,20 @@ def _propagate(system, events, steps_per_period, pair, sample_every):
     each multiple of sample_every, and at the end of the sequence (the last
     sample holds U, so it includes any trailing pulses).
     """
-    n = system.n_spins
     constants = dipolar_constants(system.gamma, system.r, system.theta_d)
-    eye = np.eye(2**n, dtype=complex)
+    eye = np.eye(4, dtype=complex)
     u, samples = eye, []
     t, due = 0.0, sample_every
     for event in events:
         if isinstance(event, IdealRotation):
-            u = rotation_unitary(n, event.targets, event.axis, event.angle) @ u
+            u = rotation_unitary(event.targets, event.axis, event.angle) @ u
             continue
         if isinstance(event, Delay):
             u_open = u_close = eye
-            fn = _segment_hamiltonian(system, None, constants, pair, event.dipolar_on)
+            fn = _segment_hamiltonian(system, None, constants, event.dipolar_on)
         elif isinstance(event, CWSegment):
             u_open, u_close = trim_unitaries(system, event)
-            fn = _segment_hamiltonian(system, event.drive, constants, pair)
+            fn = _segment_hamiltonian(system, event.drive, constants)
         else:
             raise TypeError(f"unknown event type {type(event).__name__}")
         if not samples:
@@ -296,7 +294,7 @@ def _propagate(system, events, steps_per_period, pair, sample_every):
 
 
 def run_sequence(initial, system, events, sample_every,
-                 steps_per_period=DEFAULT_STEPS_PER_PERIOD, pair=(0, 1)):
+                 steps_per_period=DEFAULT_STEPS_PER_PERIOD):
     """Propagate a density matrix through a pulse sequence, sampling <I_z>, <S_z>.
 
     The t = 0 sample is taken after any leading instantaneous pulses, i.e.
@@ -306,30 +304,29 @@ def run_sequence(initial, system, events, sample_every,
     past each multiple of sample_every. The last sample is the state at the
     end of the sequence, after any trailing pulses.
     """
-    _, samples = _propagate(system, events, steps_per_period, pair, sample_every)
+    _, samples = _propagate(system, events, steps_per_period, sample_every)
     rho = np.asarray(initial, dtype=complex)
     states = [v @ rho @ v.conj().T for _, v in samples]
-    iz_op, sz_op = (spin_operator(system.n_spins, k, "z") for k in pair)
+    iz_op, sz_op = (spin_operator(k, "z") for k in SPINS)
     return Trajectory(times=np.array([t for t, _ in samples]),
                       iz=np.array([expectation(r, iz_op).real for r in states]),
                       sz=np.array([expectation(r, sz_op).real for r in states]))
 
 
 def extract_gate(system, events, steps_per_period=DEFAULT_STEPS_PER_PERIOD,
-                 pair=(0, 1), remove_effective_precession=False):
+                 remove_effective_precession=False):
     """Total rotating-frame unitary of a sequence (identity propagated through).
 
     With remove_effective_precession=True, the known effective-field
     z-precession exp(-i T (w_eI I_z + w_eS S_z)) accumulated over the CW
     segments is divided out on the left, exposing the recoupled bilinear part.
     """
-    u, _ = _propagate(system, events, steps_per_period, pair, math.inf)
+    u, _ = _propagate(system, events, steps_per_period, math.inf)
     if not remove_effective_precession:
         return u
-    n = system.n_spins
     precession = sum((event.duration * effective_field(dw, event.drive.omega_1).omega_e
-                      * spin_operator(n, k, "z")
+                      * spin_operator(k, "z")
                       for event in events if isinstance(event, CWSegment)
                       for k, dw in enumerate(system.offsets)),
-                     np.zeros((2**n, 2**n), dtype=complex))
+                     np.zeros((4, 4), dtype=complex))
     return expm(1j * precession) @ u

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import expectation, spin_operator
+from .operators import SPINS, expectation, spin_operator
 from .propagator import rotation_unitary
 from .units import angular_to_hz
 
@@ -36,9 +36,8 @@ class Spectrum:
 def stick_spectrum(rho, system):
     """Peak per spin at its offset, amplitude 2<I_z> (so +-1 for basis states)."""
     peaks = []
-    n = system.n_spins
     for k, dw in enumerate(system.offsets):
-        amp = 2.0 * expectation(rho, spin_operator(n, k, "z")).real
+        amp = 2.0 * expectation(rho, spin_operator(k, "z")).real
         peaks.append((angular_to_hz(dw), amp))
     return Spectrum(peaks=tuple(peaks))
 
@@ -52,11 +51,9 @@ def simulate_fid(rho, system, duration, dwell):
     """
     if dwell <= 0:
         raise ValueError("dwell must be positive")
-    n = system.n_spins
-    u = rotation_unitary(n, range(n), "y", np.pi / 2)
+    u = rotation_unitary(SPINS, "y", np.pi / 2)
     rho = u @ np.asarray(rho, dtype=complex) @ u.conj().T
-    amplitudes = [expectation(rho, spin_operator(n, k, "+"))
-                  for k in range(n)]
+    amplitudes = [expectation(rho, spin_operator(k, "+")) for k in SPINS]
     npts = int(round(duration / dwell))
     ts = np.arange(npts) * dwell
     fid = np.zeros(npts, dtype=complex)

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -184,6 +189,38 @@ SIMULATE = ["simulate"]
                  id="repro-steps-zero"),
     pytest.param({}, "--steps-per-period", ["simulate", "--steps-per-period", "-5"],
                  id="steps-negative"),
+    pytest.param(_system(offsets_hz=[2000.0, 18699.0, 5000.0]), "system.offsets_hz",
+                 ["gate"], id="three-offsets"),
+    pytest.param(_system(offsets_hz=[2000.0]), "system.offsets_hz", ["solve"],
+                 id="one-offset"),
+    pytest.param({"system": 5}, "system", ["solve"], id="system-not-object"),
+    pytest.param({"integrator": 5}, "integrator", ["gate"], id="integrator-not-object"),
+    pytest.param({"solve": 5}, "solve", ["solve"], id="solve-not-object"),
+    pytest.param({"drive": None, "sequence": [PULSE, {"type": "cw", "duration_s": 1e-3}]},
+                 "drive", SIMULATE, id="drive-null"),
+    pytest.param({"drive": 5}, "drive", ["gate"], id="drive-not-object"),
+    pytest.param({"fid": 5}, "fid", ["spectrum"], id="fid-not-object"),
+    pytest.param({"sequence": 5}, "sequence", ["gate"], id="sequence-not-list"),
+    pytest.param({"drive": dict(glycine_defaults()["drive"], trim="false")},
+                 "drive.trim", SIMULATE, id="trim-string"),
+    pytest.param({"sequence": [PULSE, {"type": "delay", "duration_s": 1e-4,
+                                       "dipolar_on": "no"}]},
+                 "sequence[1].dipolar_on", SIMULATE, id="dipolar-on-string"),
+    pytest.param({"solve": {"harmonics": [1.5]}}, "solve.harmonics", ["solve"],
+                 id="harmonic-fraction"),
+    pytest.param({"solve": {"harmonics": [3]}}, "solve.harmonics", ["solve"],
+                 id="harmonic-three"),
+    pytest.param({"solve": {"classes": ["c"]}}, "solve.classes", ["solve"],
+                 id="unknown-class"),
+    pytest.param({"initial_state": "000"}, "initial_state", SIMULATE,
+                 id="state-three-spins"),
+    pytest.param({"initial_state": "2"}, "initial_state", ["spectrum"],
+                 id="state-not-binary"),
+    pytest.param({"initial_state": 5}, "initial_state", SIMULATE, id="state-number"),
+    pytest.param({"fid": {"duration_s": 1e-3, "dwell_s": 0}}, "fid.dwell_s",
+                 ["spectrum"], id="dwell-zero"),
+    pytest.param({"fid": {"duration_s": 1e-3, "dwell_s": -1e-5}}, "fid.dwell_s",
+                 ["spectrum"], id="dwell-negative"),
 ])
 def test_cli_malformed_config_exit_code(tmp_path, capsys, patch, field, argv):
     path = tmp_path / "cfg.json"
@@ -212,6 +249,39 @@ def test_cli_repro_rejects_ignored_flags(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+# magnitudes stay small: the step count has no upper bound yet, so a long
+# duration or a slow rotor could exhaust memory
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                    st.floats(-10.0, 10.0), st.sampled_from([math.nan, math.inf, -math.inf]),
+                    st.text(max_size=3))
+JSON_VALUES = st.recursive(SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+CONFIG_PATHS = [(key,) for key in glycine_defaults()] + [
+    (key, field) for key, blk in glycine_defaults().items() if isinstance(blk, dict)
+    for field in blk]
+
+
+@settings(max_examples=60, deadline=None)
+@given(path=st.sampled_from(CONFIG_PATHS), value=JSON_VALUES,
+       command=st.sampled_from(["solve", "simulate", "gate", "spectrum"]))
+# r^3 underflows to zero: the dipolar prefactor divides by it
+@example(path=("system", "r_angstrom"), value=1e-300, command="solve")
+def test_cli_config_fuzz_exits_cleanly(path, value, command):
+    # one block or field of the defaults replaced by an arbitrary JSON value
+    cfg = glycine_defaults()
+    (cfg[path[0]] if len(path) == 2 else cfg)[path[-1]] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        cfg_path = os.path.join(out, "cfg.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(cfg, fh)
+        code = main([command, "--config", cfg_path, "--out", out])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_period_fit_reported_only_for_a_real_swing():

@@ -143,6 +143,10 @@ def test_universality_classes():
     assert universality_class((np.pi / 4, np.pi / 4, np.pi / 4)) == \
         "excluded-swap-class"
     assert universality_class((np.pi / 4, np.pi / 4, 0.0)) == "universal"
+    # Weyl coordinates carry 4x the Pauli-convention angles of a plain triple
+    assert universality_class(weyl_coordinates(swap())) == "excluded-swap-class"
+    assert universality_class(weyl_coordinates(iswap())) == "universal"
+    assert universality_class(weyl_coordinates(np.eye(4))) == "non-entangling"
 
 
 def test_universality_class_mod_2pi_and_signs():

@@ -69,10 +69,10 @@ def test_modulation_is_rotor_periodic_and_zero_mean():
 
 
 def test_coupling_operator_structure():
-    op = dipolar_coupling_operator(2, (0, 1))
-    iz = spin_operator(2, 0, "z") @ spin_operator(2, 1, "z")
-    flip = (spin_operator(2, 0, "+") @ spin_operator(2, 1, "-")
-            + spin_operator(2, 0, "-") @ spin_operator(2, 1, "+"))
+    op = dipolar_coupling_operator()
+    iz = spin_operator(0, "z") @ spin_operator(1, "z")
+    flip = (spin_operator(0, "+") @ spin_operator(1, "-")
+            + spin_operator(0, "-") @ spin_operator(1, "+"))
     assert np.allclose(op, iz - 0.25 * flip)
     assert np.allclose(op, op.conj().T)
 
@@ -84,10 +84,10 @@ def test_static_drive_hamiltonian():
     assert np.allclose(h0, np.diag(np.diag(h0)))
     drive = RFDrive(omega_1=hz_to_angular(2339.0))
     h = static_drive_hamiltonian(sys, drive)
-    expected = (sys.offsets[0] * spin_operator(2, 0, "z")
-                + sys.offsets[1] * spin_operator(2, 1, "z")
-                + drive.omega_1 * (spin_operator(2, 0, "x")
-                                   + spin_operator(2, 1, "x")))
+    expected = (sys.offsets[0] * spin_operator(0, "z")
+                + sys.offsets[1] * spin_operator(1, "z")
+                + drive.omega_1 * (spin_operator(0, "x")
+                                   + spin_operator(1, "x")))
     assert np.allclose(h, expected)
 
 

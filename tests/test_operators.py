@@ -8,57 +8,59 @@ from r2tr.units import TWO_PI, deg_to_rad
 
 
 def test_single_spin_matrices():
-    iz = spin_operator(1, 0, "z")
-    assert np.allclose(iz, np.diag([0.5, -0.5]))
-    ip = spin_operator(1, 0, "+")
-    assert np.allclose(ip, [[0, 1], [0, 0]])
+    # each spin's operator is its 2x2 matrix times the identity on the other
+    iz = np.diag([0.5, -0.5])
+    ip = np.array([[0, 1], [0, 0]])
+    assert np.allclose(spin_operator(0, "z"), np.kron(iz, np.eye(2)))
+    assert np.allclose(spin_operator(1, "z"), np.kron(np.eye(2), iz))
+    assert np.allclose(spin_operator(0, "+"), np.kron(ip, np.eye(2)))
+    assert np.allclose(spin_operator(1, "+"), np.kron(np.eye(2), ip))
 
 
 def test_ladder_operators_consistent():
-    for n in (1, 2, 3):
-        for k in range(n):
-            ix = spin_operator(n, k, "x")
-            iy = spin_operator(n, k, "y")
-            assert np.allclose(spin_operator(n, k, "+"), ix + 1j * iy)
-            assert np.allclose(spin_operator(n, k, "-"), ix - 1j * iy)
+    for k in (0, 1):
+        ix = spin_operator(k, "x")
+        iy = spin_operator(k, "y")
+        assert np.allclose(spin_operator(k, "+"), ix + 1j * iy)
+        assert np.allclose(spin_operator(k, "-"), ix - 1j * iy)
 
 
-@given(st.integers(1, 4), st.sampled_from("xyz"))
-def test_operators_traceless_hermitian(n, axis):
-    op = spin_operator(n, 0, axis)
+@given(st.sampled_from((0, 1)), st.sampled_from("xyz"))
+def test_operators_traceless_hermitian(k, axis):
+    op = spin_operator(k, axis)
+    assert op.shape == (4, 4)
     assert abs(np.trace(op)) < 1e-12
     assert np.allclose(op, op.conj().T)
 
 
 def test_commutation_relations():
-    # [I_x, I_y] = i I_z and cyclic, on every spin of a register
-    for n in (1, 2, 3):
-        for k in range(n):
-            for a, b, c in (("x", "y", "z"), ("y", "z", "x"), ("z", "x", "y")):
-                oa, ob = spin_operator(n, k, a), spin_operator(n, k, b)
-                comm = oa @ ob - ob @ oa
-                assert np.allclose(comm, 1j * spin_operator(n, k, c))
+    # [I_x, I_y] = i I_z and cyclic, on both spins of the pair
+    for k in (0, 1):
+        for a, b, c in (("x", "y", "z"), ("y", "z", "x"), ("z", "x", "y")):
+            oa, ob = spin_operator(k, a), spin_operator(k, b)
+            comm = oa @ ob - ob @ oa
+            assert np.allclose(comm, 1j * spin_operator(k, c))
 
 
 def test_distinct_spins_commute():
     for a in "xyz":
         for b in "xyz":
-            oa = spin_operator(2, 0, a)
-            ob = spin_operator(2, 1, b)
+            oa = spin_operator(0, a)
+            ob = spin_operator(1, b)
             assert np.allclose(oa @ ob, ob @ oa)
 
 
 def test_spin_operator_validation():
     with pytest.raises(ValueError):
-        spin_operator(2, 0, "w")
+        spin_operator(0, "w")
     with pytest.raises(IndexError):
-        spin_operator(2, 2, "z")
-    with pytest.raises(ValueError):
-        spin_operator(9, 0, "z")  # register too large to materialize
+        spin_operator(2, "z")
+    with pytest.raises(IndexError):
+        spin_operator(-1, "z")
 
 
 def test_spin_operator_is_readonly():
-    op = spin_operator(2, 0, "z")
+    op = spin_operator(0, "z")
     with pytest.raises(ValueError):
         op[0, 0] = 1.0
 
@@ -69,10 +71,11 @@ def test_basis_state():
     assert np.allclose(np.diag(rho), [0, 1, 0, 0])
     check_density_matrix(rho)
     # |0> carries I_z = +1/2
-    assert expectation(rho, spin_operator(2, 0, "z")).real == pytest.approx(0.5)
-    assert expectation(rho, spin_operator(2, 1, "z")).real == pytest.approx(-0.5)
-    with pytest.raises(ValueError):
-        basis_state("02")
+    assert expectation(rho, spin_operator(0, "z")).real == pytest.approx(0.5)
+    assert expectation(rho, spin_operator(1, "z")).real == pytest.approx(-0.5)
+    for label in ("02", "0", "000", "", 5, None):
+        with pytest.raises(ValueError):
+            basis_state(label)
 
 
 def test_check_density_matrix_rejects_bad_input():
@@ -99,7 +102,7 @@ def _system(**kw):
 
 def test_spin_system_properties():
     sys = _system()
-    assert sys.n_spins == 2
+    assert sys.offsets == (TWO_PI * 2000.0, TWO_PI * 18699.0)
     assert sys.rotor_period == pytest.approx(1.0 / 7884.0)
 
 
@@ -108,8 +111,9 @@ def test_spin_system_validation():
         _system(r=-1.0)
     with pytest.raises(ValueError):
         _system(omega_r=0.0)
-    with pytest.raises(ValueError):
-        _system(offsets=())
+    for offsets in ((), (1.0,), (1.0, 2.0, 3.0)):
+        with pytest.raises(ValueError):
+            _system(offsets=offsets)
 
 
 def test_theta_folding():

@@ -25,21 +25,21 @@ def harmonic_hamiltonian(system, drive=None):
     c = dipolar_constants(system.gamma, system.r, system.theta_d)
     from r2tr.hamiltonian import dipolar_coupling_operator
     h_static = static_drive_hamiltonian(system, drive)
-    h_dip = dipolar_coupling_operator(2, (0, 1))
+    h_dip = dipolar_coupling_operator()
     return HarmonicHamiltonian(h_static, h_dip, system.omega_r, system.phi,
                                c.omega_d1, c.omega_d2)
 
 
 def test_rotation_unitary_pi_pulse():
-    u = rotation_unitary(2, (0,), "x", np.pi)
+    u = rotation_unitary((0,), "x", np.pi)
     rho = basis_state("00")
     rho = u @ rho @ u.conj().T
-    assert expectation(rho, spin_operator(2, 0, "z")).real == pytest.approx(-0.5)
-    assert expectation(rho, spin_operator(2, 1, "z")).real == pytest.approx(0.5)
+    assert expectation(rho, spin_operator(0, "z")).real == pytest.approx(-0.5)
+    assert expectation(rho, spin_operator(1, "z")).real == pytest.approx(0.5)
 
 
 def test_rotation_unitary_preserves_density_matrix():
-    u = rotation_unitary(2, (0, 1), "y", 0.77)
+    u = rotation_unitary((0, 1), "y", 0.77)
     check_density_matrix(u @ basis_state("10") @ u.conj().T)
 
 
@@ -107,8 +107,8 @@ def test_trim_maps_z_onto_effective_field():
     assert np.max(np.abs(off_diag)) < 1e-8
     ei = effective_field(sys.offsets[0], drive.omega_1)
     es = effective_field(sys.offsets[1], drive.omega_1)
-    expected = np.diag(ei.omega_e * spin_operator(2, 0, "z")
-                       + es.omega_e * spin_operator(2, 1, "z")).real
+    expected = np.diag(ei.omega_e * spin_operator(0, "z")
+                       + es.omega_e * spin_operator(1, "z")).real
     assert np.allclose(np.sort(np.diag(tilted).real), np.sort(expected))
 
 
@@ -118,7 +118,7 @@ def test_skip_trim_leaves_spin_untouched():
                     duration=1e-3, trim=True, skip_trim=(1,))
     u_open, _ = trim_unitaries(sys, seg)
     # acting trivially on spin S: commutes with S_z
-    sz = spin_operator(2, 1, "z")
+    sz = spin_operator(1, "z")
     assert np.allclose(u_open @ sz, sz @ u_open)
 
 
@@ -196,9 +196,9 @@ def test_extract_gate_unitary_and_composition(events):
                         steps_per_period=512)
     rho = basis_state("00")
     rho = u @ rho @ u.conj().T
-    assert expectation(rho, spin_operator(2, 0, "z")).real == pytest.approx(
+    assert expectation(rho, spin_operator(0, "z")).real == pytest.approx(
         traj.iz[-1], abs=1e-9)
-    assert expectation(rho, spin_operator(2, 1, "z")).real == pytest.approx(
+    assert expectation(rho, spin_operator(1, "z")).real == pytest.approx(
         traj.sz[-1], abs=1e-9)
 
 
@@ -245,8 +245,8 @@ def test_walk_samples_and_gate_agree(phi, events, sample_periods):
                         sample_every=sample_periods * T_R, steps_per_period=16)
     assert np.all(np.diff(traj.times) > 0)
     rho = u @ basis_state("10") @ u.conj().T
-    assert abs(expectation(rho, spin_operator(2, 0, "z")).real - traj.iz[-1]) < 1e-12
-    assert abs(expectation(rho, spin_operator(2, 1, "z")).real - traj.sz[-1]) < 1e-12
+    assert abs(expectation(rho, spin_operator(0, "z")).real - traj.iz[-1]) < 1e-12
+    assert abs(expectation(rho, spin_operator(1, "z")).real - traj.sz[-1]) < 1e-12
 
 
 @settings(max_examples=10, deadline=None)

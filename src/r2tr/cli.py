@@ -32,6 +32,10 @@ from .units import (GAMMA_C13, GLYCINE_CC_DISTANCE, HBAR, MU0_OVER_4PI,
 
 SCHEMA_VERSION = 1
 FLAG = (True, False)
+# size limits, checked before anything is allocated: integrator steps of one
+# CW or delay segment, and points of an FID
+MAX_SEGMENT_STEPS = 2**20
+MAX_FID_POINTS = 2**20
 
 
 class ConfigError(ValueError):
@@ -82,10 +86,7 @@ def load_config(path):
 
 def _radius_from_coupling(gamma, coupling_hz):
     # invert omega_full = (mu0/4pi) gamma^2 hbar / r^3
-    w = hz_to_angular(coupling_hz)
-    if w <= 0:
-        raise ConfigError("coupling_hz must be positive")
-    return (MU0_OVER_4PI * gamma**2 * HBAR / w) ** (1.0 / 3.0)
+    return (MU0_OVER_4PI * gamma**2 * HBAR / hz_to_angular(coupling_hz)) ** (1.0 / 3.0)
 
 
 def build_system(cfg):
@@ -109,15 +110,25 @@ def build_system(cfg):
         raise ConfigError(
             "system block needs exactly one of 'r_angstrom' or 'coupling_hz'")
     if has_r:
-        r = number("r_angstrom") * 1e-10
+        key, r = "r_angstrom", number("r_angstrom") * 1e-10
     else:
-        r = _radius_from_coupling(gamma, number("coupling_hz"))
+        key = "coupling_hz"
+        r = _radius_from_coupling(gamma, _positive(blk[key], "system.coupling_hz"))
+    try:
+        coupling = dipolar_constants(gamma, r, 0.0).omega_full
+    except (ValueError, ArithmeticError):  # r <= 0; r**3 underflows or overflows
+        coupling = math.nan
+    if not (math.isfinite(coupling) and coupling > 0):
+        raise ConfigError(
+            f"system.{key} = {blk[key]!r} (with system.gamma_rad_per_s_per_t = "
+            f"{gamma:g}) gives a dipolar coupling of {coupling:g} rad/s; it must "
+            f"be finite and positive")
     if "offsets_hz" in blk:
         offsets_hz = offsets("offsets_hz")
     elif "offsets_ppm" in blk:
         if "carrier_mhz" not in blk:
             raise ConfigError("'offsets_ppm' requires 'carrier_mhz'")
-        carrier = number("carrier_mhz")
+        carrier = _positive(blk["carrier_mhz"], "system.carrier_mhz")
         offsets_hz = [ppm_to_hz(p, carrier) for p in offsets("offsets_ppm")]
     else:
         raise ConfigError("system block needs 'offsets_hz' or 'offsets_ppm'")
@@ -164,6 +175,14 @@ def _number(value, field, minimum=-math.inf):
     return number
 
 
+def _positive(value, field):
+    """`_number` of a value that must also be above zero."""
+    number = _number(value, field, 0.0)
+    if number == 0.0:
+        raise ConfigError(f"{field} must be positive, got {value!r}")
+    return number
+
+
 def _choice(value, allowed, field):
     """value, if it is one of `allowed` and of its type (true is not 1, nor
     is 1.0); anything else raises a ConfigError naming `field`."""
@@ -188,16 +207,15 @@ def build_drive(cfg):
     return RFDrive(omega_1=hz_to_angular(amplitude), phase=deg_to_rad(phase))
 
 
-def build_events(cfg, drive=None):
-    """Event list from the config's sequence block.
+def build_events(cfg, drive):
+    """Event list from the config's sequence block; CW events use `drive`
+    (the config's `build_drive`, None without a drive block).
 
     A missing field, a number that is not finite, a negative duration, a
-    spin index other than 0 (I) or 1 (S), an unknown rotation axis, a flag
-    that is not a boolean or an event that is not an object raises a
-    ConfigError that names the field, e.g. sequence[0].axis.
+    spin index other than 0 (I) or 1 (S), an empty target list, an unknown
+    rotation axis, a flag that is not a boolean or an event that is not an
+    object raises a ConfigError that names the field, e.g. sequence[0].axis.
     """
-    if drive is None:
-        drive = build_drive(cfg)
     drive_blk = _block(cfg, "drive")
     trim = _choice(drive_blk.get("trim", True), FLAG, "drive.trim")
     skip_trim = _choices(drive_blk.get("skip_trim", ()), SPINS, "drive.skip_trim")
@@ -214,9 +232,11 @@ def build_events(cfg, drive=None):
             axis = _field(ev, "axis", where)
             if axis not in ("x", "y", "z"):
                 raise ConfigError(f"{where}.axis must be x, y or z, got {axis!r}")
+            targets = _choices(_field(ev, "targets", where), SPINS, f"{where}.targets")
+            if not targets:
+                raise ConfigError(f"{where}.targets must name at least one spin, got []")
             events.append(IdealRotation(
-                targets=_choices(_field(ev, "targets", where), SPINS,
-                                 f"{where}.targets"),
+                targets=targets,
                 axis=axis,
                 angle=deg_to_rad(_number(_field(ev, "angle_deg", where),
                                          f"{where}.angle_deg"))))
@@ -235,6 +255,28 @@ def build_events(cfg, drive=None):
         else:
             raise ConfigError(f"{where}: unknown event type {kind!r}")
     return events
+
+
+def build_run(cfg):
+    """(system, drive, events, steps per period) of a config; a CW or delay
+    segment of more than MAX_SEGMENT_STEPS integrator steps raises a
+    ConfigError naming its sequence[k].duration_s."""
+    system = build_system(cfg)
+    drive = build_drive(cfg)
+    events = build_events(cfg, drive)
+    steps = _steps_per_period(cfg)
+    for k, event in enumerate(events):
+        if isinstance(event, IdealRotation):
+            continue
+        # the segment takes ceil(x) steps, which exceeds the limit exactly
+        # when x does; x may overflow to inf, where ceil would raise
+        x = event.duration / system.rotor_period * steps
+        if x > MAX_SEGMENT_STEPS:
+            raise ConfigError(
+                f"sequence[{k}].duration_s = {event.duration:g} s needs {x:.4g} "
+                f"integrator steps at {steps} per rotor period; at most "
+                f"{MAX_SEGMENT_STEPS} are allowed")
+    return system, drive, events, steps
 
 
 def _steps_per_period(cfg):
@@ -263,9 +305,13 @@ def fit_exchange_period(times, values, period_guess):
 
     The fit window is two predicted periods (if it holds 8 samples); the
     initial guess comes from the analytic prediction, which the fit refines.
+    Raises RuntimeError when there is no fit: fewer samples than the four
+    model parameters, or no convergence.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
+    if len(times) < 4:
+        raise RuntimeError(f"a cosine fit needs at least 4 samples, got {len(times)}")
     mask = times <= 2.0 * period_guess + 1e-12
     if mask.sum() >= 8:
         times, values = times[mask], values[mask]
@@ -347,10 +393,7 @@ def _write_json(path, payload):
 
 def _simulate_report(cfg):
     """Run the configured sequence; return (trajectory, report dict)."""
-    system = build_system(cfg)
-    drive = build_drive(cfg)
-    events = build_events(cfg, drive)
-    steps = _steps_per_period(cfg)
+    system, drive, events, steps = build_run(cfg)
     sample_every = (_number(cfg.get("sample_every_s", 0.0), "sample_every_s", 0.0)
                     or system.rotor_period)
     initial = basis_state(_choice(cfg.get("initial_state", "00"), BASIS_LABELS, "initial_state"))
@@ -383,15 +426,13 @@ def _simulate_report(cfg):
 
 def run_fig4(cfg):
     """Truth table: prepare each basis state, evolve half a period, classify."""
-    system = build_system(cfg)
     steps = _steps_per_period(cfg)
-
     fit_cfg = preset_config("fig3a")
     fit_cfg["integrator"] = {"steps_per_period": steps}
     _, fit_report = _simulate_report(fit_cfg)
     half_period = 0.5 * fit_report["fitted_period_s"]
 
-    events = build_events(dict(cfg, sequence=[
+    system, _, events, _ = build_run(dict(cfg, sequence=[
         {"type": "cw", "duration_s": half_period}]))
     gate = extract_gate(system, events, steps_per_period=steps)
 
@@ -463,9 +504,7 @@ def cmd_simulate(cfg, args):
 
 
 def cmd_gate(cfg, args):
-    system = build_system(cfg)
-    events = build_events(cfg)
-    steps = _steps_per_period(cfg)
+    system, _, events, steps = build_run(cfg)
     u = extract_gate(system, events, steps_per_period=steps,
                      remove_effective_precession=True)
     g1, g2 = makhlin_invariants(u)
@@ -492,9 +531,17 @@ def cmd_gate(cfg, args):
 
 
 def cmd_spectrum(cfg, args):
-    system = build_system(cfg)
-    events = build_events(cfg)
-    steps = _steps_per_period(cfg)
+    system, _, events, steps = build_run(cfg)
+    fid_blk = _block(cfg, "fid")
+    if fid_blk:
+        dwell = _positive(_field(fid_blk, "dwell_s", "fid"), "fid.dwell_s")
+        duration = _number(_field(fid_blk, "duration_s", "fid"), "fid.duration_s", 0.0)
+        # round(x) exceeds the (even) limit exactly when x > limit + 1/2;
+        # x may overflow to inf, where round would raise
+        if duration / dwell > MAX_FID_POINTS + 0.5:
+            raise ConfigError(
+                f"fid.duration_s = {duration:g} s is {duration / dwell:.4g} points "
+                f"at fid.dwell_s = {dwell:g} s; at most {MAX_FID_POINTS} are allowed")
     rho = basis_state(_choice(cfg.get("initial_state", "00"), BASIS_LABELS, "initial_state"))
     if events:
         u = extract_gate(system, events, steps_per_period=steps)
@@ -507,13 +554,8 @@ def cmd_spectrum(cfg, args):
         path = _out_path(args.out, "spectrum.csv")
         spectrum.to_csv(path)
     print(f"wrote {path}")
-    fid_blk = _block(cfg, "fid")
     if fid_blk:
-        dwell = _number(_field(fid_blk, "dwell_s", "fid"), "fid.dwell_s", 0.0)
-        if dwell == 0.0:
-            raise ConfigError("fid.dwell_s must be positive, got 0")
-        fid = simulate_fid(rho, system, _number(_field(fid_blk, "duration_s", "fid"),
-                                                "fid.duration_s", 0.0), dwell)
+        fid = simulate_fid(rho, system, duration, dwell)
         fid_path = _out_path(args.out, "fid.csv")
         fid_to_csv(fid, dwell, fid_path)
         print(f"wrote {fid_path}")

@@ -15,7 +15,10 @@ Integration is by piecewise step exponentials. Each segment's Hamiltonian
 carries its rotor-harmonic decomposition, and each step uses its exact
 integral plus the leading commutator correction, so the step error is far
 below the sampling error. Every step exponential is taken via Hermitian
-eigendecomposition, keeping unitarity at roundoff.
+eigendecomposition, keeping unitarity at roundoff. The steps are
+exponentiated in fixed blocks, and each block's run of steps between two
+samples is multiplied out by batched pairwise products before it is
+folded into U, so no Python loop runs once per step.
 """
 
 from dataclasses import dataclass
@@ -33,6 +36,9 @@ from .hamiltonian import (
 from .operators import SPINS, expectation, spin_operator
 
 DEFAULT_STEPS_PER_PERIOD = 1024
+# steps per batch in `_fold`: one eigh and one pairwise reduction share their
+# Python overhead over this many steps, and a batch stays at 128 kB
+FOLD_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -183,24 +189,41 @@ def rotation_unitary(targets, axis, angle):
     return expm(-1j * angle * np.asarray(gen))
 
 
-def _step_unitaries(hamiltonian_fn, t0, t1, steps):
-    """Per-step unitaries exp(-i M_k) of a HarmonicHamiltonian, batched."""
-    ms = hamiltonian_fn.step_generators(t0, t1, steps)
-    if not np.all(np.isfinite(ms)):
+def _chain(unitaries):
+    """Time-ordered product U_{n-1} ... U_1 U_0 of a batch of unitaries, by
+    batched pairwise products (log2 n batched matmuls, not n - 1 matmuls)."""
+    while (n := len(unitaries)) > 1:
+        pairs = unitaries[1::2] @ unitaries[0:n - 1:2]
+        unitaries = np.concatenate((pairs, unitaries[n - 1:])) if n % 2 else pairs
+    return unitaries[0]
+
+
+def _fold(u, generators, marks=()):
+    """Fold the step unitaries exp(-i M_k) of the generators M_k into u in
+    time order; return u and the partial products after the steps in marks.
+
+    This is the only product over step unitaries. The steps are
+    exponentiated FOLD_BLOCK at a time, with one batched Hermitian
+    eigendecomposition per block. Within a block, each run of steps that
+    ends at a mark or at the block edge is reduced by `_chain` and then
+    multiplied into u. Marks are step indices in range(len(generators));
+    a repeated mark gives one partial product.
+    """
+    if not np.all(np.isfinite(generators)):
         raise ValueError("Hamiltonian produced non-finite entries")
-    evals, evecs = np.linalg.eigh(ms)
-    phases = np.exp(-1j * evals)
-    return np.einsum("kij,kj,klj->kil", evecs, phases, evecs.conj())
-
-
-def _fold(u, unitaries, marks=()):
-    """Fold the step unitaries into u, one uk @ u per step (the only loop over
-    them); return u and the partial products after the steps in marks."""
-    marks, partial = set(marks), []
-    for k, uk in enumerate(unitaries):
-        u = uk @ u
-        if k in marks:
+    marked = {k + 1 for k in marks}
+    cuts = sorted(marked | set(range(FOLD_BLOCK, len(generators), FOLD_BLOCK))
+                  | {len(generators)})
+    start, partial = 0, []
+    for stop in cuts:
+        edge = start - start % FOLD_BLOCK
+        if start == edge:
+            evals, evecs = np.linalg.eigh(generators[start:start + FOLD_BLOCK])
+            block = (evecs * np.exp(-1j * evals)[:, None, :]) @ evecs.conj().swapaxes(1, 2)
+        u = _chain(block[start - edge:stop - edge]) @ u
+        if stop in marked:
             partial.append(u)
+        start = stop
     return u, partial
 
 
@@ -211,7 +234,7 @@ def segment_propagator(hamiltonian_fn, t0, t1, steps):
     if steps < 1:
         raise ValueError("steps must be >= 1")
     u = np.eye(4, dtype=complex)
-    return u if t1 == t0 else _fold(u, _step_unitaries(hamiltonian_fn, t0, t1, steps))[0]
+    return u if t1 == t0 else _fold(u, hamiltonian_fn.step_generators(t0, t1, steps))[0]
 
 
 def _segment_hamiltonian(system, drive, constants, dipolar_on=True):
@@ -284,7 +307,7 @@ def _propagate(system, events, steps_per_period, sample_every):
         steps = max(1, math.ceil(event.duration / system.rotor_period * steps_per_period))
         ends = t0 + np.arange(1, steps + 1) * (event.duration / steps)
         marks, due = _due_steps(ends, due, sample_every, samples[-1][0])
-        u, partial = _fold(u_open @ u, _step_unitaries(fn, t0, t, steps), marks)
+        u, partial = _fold(u_open @ u, fn.step_generators(t0, t, steps), marks)
         samples += [(float(ends[k]), u_close @ v) for k, v in zip(marks, partial)]
         u = u_close @ u
     if samples and samples[-1][0] >= t:

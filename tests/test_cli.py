@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
-from r2tr.cli import (ConfigError, _simulate_report, build_events,
+from r2tr.cli import (ConfigError, _simulate_report, build_drive, build_events,
                       build_system, fit_exchange_period, glycine_defaults,
                       load_config, main, preset_config, transfer_fraction)
 from r2tr.propagator import CWSegment, Delay, IdealRotation, Trajectory
@@ -64,7 +64,7 @@ def test_build_events():
         {"type": "cw", "duration_s": 1e-3},
         {"type": "delay", "duration_s": 5e-4, "dipolar_on": False},
     ]
-    events = build_events(cfg)
+    events = build_events(cfg, build_drive(cfg))
     assert isinstance(events[0], IdealRotation)
     assert events[0].angle == pytest.approx(np.pi)
     assert isinstance(events[1], CWSegment)
@@ -72,7 +72,7 @@ def test_build_events():
     assert isinstance(events[2], Delay)
     cfg["sequence"] = [{"type": "nope"}]
     with pytest.raises(ConfigError):
-        build_events(cfg)
+        build_events(cfg, build_drive(cfg))
 
 
 def test_load_config_diagnostics(tmp_path):
@@ -152,6 +152,16 @@ def _system(**fields):
     return {"system": dict(glycine_defaults()["system"], **fields)}
 
 
+def _ppm_system(**fields):
+    system = _without(glycine_defaults()["system"], "offsets_hz")
+    return {"system": dict(system, offsets_ppm=[20.0, 186.99], **fields)}
+
+
+def _coupling_system(coupling_hz):
+    system = _without(glycine_defaults()["system"], "r_angstrom")
+    return {"system": dict(system, coupling_hz=coupling_hz)}
+
+
 SIMULATE = ["simulate"]
 
 
@@ -221,6 +231,36 @@ SIMULATE = ["simulate"]
                  ["spectrum"], id="dwell-zero"),
     pytest.param({"fid": {"duration_s": 1e-3, "dwell_s": -1e-5}}, "fid.dwell_s",
                  ["spectrum"], id="dwell-negative"),
+    pytest.param({"sequence": [dict(PULSE, targets=[])]}, "sequence[0].targets",
+                 SIMULATE, id="targets-empty"),
+    pytest.param(_ppm_system(carrier_mhz=0.0), "system.carrier_mhz", ["solve"],
+                 id="carrier-zero"),
+    pytest.param(_ppm_system(carrier_mhz=-100.0), "system.carrier_mhz", ["gate"],
+                 id="carrier-negative"),
+    # r^3 underflows to zero or overflows
+    pytest.param(_system(r_angstrom=1e-120), "system.r_angstrom", ["solve"],
+                 id="r-underflow"),
+    pytest.param(_system(r_angstrom=1e120), "system.r_angstrom", SIMULATE,
+                 id="r-overflow"),
+    pytest.param(_system(r_angstrom=0.0), "system.r_angstrom", ["solve"], id="r-zero"),
+    pytest.param(_coupling_system(0.0), "system.coupling_hz", ["solve"],
+                 id="coupling-zero"),
+    pytest.param(_coupling_system(1e308), "system.coupling_hz", ["gate"],
+                 id="coupling-overflow"),
+    # segment and FID sizes are rejected from the config, before any allocation
+    pytest.param({"sequence": [PULSE, {"type": "cw", "duration_s": 1.0}]},
+                 "sequence[1].duration_s", SIMULATE, id="cw-too-many-steps"),
+    pytest.param({"sequence": [{"type": "delay", "duration_s": 1e300}]},
+                 "sequence[0].duration_s", ["gate"], id="delay-steps-overflow"),
+    pytest.param({"sequence": [PULSE, {"type": "cw", "duration_s": 2e-2}]},
+                 "sequence[1].duration_s", ["spectrum", "--steps-per-period", "1000000"],
+                 id="steps-flag-too-many-steps"),
+    pytest.param({}, "sequence[1].duration_s", ["repro", "fig4", "--steps-per-period", "100000"],
+                 id="repro-too-many-steps"),
+    pytest.param({"fid": {"duration_s": 1.0, "dwell_s": 1e-7}}, "fid.duration_s",
+                 ["spectrum"], id="fid-too-many-points"),
+    pytest.param({"fid": {"duration_s": 1.0, "dwell_s": 1e-320}}, "fid.duration_s",
+                 ["spectrum"], id="fid-points-overflow"),
 ])
 def test_cli_malformed_config_exit_code(tmp_path, capsys, patch, field, argv):
     path = tmp_path / "cfg.json"
@@ -251,8 +291,8 @@ def test_cli_repro_rejects_ignored_flags(argv, capsys):
     assert exc.value.code == 2
 
 
-# magnitudes stay small: the step count has no upper bound yet, so a long
-# duration or a slow rotor could exhaust memory
+# magnitudes stay small: a segment within the step limit can still take
+# 2**20 steps, hundreds of MB and seconds to integrate
 SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
                     st.floats(-10.0, 10.0), st.sampled_from([math.nan, math.inf, -math.inf]),
                     st.text(max_size=3))
@@ -293,6 +333,19 @@ def test_period_fit_reported_only_for_a_real_swing():
     _, fig3a = _simulate_report(preset_config("fig3a"))
     assert fig3a["fitted_period_s"] == pytest.approx(3.19e-3, rel=1e-3)
     assert "theta_d_deg_from_period" in fig3a
+
+
+def test_cli_simulate_too_short_to_fit(tmp_path, capsys):
+    # 2e-4 s is under two rotor periods: three samples cannot fix the four
+    # parameters of the cosine fit, so no period is reported
+    cfg = glycine_defaults()
+    cfg["sequence"] = [{"type": "cw", "duration_s": 2e-4}]
+    path = write_config(tmp_path, cfg)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "fitted_period_s" not in out
+    assert "analytic_period_s" in out
+    assert len((tmp_path / "trajectory.csv").read_text().splitlines()) == 1 + 3
 
 
 def test_cli_simulate_writes_trajectory(tmp_path, capsys):

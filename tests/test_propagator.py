@@ -1,3 +1,5 @@
+import functools
+
 from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
@@ -7,9 +9,9 @@ from r2tr.hamiltonian import (dipolar_constants, effective_field,
                               static_drive_hamiltonian)
 from r2tr.operators import (SpinSystem, basis_state, check_density_matrix,
                             check_unitary, expectation, spin_operator)
-from r2tr.propagator import (CWSegment, Delay, HarmonicHamiltonian,
-                             IdealRotation, RFDrive, Trajectory, extract_gate,
-                             rotation_unitary, run_sequence,
+from r2tr.propagator import (FOLD_BLOCK, CWSegment, Delay, HarmonicHamiltonian,
+                             IdealRotation, RFDrive, Trajectory, _fold,
+                             extract_gate, rotation_unitary, run_sequence,
                              segment_propagator, trim_unitaries)
 from r2tr.units import GAMMA_C13, GLYCINE_CC_DISTANCE, TWO_PI, deg_to_rad, hz_to_angular
 
@@ -68,6 +70,30 @@ def test_segment_propagator_self_convergence():
     u1 = segment_propagator(fn, 0.0, t1, 1000)
     u2 = segment_propagator(fn, 0.0, t1, 2000)
     assert np.max(np.abs(u1 - u2)) < 1e-8
+
+
+@pytest.mark.parametrize("steps", [1, 2, FOLD_BLOCK - 1, FOLD_BLOCK, FOLD_BLOCK + 1,
+                                   2 * FOLD_BLOCK + 3])
+def test_fold_matches_serial_product(steps):
+    sys = glycine_system(phi=0.3)
+    fn = harmonic_hamiltonian(sys, RFDrive(omega_1=hz_to_angular(2339.0)))
+    generators = fn.step_generators(0.0, steps / 64 * sys.rotor_period, steps)
+    unitaries = [expm(-1j * m) for m in generators]
+    u0 = rotation_unitary((0,), "x", 0.7)
+
+    def serial(k):
+        # U_k ... U_1 U_0 u0, one product per step
+        return functools.reduce(lambda u, uk: uk @ u, unitaries[:k + 1], u0)
+
+    # step 0 and the last step, each twice, and both sides of every block edge
+    marks = [0, 0, steps - 1, steps - 1] + [
+        k for edge in range(FOLD_BLOCK, steps, FOLD_BLOCK) for k in (edge - 1, edge)]
+    u, partial = _fold(u0, generators, marks)
+    assert np.max(np.abs(u - serial(steps - 1))) < 1e-12
+    expected = sorted(set(marks))
+    assert len(partial) == len(expected)
+    for k, v in zip(expected, partial):
+        assert np.max(np.abs(v - serial(k))) < 1e-12, k
 
 
 def test_harmonic_antiderivatives_match_quadrature():

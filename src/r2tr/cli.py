@@ -16,7 +16,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .gates import (cns, gate_to_json, iswap, locally_equivalent,
                     makhlin_invariants, universality_class, weyl_coordinates)
@@ -25,7 +24,7 @@ from .operators import BASIS_LABELS, SPINS, SpinSystem, basis_state
 from .propagator import (DEFAULT_STEPS_PER_PERIOD, CWSegment, Delay,
                          IdealRotation, RFDrive, extract_gate, run_sequence)
 from .readout import classify_state, fid_to_csv, simulate_fid, stick_spectrum
-from .recoupling import (operating_point, plans_to_json, solve_plans,
+from .recoupling import (brentq, operating_point, plans_to_json, solve_plans,
                          theta_from_period)
 from .units import (GAMMA_C13, GLYCINE_CC_DISTANCE, HBAR, MU0_OVER_4PI,
                     TWO_PI, deg_to_rad, hz_to_angular, ppm_to_hz, rad_to_deg)
@@ -36,6 +35,8 @@ FLAG = (True, False)
 # CW or delay segment, and points of an FID
 MAX_SEGMENT_STEPS = 2**20
 MAX_FID_POINTS = 2**20
+# angular frequencies of the period fit's scan over [0.5, 1.5] of the guess
+FIT_SCAN_POINTS = 101
 
 
 class ConfigError(ValueError):
@@ -124,23 +125,26 @@ def build_system(cfg):
             f"{gamma:g}) gives a dipolar coupling of {coupling:g} rad/s; it must "
             f"be finite and positive")
     if "offsets_hz" in blk:
-        offsets_hz = offsets("offsets_hz")
+        key = "offsets_hz"
+        offsets_hz = offsets(key)
     elif "offsets_ppm" in blk:
         if "carrier_mhz" not in blk:
             raise ConfigError("'offsets_ppm' requires 'carrier_mhz'")
+        key = "offsets_ppm"
         carrier = _positive(blk["carrier_mhz"], "system.carrier_mhz")
-        offsets_hz = [ppm_to_hz(p, carrier) for p in offsets("offsets_ppm")]
+        offsets_hz = [ppm_to_hz(p, carrier) for p in offsets(key)]
     else:
         raise ConfigError("system block needs 'offsets_hz' or 'offsets_ppm'")
     theta_d = deg_to_rad(number("theta_d_deg", 0.0))
     phi = deg_to_rad(number("phi_deg", 0.0))
-    omega_r = hz_to_angular(number("spin_rate_hz"))
-    try:
-        return SpinSystem(gamma=gamma, r=r, theta_d=theta_d, phi=phi,
-                          omega_r=omega_r,
-                          offsets=tuple(hz_to_angular(o) for o in offsets_hz))
-    except ValueError as exc:
-        raise ConfigError(f"invalid system block: {exc}") from None
+    omega_r = _angular(_positive(_field(blk, "spin_rate_hz", "system"), "system.spin_rate_hz"),
+                       "system.spin_rate_hz")
+    if not math.isfinite(TWO_PI / omega_r):
+        raise ConfigError(f"system.spin_rate_hz = {blk['spin_rate_hz']!r} gives a rotor "
+                          f"period of {TWO_PI / omega_r:g} s; it must be finite")
+    return SpinSystem(gamma=gamma, r=r, theta_d=theta_d, phi=phi, omega_r=omega_r,
+                      offsets=tuple(_angular(o, f"system.{key}[{k}]")
+                                    for k, o in enumerate(offsets_hz)))
 
 
 def _block(cfg, key, kind=dict):
@@ -183,6 +187,15 @@ def _positive(value, field):
     return number
 
 
+def _angular(hz, field):
+    """hz_to_angular(hz) of a config frequency; a result that overflows to
+    infinity raises a ConfigError naming `field`."""
+    omega = hz_to_angular(hz)
+    if not math.isfinite(omega):
+        raise ConfigError(f"{field} is {hz:g} Hz, or {omega:g} rad/s; it must be finite")
+    return omega
+
+
 def _choice(value, allowed, field):
     """value, if it is one of `allowed` and of its type (true is not 1, nor
     is 1.0); anything else raises a ConfigError naming `field`."""
@@ -204,7 +217,7 @@ def build_drive(cfg):
     blk = _block(cfg, "drive")
     amplitude = _number(_field(blk, "amplitude_hz", "drive"), "drive.amplitude_hz", 0.0)
     phase = _number(blk.get("phase_deg", 0.0), "drive.phase_deg")
-    return RFDrive(omega_1=hz_to_angular(amplitude), phase=deg_to_rad(phase))
+    return RFDrive(omega_1=_angular(amplitude, "drive.amplitude_hz"), phase=deg_to_rad(phase))
 
 
 def build_events(cfg, drive):
@@ -303,10 +316,13 @@ class PeriodFit:
 def fit_exchange_period(times, values, period_guess):
     """Fit a sinusoid to an exchange trajectory and return its period.
 
-    The fit window is two predicted periods (if it holds 8 samples); the
-    initial guess comes from the analytic prediction, which the fit refines.
-    Raises RuntimeError when there is no fit: fewer samples than the four
-    model parameters, or no convergence.
+    The fit window is two predicted periods (if it holds 8 samples). The
+    fit is by variable projection: at a fixed angular frequency w the model
+    a + p cos(wt) + q sin(wt) is linear, so a least-squares solve gives its
+    best sum of squares S(w). S is scanned over [0.5, 1.5] 2 pi/period_guess,
+    and the best w is refined to the root of dS/dw next to the scan's
+    minimum. Raises RuntimeError when there is no fit: fewer samples than
+    the four model parameters, or no minimum inside the scan.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -316,19 +332,33 @@ def fit_exchange_period(times, values, period_guess):
     if mask.sum() >= 8:
         times, values = times[mask], values[mask]
 
-    def model(t, a, b, w, c):
-        return a + b * np.cos(w * t + c)
+    def design(w):
+        # columns 1, cos(wt), sin(wt); one matrix per frequency in w
+        wt = np.multiply.outer(w, times)
+        return np.stack([np.ones_like(wt), np.cos(wt), np.sin(wt)], axis=-1)
 
-    p0 = (float(values.mean()),
-          0.5 * float(values.max() - values.min()),
-          TWO_PI / period_guess,
-          math.pi)
-    popt, _ = curve_fit(model, times, values, p0=p0, maxfev=20000)
-    a, b, w, c = popt
-    if b < 0:
-        b, c = -b, c + math.pi
-    return PeriodFit(period=TWO_PI / abs(w), amplitude=2.0 * b,
-                     offset=a, phase=c % TWO_PI)
+    def slope(w):
+        # dS/dw at w's least-squares coefficients (a, p, q); their own
+        # derivatives drop out, since S is stationary in them
+        columns = design(w)
+        _, p, q = coef = np.linalg.lstsq(columns, values, rcond=None)[0]
+        residual = columns @ coef - values
+        return float(residual @ (times * (q * columns[:, 1] - p * columns[:, 2])))
+
+    scan = np.linspace(0.5, 1.5, FIT_SCAN_POINTS) * (TWO_PI / period_guess)
+    basis = np.linalg.qr(design(scan))[0]  # orthonormal columns, per frequency
+    residuals = values - (basis @ (values @ basis)[..., None])[..., 0]
+    k = int(np.argmin(np.sum(residuals**2, axis=-1)))
+    if k in (0, len(scan) - 1):
+        raise RuntimeError("no cosine fit: the best frequency is at the edge of the scan")
+    lo, hi = scan[k - 1], scan[k + 1]
+    if not slope(lo) < 0.0 < slope(hi):
+        raise RuntimeError("no cosine fit: no minimum next to the best scanned frequency")
+    w = brentq(slope, lo, hi, xtol=1e-15 * hi)
+    a, p, q = np.linalg.lstsq(design(w), values, rcond=None)[0]
+    # a + p cos(wt) + q sin(wt) = a + b cos(wt + c)
+    return PeriodFit(period=TWO_PI / w, amplitude=2.0 * math.hypot(p, q),
+                     offset=a, phase=math.atan2(-q, p) % TWO_PI)
 
 
 def transfer_fraction(traj):

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.linalg import expm
 
 from .hamiltonian import (
     dipolar_constants,
@@ -184,9 +183,19 @@ class HarmonicHamiltonian:
         return m
 
 
+def _spin_rotation(angle, axis_op):
+    """exp(-i angle n.I_k) of one spin-1/2, n.I_k = axis_op: in closed form
+    cos(angle/2) 1 - 2i sin(angle/2) n.I_k, since (n.I_k)^2 = 1/4."""
+    return (math.cos(angle / 2) * np.eye(4, dtype=complex)
+            - 2j * math.sin(angle / 2) * axis_op)
+
+
 def rotation_unitary(targets, axis, angle):
-    gen = sum(spin_operator(k, axis) for k in targets)
-    return expm(-1j * angle * np.asarray(gen))
+    """exp(-i angle sum_k I_k^axis): one commuting factor per target spin."""
+    u = np.eye(4, dtype=complex)
+    for k in targets:
+        u = _spin_rotation(angle, spin_operator(k, axis)) @ u
+    return u
 
 
 def _chain(unitaries):
@@ -249,15 +258,14 @@ def trim_unitaries(system, segment):
     """Opening and closing trim rotations for a CW segment (identity if off)."""
     drive = segment.drive
     cph, sph = math.cos(drive.phase), math.sin(drive.phase)
-    gen = np.zeros((4, 4), dtype=complex)
+    u_open = np.eye(4, dtype=complex)
     for k, dw in enumerate(system.offsets):
         if not segment.trim or k in segment.skip_trim:
             continue
         beta = effective_field(dw, drive.omega_1).beta
         # rotation axis perpendicular to both z and the RF field direction
         axis_op = cph * spin_operator(k, "y") - sph * spin_operator(k, "x")
-        gen = gen + beta * axis_op
-    u_open = expm(-1j * gen)
+        u_open = _spin_rotation(beta, axis_op) @ u_open
     return u_open, u_open.conj().T
 
 
@@ -352,4 +360,5 @@ def extract_gate(system, events, steps_per_period=DEFAULT_STEPS_PER_PERIOD,
                       for event in events if isinstance(event, CWSegment)
                       for k, dw in enumerate(system.offsets)),
                      np.zeros((4, 4), dtype=complex))
-    return expm(1j * precession) @ u
+    # the precession is diagonal: its exponential is that of the diagonal
+    return np.diag(np.exp(1j * np.diag(precession))) @ u

@@ -13,7 +13,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .hamiltonian import bq_factors, effective_field
 from .units import angular_to_hz
@@ -54,6 +53,57 @@ class RecouplingPlan:
 
 def plans_to_json(plans, indent=2):
     return json.dumps([p.to_record() for p in plans], indent=indent)
+
+
+def brentq(f, xa, xb, xtol, rtol=4 * np.finfo(float).eps, maxiter=100):
+    """A root of f in [xa, xb], where f changes sign, by Brent's method.
+
+    Step for step the method of scipy.optimize.brentq (Brent 1973, ch. 4):
+    inverse quadratic or secant steps, bisection when they do not shrink
+    the bracket fast enough, and convergence once half the bracket is
+    below (xtol + rtol |x|) / 2. Raises ValueError when f(xa) and f(xb)
+    have the same sign, RuntimeError after maxiter steps.
+    """
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(xa) and f(xb) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            # keep the best estimate in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"brentq did not converge in {maxiter} steps")
 
 
 def condition_residual(delta_i, delta_s, omega_1, omega_r, condition_class, m):

@@ -3,7 +3,10 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
+import warnings
 
 from hypothesis import example, given, settings, strategies as st
 import numpy as np
@@ -94,6 +97,55 @@ def test_fit_exchange_period_synthetic():
     assert fit.amplitude == pytest.approx(0.96, rel=1e-6)
 
 
+def curve_fit_period(times, values, period_guess):
+    """Period of scipy's Levenberg-Marquardt cosine fit, from the analytic
+    guess and over the same window as fit_exchange_period, run to
+    convergence (its default tolerances stop it about 1e-9 short)."""
+    from scipy.optimize import OptimizeWarning, curve_fit
+
+    mask = times <= 2.0 * period_guess + 1e-12
+    if mask.sum() >= 8:
+        times, values = times[mask], values[mask]
+    p0 = (values.mean(), 0.5 * (values.max() - values.min()), TWO_PI / period_guess, math.pi)
+    with warnings.catch_warnings():
+        # an exact cosine leaves no residual to estimate the covariance from
+        warnings.simplefilter("ignore", OptimizeWarning)
+        popt, _ = curve_fit(lambda t, a, b, w, c: a + b * np.cos(w * t + c),
+                            times, values, p0=p0, maxfev=20000, xtol=1e-14, ftol=1e-14)
+    return TWO_PI / abs(popt[2])
+
+
+def test_fit_exchange_period_matches_curve_fit_on_fig3a():
+    traj, report = _simulate_report(preset_config("fig3a"))
+    expected = curve_fit_period(traj.times, traj.iz, report["analytic_period_s"])
+    assert report["fitted_period_s"] == pytest.approx(expected, rel=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(period=st.floats(1e-3, 1e-2), guess=st.floats(0.95, 1.05), samples=st.integers(12, 200),
+       span=st.floats(1.2, 3.0), amplitude=st.floats(0.05, 0.5),
+       offset=st.floats(-0.2, 0.2), delay=st.floats(-0.5, 0.5))
+def test_fit_exchange_period_matches_curve_fit_on_cosines(period, guess, samples, span,
+                                                          amplitude, offset, delay):
+    # exchange-like curves, which start near their minimum, and a guess
+    # within 5% of the period: curve_fit is a local search from the guess,
+    # and it reaches the least-squares optimum from there
+    t = np.linspace(0.0, span * period, samples)
+    iz = offset - amplitude * np.cos(TWO_PI * t / period + delay)
+    fit = fit_exchange_period(t, iz, guess * period)
+    assert fit.period == pytest.approx(curve_fit_period(t, iz, guess * period), rel=1e-9)
+    assert fit.period == pytest.approx(period, rel=1e-9)
+    assert fit.amplitude == pytest.approx(2.0 * amplitude, rel=1e-9)
+
+
+def test_fit_exchange_period_without_interior_minimum():
+    # a relaxation with no oscillation: the best frequency of the scan over
+    # [0.5, 1.5] of the guess is its lowest one, so there is no fit
+    t = np.linspace(0.0, 6e-3, 60)
+    with pytest.raises(RuntimeError):
+        fit_exchange_period(t, 0.5 - 100.0 * t, period_guess=3e-3)
+
+
 def test_transfer_fraction_directions():
     t = np.array([0.0, 1.0, 2.0])
     # I starts inverted: full exchange scores 1
@@ -142,6 +194,7 @@ def test_cli_solve_no_solution(tmp_path, capsys):
 
 
 PULSE = {"type": "pulse", "targets": [0], "axis": "x", "angle_deg": 180.0}
+CW = {"type": "cw", "duration_s": 1e-3}
 
 
 def _without(event, key):
@@ -261,6 +314,19 @@ SIMULATE = ["simulate"]
                  ["spectrum"], id="fid-too-many-points"),
     pytest.param({"fid": {"duration_s": 1.0, "dwell_s": 1e-320}}, "fid.duration_s",
                  ["spectrum"], id="fid-points-overflow"),
+    # frequencies that overflow in rad/s, a zero spin rate, and a spin rate
+    # whose rotor period overflows
+    pytest.param({**_system(spin_rate_hz=1e308), "sequence": [PULSE, CW]},
+                 "system.spin_rate_hz", SIMULATE, id="spin-rate-overflow"),
+    pytest.param(_system(spin_rate_hz=0.0), "system.spin_rate_hz", SIMULATE,
+                 id="spin-rate-zero"),
+    pytest.param({**_system(offsets_hz=[1e308, 2000.0]), "sequence": [PULSE, CW]},
+                 "system.offsets_hz[0]", SIMULATE, id="offset-overflow"),
+    pytest.param({"drive": dict(glycine_defaults()["drive"], amplitude_hz=1e308),
+                  "sequence": [PULSE, CW]}, "drive.amplitude_hz", ["gate"],
+                 id="amplitude-overflow"),
+    pytest.param({**_system(spin_rate_hz=1e-320), "sequence": [PULSE, CW]},
+                 "system.spin_rate_hz", SIMULATE, id="rotor-period-overflow"),
 ])
 def test_cli_malformed_config_exit_code(tmp_path, capsys, patch, field, argv):
     path = tmp_path / "cfg.json"
@@ -381,3 +447,14 @@ def test_cli_spectrum_json(tmp_path):
     peaks = json.loads((tmp_path / "spectrum.json").read_text())["peaks"]
     assert peaks[0][1] == pytest.approx(-1.0)
     assert peaks[1][1] == pytest.approx(1.0)
+
+
+def test_cli_imports_without_scipy():
+    # numpy is the only runtime dependency: scipy is for the tests alone
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys, r2tr.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -148,6 +148,34 @@ def test_skip_trim_leaves_spin_untouched():
     assert np.allclose(u_open @ sz, sz @ u_open)
 
 
+# the closed-form spin-1/2 rotations against the general matrix exponential
+@settings(max_examples=60, deadline=None)
+@given(targets=st.lists(st.sampled_from((0, 1)), min_size=1, max_size=3),
+       axis=st.sampled_from(("x", "y", "z")), angle=st.floats(-TWO_PI, TWO_PI))
+def test_rotation_unitary_matches_expm(targets, axis, angle):
+    gen = sum(spin_operator(k, axis) for k in targets)
+    assert np.max(np.abs(rotation_unitary(targets, axis, angle)
+                         - expm(-1j * angle * gen))) < 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(offsets=st.tuples(st.floats(-3e4, 3e4), st.floats(-3e4, 3e4)),
+       amplitude=st.floats(0.0, 2e4), phase=st.floats(-TWO_PI, TWO_PI),
+       trim=st.booleans(), skip_trim=st.lists(st.sampled_from((0, 1)), max_size=2))
+def test_trim_unitaries_match_expm(offsets, amplitude, phase, trim, skip_trim):
+    sys = glycine_system(offsets=offsets)
+    drive = RFDrive(omega_1=hz_to_angular(amplitude), phase=phase)
+    seg = CWSegment(drive=drive, duration=1e-3, trim=trim, skip_trim=skip_trim)
+    gen = sum((effective_field(dw, drive.omega_1).beta
+               * (np.cos(phase) * spin_operator(k, "y") - np.sin(phase) * spin_operator(k, "x"))
+               for k, dw in enumerate(sys.offsets) if trim and k not in skip_trim),
+              np.zeros((4, 4)))
+    u_open, u_close = trim_unitaries(sys, seg)
+    expected = expm(-1j * gen)
+    assert np.max(np.abs(u_open - expected)) < 1e-14
+    assert np.max(np.abs(u_close - expected.conj().T)) < 1e-14
+
+
 def test_run_sequence_preserves_density_matrix_and_samples():
     sys = glycine_system(phi=0.1)
     events = [IdealRotation((0,), "x", np.pi),

@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from r2tr.hamiltonian import dipolar_constants
+from r2tr import recoupling
 from r2tr.recoupling import (condition_residual, make_plan, operating_point,
                              plans_to_json, predicted_exchange_period,
                              solve_amplitude, solve_plans, theta_from_period)
@@ -57,6 +58,67 @@ def test_solve_amplitude_matches_dense_scan():
                          for w in grid])
         crossings = np.sum(np.sign(vals[1:]) != np.sign(vals[:-1]))
         assert len(roots) == crossings
+
+
+CONDITIONS = st.sampled_from([("a", 1), ("a", 2), ("b", 1), ("b", 2)])
+OFFSET_HZ = st.floats(-3e4, 3e4)
+SPIN_RATE_HZ = st.floats(2e3, 2e4)
+
+
+@st.composite
+def matchable(draw):
+    """(d_i, d_s, w_r, class, m), rad/s, that meet the condition at w_1 = 0
+    with room to spare: class a needs |d_s - d_i| > m w_r, class b needs
+    |d_i| + |d_s| < m w_r."""
+    condition_class, m = draw(CONDITIONS)
+    w_r = TWO_PI * draw(SPIN_RATE_HZ)
+    if condition_class == "a":
+        d_i = draw(st.floats(-2.0, 2.0)) * w_r
+        d_s = d_i + draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1.01, 3.0)) * m * w_r
+    else:
+        d_i = draw(st.floats(-0.99, 0.99)) * m * w_r
+        d_s = draw(st.floats(-0.99, 0.99)) * (m * w_r - abs(d_i))
+    return d_i, d_s, w_r, condition_class, m
+
+
+@settings(max_examples=40, deadline=None)
+@given(point=matchable(), data=st.data())
+def test_brentq_matches_scipy(point, data):
+    # scipy's Brent method is the independent reference: the same root, to
+    # the bit, from the same residual evaluations
+    from scipy.optimize import brentq as scipy_brentq
+
+    d_i, d_s, w_r, *condition = point
+    grid = np.linspace(0.0, 10.0 * w_r, 257)
+    vals = np.array([condition_residual(d_i, d_s, w, w_r, *condition) for w in grid])
+    cells = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
+    assume(len(cells) > 0)
+    k = data.draw(st.sampled_from(cells.tolist()), label="bracket")
+    xa, xb = data.draw(st.permutations([grid[k], grid[k + 1]]), label="ends")
+    xtol = data.draw(st.sampled_from([1e-9, 1e-6, 1e-2]), label="xtol") * w_r
+    results = []
+    for solver in (recoupling.brentq, scipy_brentq):
+        calls = []
+
+        def f(w):
+            calls.append(w)
+            return condition_residual(d_i, d_s, w, w_r, *condition)
+
+        results.append((solver(f, xa, xb, xtol=xtol), calls))
+    (root, calls), (expected, expected_calls) = results
+    assert root == expected
+    assert calls == expected_calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(point=st.one_of(matchable(), st.builds(
+    lambda d_i, d_s, rate, condition: (TWO_PI * d_i, TWO_PI * d_s, TWO_PI * rate, *condition),
+    OFFSET_HZ, OFFSET_HZ, SPIN_RATE_HZ, CONDITIONS)))
+def test_solve_amplitude_roots_meet_the_condition(point):
+    d_i, d_s, w_r, *condition = point
+    for root in solve_amplitude(d_i, d_s, w_r, *condition):
+        assert 0.0 <= root <= 10.0 * w_r
+        assert abs(condition_residual(d_i, d_s, root, w_r, *condition)) < 1e-6 * w_r
 
 
 def test_solve_amplitude_impossible_condition_is_empty():

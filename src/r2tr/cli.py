@@ -35,6 +35,10 @@ FLAG = (True, False)
 # CW or delay segment, and points of an FID
 MAX_SEGMENT_STEPS = 2**20
 MAX_FID_POINTS = 2**20
+# slowest accepted spinning (Hz): far below any MAS rate, and far above the
+# rates where w_r**2 underflows or the step integrals, which subtract
+# antiderivatives of size w_d/w_r and w_d/w_r**2, cancel the dipolar term
+MIN_SPIN_RATE_HZ = 1.0
 # angular frequencies of the period fit's scan over [0.5, 1.5] of the guess
 FIT_SCAN_POINTS = 101
 
@@ -137,11 +141,8 @@ def build_system(cfg):
         raise ConfigError("system block needs 'offsets_hz' or 'offsets_ppm'")
     theta_d = deg_to_rad(number("theta_d_deg", 0.0))
     phi = deg_to_rad(number("phi_deg", 0.0))
-    omega_r = _angular(_positive(_field(blk, "spin_rate_hz", "system"), "system.spin_rate_hz"),
-                       "system.spin_rate_hz")
-    if not math.isfinite(TWO_PI / omega_r):
-        raise ConfigError(f"system.spin_rate_hz = {blk['spin_rate_hz']!r} gives a rotor "
-                          f"period of {TWO_PI / omega_r:g} s; it must be finite")
+    omega_r = _angular(_number(_field(blk, "spin_rate_hz", "system"), "system.spin_rate_hz",
+                               MIN_SPIN_RATE_HZ), "system.spin_rate_hz")
     return SpinSystem(gamma=gamma, r=r, theta_d=theta_d, phi=phi, omega_r=omega_r,
                       offsets=tuple(_angular(o, f"system.{key}[{k}]")
                                     for k, o in enumerate(offsets_hz)))
@@ -225,9 +226,10 @@ def build_events(cfg, drive):
     (the config's `build_drive`, None without a drive block).
 
     A missing field, a number that is not finite, a negative duration, a
-    spin index other than 0 (I) or 1 (S), an empty target list, an unknown
-    rotation axis, a flag that is not a boolean or an event that is not an
-    object raises a ConfigError that names the field, e.g. sequence[0].axis.
+    spin index other than 0 (I) or 1 (S), an empty target list or one that
+    repeats a spin, an unknown rotation axis, a flag that is not a boolean
+    or an event that is not an object raises a ConfigError that names the
+    field, e.g. sequence[0].axis.
     """
     drive_blk = _block(cfg, "drive")
     trim = _choice(drive_blk.get("trim", True), FLAG, "drive.trim")
@@ -248,6 +250,8 @@ def build_events(cfg, drive):
             targets = _choices(_field(ev, "targets", where), SPINS, f"{where}.targets")
             if not targets:
                 raise ConfigError(f"{where}.targets must name at least one spin, got []")
+            if len(set(targets)) != len(targets):
+                raise ConfigError(f"{where}.targets must not repeat a spin, got {list(targets)}")
             events.append(IdealRotation(
                 targets=targets,
                 axis=axis,
@@ -377,13 +381,11 @@ def transfer_fraction(traj):
 
 
 def analytic_point(system, drive):
-    """Class-a, m=2 operating point of the drive on the system's pair."""
+    """Class-a, m=2 operating point of the drive on the system's pair; its
+    exchange period is inf when the pair lies along the spinning axis."""
     constants = dipolar_constants(system.gamma, system.r, system.theta_d)
-    point = operating_point(system.offsets[0], system.offsets[1],
-                            drive.omega_1, constants, "a", 2)
-    if point.coupling <= 0:
-        raise ValueError("coupling must be positive")
-    return point
+    return operating_point(system.offsets[0], system.offsets[1],
+                           drive.omega_1, constants, "a", 2)
 
 
 # ---------------------------------------------------------------- presets
@@ -430,8 +432,10 @@ def _simulate_report(cfg):
     traj = run_sequence(initial, system, events, sample_every,
                         steps_per_period=steps)
     report = {"max_transfer_fraction": transfer_fraction(traj)}
-    if drive is not None and any(isinstance(e, CWSegment) for e in events):
-        point = analytic_point(system, drive)
+    cw = drive is not None and any(isinstance(e, CWSegment) for e in events)
+    point = analytic_point(system, drive) if cw else None
+    # a pair along the spinning axis is never recoupled: no period to fit
+    if point is not None and math.isfinite(point.exchange_period):
         report["analytic_period_s"] = point.exchange_period
         try:
             fit = fit_exchange_period(traj.times, traj.iz,

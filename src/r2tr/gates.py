@@ -1,7 +1,7 @@
-"""Two-qubit gate layer: canonical gates, local-equivalence tools and the
-entangling-power classification of bilinear couplings.
+"""Two-qubit gate layer: named gates, local-equivalence tools, Weyl
+coordinates and the entangling-power classification of a gate.
 
-Canonical interaction angles are quoted for the exponent convention
+Interaction angles are quoted for the exponent convention
 exp[i (theta_x Ix Sx + theta_y Iy Sy + theta_z Iz Sz)] with spin-1/2
 operators (so a bare Pauli-product exponent carries 1/4 of these angles).
 """
@@ -16,12 +16,7 @@ from .operators import check_unitary
 
 _SQ2 = math.sqrt(2.0)
 
-PAULI = {
-    "i": np.eye(2, dtype=complex),
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+_SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / _SQ2
 S_GATE = np.array([[1, 0], [0, 1j]], dtype=complex)
 
@@ -147,14 +142,12 @@ def cns_circuit(phi):
 
 @dataclass(frozen=True)
 class CanonicalAngles:
-    """Interaction angles of a bilinear two-spin evolution (see module doc)."""
+    """Weyl coordinates of a two-qubit gate, in the spin-operator angle
+    convention of the module doc (4x the Pauli-exponent coordinates)."""
 
     theta_x: float
     theta_y: float
     theta_z: float
-
-    def reduced(self):
-        return _reduce_angles((self.theta_x, self.theta_y, self.theta_z))
 
 
 def _reduce_angles(angles):
@@ -186,9 +179,10 @@ def _reduce_angles(angles):
 
 
 def universality_class(angles, tol=1e-9):
-    """Classify a bilinear coupling by its reduced interaction angles.
+    """Classify interaction angles by entangling power, after reduction.
 
-    CanonicalAngles carry 4x the angles of a plain (Pauli-convention) triple.
+    `angles` is a plain (Pauli-convention) triple or the CanonicalAngles of
+    weyl_coordinates, which carry 4x those angles.
     'non-entangling' if all angles vanish, 'excluded-swap-class' if all
     three equal pi/4, 'universal' otherwise.
     """
@@ -202,54 +196,15 @@ def universality_class(angles, tol=1e-9):
     return "universal"
 
 
-def _bilinear_coefficients(h):
-    """3x3 coefficient matrix W with h = sum_ab W[a,b] * Ia (x) Sb."""
-    h = np.asarray(h, dtype=complex)
-    w = np.zeros((3, 3))
-    resid = h.copy()
-    axes = "xyz"
-    for a in range(3):
-        for b in range(3):
-            # Ia (x) Sb = (sigma_a/2) (x) (sigma_b/2)
-            op = np.kron(PAULI[axes[a]], PAULI[axes[b]]) / 4.0
-            w[a, b] = np.trace(h @ np.kron(PAULI[axes[a]], PAULI[axes[b]])).real
-            resid = resid - w[a, b] * op
-    return w, resid
-
-
-def canonical_angles(h, t, tol=1e-8):
-    """Interaction angles of exp(-i h t) for a bilinear two-spin Hamiltonian.
-
-    A rotor-phase factor appearing as a rotation inside the transverse
-    (x,y) coefficient block is removed by local z rotations (SVD of the
-    block); the singular values then give theta_x, theta_y and the z-z
-    coefficient gives theta_z. Raises if h is not of bilinear product form.
-    """
-    w, resid = _bilinear_coefficients(h)
-    scale = max(np.abs(h).max(), 1.0)
-    if np.abs(resid).max() > tol * scale:
-        raise ValueError("Hamiltonian is not a pure bilinear two-spin coupling")
-    if max(np.abs(w[2, :2]).max(), np.abs(w[:2, 2]).max()) > tol * scale:
-        raise ValueError("Hamiltonian mixes z with transverse components; "
-                         "not reducible by local z rotations")
-    block = w[:2, :2]
-    u, s, vt = np.linalg.svd(block)
-    sign = np.sign(np.linalg.det(u) * np.linalg.det(vt))
-    theta_x = s[0] * t
-    theta_y = (sign if sign != 0 else 1.0) * s[1] * t
-    theta_z = w[2, 2] * t
-    return CanonicalAngles(theta_x=theta_x, theta_y=theta_y, theta_z=theta_z)
-
-
 def weyl_coordinates(u, ndigits=10):
-    """Weyl-chamber interaction angles of a two-qubit gate (same convention
-    as CanonicalAngles, i.e. 4x the Pauli-exponent coordinates).
+    """Weyl-chamber interaction angles of a two-qubit gate, as CanonicalAngles
+    (4x the Pauli-exponent coordinates).
 
     Follows the spectral method of Childs et al., PRA 68, 052311 (2003).
     """
     u = np.asarray(u, dtype=complex)
     check_unitary(u, tol=1e-9)
-    syy = np.kron(PAULI["y"], PAULI["y"])
+    syy = np.kron(_SIGMA_Y, _SIGMA_Y)
     u_tilde = syy @ u.T @ syy
     ev = np.linalg.eigvals(u @ u_tilde / cmath.sqrt(np.linalg.det(u)))
     two_s = np.angle(ev) / math.pi

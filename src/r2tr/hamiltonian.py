@@ -1,9 +1,8 @@
 """Hamiltonian construction for a homonuclear pair under MAS and CW drive.
 
 Covers the MAS-modulated dipolar coupling, the offset and RF part of the
-rotating-frame Hamiltonian, effective fields, and the analytic zeroth-order
-average Hamiltonians for the two recoupling classes with their scaling
-factors.
+rotating-frame Hamiltonian, effective fields, and the B/Q scaling factors
+of the two recoupling classes.
 """
 
 from dataclasses import dataclass
@@ -43,40 +42,11 @@ class EffectiveField:
     beta: float
 
 
-@dataclass(frozen=True)
-class AverageHamiltonianSpec:
-    """Parameters of a zeroth-order recoupled average Hamiltonian.
-
-    condition_class 'a' is the flip-flop (zero-quantum) mechanism,
-    'b' the flop-flop (double-quantum) one. coupling is the signed
-    off-diagonal amplitude (1/2)*B*omega_dm or (1/2)*Q*omega_dm;
-    phase is the rotor phase factor m*phi.
-    """
-
-    condition_class: str
-    m: int
-    b_factor: float
-    q_factor: float
-    coupling: float
-    phase: float
-
-    def __post_init__(self):
-        if self.condition_class not in ("a", "b"):
-            raise ValueError(f"condition class must be 'a' or 'b', got {self.condition_class!r}")
-        if self.m not in (1, 2):
-            raise ValueError(f"harmonic m must be 1 or 2, got {self.m}")
-
-
 def dipolar_constants(gamma, r, theta_d):
     """Rotor-harmonic dipolar amplitudes for geometry (gamma, r, theta_d)."""
     if r <= 0:
         raise ValueError("internuclear distance must be positive")
     omega_full = MU0_OVER_4PI * gamma**2 * HBAR / r**3
-    return constants_from_full(omega_full, theta_d)
-
-
-def constants_from_full(omega_full, theta_d):
-    """Same as dipolar_constants but with the prefactor given explicitly."""
     return DipolarConstants(
         omega_full=omega_full,
         omega_d1=math.sqrt(2.0) * omega_full * math.sin(2.0 * theta_d),
@@ -128,36 +98,3 @@ def bq_factors(beta_i, beta_s):
     b = -(1.0 + cc - 2.0 * ss) / 8.0
     q = (1.0 - cc + 2.0 * ss) / 8.0
     return b, q
-
-
-def make_average_spec(condition_class, m, beta_i, beta_s, constants, phi):
-    """Assemble the average-Hamiltonian parameters for a recoupling setting."""
-    b, q = bq_factors(beta_i, beta_s)
-    omega_dm = constants.harmonic(m)
-    factor = b if condition_class == "a" else q
-    return AverageHamiltonianSpec(
-        condition_class=condition_class,
-        m=m,
-        b_factor=b,
-        q_factor=q,
-        coupling=0.5 * factor * omega_dm,
-        phase=m * phi,
-    )
-
-
-def average_hamiltonian(spec):
-    """Zeroth-order average Hamiltonian matrix for a recoupling setting.
-
-    Class 'a': coupling * [I+S- e^{-i phase} + I-S+ e^{+i phase}]
-    Class 'b': coupling * [I+S+ e^{-i phase} + I-S- e^{+i phase}]
-    """
-    ip = spin_operator(0, "+")
-    im = spin_operator(0, "-")
-    sp = spin_operator(1, "+")
-    sm = spin_operator(1, "-")
-    ph = np.exp(-1j * spec.phase)
-    if spec.condition_class == "a":
-        raw = ip @ sm * ph + im @ sp * np.conj(ph)
-    else:
-        raw = ip @ sp * ph + im @ sm * np.conj(ph)
-    return spec.coupling * raw

@@ -68,6 +68,8 @@ class IdealRotation:
         targets = tuple(self.targets)
         if not targets:
             raise ValueError("rotation needs at least one target spin")
+        if len(set(targets)) != len(targets):
+            raise ValueError(f"rotation targets must not repeat a spin, got {targets}")
         object.__setattr__(self, "targets", targets)
 
 

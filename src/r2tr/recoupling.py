@@ -158,18 +158,6 @@ def _mechanism_score(condition_class, delta_i, delta_s, omega_1):
     return ratio if condition_class == "a" else 1.0 / ratio if ratio > 0 else math.inf
 
 
-def predicted_exchange_period(coupling):
-    """Population oscillation period (s) for off-diagonal amplitude `coupling`.
-
-    The two coupled states Rabi at twice the off-diagonal element, so the
-    period is 2 pi / (2 * coupling) with coupling = (1/2)|B or Q| omega_dm,
-    i.e. 2 pi / (|B| omega_dm) for the flip-flop class.
-    """
-    if coupling <= 0:
-        raise ValueError("coupling must be positive")
-    return 2.0 * math.pi / (2.0 * coupling)
-
-
 class OperatingPoint(NamedTuple):
     """Tilt angles, B/Q factors, coupling (rad/s) and exchange period (s) of
     one drive amplitude; the period is inf when the coupling vanishes."""
@@ -189,7 +177,8 @@ def operating_point(delta_i, delta_s, omega_1, constants, condition_class, m):
     b, q = bq_factors(beta_i, beta_s)
     factor = abs(b) if condition_class == "a" else abs(q)
     coupling = 0.5 * factor * constants.harmonic(m)
-    period = predicted_exchange_period(coupling) if coupling > 0 else math.inf
+    # the two coupled states Rabi at twice the off-diagonal element `coupling`
+    period = 2.0 * math.pi / (2.0 * coupling) if coupling > 0 else math.inf
     return OperatingPoint(beta_i, beta_s, b, q, coupling, period)
 
 

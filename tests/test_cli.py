@@ -286,6 +286,8 @@ SIMULATE = ["simulate"]
                  ["spectrum"], id="dwell-negative"),
     pytest.param({"sequence": [dict(PULSE, targets=[])]}, "sequence[0].targets",
                  SIMULATE, id="targets-empty"),
+    pytest.param({"sequence": [dict(PULSE, targets=[0, 0], angle_deg=90.0)]},
+                 "sequence[0].targets", ["spectrum"], id="targets-repeated"),
     pytest.param(_ppm_system(carrier_mhz=0.0), "system.carrier_mhz", ["solve"],
                  id="carrier-zero"),
     pytest.param(_ppm_system(carrier_mhz=-100.0), "system.carrier_mhz", ["gate"],
@@ -327,6 +329,13 @@ SIMULATE = ["simulate"]
                  id="amplitude-overflow"),
     pytest.param({**_system(spin_rate_hz=1e-320), "sequence": [PULSE, CW]},
                  "system.spin_rate_hz", SIMULATE, id="rotor-period-overflow"),
+    # below the spin-rate bound: omega_r**2 underflows, or the step integrals
+    # cancel the dipolar term of a delay
+    pytest.param({**_system(spin_rate_hz=1e-300), "sequence": [PULSE, CW]},
+                 "system.spin_rate_hz", SIMULATE, id="spin-rate-underflow"),
+    pytest.param({**_system(spin_rate_hz=1e-30, phi_deg=30.0),
+                  "sequence": [{"type": "delay", "duration_s": 1e-3}]},
+                 "system.spin_rate_hz", ["gate"], id="spin-rate-too-slow"),
 ])
 def test_cli_malformed_config_exit_code(tmp_path, capsys, patch, field, argv):
     path = tmp_path / "cfg.json"
@@ -412,6 +421,21 @@ def test_cli_simulate_too_short_to_fit(tmp_path, capsys):
     assert "fitted_period_s" not in out
     assert "analytic_period_s" in out
     assert len((tmp_path / "trajectory.csv").read_text().splitlines()) == 1 + 3
+
+
+@pytest.mark.parametrize("theta_d_deg", [0.0, 180.0])
+def test_cli_simulate_pair_along_spinning_axis(tmp_path, capsys, theta_d_deg):
+    # no harmonic recouples a pair along the spinning axis: the analytic
+    # period is infinite, so neither it nor a fit is reported
+    cfg = glycine_defaults()
+    cfg["system"]["theta_d_deg"] = theta_d_deg
+    cfg["sequence"] = [PULSE, CW]
+    path = write_config(tmp_path, cfg)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path),
+                 "--steps-per-period", "256"]) == 0
+    out = capsys.readouterr().out
+    assert "analytic_period_s" not in out
+    assert "fitted_period_s" not in out
 
 
 def test_cli_simulate_writes_trajectory(tmp_path, capsys):

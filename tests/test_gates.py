@@ -1,14 +1,11 @@
 import json
 
 import numpy as np
-import pytest
 
-from r2tr.gates import (CanonicalAngles, canonical_angles, cnot, cns,
-                        cns_circuit, gate_to_json, iswap, locally_equivalent,
-                        makhlin_invariants, operator_fidelity, rz, swap,
-                        u_flip, universality_class, weyl_coordinates)
-from r2tr.hamiltonian import average_hamiltonian, dipolar_constants, make_average_spec
-from r2tr.units import GAMMA_C13, GLYCINE_CC_DISTANCE, deg_to_rad
+from r2tr.gates import (cnot, cns, cns_circuit, gate_to_json, iswap,
+                        locally_equivalent, makhlin_invariants,
+                        operator_fidelity, rz, swap, u_flip,
+                        universality_class, weyl_coordinates)
 
 
 def random_local(rng):
@@ -83,8 +80,9 @@ def test_rz_convention():
 
 
 def test_weyl_coordinates_named_gates():
-    assert np.allclose(weyl_coordinates(np.eye(4, dtype=complex)).reduced(),
-                       (0.0, 0.0, 0.0), atol=1e-9)
+    c = weyl_coordinates(np.eye(4, dtype=complex))
+    assert np.allclose((c.theta_x, c.theta_y, c.theta_z), (0.0, 0.0, 0.0),
+                       atol=1e-9)
     c = weyl_coordinates(iswap())
     assert np.allclose((c.theta_x, c.theta_y, c.theta_z), (np.pi, np.pi, 0.0),
                        atol=1e-9)
@@ -103,39 +101,6 @@ def test_weyl_coordinates_stable_under_local_dressing():
         c = weyl_coordinates(u)
         assert np.allclose(sorted((c.theta_x, c.theta_y, c.theta_z)),
                            (0.0, np.pi, np.pi), atol=1e-6)
-
-
-def glycine_average(condition_class, m, phi=0.0):
-    c = dipolar_constants(GAMMA_C13, GLYCINE_CC_DISTANCE, deg_to_rad(64.0))
-    spec = make_average_spec(condition_class, m, np.radians(49.467364),
-                             np.radians(7.129919), c, phi=phi)
-    return spec, average_hamiltonian(spec)
-
-
-def test_canonical_angles_class_a():
-    spec, h = glycine_average("a", 2, phi=0.3)
-    t = 1e-3
-    angles = canonical_angles(h, t)
-    # spin-operator angle convention: theta = |B| omega_d2 t = 2|coupling| t
-    expected = 2.0 * abs(spec.coupling) * t
-    assert angles.theta_x == pytest.approx(expected, rel=1e-8)
-    assert angles.theta_y == pytest.approx(expected, rel=1e-8)
-    assert angles.theta_z == pytest.approx(0.0, abs=1e-10)
-
-
-def test_canonical_angles_classes_agree_after_reduction():
-    # flip-flop and flop-flop evolutions of equal strength are locally
-    # equivalent; their reduced angle triples coincide
-    _, ha = glycine_average("a", 2)
-    angles_a = canonical_angles(ha, 2e-3).reduced()
-    angles_b = CanonicalAngles(angles_a[0], -angles_a[0], 0.0).reduced()
-    assert np.allclose(angles_a, angles_b, atol=1e-10)
-
-
-def test_canonical_angles_rejects_non_bilinear():
-    h = np.diag([1.0, 0.5, -0.5, -1.0]).astype(complex)  # has single-spin part
-    with pytest.raises(ValueError):
-        canonical_angles(h, 1.0)
 
 
 def test_universality_classes():

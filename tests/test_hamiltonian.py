@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from r2tr.hamiltonian import (average_hamiltonian, bq_factors,
-                              constants_from_full, dipolar_constants,
+from r2tr.hamiltonian import (bq_factors, dipolar_constants,
                               dipolar_coupling_operator, effective_field,
-                              make_average_spec, static_drive_hamiltonian)
+                              static_drive_hamiltonian)
 from r2tr.operators import SpinSystem, spin_operator
 from r2tr.propagator import RFDrive, _segment_hamiltonian
 from r2tr.units import (GAMMA_C13, GLYCINE_CC_DISTANCE, TWO_PI, deg_to_rad,
@@ -39,22 +38,15 @@ def test_dipolar_constants_glycine():
         c.harmonic(3)
 
 
-def test_constants_from_full_matches():
-    c1 = dipolar_constants(GAMMA_C13, GLYCINE_CC_DISTANCE, deg_to_rad(64.0))
-    c2 = constants_from_full(c1.omega_full, deg_to_rad(64.0))
-    assert c2.omega_d1 == pytest.approx(c1.omega_d1)
-    assert c2.omega_d2 == pytest.approx(c1.omega_d2)
-
-
 def test_harmonic_amplitudes_vs_theta():
     # at the magic angle-ish extremes: theta = 0 kills both harmonics,
     # theta = 90 deg kills the first and maximizes the second
-    c0 = constants_from_full(1.0, 0.0)
-    assert c0.omega_d1 == pytest.approx(0.0, abs=1e-12)
-    assert c0.omega_d2 == pytest.approx(0.0, abs=1e-12)
-    c90 = constants_from_full(1.0, np.pi / 2)
-    assert c90.omega_d1 == pytest.approx(0.0, abs=1e-12)
-    assert c90.omega_d2 == pytest.approx(1.0)
+    c0 = dipolar_constants(GAMMA_C13, GLYCINE_CC_DISTANCE, 0.0)
+    assert c0.omega_d1 == pytest.approx(0.0, abs=1e-12 * c0.omega_full)
+    assert c0.omega_d2 == pytest.approx(0.0, abs=1e-12 * c0.omega_full)
+    c90 = dipolar_constants(GAMMA_C13, GLYCINE_CC_DISTANCE, np.pi / 2)
+    assert c90.omega_d1 == pytest.approx(0.0, abs=1e-12 * c90.omega_full)
+    assert c90.omega_d2 == pytest.approx(c90.omega_full)
 
 
 def test_modulation_is_rotor_periodic_and_zero_mean():
@@ -141,32 +133,3 @@ def test_bq_factor_ranges(bi, bs):
     b, q = bq_factors(bi, bs)
     assert -0.25 - 1e-12 <= b <= 0.125 + 1e-12
     assert -0.125 - 1e-12 <= q <= 0.375 + 1e-12
-
-
-def test_average_hamiltonian_class_a_is_flip_flop():
-    c = dipolar_constants(GAMMA_C13, GLYCINE_CC_DISTANCE, deg_to_rad(64.0))
-    spec = make_average_spec("a", 2, np.radians(BETA_I_DEG),
-                             np.radians(BETA_S_DEG), c, phi=0.0)
-    # coupling keeps B's sign; it sets the sense of the flip-flop phase
-    assert spec.coupling == pytest.approx(0.5 * B_FACTOR * c.omega_d2,
-                                          rel=1e-9)
-    h = average_hamiltonian(spec)
-    assert np.allclose(h, h.conj().T)
-    # flip-flop couples only |01> <-> |10>
-    assert abs(h[0, 3]) < 1e-12
-    assert abs(h[1, 2]) > 0
-
-
-def test_average_hamiltonian_class_b_is_flop_flop():
-    c = dipolar_constants(GAMMA_C13, GLYCINE_CC_DISTANCE, deg_to_rad(64.0))
-    spec = make_average_spec("b", 1, 0.2, 0.3, c, phi=0.5)
-    h = average_hamiltonian(spec)
-    assert np.allclose(h, h.conj().T)
-    assert abs(h[1, 2]) < 1e-12
-    assert abs(h[0, 3]) > 0
-
-
-def test_average_spec_phase_tracks_rotor_phase():
-    c = dipolar_constants(GAMMA_C13, GLYCINE_CC_DISTANCE, deg_to_rad(64.0))
-    spec = make_average_spec("a", 2, 0.2, 0.3, c, phi=0.7)
-    assert spec.phase == pytest.approx(2 * 0.7)

@@ -263,6 +263,8 @@ def test_event_validation():
         Delay(duration=-1e-3)
     with pytest.raises(ValueError):
         IdealRotation((), "x", np.pi)
+    with pytest.raises(ValueError):
+        IdealRotation((0, 0), "x", np.pi / 2)
     with pytest.raises(TypeError):
         run_sequence(basis_state("00"), glycine_system(), ["pulse"], 1e-4)
 

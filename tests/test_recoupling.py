@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 from r2tr.hamiltonian import dipolar_constants
 from r2tr import recoupling
 from r2tr.recoupling import (condition_residual, make_plan, operating_point,
-                             plans_to_json, predicted_exchange_period,
-                             solve_amplitude, solve_plans, theta_from_period)
+                             plans_to_json, solve_amplitude, solve_plans,
+                             theta_from_period)
 from r2tr.units import GAMMA_C13, GLYCINE_CC_DISTANCE, TWO_PI, deg_to_rad
 
 W_R = TWO_PI * 7884.0
@@ -126,13 +126,6 @@ def test_solve_amplitude_impossible_condition_is_empty():
     assert len(solve_amplitude(D_I, D_S, W_R, "b", 1)) == 0
 
 
-def test_predicted_exchange_period_glycine():
-    c = glycine_constants()
-    coupling = TWO_PI * 155.973071  # 0.5*|B|*omega_d2 at the operating point
-    assert predicted_exchange_period(coupling) == pytest.approx(3.2057e-3,
-                                                                rel=1e-4)
-
-
 def test_theta_from_period_matches_known_geometry():
     c = glycine_constants()
     b_factor = -0.182023118
@@ -147,7 +140,7 @@ def test_theta_period_round_trip(theta_deg):
     b_factor = -0.182023118
     coupling = 0.5 * abs(b_factor) * c.omega_full * math.sin(
         math.radians(theta_deg)) ** 2
-    period = predicted_exchange_period(coupling)
+    period = 2.0 * math.pi / (2.0 * coupling)
     theta = theta_from_period(period, b_factor, c.omega_full)
     assert math.degrees(theta) == pytest.approx(theta_deg, abs=1e-9)
 
@@ -203,7 +196,11 @@ def test_operating_point_glycine():
     assert point.b_factor == pytest.approx(-0.182023118, abs=1e-8)
     assert point.q_factor == pytest.approx(0.067976882, abs=1e-8)
     assert point.coupling == pytest.approx(0.5 * abs(point.b_factor) * c.omega_d2)
-    assert point.exchange_period == predicted_exchange_period(point.coupling)
+    assert point.coupling / TWO_PI == pytest.approx(155.973071, rel=1e-6)
+    # the coupled states Rabi at twice the coupling: 2 pi / (|B| omega_d2)
+    assert point.exchange_period == pytest.approx(3.2057e-3, rel=1e-4)
+    assert point.exchange_period == pytest.approx(
+        TWO_PI / (abs(point.b_factor) * c.omega_d2), rel=1e-12)
     # no coupling along the spinning axis: no exchange
     assert operating_point(D_I, D_S, TWO_PI * 2339.0, glycine_constants(0.0),
                            "a", 2).exchange_period == math.inf

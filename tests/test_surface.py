@@ -1,0 +1,85 @@
+"""The package surface: every function, class and method in src has a caller,
+every exported name resolves, and the README's library example runs."""
+
+import ast
+import collections
+import pathlib
+import re
+
+import r2tr
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "r2tr"
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
+
+
+def _references(node):
+    """Counter of the names that `node` reads as a Name or an Attribute."""
+    names = collections.Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            names[sub.attr] += 1
+    return names
+
+
+def _definitions(tree):
+    """(label, name, node) of each module-level function and class, and of
+    each non-dunder method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+def uncalled_definitions(src_dir, acceptance_path):
+    """Labels of the definitions in src_dir/*.py (but __init__.py) whose name
+    is read nowhere else in those files, is not imported or read as an
+    attribute by the acceptance tests, and is not the console script `main`."""
+    modules = {path.name: ast.parse(path.read_text(), str(path))
+               for path in sorted(pathlib.Path(src_dir).glob("*.py"))
+               if path.name != "__init__.py"}
+    everywhere = sum((_references(tree) for tree in modules.values()),
+                     collections.Counter())
+    acceptance = ast.parse(pathlib.Path(acceptance_path).read_text())
+    allowed = {"main"}
+    for node in ast.walk(acceptance):
+        if isinstance(node, ast.ImportFrom):
+            allowed.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            allowed.add(node.attr)
+    uncalled = []
+    for module, tree in modules.items():
+        for label, name, node in _definitions(tree):
+            elsewhere = everywhere[name] - _references(node)[name]
+            if elsewhere <= 0 and name not in allowed:
+                uncalled.append(f"{module}:{label}")
+    return uncalled
+
+
+def test_every_src_definition_has_a_caller():
+    # no helper stays in src that only its own unit test calls
+    assert uncalled_definitions(SRC, ACCEPTANCE) == []
+
+
+def test_public_names_resolve():
+    assert len(set(r2tr.__all__)) == len(r2tr.__all__)
+    assert [name for name in r2tr.__all__ if not hasattr(r2tr, name)] == []
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    traj = namespace["traj"]
+    # the pi pulse inverts I; two exchange periods on the match swap the
+    # polarizations back and forth
+    assert traj.iz[0] < -0.45
+    assert traj.iz.max() > 0.45

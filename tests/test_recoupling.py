@@ -197,6 +197,11 @@ def test_operating_point_glycine():
     assert point.q_factor == pytest.approx(0.067976882, abs=1e-8)
     assert point.coupling == pytest.approx(0.5 * abs(point.b_factor) * c.omega_d2)
     assert point.coupling / TWO_PI == pytest.approx(155.973071, rel=1e-6)
+
+
+def test_predicted_exchange_period_glycine():
+    c = glycine_constants()
+    point = operating_point(D_I, D_S, TWO_PI * 2339.0, c, "a", 2)
     # the coupled states Rabi at twice the coupling: 2 pi / (|B| omega_d2)
     assert point.exchange_period == pytest.approx(3.2057e-3, rel=1e-4)
     assert point.exchange_period == pytest.approx(

@@ -26,8 +26,8 @@ from .propagator import (DEFAULT_STEPS_PER_PERIOD, CWSegment, Delay,
 from .readout import classify_state, fid_to_csv, simulate_fid, stick_spectrum
 from .recoupling import (brentq, operating_point, plans_to_json, solve_plans,
                          theta_from_period)
-from .units import (GAMMA_C13, GLYCINE_CC_DISTANCE, HBAR, MU0_OVER_4PI,
-                    TWO_PI, deg_to_rad, hz_to_angular, ppm_to_hz, rad_to_deg)
+from .units import (GAMMA_C13, HBAR, MU0_OVER_4PI, TWO_PI, deg_to_rad,
+                    hz_to_angular, ppm_to_hz, rad_to_deg)
 
 SCHEMA_VERSION = 1
 FLAG = (True, False)

@@ -16,9 +16,11 @@ carries its rotor-harmonic decomposition, and each step uses its exact
 integral plus the leading commutator correction, so the step error is far
 below the sampling error. Every step exponential is taken via Hermitian
 eigendecomposition, keeping unitarity at roundoff. The steps are
-exponentiated in fixed blocks, and each block's run of steps between two
-samples is multiplied out by batched pairwise products before it is
-folded into U, so no Python loop runs once per step.
+taken in fixed blocks: each block's generators are built and
+exponentiated together, and its run of steps between two samples is
+multiplied out by batched pairwise products before it is folded into U,
+so no Python loop runs once per step. Only the segment's time grid
+(8 B per step) outlives a block, so memory is O(8 B/step + one block).
 """
 
 from dataclasses import dataclass
@@ -164,20 +166,20 @@ class HarmonicHamiltonian:
                                 + np.cos(2.0 * arg) / (4.0 * wr**2))
         return out
 
-    def step_generators(self, t0, t1, steps):
-        """Hermitian generators M_k with U_k = exp(-i M_k) for each sub-step.
+    def step_generators(self, edges, dt):
+        """Hermitian generators M_k with U_k = exp(-i M_k) for the steps
+        between consecutive edges, each dt long.
 
         M_k = integral of H over the step plus the leading Magnus
         commutator term (which is i times an anti-Hermitian matrix, hence
-        Hermitian as written).
+        Hermitian as written). The antiderivatives are evaluated once per
+        edge and differenced.
         """
-        edges = np.linspace(t0, t1, steps + 1)
-        a, b = edges[:-1], edges[1:]
-        dt = (t1 - t0) / steps
-        area = self._p(b) - self._p(a)
+        p, q, r = self._p(edges), self._q(edges), self._r(edges)
+        area = p[1:] - p[:-1]
         # K = iint_{t0<t2<t1<t} (D(t2) - D(t1)) dt2 dt1 over the step
-        term1 = (self._q(b) - self._q(a)) - self._p(a) * dt
-        term2 = (self._r(b) - self._r(a)) - a * area
+        term1 = (q[1:] - q[:-1]) - p[:-1] * dt
+        term2 = (r[1:] - r[:-1]) - edges[:-1] * area
         k = term1 - term2
         m = (dt * self.h_static[None, :, :]
              + area[:, None, None] * self.h_dip[None, :, :]
@@ -209,27 +211,32 @@ def _chain(unitaries):
     return unitaries[0]
 
 
-def _fold(u, generators, marks=()):
-    """Fold the step unitaries exp(-i M_k) of the generators M_k into u in
-    time order; return u and the partial products after the steps in marks.
+def _fold(u, fn, edges, marks=()):
+    """Fold the step unitaries exp(-i M_k) of fn's steps between consecutive
+    edges into u in time order; return u and the partial products after
+    the steps in marks.
 
-    This is the only product over step unitaries. The steps are
-    exponentiated FOLD_BLOCK at a time, with one batched Hermitian
-    eigendecomposition per block. Within a block, each run of steps that
-    ends at a mark or at the block edge is reduced by `_chain` and then
-    multiplied into u. Marks are step indices in range(len(generators));
-    a repeated mark gives one partial product.
+    This is the only product over step unitaries. The steps are taken
+    FOLD_BLOCK at a time: a block's generators are built, checked and
+    exponentiated with one batched Hermitian eigendecomposition, then
+    dropped, so no array of one entry per step is held but the edges.
+    Within a block, each run of steps that ends at a mark or at the block
+    edge is reduced by `_chain` and then multiplied into u. Marks are step
+    indices in range(len(edges) - 1); a repeated mark gives one partial
+    product.
     """
-    if not np.all(np.isfinite(generators)):
-        raise ValueError("Hamiltonian produced non-finite entries")
+    steps = len(edges) - 1
+    dt = (edges[-1] - edges[0]) / steps
     marked = {k + 1 for k in marks}
-    cuts = sorted(marked | set(range(FOLD_BLOCK, len(generators), FOLD_BLOCK))
-                  | {len(generators)})
+    cuts = sorted(marked | set(range(FOLD_BLOCK, steps, FOLD_BLOCK)) | {steps})
     start, partial = 0, []
     for stop in cuts:
         edge = start - start % FOLD_BLOCK
         if start == edge:
-            evals, evecs = np.linalg.eigh(generators[start:start + FOLD_BLOCK])
+            generators = fn.step_generators(edges[start:start + FOLD_BLOCK + 1], dt)
+            if not np.all(np.isfinite(generators)):
+                raise ValueError("Hamiltonian produced non-finite entries")
+            evals, evecs = np.linalg.eigh(generators)
             block = (evecs * np.exp(-1j * evals)[:, None, :]) @ evecs.conj().swapaxes(1, 2)
         u = _chain(block[start - edge:stop - edge]) @ u
         if stop in marked:
@@ -245,7 +252,7 @@ def segment_propagator(hamiltonian_fn, t0, t1, steps):
     if steps < 1:
         raise ValueError("steps must be >= 1")
     u = np.eye(4, dtype=complex)
-    return u if t1 == t0 else _fold(u, hamiltonian_fn.step_generators(t0, t1, steps))[0]
+    return u if t1 == t0 else _fold(u, hamiltonian_fn, np.linspace(t0, t1, steps + 1))[0]
 
 
 def _segment_hamiltonian(system, drive, constants, dipolar_on=True):
@@ -315,10 +322,10 @@ def _propagate(system, events, steps_per_period, sample_every):
             continue
         t0, t = t, t + event.duration
         steps = max(1, math.ceil(event.duration / system.rotor_period * steps_per_period))
-        ends = t0 + np.arange(1, steps + 1) * (event.duration / steps)
-        marks, due = _due_steps(ends, due, sample_every, samples[-1][0])
-        u, partial = _fold(u_open @ u, fn.step_generators(t0, t, steps), marks)
-        samples += [(float(ends[k]), u_close @ v) for k, v in zip(marks, partial)]
+        edges = np.linspace(t0, t, steps + 1)
+        marks, due = _due_steps(edges[1:], due, sample_every, samples[-1][0])
+        u, partial = _fold(u_open @ u, fn, edges, marks)
+        samples += [(float(edges[k + 1]), u_close @ v) for k, v in zip(marks, partial)]
         u = u_close @ u
     if samples and samples[-1][0] >= t:
         t = samples.pop()[0]  # a sample at the end gives way to U

@@ -1,4 +1,6 @@
 import functools
+import math
+import tracemalloc
 
 from hypothesis import example, given, settings, strategies as st
 import numpy as np
@@ -77,7 +79,9 @@ def test_segment_propagator_self_convergence():
 def test_fold_matches_serial_product(steps):
     sys = glycine_system(phi=0.3)
     fn = harmonic_hamiltonian(sys, RFDrive(omega_1=hz_to_angular(2339.0)))
-    generators = fn.step_generators(0.0, steps / 64 * sys.rotor_period, steps)
+    t1 = steps / 64 * sys.rotor_period
+    edges = np.linspace(0.0, t1, steps + 1)
+    generators = fn.step_generators(edges, t1 / steps)
     unitaries = [expm(-1j * m) for m in generators]
     u0 = rotation_unitary((0,), "x", 0.7)
 
@@ -88,12 +92,38 @@ def test_fold_matches_serial_product(steps):
     # step 0 and the last step, each twice, and both sides of every block edge
     marks = [0, 0, steps - 1, steps - 1] + [
         k for edge in range(FOLD_BLOCK, steps, FOLD_BLOCK) for k in (edge - 1, edge)]
-    u, partial = _fold(u0, generators, marks)
+    u, partial = _fold(u0, fn, edges, marks)
     assert np.max(np.abs(u - serial(steps - 1))) < 1e-12
     expected = sorted(set(marks))
     assert len(partial) == len(expected)
     for k, v in zip(expected, partial):
         assert np.max(np.abs(v - serial(k))) < 1e-12, k
+
+
+def test_non_finite_hamiltonian_is_rejected():
+    sys = glycine_system()
+    fn = harmonic_hamiltonian(sys)
+    bad = HarmonicHamiltonian(fn.h_static, fn.h_dip, fn.omega_r, fn.phi,
+                              math.inf, fn.omega_d2)
+    with np.errstate(invalid="ignore"), pytest.raises(
+            ValueError, match="Hamiltonian produced non-finite entries"):
+        segment_propagator(bad, 0.0, sys.rotor_period, 64)
+
+
+def test_extract_gate_memory_does_not_grow_with_segment_length():
+    # generators are built one fold block at a time, so a long segment holds
+    # its 8 B/step edges and one block, far below one (steps, 4, 4) array
+    sys = glycine_system(phi=0.3)
+    steps = 2**16
+    seg = CWSegment(drive=RFDrive(omega_1=hz_to_angular(2339.0)),
+                    duration=steps / 1024 * sys.rotor_period)
+    tracemalloc.start()
+    try:
+        extract_gate(sys, [seg], steps_per_period=1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < steps * 64
 
 
 def test_harmonic_antiderivatives_match_quadrature():
@@ -102,13 +132,46 @@ def test_harmonic_antiderivatives_match_quadrature():
     fn = harmonic_hamiltonian(sys, None)
     t0, t1 = 1.3e-5, 6.1e-5
     num, _ = quad(lambda t: fn.modulation(t), t0, t1, limit=200)
-    mods = fn.step_generators(t0, t1, 1)
+    dt = t1 - t0
+    mods = fn.step_generators(np.linspace(t0, t1, 2), dt)
     # single step: generator = dt*h_static + integral(D)*h_dip + commutator term;
     # read the integral off the |00><00| element, where h_dip is diagonal (1/4)
-    dt = t1 - t0
     h_static = static_drive_hamiltonian(sys, None)
     area = (mods[0][0, 0] - dt * h_static[0, 0]).real / 0.25
     assert area == pytest.approx(num, rel=1e-10)
+
+
+@st.composite
+def segments(draw):
+    """A random segment: geometry, spin rate, offsets, drive amplitude and
+    phase, start time and step count."""
+    system = SpinSystem(
+        gamma=GAMMA_C13, r=draw(st.floats(1.2e-10, 3e-10)),
+        theta_d=draw(st.floats(0.0, np.pi)), phi=draw(st.floats(0.0, TWO_PI)),
+        omega_r=hz_to_angular(draw(st.floats(2e3, 3e4))),
+        offsets=tuple(hz_to_angular(draw(st.floats(-3e4, 3e4))) for _ in range(2)))
+    drive = RFDrive(omega_1=hz_to_angular(draw(st.floats(0.0, 2e4))),
+                    phase=draw(st.floats(-np.pi, np.pi)))
+    t0 = draw(st.floats(0.0, 2.0)) * system.rotor_period
+    t1 = t0 + draw(st.floats(0.01, 2.0)) * system.rotor_period
+    return harmonic_hamiltonian(system, drive), t0, t1, draw(st.integers(1, 1500))
+
+
+@settings(max_examples=40, deadline=None)
+@given(segment=segments(), k=st.integers(1, 5))
+def test_segment_propagator_is_rotor_periodic(segment, k):
+    fn, t0, t1, steps = segment
+    shift = k * TWO_PI / fn.omega_r
+    u = segment_propagator(fn, t0, t1, steps)
+    u_shifted = segment_propagator(fn, t0 + shift, t1 + shift, steps)
+    assert np.max(np.abs(u_shifted - u)) < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(segment=segments())
+def test_segment_propagator_is_unitary(segment):
+    u = segment_propagator(*segment)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-11
 
 
 def test_trim_unitaries_are_inverse_pairs():

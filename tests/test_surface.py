@@ -67,6 +67,28 @@ def test_every_src_definition_has_a_caller():
     assert uncalled_definitions(SRC, ACCEPTANCE) == []
 
 
+def unused_imports(src_dir):
+    """module:name of each name that a src_dir/*.py module (but __init__.py)
+    imports and never reads as a Name."""
+    unused = []
+    for path in sorted(pathlib.Path(src_dir).glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        unused.append(f"{path.name}:{bound}")
+    return unused
+
+
+def test_every_src_import_is_read():
+    assert unused_imports(SRC) == []
+
+
 def test_public_names_resolve():
     assert len(set(r2tr.__all__)) == len(r2tr.__all__)
     assert [name for name in r2tr.__all__ if not hasattr(r2tr, name)] == []

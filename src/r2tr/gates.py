@@ -12,9 +12,11 @@ import math
 
 import numpy as np
 
-from .operators import check_unitary
+from .operators import check_unitary, spin_operator
 
 _SQ2 = math.sqrt(2.0)
+# decimal digits of the Weyl coordinates
+WEYL_NDIGITS = 10
 
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / _SQ2
@@ -150,57 +152,44 @@ class CanonicalAngles:
     theta_z: float
 
 
-def _reduce_angles(angles):
-    """Canonical orbit representative under the local-equivalence moves:
-    any angle may shift by 2 pi, any two may flip sign, any permutation."""
-    period = 2.0 * math.pi
-
-    def normalize(a):
-        return tuple(sorted(x % period for x in a))
-
-    best = normalize(angles)
-    seen = {best}
-    frontier = [best]
-    while frontier:
-        new = []
-        for cur in frontier:
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    cand = list(cur)
-                    cand[i] = -cand[i]
-                    cand[j] = -cand[j]
-                    cand = normalize(cand)
-                    if cand not in seen:
-                        seen.add(cand)
-                        new.append(cand)
-        frontier = new
-    best = min(seen)
-    return tuple(sorted(best, reverse=True))
-
-
 def universality_class(angles, tol=1e-9):
-    """Classify interaction angles by entangling power, after reduction.
+    """Classify interaction angles by entangling power.
 
-    `angles` is a plain (Pauli-convention) triple or the CanonicalAngles of
-    weyl_coordinates, which carry 4x those angles.
-    'non-entangling' if all angles vanish, 'excluded-swap-class' if all
-    three equal pi/4, 'universal' otherwise.
+    `angles` is a plain (Pauli-convention) triple (a, b, c), standing for the
+    gate exp[i (a XX + b YY + c ZZ)], or the CanonicalAngles of
+    weyl_coordinates, which carry 4x those angles. A triple is classified by
+    the Weyl coordinates of its gate, so the class is invariant under global
+    phase, a pi/2 shift of any angle and a sign flip of any two.
+    'non-entangling' if all Weyl angles vanish, 'excluded-swap-class' if all
+    three equal pi/4, 'universal' otherwise; tol is in Pauli-convention
+    radians.
     """
-    if isinstance(angles, CanonicalAngles):
-        angles = (angles.theta_x / 4.0, angles.theta_y / 4.0, angles.theta_z / 4.0)
-    reduced = _reduce_angles(angles)
-    if all(abs(a) <= tol for a in reduced):
+    if not isinstance(angles, CanonicalAngles):
+        # the gate is the product of its commuting factors
+        # cos(a) 1 + i sin(a) XX, ..., with XX = 4 Ix Sx
+        u = np.eye(4, dtype=complex)
+        for angle, axis in zip(angles, "xyz"):
+            pp = 4.0 * spin_operator(0, axis) @ spin_operator(1, axis)
+            u = (math.cos(angle) * np.eye(4) + 1j * math.sin(angle) * pp) @ u
+        angles = weyl_coordinates(u)
+    pauli = (angles.theta_x / 4.0, angles.theta_y / 4.0, angles.theta_z / 4.0)
+    if all(abs(a) <= tol for a in pauli):
         return "non-entangling"
-    if all(abs(a - math.pi / 4) <= tol for a in reduced):
+    if all(abs(a - math.pi / 4) <= tol for a in pauli):
         return "excluded-swap-class"
     return "universal"
 
 
-def weyl_coordinates(u, ndigits=10):
+def weyl_coordinates(u):
     """Weyl-chamber interaction angles of a two-qubit gate, as CanonicalAngles
-    (4x the Pauli-exponent coordinates).
+    (4x the Pauli-exponent coordinates), rounded to WEYL_NDIGITS digits.
 
-    Follows the spectral method of Childs et al., PRA 68, 052311 (2003).
+    Follows the spectral method of Childs et al., PRA 68, 052311 (2003); on
+    the theta_z = 0 face, theta_x and 2 pi - theta_x are one point and the
+    smaller is returned, so the boundary theta_x = 2 pi becomes 0. Gates
+    that differ by single-qubit gates, global phase, a pi/2 shift of any
+    Pauli-convention angle or a sign flip of any two get the same point
+    (Zhang et al., PRA 67, 042313 (2003)).
     """
     u = np.asarray(u, dtype=complex)
     check_unitary(u, tol=1e-9)
@@ -219,7 +208,12 @@ def weyl_coordinates(u, ndigits=10):
         c1, c3 = 1 - c1, -c3
     # c_k are in units of pi/2 in the Pauli-exponent convention; the
     # spin-operator convention used throughout carries a factor 4.
-    coords = np.round(np.array([c1, c2, c3]) * (math.pi / 2.0) * 4.0, ndigits)
+    coords = np.round(np.array([c1, c2, c3]) * (math.pi / 2.0) * 4.0, WEYL_NDIGITS)
+    if coords[2] == 0.0 and coords[0] > round(math.pi, WEYL_NDIGITS):
+        # on the c3 = 0 face c1 and 1 - c1 are one point (a pi/2 shift and a
+        # pair sign flip, as in the c3 < 0 rule); take c1 <= 1/2, which also
+        # maps the boundary c1 = 1 to 0 (exp(i pi/2 XX) = i XX)
+        coords[0] = round(2.0 * math.pi - coords[0], WEYL_NDIGITS)
     return CanonicalAngles(*coords)
 
 

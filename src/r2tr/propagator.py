@@ -138,34 +138,6 @@ class HarmonicHamiltonian:
         self.omega_d2 = omega_d2
         self._comm = self.h_static @ self.h_dip - self.h_dip @ self.h_static
 
-    def modulation(self, t):
-        arg = self.omega_r * np.asarray(t) + self.phi
-        return self.omega_d1 * np.cos(arg) + self.omega_d2 * np.cos(2.0 * arg)
-
-    def __call__(self, t):
-        return self.h_static + self.modulation(t) * self.h_dip
-
-    def _p(self, t):
-        # antiderivative of D
-        arg = self.omega_r * t + self.phi
-        return (self.omega_d1 / self.omega_r * np.sin(arg)
-                + self.omega_d2 / (2.0 * self.omega_r) * np.sin(2.0 * arg))
-
-    def _q(self, t):
-        # antiderivative of P
-        arg = self.omega_r * t + self.phi
-        return (-self.omega_d1 / self.omega_r**2 * np.cos(arg)
-                - self.omega_d2 / (4.0 * self.omega_r**2) * np.cos(2.0 * arg))
-
-    def _r(self, t):
-        # antiderivative of t * D(t)
-        arg = self.omega_r * t + self.phi
-        wr = self.omega_r
-        out = self.omega_d1 * (t * np.sin(arg) / wr + np.cos(arg) / wr**2)
-        out += self.omega_d2 * (t * np.sin(2.0 * arg) / (2.0 * wr)
-                                + np.cos(2.0 * arg) / (4.0 * wr**2))
-        return out
-
     def step_generators(self, edges, dt):
         """Hermitian generators M_k with U_k = exp(-i M_k) for the steps
         between consecutive edges, each dt long.
@@ -175,7 +147,15 @@ class HarmonicHamiltonian:
         Hermitian as written). The antiderivatives are evaluated once per
         edge and differenced.
         """
-        p, q, r = self._p(edges), self._q(edges), self._r(edges)
+        arg = self.omega_r * edges + self.phi
+        sin1, cos1 = np.sin(arg), np.cos(arg)
+        sin2, cos2 = np.sin(2.0 * arg), np.cos(2.0 * arg)
+        wr, d1, d2 = self.omega_r, self.omega_d1, self.omega_d2
+        # P, Q and R: the antiderivatives of D, of P and of t D(t)
+        p = d1 / wr * sin1 + d2 / (2.0 * wr) * sin2
+        q = -d1 / wr**2 * cos1 - d2 / (4.0 * wr**2) * cos2
+        r = d1 * (edges * sin1 / wr + cos1 / wr**2)
+        r += d2 * (edges * sin2 / (2.0 * wr) + cos2 / (4.0 * wr**2))
         area = p[1:] - p[:-1]
         # K = iint_{t0<t2<t1<t} (D(t2) - D(t1)) dt2 dt1 over the step
         term1 = (q[1:] - q[:-1]) - p[:-1] * dt

@@ -16,6 +16,10 @@ from .propagator import rotation_unitary
 from .units import angular_to_hz
 
 
+# smallest |peak amplitude| that classify_state reads as a bit
+CLASSIFY_THRESHOLD = 0.2
+
+
 class UnclassifiableStateError(ValueError):
     """A peak amplitude is below the classification threshold."""
 
@@ -62,18 +66,19 @@ def simulate_fid(rho, system, duration, dwell):
     return fid
 
 
-def classify_state(spectrum, threshold=0.2):
+def classify_state(spectrum):
     """Basis-state label from peak signs: positive -> 0, negative -> 1.
 
     Returns the label as a string ordered |I>|S>, e.g. '01'. Raises
-    UnclassifiableStateError when any |amplitude| falls below threshold.
+    UnclassifiableStateError when any |amplitude| falls below
+    CLASSIFY_THRESHOLD.
     """
     bits = []
     for off, amp in spectrum.peaks:
-        if abs(amp) < threshold:
+        if abs(amp) < CLASSIFY_THRESHOLD:
             raise UnclassifiableStateError(
                 f"peak at {off:.1f} Hz has amplitude {amp:.3f}, below "
-                f"threshold {threshold}")
+                f"threshold {CLASSIFY_THRESHOLD}")
         bits.append("0" if amp > 0 else "1")
     return "".join(bits)
 

@@ -19,6 +19,10 @@ from .units import angular_to_hz
 
 SOLVER_REL_TOL = 1e-6
 BRACKET_FACTOR = 10.0  # search amplitudes up to 10 * omega_r
+SOLVER_GRID_POINTS = 4096  # sign-change grid of solve_amplitude
+# brentq's relative x tolerance and step limit, as in scipy.optimize.brentq
+BRENT_RTOL = 4 * np.finfo(float).eps
+BRENT_MAXITER = 100
 SELECTIVITY_THRESHOLD_HZ = 1000.0  # shift differences below this recouple poorly
 
 
@@ -43,26 +47,31 @@ class RecouplingPlan:
     warning: str = None
 
     def to_record(self):
-        """JSON-ready dict with frequencies in Hz."""
+        """JSON-ready dict with frequencies in Hz; a non-finite
+        mechanism_score or exchange_period_s is None (JSON null)."""
         rec = asdict(self)
         for key in ("delta_i", "delta_s", "omega_1", "residual", "coupling"):
             rec[key + "_hz"] = angular_to_hz(rec.pop(key))
         rec["exchange_period_s"] = rec.pop("exchange_period")
+        # a carrier on one resonance scores inf, a zero coupling never exchanges
+        for key in ("mechanism_score", "exchange_period_s"):
+            if not math.isfinite(rec[key]):
+                rec[key] = None
         return rec
 
 
-def plans_to_json(plans, indent=2):
-    return json.dumps([p.to_record() for p in plans], indent=indent)
+def plans_to_json(plans):
+    return json.dumps([p.to_record() for p in plans], indent=2, allow_nan=False)
 
 
-def brentq(f, xa, xb, xtol, rtol=4 * np.finfo(float).eps, maxiter=100):
+def brentq(f, xa, xb, xtol):
     """A root of f in [xa, xb], where f changes sign, by Brent's method.
 
     Step for step the method of scipy.optimize.brentq (Brent 1973, ch. 4):
     inverse quadratic or secant steps, bisection when they do not shrink
     the bracket fast enough, and convergence once half the bracket is
-    below (xtol + rtol |x|) / 2. Raises ValueError when f(xa) and f(xb)
-    have the same sign, RuntimeError after maxiter steps.
+    below (xtol + BRENT_RTOL |x|) / 2. Raises ValueError when f(xa) and
+    f(xb) have the same sign, RuntimeError after BRENT_MAXITER steps.
     """
     xpre, xcur = float(xa), float(xb)
     fpre, fcur = f(xpre), f(xcur)
@@ -73,7 +82,7 @@ def brentq(f, xa, xb, xtol, rtol=4 * np.finfo(float).eps, maxiter=100):
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(xa) and f(xb) must have different signs")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(BRENT_MAXITER):
         if fpre != 0.0 and fcur != 0.0 and (
                 math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
             xblk, fblk = xpre, fpre
@@ -82,7 +91,7 @@ def brentq(f, xa, xb, xtol, rtol=4 * np.finfo(float).eps, maxiter=100):
             # keep the best estimate in xcur
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -103,7 +112,7 @@ def brentq(f, xa, xb, xtol, rtol=4 * np.finfo(float).eps, maxiter=100):
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = f(xcur)
-    raise RuntimeError(f"brentq did not converge in {maxiter} steps")
+    raise RuntimeError(f"brentq did not converge in {BRENT_MAXITER} steps")
 
 
 def condition_residual(delta_i, delta_s, omega_1, omega_r, condition_class, m):
@@ -119,8 +128,7 @@ def condition_residual(delta_i, delta_s, omega_1, omega_r, condition_class, m):
     raise ValueError(f"condition class must be 'a' or 'b', got {condition_class!r}")
 
 
-def solve_amplitude(delta_i, delta_s, omega_r, condition_class, m,
-                    grid_points=4096):
+def solve_amplitude(delta_i, delta_s, omega_r, condition_class, m):
     """All RF amplitudes in [0, 10 * omega_r] satisfying the matching condition.
 
     Roots are located by sign changes on a dense grid and polished by
@@ -133,7 +141,7 @@ def solve_amplitude(delta_i, delta_s, omega_r, condition_class, m,
         return condition_residual(delta_i, delta_s, w1, omega_r, condition_class, m)
 
     upper = BRACKET_FACTOR * omega_r
-    grid = np.linspace(0.0, upper, grid_points)
+    grid = np.linspace(0.0, upper, SOLVER_GRID_POINTS)
     vals = np.array([f(w) for w in grid])
     roots = []
     tol = SOLVER_REL_TOL * omega_r

@@ -193,6 +193,25 @@ def test_cli_solve_no_solution(tmp_path, capsys):
     assert "no solution" in out
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("offsets_hz, theta_d_deg", [([0.0, 12000.0], 64.0),
+                                                     ([2000.0, 18699.0], 0.0)])
+def test_cli_solve_writes_strict_json(tmp_path, capsys, offsets_hz, theta_d_deg):
+    # a carrier on one resonance scores inf, and a pair along the spinning
+    # axis never exchanges: both are written as null, not as Infinity
+    cfg = glycine_defaults()
+    cfg["system"]["offsets_hz"] = offsets_hz
+    cfg["system"]["theta_d_deg"] = theta_d_deg
+    path = write_config(tmp_path, cfg)
+    assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 0
+    plans = json.loads((tmp_path / "plans.json").read_text(),
+                       parse_constant=_reject_constant)
+    assert any(None in (p["mechanism_score"], p["exchange_period_s"]) for p in plans)
+
+
 PULSE = {"type": "pulse", "targets": [0], "axis": "x", "angle_deg": 180.0}
 CW = {"type": "cw", "duration_s": 1e-3}
 

@@ -1,6 +1,8 @@
 import json
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
+import scipy.linalg
 
 from r2tr.gates import (cnot, cns, cns_circuit, gate_to_json, iswap,
                         locally_equivalent, makhlin_invariants,
@@ -118,6 +120,54 @@ def test_universality_class_mod_2pi_and_signs():
     assert universality_class((2 * np.pi, -2 * np.pi, 0.0)) == "non-entangling"
     assert universality_class((-np.pi / 4, -np.pi / 4, np.pi / 4)) == \
         "excluded-swap-class"
+
+
+def test_universality_class_pi_half_shifts_and_global_phase():
+    # exp(i pi/2 XX) = i XX is local, and a pi/2 shift keeps the SWAP class
+    assert universality_class((np.pi / 2, 0.0, 0.0)) == "non-entangling"
+    assert universality_class((3 * np.pi / 4, np.pi / 4, np.pi / 4)) == \
+        "excluded-swap-class"
+    c = weyl_coordinates(1j * np.eye(4))
+    assert np.allclose((c.theta_x, c.theta_y, c.theta_z), (0.0, 0.0, 0.0),
+                       atol=1e-9)
+
+
+PAULI_PAIRS = [np.kron(p, p) for p in (np.array([[0, 1], [1, 0]]),
+                                       np.array([[0, -1j], [1j, 0]]),
+                                       np.diag([1, -1]))]
+QUARTER = np.pi / 4
+# a Pauli-convention angle on the pi/4 grid, or at least 1e-3 away from it,
+# so that the Makhlin class of a triple is unambiguous
+ANGLE = st.one_of(
+    st.integers(-8, 8).map(lambda k: k * QUARTER),
+    st.floats(-4.0, 4.0).filter(lambda a: abs(a / QUARTER - round(a / QUARTER)) > 1e-3))
+
+
+def makhlin_class(u):
+    """The class the Makhlin invariants give: (1, 3) for local gates and
+    (-1, -3) for the SWAP class."""
+    g1, g2 = makhlin_invariants(u)
+    if abs(g1 - 1.0) < 1e-9 and abs(g2 - 3.0) < 1e-9:
+        return "non-entangling"
+    if abs(g1 + 1.0) < 1e-9 and abs(g2 + 3.0) < 1e-9:
+        return "excluded-swap-class"
+    return "universal"
+
+
+@settings(max_examples=200, deadline=None)
+@given(angles=st.tuples(ANGLE, ANGLE, ANGLE), seed=st.integers(0, 2**32 - 1),
+       k=st.integers(1, 3))
+def test_universality_class_agrees_with_makhlin_invariants(angles, seed, k):
+    rng = np.random.default_rng(seed)
+    gate = scipy.linalg.expm(1j * sum(a * pp for a, pp in zip(angles, PAULI_PAIRS)))
+    u = random_local(rng) @ gate @ random_local(rng)
+    expected = makhlin_class(u)
+    assert universality_class(angles) == expected
+    c = weyl_coordinates(u)
+    assert universality_class(c) == expected
+    phased = weyl_coordinates(1j**k * u)
+    assert np.allclose((phased.theta_x, phased.theta_y, phased.theta_z),
+                       (c.theta_x, c.theta_y, c.theta_z), atol=1e-6)
 
 
 def test_gate_json_round_trip():

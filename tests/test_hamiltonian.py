@@ -27,6 +27,12 @@ def glycine_system(phi=0.0):
                       offsets=(TWO_PI * 2000.0, TWO_PI * 18699.0))
 
 
+def modulation(fn, t):
+    """D(t) of a HarmonicHamiltonian: its two rotor harmonics at time t."""
+    arg = fn.omega_r * np.asarray(t) + fn.phi
+    return fn.omega_d1 * np.cos(arg) + fn.omega_d2 * np.cos(2.0 * arg)
+
+
 def test_dipolar_constants_glycine():
     c = dipolar_constants(GAMMA_C13, GLYCINE_CC_DISTANCE, deg_to_rad(64.0))
     assert c.omega_full / TWO_PI == pytest.approx(OMEGA_FULL_HZ, abs=1e-3)
@@ -54,9 +60,9 @@ def test_modulation_is_rotor_periodic_and_zero_mean():
     c = dipolar_constants(sys.gamma, sys.r, sys.theta_d)
     fn = _segment_hamiltonian(sys, None, c)
     t = np.linspace(0.0, sys.rotor_period, 4097)[:-1]
-    d = fn.modulation(t)
+    d = modulation(fn, t)
     assert np.mean(d) == pytest.approx(0.0, abs=1e-6 * c.omega_full)
-    d_shift = fn.modulation(t + 3 * sys.rotor_period)
+    d_shift = modulation(fn, t + 3 * sys.rotor_period)
     assert np.allclose(d, d_shift, atol=1e-6)
 
 
@@ -89,7 +95,7 @@ def test_rotating_frame_hamiltonian_is_hermitian():
     drive = RFDrive(omega_1=hz_to_angular(2339.0), phase=0.4)
     fn = _segment_hamiltonian(sys, drive, c)
     for t in (0.0, 1.7e-5, 3.3e-4):
-        h = fn(t)
+        h = fn.h_static + modulation(fn, t) * fn.h_dip
         assert np.allclose(h, h.conj().T)
 
 

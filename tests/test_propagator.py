@@ -131,7 +131,11 @@ def test_harmonic_antiderivatives_match_quadrature():
     sys = glycine_system(phi=0.9)
     fn = harmonic_hamiltonian(sys, None)
     t0, t1 = 1.3e-5, 6.1e-5
-    num, _ = quad(lambda t: fn.modulation(t), t0, t1, limit=200)
+    def modulation(t):
+        arg = fn.omega_r * t + fn.phi
+        return fn.omega_d1 * np.cos(arg) + fn.omega_d2 * np.cos(2.0 * arg)
+
+    num, _ = quad(modulation, t0, t1, limit=200)
     dt = t1 - t0
     mods = fn.step_generators(np.linspace(t0, t1, 2), dt)
     # single step: generator = dt*h_static + integral(D)*h_dip + commutator term;

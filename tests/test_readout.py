@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from r2tr import readout
 from r2tr.operators import SpinSystem, basis_state
 from r2tr.readout import (Spectrum, UnclassifiableStateError, classify_state,
                           fid_to_csv, simulate_fid, stick_spectrum)
@@ -38,11 +39,12 @@ def test_classify_round_trip():
         assert classify_state(sp) == label
 
 
-def test_classify_threshold():
+def test_classify_threshold(monkeypatch):
     sp = Spectrum(peaks=((2000.0, 0.05), (18699.0, 1.0)))
     with pytest.raises(UnclassifiableStateError):
-        classify_state(sp, threshold=0.2)
-    assert classify_state(sp, threshold=0.01) == "00"
+        classify_state(sp)
+    monkeypatch.setattr(readout, "CLASSIFY_THRESHOLD", 0.01)
+    assert classify_state(sp) == "00"
 
 
 def test_fid_of_ground_state():
@@ -74,7 +76,7 @@ def test_fid_transform_peak_positions_and_signs():
     assert np.all(np.abs(freqs[strongest] - np.array([2000.0, 18699.0])) <= bin_width)
     peaks = tuple(zip(freqs[strongest], amps[strongest]))
     assert peaks[0][1] < 0 < peaks[1][1]
-    assert classify_state(Spectrum(peaks=peaks), threshold=0.2) == "10"
+    assert classify_state(Spectrum(peaks=peaks)) == "10"
 
 
 def test_parseval():

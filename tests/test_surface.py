@@ -1,5 +1,6 @@
 """The package surface: every function, class and method in src has a caller,
-every exported name resolves, and the README's library example runs."""
+every defaulted parameter is set by some caller, every exported name
+resolves, and the README's library example runs."""
 
 import ast
 import collections
@@ -65,6 +66,58 @@ def uncalled_definitions(src_dir, acceptance_path):
 def test_every_src_definition_has_a_caller():
     # no helper stays in src that only its own unit test calls
     assert uncalled_definitions(SRC, ACCEPTANCE) == []
+
+
+def _calls(trees):
+    """name -> the Call nodes in trees whose callee is that Name or Attribute."""
+    calls = collections.defaultdict(list)
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls[name].append(node)
+    return calls
+
+
+def _passes(call, index, param):
+    """True if call passes param: by keyword or **, or at position index
+    (None for a keyword-only parameter) or through *."""
+    return (any(kw.arg in (param, None) for kw in call.keywords)
+            or any(isinstance(arg, ast.Starred) for arg in call.args)
+            or (index is not None and len(call.args) > index))
+
+
+def unset_defaults(src_dir, acceptance_path):
+    """module:function(parameter) of each defaulted parameter of a src_dir/*.py
+    function or method (but __init__.py's) that no call in those files or in
+    the acceptance tests sets, by keyword or by position."""
+    modules = {path.name: ast.parse(path.read_text(), str(path))
+               for path in sorted(pathlib.Path(src_dir).glob("*.py"))
+               if path.name != "__init__.py"}
+    calls = _calls([*modules.values(), ast.parse(pathlib.Path(acceptance_path).read_text())])
+    unset = []
+    for module, tree in modules.items():
+        for label, name, node in _definitions(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            if "." in label:  # a method: calls do not pass self
+                positional = positional[1:]
+            defaulted = ([(k, a.arg) for k, a in enumerate(positional)][-len(args.defaults):]
+                         if args.defaults else [])
+            defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            for index, param in defaulted:
+                if not any(_passes(call, index, param) for call in calls[name]):
+                    unset.append(f"{module}:{label}({param})")
+    return unset
+
+
+def test_every_src_default_is_set_somewhere():
+    # a default that no caller overrides is a constant, not a parameter
+    assert unset_defaults(SRC, ACCEPTANCE) == []
 
 
 def unused_imports(src_dir):

@@ -160,9 +160,9 @@ def universality_class(angles, tol=1e-9):
     weyl_coordinates, which carry 4x those angles. A triple is classified by
     the Weyl coordinates of its gate, so the class is invariant under global
     phase, a pi/2 shift of any angle and a sign flip of any two.
-    'non-entangling' if all Weyl angles vanish, 'excluded-swap-class' if all
-    three equal pi/4, 'universal' otherwise; tol is in Pauli-convention
-    radians.
+    'non-entangling' if the Weyl angles are those of the identity, (0, 0, 0)
+    or (pi/2, 0, 0), 'excluded-swap-class' if all three equal pi/4,
+    'universal' otherwise; tol is in Pauli-convention radians.
     """
     if not isinstance(angles, CanonicalAngles):
         # the gate is the product of its commuting factors
@@ -173,7 +173,9 @@ def universality_class(angles, tol=1e-9):
             u = (math.cos(angle) * np.eye(4) + 1j * math.sin(angle) * pp) @ u
         angles = weyl_coordinates(u)
     pauli = (angles.theta_x / 4.0, angles.theta_y / 4.0, angles.theta_z / 4.0)
-    if all(abs(a) <= tol for a in pauli):
+    # the identity class has two chamber images, (0, 0, 0) and (pi/2, 0, 0)
+    if (min(abs(pauli[0]), abs(pauli[0] - math.pi / 2)) <= tol
+            and all(abs(a) <= tol for a in pauli[1:])):
         return "non-entangling"
     if all(abs(a - math.pi / 4) <= tol for a in pauli):
         return "excluded-swap-class"

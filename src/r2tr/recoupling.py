@@ -119,8 +119,9 @@ def condition_residual(delta_i, delta_s, omega_1, omega_r, condition_class, m):
     """Distance (rad/s) from the matching condition for the given class/harmonic."""
     if m not in (1, 2):
         raise ValueError(f"harmonic m must be 1 or 2, got {m}")
-    w_ei = effective_field(delta_i, omega_1).omega_e
-    w_es = effective_field(delta_s, omega_1).omega_e
+    # the omega_e of effective_field, without its tilt angle
+    w_ei = math.hypot(delta_i, omega_1)
+    w_es = math.hypot(delta_s, omega_1)
     if condition_class == "a":
         return abs(w_es - w_ei) - m * omega_r
     if condition_class == "b":
@@ -132,8 +133,8 @@ def solve_amplitude(delta_i, delta_s, omega_r, condition_class, m):
     """All RF amplitudes in [0, 10 * omega_r] satisfying the matching condition.
 
     Roots are located by sign changes on a dense grid and polished by
-    bisection; an empty list means the condition has no solution at this
-    carrier placement. Each root satisfies
+    Brent's method (brentq); an empty list means the condition has no
+    solution at this carrier placement. Each root satisfies
     |condition_residual| < 1e-6 * omega_r.
     """
 
@@ -142,15 +143,13 @@ def solve_amplitude(delta_i, delta_s, omega_r, condition_class, m):
 
     upper = BRACKET_FACTOR * omega_r
     grid = np.linspace(0.0, upper, SOLVER_GRID_POINTS)
-    vals = np.array([f(w) for w in grid])
-    roots = []
+    vals = np.fromiter(map(f, grid), float, len(grid))
     tol = SOLVER_REL_TOL * omega_r
-    for k in range(len(grid) - 1):
-        a, b = vals[k], vals[k + 1]
-        if a == 0.0:
-            roots.append(grid[k])
-        elif a * b < 0.0:
-            roots.append(brentq(f, grid[k], grid[k + 1], xtol=1e-3 * tol))
+    # a cell brackets a root when it starts on a zero or changes sign
+    cells = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
+    roots = [grid[k] if vals[k] == 0.0
+             else brentq(f, grid[k], grid[k + 1], xtol=1e-3 * tol)
+             for k in cells]
     if vals[-1] == 0.0:
         roots.append(grid[-1])
     return [r for r in roots if abs(f(r)) < tol]

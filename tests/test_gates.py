@@ -132,6 +132,16 @@ def test_universality_class_pi_half_shifts_and_global_phase():
                        atol=1e-9)
 
 
+def test_universality_class_tolerance_reaches_both_identity_images():
+    # (0, 0, 0) and (pi/2, 0, 0) are both the identity class: a gate within
+    # tol of either is non-entangling
+    assert universality_class((0.001, 0.001, 0.0005), tol=1e-2) == "non-entangling"
+    assert universality_class((np.pi / 2 - 0.001, 0.001, 0.0005), tol=1e-2) == \
+        "non-entangling"
+    assert universality_class((np.pi / 2 - 0.1, 0.001, 0.0005), tol=1e-2) == \
+        "universal"
+
+
 PAULI_PAIRS = [np.kron(p, p) for p in (np.array([[0, 1], [1, 0]]),
                                        np.array([[0, -1j], [1j, 0]]),
                                        np.diag([1, -1]))]

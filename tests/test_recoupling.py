@@ -1,11 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from r2tr.hamiltonian import dipolar_constants
+from r2tr.cli import build_system, glycine_defaults
+from r2tr.hamiltonian import dipolar_constants, effective_field
 from r2tr import recoupling
 from r2tr.recoupling import (condition_residual, make_plan, operating_point,
                              plans_to_json, solve_amplitude, solve_plans,
@@ -110,10 +112,14 @@ def test_brentq_matches_scipy(point, data):
     assert calls == expected_calls
 
 
-@settings(max_examples=40, deadline=None)
-@given(point=st.one_of(matchable(), st.builds(
+# a matchable point or any offsets, spin rate and condition
+POINTS = st.one_of(matchable(), st.builds(
     lambda d_i, d_s, rate, condition: (TWO_PI * d_i, TWO_PI * d_s, TWO_PI * rate, *condition),
-    OFFSET_HZ, OFFSET_HZ, SPIN_RATE_HZ, CONDITIONS)))
+    OFFSET_HZ, OFFSET_HZ, SPIN_RATE_HZ, CONDITIONS))
+
+
+@settings(max_examples=40, deadline=None)
+@given(point=POINTS)
 def test_solve_amplitude_roots_meet_the_condition(point):
     d_i, d_s, w_r, *condition = point
     for root in solve_amplitude(d_i, d_s, w_r, *condition):
@@ -124,6 +130,105 @@ def test_solve_amplitude_roots_meet_the_condition(point):
 def test_solve_amplitude_impossible_condition_is_empty():
     # sum of effective fields always exceeds m*omega_r here: no solution
     assert len(solve_amplitude(D_I, D_S, W_R, "b", 1)) == 0
+
+
+def effective_field_residual(delta_i, delta_s, omega_1, omega_r, condition_class, m):
+    """condition_residual through effective_field's omega_e, the reference
+    that its math.hypot must match to the bit."""
+    w_ei = effective_field(delta_i, omega_1).omega_e
+    w_es = effective_field(delta_s, omega_1).omega_e
+    if condition_class == "a":
+        return abs(w_es - w_ei) - m * omega_r
+    return (w_ei + w_es) - m * omega_r
+
+
+def per_cell_solve_amplitude(residual, delta_i, delta_s, omega_r, condition_class, m):
+    """solve_amplitude's grid and brackets, visited cell by cell in a Python
+    loop: the reference it must match root for root and evaluation for
+    evaluation."""
+
+    def f(w1):
+        return residual(delta_i, delta_s, w1, omega_r, condition_class, m)
+
+    upper = recoupling.BRACKET_FACTOR * omega_r
+    grid = np.linspace(0.0, upper, recoupling.SOLVER_GRID_POINTS)
+    vals = np.array([f(w) for w in grid])
+    roots = []
+    tol = recoupling.SOLVER_REL_TOL * omega_r
+    for k in range(len(grid) - 1):
+        a, b = vals[k], vals[k + 1]
+        if a == 0.0:
+            roots.append(grid[k])
+        elif a * b < 0.0:
+            roots.append(recoupling.brentq(f, grid[k], grid[k + 1], xtol=1e-3 * tol))
+    if vals[-1] == 0.0:
+        roots.append(grid[-1])
+    return [r for r in roots if abs(f(r)) < tol]
+
+
+def recording(residual, calls):
+    def wrapper(*args):
+        value = residual(*args)
+        calls.append((args, value))
+        return value
+    return wrapper
+
+
+def assert_solves_like_per_cell_scan(point, monkeypatch):
+    calls, expected_calls = [], []
+    monkeypatch.setattr(recoupling, "condition_residual",
+                        recording(condition_residual, calls))
+    roots = solve_amplitude(*point)
+    expected = per_cell_solve_amplitude(
+        recording(effective_field_residual, expected_calls), *point)
+    monkeypatch.undo()
+    assert roots == expected
+    assert calls == expected_calls
+    return roots
+
+
+@settings(max_examples=40, deadline=None)
+@given(point=POINTS)
+def test_solve_amplitude_matches_per_cell_scan(point):
+    # the same roots, to the bit, from the same residual evaluations
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_solves_like_per_cell_scan(point, monkeypatch)
+
+
+def test_solve_amplitude_keeps_exact_grid_zeros(monkeypatch):
+    # class b with offsets (0, 2), w_r = 1 and m = 2 is met at w_1 = 0, the
+    # first grid point; (3, 0), w_r = 9, m = 1 at w_1 = 4 = grid[182]
+    assert assert_solves_like_per_cell_scan((0.0, 2.0, 1.0, "b", 2), monkeypatch) == [0.0]
+    assert assert_solves_like_per_cell_scan((3.0, 0.0, 9.0, "b", 1), monkeypatch) == [4.0]
+    for point in ((D_I, D_S, W_R, "a", 2), (0.0, 0.0, W_R, "b", 1)):
+        assert_solves_like_per_cell_scan(point, monkeypatch)
+
+
+def test_default_solve_makes_the_pinned_residual_evaluations(monkeypatch):
+    # the 16,398 evaluations that bench/selftest.py pins for the default
+    # `r2tr solve`: four 4,096-point grids, the Brent steps, the root filter
+    # and one residual per plan
+    system = build_system(glycine_defaults())
+    calls = []
+    monkeypatch.setattr(recoupling, "condition_residual",
+                        recording(condition_residual, calls))
+    plans = solve_plans(system.offsets[0], system.offsets[1], system.omega_r,
+                        dipolar_constants(system.gamma, system.r, system.theta_d))
+    assert len(plans) == 2
+    assert len(calls) == 16398
+
+
+def test_solve_amplitude_memory_holds_no_per_point_objects():
+    # the scan keeps the grid, the values and the bracket mask as arrays;
+    # a Python list of the values costs far more than four grid-sized arrays
+    solve_amplitude(D_I, D_S, W_R, "a", 2)
+    tracemalloc.start()
+    try:
+        solve_amplitude(D_I, D_S, W_R, "a", 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * recoupling.SOLVER_GRID_POINTS
 
 
 def test_theta_from_period_matches_known_geometry():

@@ -41,6 +41,9 @@ MAX_FID_POINTS = 2**20
 MIN_SPIN_RATE_HZ = 1.0
 # angular frequencies of the period fit's scan over [0.5, 1.5] of the guess
 FIT_SCAN_POINTS = 101
+# scan frequencies QR-factored together, so the fit's memory is this many
+# times the window's samples, not FIT_SCAN_POINTS times
+FIT_SCAN_CHUNK = 16
 
 
 class ConfigError(ValueError):
@@ -349,10 +352,14 @@ def fit_exchange_period(times, values, period_guess):
         residual = columns @ coef - values
         return float(residual @ (times * (q * columns[:, 1] - p * columns[:, 2])))
 
+    def sum_of_squares(w):
+        basis = np.linalg.qr(design(w))[0]  # orthonormal columns, per frequency
+        residuals = values - (basis @ (values @ basis)[..., None])[..., 0]
+        return np.sum(residuals**2, axis=-1)
+
     scan = np.linspace(0.5, 1.5, FIT_SCAN_POINTS) * (TWO_PI / period_guess)
-    basis = np.linalg.qr(design(scan))[0]  # orthonormal columns, per frequency
-    residuals = values - (basis @ (values @ basis)[..., None])[..., 0]
-    k = int(np.argmin(np.sum(residuals**2, axis=-1)))
+    k = int(np.argmin(np.concatenate([sum_of_squares(scan[i:i + FIT_SCAN_CHUNK])
+                                      for i in range(0, len(scan), FIT_SCAN_CHUNK)])))
     if k in (0, len(scan) - 1):
         raise RuntimeError("no cosine fit: the best frequency is at the edge of the scan")
     lo, hi = scan[k - 1], scan[k + 1]
@@ -464,6 +471,9 @@ def run_fig4(cfg):
     fit_cfg = preset_config("fig3a")
     fit_cfg["integrator"] = {"steps_per_period": steps}
     _, fit_report = _simulate_report(fit_cfg)
+    if "fitted_period_s" not in fit_report:
+        raise ValueError(f"fig4 needs the period of the fig3a fit, which found "
+                         f"none at {steps} steps per period")
     half_period = 0.5 * fit_report["fitted_period_s"]
 
     system, _, events, _ = build_run(dict(cfg, sequence=[
@@ -607,7 +617,9 @@ def cmd_repro(cfg, args):
         print(f"wrote {csv_path}")
         print(f"wrote {report_path}")
         if name == "fig3a":
-            print(f"fitted period: {report['fitted_period_s'] * 1e3:.4g} ms "
+            fitted = (f"{report['fitted_period_s'] * 1e3:.4g} ms"
+                      if "fitted_period_s" in report else "none, the fit found no period")
+            print(f"fitted period: {fitted} "
                   f"(analytic {report['analytic_period_s'] * 1e3:.4g} ms)")
         else:
             print(f"max transfer: {report['max_transfer_fraction']:.4g}")

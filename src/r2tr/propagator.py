@@ -16,11 +16,12 @@ carries its rotor-harmonic decomposition, and each step uses its exact
 integral plus the leading commutator correction, so the step error is far
 below the sampling error. Every step exponential is taken via Hermitian
 eigendecomposition, keeping unitarity at roundoff. The steps are
-taken in fixed blocks: each block's generators are built and
+taken in fixed blocks: each block's edges and generators are built and
 exponentiated together, and its run of steps between two samples is
 multiplied out by batched pairwise products before it is folded into U,
-so no Python loop runs once per step. Only the segment's time grid
-(8 B per step) outlives a block, so memory is O(8 B/step + one block).
+so no Python loop runs once per step. No time grid is stored: a block's
+edges and the sample times are computed from the step, and one block is
+alive at a time, so memory is O(one block) whatever the segment's length.
 """
 
 from dataclasses import dataclass
@@ -161,10 +162,12 @@ class HarmonicHamiltonian:
         term1 = (q[1:] - q[:-1]) - p[:-1] * dt
         term2 = (r[1:] - r[:-1]) - edges[:-1] * area
         k = term1 - term2
-        m = (dt * self.h_static[None, :, :]
-             + area[:, None, None] * self.h_dip[None, :, :]
-             - (0.5j * k)[:, None, None] * self._comm[None, :, :])
-        return m
+        # an (n, 1) @ (1, 16) outer product allocates only its result, where
+        # a broadcast multiply also allocates two iterator buffers
+        m = area.astype(complex)[:, None] @ self.h_dip.reshape(1, 16)
+        m += (dt * self.h_static).reshape(1, 16)
+        m -= (0.5j * k)[:, None] @ self._comm.reshape(1, 16)
+        return m.reshape(-1, 4, 4)
 
 
 def _spin_rotation(angle, axis_op):
@@ -191,37 +194,54 @@ def _chain(unitaries):
     return unitaries[0]
 
 
-def _fold(u, fn, edges, marks=()):
-    """Fold the step unitaries exp(-i M_k) of fn's steps between consecutive
-    edges into u in time order; return u and the partial products after
+def _edge(t0, t1, steps, k):
+    """Edge k of `steps` equal steps over [t0, t1], bitwise equal to
+    np.linspace(t0, t1, steps + 1)[k] for k < steps (the last edge is t1);
+    k is an int or a float array of such indices."""
+    step = (t1 - t0) / steps
+    # linspace's own form for a step that rounds to zero
+    return k * step + t0 if step else k / steps * (t1 - t0) + t0
+
+
+def _fold(u, fn, t0, t1, steps, marks=()):
+    """Fold the step unitaries exp(-i M_k) of fn's `steps` equal steps over
+    [t0, t1] into u in time order; return u and the partial products after
     the steps in marks.
 
     This is the only product over step unitaries. The steps are taken
-    FOLD_BLOCK at a time: a block's generators are built, checked and
-    exponentiated with one batched Hermitian eigendecomposition, then
-    dropped, so no array of one entry per step is held but the edges.
-    Within a block, each run of steps that ends at a mark or at the block
-    edge is reduced by `_chain` and then multiplied into u. Marks are step
-    indices in range(len(edges) - 1); a repeated mark gives one partial
-    product.
+    FOLD_BLOCK at a time: a block's edges and generators are built, checked
+    and exponentiated with one batched Hermitian eigendecomposition. The
+    last block is released before the next one is built, so memory is one
+    block whatever the number of steps. Within a block, each run of steps
+    that ends at a mark or at the block edge is reduced by `_chain` and then
+    multiplied into u. Marks are step indices in range(steps); a repeated
+    mark gives one partial product.
     """
-    steps = len(edges) - 1
-    dt = (edges[-1] - edges[0]) / steps
-    marked = {k + 1 for k in marks}
-    cuts = sorted(marked | set(range(FOLD_BLOCK, steps, FOLD_BLOCK)) | {steps})
-    start, partial = 0, []
-    for stop in cuts:
-        edge = start - start % FOLD_BLOCK
-        if start == edge:
-            generators = fn.step_generators(edges[start:start + FOLD_BLOCK + 1], dt)
-            if not np.all(np.isfinite(generators)):
-                raise ValueError("Hamiltonian produced non-finite entries")
-            evals, evecs = np.linalg.eigh(generators)
-            block = (evecs * np.exp(-1j * evals)[:, None, :]) @ evecs.conj().swapaxes(1, 2)
-        u = _chain(block[start - edge:stop - edge]) @ u
-        if stop in marked:
+    dt = (t1 - t0) / steps
+    ends = sorted({k + 1 for k in marks})
+    partial, j = [], 0
+    for lo in range(0, steps, FOLD_BLOCK):
+        hi = min(lo + FOLD_BLOCK, steps)
+        block = None  # the last block goes before the next one is built
+        edges = _edge(t0, t1, steps, np.arange(lo, hi + 1, dtype=float))
+        if hi == steps:
+            edges[-1] = t1
+        generators = fn.step_generators(edges, dt)
+        if not np.all(np.isfinite(generators)):
+            raise ValueError("Hamiltonian produced non-finite entries")
+        evals, evecs = np.linalg.eigh(generators)
+        del generators
+        scaled = evecs * np.exp(-1j * evals)[:, None, :]
+        # conjugating in place keeps the reconstruction at three block arrays
+        block = scaled @ np.conjugate(evecs, out=evecs).swapaxes(1, 2)
+        del scaled, evecs
+        start = lo
+        while j < len(ends) and ends[j] <= hi:
+            u = _chain(block[start - lo:ends[j] - lo]) @ u
             partial.append(u)
-        start = stop
+            start, j = ends[j], j + 1
+        if start < hi:
+            u = _chain(block[start - lo:hi - lo]) @ u
     return u, partial
 
 
@@ -232,7 +252,7 @@ def segment_propagator(hamiltonian_fn, t0, t1, steps):
     if steps < 1:
         raise ValueError("steps must be >= 1")
     u = np.eye(4, dtype=complex)
-    return u if t1 == t0 else _fold(u, hamiltonian_fn, np.linspace(t0, t1, steps + 1))[0]
+    return u if t1 == t0 else _fold(u, hamiltonian_fn, t0, t1, steps)[0]
 
 
 def _segment_hamiltonian(system, drive, constants, dipolar_on=True):
@@ -258,16 +278,38 @@ def trim_unitaries(system, segment):
     return u_open, u_open.conj().T
 
 
-def _due_steps(ends, due, every, last):
-    """Steps at which samples fall due, and the next due time: the first step
-    end past `last` and `due` (less 1e-15 s of slack), then `due` += `every`."""
+def _due_steps(t0, t1, steps, due, every, last):
+    """Steps of `_fold`'s grid over [t0, t1] at which samples fall due, their
+    end times, and the next due time: the first step end past `last` and
+    `due` (less 1e-15 s of slack), then `due` += `every`.
+
+    The steps are those np.searchsorted finds on the grid's step ends, found
+    without building the grid: each is estimated from the uniform step, then
+    moved to the exact index by comparing with the ends `_edge` computes.
+    """
+    delta = t1 - t0
+
+    def end(k):
+        return t1 if k == steps - 1 else _edge(t0, t1, steps, k + 1)
+
+    def first(x):
+        # the first step whose end is >= x, or steps if there is none
+        if x > t1:
+            return steps
+        k = 0 if x <= t0 else min(max(math.ceil((x - t0) / delta * steps) - 1, 0), steps - 1)
+        while k > 0 and end(k - 1) >= x:
+            k -= 1
+        while end(k) < x:
+            k += 1
+        return k
+
     marks = []
-    k = int(np.searchsorted(ends, last, side="right"))
-    while (k := max(k, int(np.searchsorted(ends, due - 1e-15)))) < len(ends):
+    k = first(math.nextafter(last, math.inf))  # the first end > last
+    while (k := max(k, first(due - 1e-15))) < steps:
         marks.append(k)
         due += every
         k += 1
-    return marks, due
+    return marks, [end(k) for k in marks], due
 
 
 def _propagate(system, events, steps_per_period, sample_every):
@@ -302,10 +344,9 @@ def _propagate(system, events, steps_per_period, sample_every):
             continue
         t0, t = t, t + event.duration
         steps = max(1, math.ceil(event.duration / system.rotor_period * steps_per_period))
-        edges = np.linspace(t0, t, steps + 1)
-        marks, due = _due_steps(edges[1:], due, sample_every, samples[-1][0])
-        u, partial = _fold(u_open @ u, fn, edges, marks)
-        samples += [(float(edges[k + 1]), u_close @ v) for k, v in zip(marks, partial)]
+        marks, times, due = _due_steps(t0, t, steps, due, sample_every, samples[-1][0])
+        u, partial = _fold(u_open @ u, fn, t0, t, steps, marks)
+        samples += [(te, u_close @ v) for te, v in zip(times, partial)]
         u = u_close @ u
     if samples and samples[-1][0] >= t:
         t = samples.pop()[0]  # a sample at the end gives way to U

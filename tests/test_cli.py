@@ -6,14 +6,15 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 
 from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
-from r2tr.cli import (ConfigError, _simulate_report, build_drive, build_events,
-                      build_system, fit_exchange_period, glycine_defaults,
+from r2tr.cli import (FIT_SCAN_POINTS, ConfigError, _simulate_report, build_drive,
+                      build_events, build_system, fit_exchange_period, glycine_defaults,
                       load_config, main, preset_config, transfer_fraction)
 from r2tr.propagator import CWSegment, Delay, IdealRotation, Trajectory
 from r2tr.units import TWO_PI
@@ -144,6 +145,23 @@ def test_fit_exchange_period_without_interior_minimum():
     t = np.linspace(0.0, 6e-3, 60)
     with pytest.raises(RuntimeError):
         fit_exchange_period(t, 0.5 - 100.0 * t, period_guess=3e-3)
+
+
+def test_fit_exchange_period_memory_is_a_chunk_of_the_scan():
+    # the scan's frequencies are QR-factored a chunk at a time, so a long
+    # window holds less than one (FIT_SCAN_POINTS, samples, 3) design array;
+    # factoring the whole scan at once holds several
+    samples, period = 4000, 3.2e-3
+    t = np.linspace(0.0, 2.0 * period, samples)
+    iz = 0.02 - 0.48 * np.cos(TWO_PI * t / period)
+    tracemalloc.start()
+    try:
+        fit = fit_exchange_period(t, iz, period_guess=3.0e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit.period == pytest.approx(period, rel=1e-6)
+    assert peak < FIT_SCAN_POINTS * samples * 3 * 8
 
 
 def test_transfer_fraction_directions():
@@ -440,6 +458,28 @@ def test_cli_simulate_too_short_to_fit(tmp_path, capsys):
     assert "fitted_period_s" not in out
     assert "analytic_period_s" in out
     assert len((tmp_path / "trajectory.csv").read_text().splitlines()) == 1 + 3
+
+
+@pytest.mark.parametrize("steps", ["1", "2"])
+def test_cli_repro_fig3a_without_a_fit(tmp_path, capsys, steps):
+    # one or two steps per rotor period do not resolve the exchange: the
+    # report omits the fit, and fig3a says so and succeeds
+    assert main(["repro", "fig3a", "--steps-per-period", steps, "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "fitted period: none" in out
+    report = json.loads((tmp_path / "fig3a_report.json").read_text())
+    assert "fitted_period_s" not in report
+    assert "analytic_period_s" in report
+
+
+def test_cli_repro_fig4_without_a_fit(tmp_path, capsys):
+    # fig4 evolves for half the fitted fig3a period, which one step per
+    # rotor period does not find
+    assert main(["repro", "fig4", "--steps-per-period", "1", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "fig3a fit" in err and "at 1 steps per period" in err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("theta_d_deg", [0.0, 180.0])

@@ -12,7 +12,7 @@ from r2tr.hamiltonian import (dipolar_constants, effective_field,
 from r2tr.operators import (SpinSystem, basis_state, check_density_matrix,
                             check_unitary, expectation, spin_operator)
 from r2tr.propagator import (FOLD_BLOCK, CWSegment, Delay, HarmonicHamiltonian,
-                             IdealRotation, RFDrive, Trajectory, _fold,
+                             IdealRotation, RFDrive, Trajectory, _due_steps, _fold,
                              extract_gate, rotation_unitary, run_sequence,
                              segment_propagator, trim_unitaries)
 from r2tr.units import GAMMA_C13, GLYCINE_CC_DISTANCE, TWO_PI, deg_to_rad, hz_to_angular
@@ -92,7 +92,7 @@ def test_fold_matches_serial_product(steps):
     # step 0 and the last step, each twice, and both sides of every block edge
     marks = [0, 0, steps - 1, steps - 1] + [
         k for edge in range(FOLD_BLOCK, steps, FOLD_BLOCK) for k in (edge - 1, edge)]
-    u, partial = _fold(u0, fn, edges, marks)
+    u, partial = _fold(u0, fn, 0.0, t1, steps, marks)
     assert np.max(np.abs(u - serial(steps - 1))) < 1e-12
     expected = sorted(set(marks))
     assert len(partial) == len(expected)
@@ -111,8 +111,8 @@ def test_non_finite_hamiltonian_is_rejected():
 
 
 def test_extract_gate_memory_does_not_grow_with_segment_length():
-    # generators are built one fold block at a time, so a long segment holds
-    # its 8 B/step edges and one block, far below one (steps, 4, 4) array
+    # edges and generators are built one fold block at a time, so a long
+    # segment holds one block, far below one (steps, 4, 4) array
     sys = glycine_system(phi=0.3)
     steps = 2**16
     seg = CWSegment(drive=RFDrive(omega_1=hz_to_angular(2339.0)),
@@ -124,6 +124,36 @@ def test_extract_gate_memory_does_not_grow_with_segment_length():
     finally:
         tracemalloc.stop()
     assert peak < steps * 64
+
+
+def _peak_bytes(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("walk", [
+    pytest.param(lambda sys, seg: extract_gate(sys, [seg], steps_per_period=1024),
+                 id="extract_gate"),
+    # a sampling interval longer than the segment: no sample is due inside it
+    pytest.param(lambda sys, seg: run_sequence(basis_state("10"), sys, [seg],
+                                               sample_every=2 * seg.duration,
+                                               steps_per_period=1024),
+                 id="run_sequence"),
+])
+def test_walk_memory_is_flat_in_segment_length(walk):
+    # no per-step time grid and one fold block alive at a time: four times
+    # the steps leave the peak where it was
+    sys = glycine_system(phi=0.3)
+    drive = RFDrive(omega_1=hz_to_angular(2339.0))
+    peaks = []
+    for steps in (2**16, 2**18):
+        seg = CWSegment(drive=drive, duration=steps / 1024 * sys.rotor_period)
+        peaks.append(_peak_bytes(lambda: walk(sys, seg)))
+    assert abs(peaks[1] - peaks[0]) < 64 * 1024
 
 
 def test_harmonic_antiderivatives_match_quadrature():
@@ -385,3 +415,73 @@ def test_untrimmed_cw_composes_in_time(phi, periods, split):
     u = extract_gate(system, [whole], steps_per_period=512)
     u_parts = extract_gate(system, parts, steps_per_period=512)
     assert np.max(np.abs(u - u_parts)) < 1e-8
+
+
+# ------------------------------------------------- the streamed step grid
+
+def _due_steps_on_grid(ends, due, every, last):
+    """Reference for `_due_steps`: the same search by np.searchsorted on the
+    stored step ends np.linspace(t0, t1, steps + 1)[1:]."""
+    marks = []
+    k = int(np.searchsorted(ends, last, side="right"))
+    while (k := max(k, int(np.searchsorted(ends, due - 1e-15)))) < len(ends):
+        marks.append(k)
+        due += every
+        k += 1
+    return marks, due
+
+
+class _EdgeRecorder:
+    """A zero Hamiltonian that keeps the edges and step `_fold` gives it."""
+
+    def __init__(self):
+        self.blocks = []
+
+    def step_generators(self, edges, dt):
+        self.blocks.append((edges.copy(), dt))
+        return np.zeros((len(edges) - 1, 4, 4), dtype=complex)
+
+
+@st.composite
+def grids(draw):
+    """A segment's start and end, its step count, and a sampling state: the
+    next due time, the interval and the last sample's time."""
+    t0 = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.05), st.floats(0.0, 2.0)))
+    duration = draw(st.one_of(
+        st.floats(0.0, 3.0).map(lambda periods: periods * T_R),
+        # down to durations that t0 absorbs, t0 + duration == t0
+        st.integers(40, 60).map(lambda e: t0 * 2.0**-e),
+        st.sampled_from([0.0, 2.2e-210, 5e-324])))
+    t1 = t0 + duration
+    steps = draw(st.one_of(
+        st.integers(1, 2200),
+        st.builds(lambda m, d: m * FOLD_BLOCK + d, st.integers(1, 4), st.integers(-2, 2))))
+    every = draw(st.floats(0.01, 1.5)) * T_R  # rarely a divisor of T_r
+    ends = np.linspace(t0, t1, steps + 1)[1:]
+    step_end = st.integers(0, steps - 1).map(lambda k: float(ends[k]))
+    last = draw(st.one_of(st.just(t0), st.floats(0.0, t0), step_end,
+                          step_end.map(lambda t: math.nextafter(t, math.inf))))
+    due = draw(st.one_of(step_end, st.floats(-0.5, 1.5).map(lambda x: t0 + x * duration),
+                         st.just(last + every)))
+    return t0, t1, steps, due, every, last
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid=grids())
+@example(grid=(T_R, T_R + 2.2e-210, 1, T_R, 0.0546875 * T_R, T_R))
+@example(grid=(T_R, T_R + 2.2e-210, FOLD_BLOCK + 1, T_R, 0.0546875 * T_R, 0.0))
+def test_streamed_grid_matches_linspace(grid):
+    t0, t1, steps, due, every, last = grid
+    edges = np.linspace(t0, t1, steps + 1)
+    recorder = _EdgeRecorder()
+    _fold(np.eye(4, dtype=complex), recorder, t0, t1, steps)
+    assert len(recorder.blocks) == -(-steps // FOLD_BLOCK)
+    for b, (block_edges, dt) in enumerate(recorder.blocks):
+        lo = b * FOLD_BLOCK
+        assert block_edges.tobytes() == edges[lo:lo + FOLD_BLOCK + 1].tobytes()
+        assert dt == (edges[-1] - edges[0]) / steps
+    marks, times, next_due = _due_steps(t0, t1, steps, due, every, last)
+    expected, expected_due = _due_steps_on_grid(edges[1:], due, every, last)
+    assert marks == expected
+    assert times == [float(edges[k + 1]) for k in expected]
+    assert next_due == expected_due

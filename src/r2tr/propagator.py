@@ -15,9 +15,21 @@ Integration is by piecewise step exponentials. Each segment's Hamiltonian
 carries its rotor-harmonic decomposition, and each step uses its exact
 integral plus the leading commutator correction, so the step error is far
 below the sampling error. Every step exponential is taken via Hermitian
-eigendecomposition, keeping unitarity at roundoff. The steps are
-taken in fixed blocks: each block's edges and generators are built and
-exponentiated together, and its run of steps between two samples is
+eigendecomposition, keeping unitarity at roundoff.
+
+A segment is integrated in the singlet-triplet band frame Q = (S, T0, A,
+B): S and T0 are the singlet and central triplet, A is the combination of
+|00> and |11> that the offset and drive part couples to T0, and B is the
+orthogonal one. The secular dipolar operator is diagonal there, (0, -1/2,
+1/4, 1/4), and the offset and drive part is tridiagonal (S-T0 from the
+offset difference, T0-A from the drive, A-B from the offset sum), so every
+step generator is tridiagonal. Each generator is made real symmetric by a
+diagonal unitary similarity before its eigendecomposition, which then
+skips LAPACK's Householder reduction. The walk enters the frame with Q^dag
+and leaves it with Q.
+
+The steps are taken in fixed blocks: each block's edges and generators are
+built and exponentiated together, and its run of steps between two samples is
 multiplied out by batched pairwise products before it is folded into U,
 so no Python loop runs once per step. No time grid is stored: a block's
 edges and the sample times are computed from the step, and one block is
@@ -41,6 +53,14 @@ DEFAULT_STEPS_PER_PERIOD = 1024
 # steps per batch in `_fold`: one eigh and one pairwise reduction share their
 # Python overhead over this many steps, and a batch stays at 128 kB
 FOLD_BLOCK = 512
+# the singlet and central triplet of the pair, the band frame's first two
+# columns; the entries of a 4x4 tridiagonal matrix, its subdiagonal and the
+# entries off its band
+_SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+_TRIPLET0 = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
+_BAND = abs(np.subtract.outer(np.arange(4), np.arange(4))) <= 1
+_SUB_ROW, _SUB_COL = np.arange(1, 4), np.arange(3)
+_FAR_ROW, _FAR_COL = np.nonzero(~_BAND)
 
 
 @dataclass(frozen=True)
@@ -128,11 +148,17 @@ class HarmonicHamiltonian:
 
     Knows its own antiderivatives, which lets the integrator use exact
     per-step integrals and the leading commutator correction.
+
+    h_static and h_dip are written in the basis of frame's columns: frame
+    is a unitary Q, and the product-basis Hamiltonian is Q H(t) Q^dag. The
+    default is the identity, the product basis itself.
     """
 
-    def __init__(self, h_static, h_dip, omega_r, phi, omega_d1, omega_d2):
+    def __init__(self, h_static, h_dip, omega_r, phi, omega_d1, omega_d2,
+                 frame=None):
         self.h_static = np.asarray(h_static, dtype=complex)
         self.h_dip = np.asarray(h_dip, dtype=complex)
+        self.frame = np.eye(4, dtype=complex) if frame is None else frame
         self.omega_r = omega_r
         self.phi = phi
         self.omega_d1 = omega_d1
@@ -216,6 +242,14 @@ def _fold(u, fn, t0, t1, steps, marks=()):
     that ends at a mark or at the block edge is reduced by `_chain` and then
     multiplied into u. Marks are step indices in range(steps); a repeated
     mark gives one partial product.
+
+    Each generator M is decomposed as D M D^dag, D = diag(p) with
+    p_j = exp(-i sum_{m<j} theta_m) and theta_m the phase of M[m+1, m].
+    This is an exact unitary similarity for any Hermitian M, and it makes
+    the subdiagonal real, |M[m+1, m]|. A tridiagonal M (the band frame's
+    generators) so becomes real symmetric tridiagonal, and LAPACK skips its
+    Householder stage. The eigenvectors of M are those of D M D^dag with
+    their rows scaled by conj(p).
     """
     dt = (t1 - t0) / steps
     ends = sorted({k + 1 for k in marks})
@@ -229,9 +263,20 @@ def _fold(u, fn, t0, t1, steps, marks=()):
         generators = fn.step_generators(edges, dt)
         if not np.all(np.isfinite(generators)):
             raise ValueError("Hamiltonian produced non-finite entries")
+        sub = generators[:, _SUB_ROW, _SUB_COL]
+        p = np.ones((hi - lo, 4), dtype=complex)
+        # np.angle, not sub / abs(sub), which overflows on a subnormal entry
+        p[:, 1:] = np.exp(-1j * np.add.accumulate(np.angle(sub), axis=1))
+        # D M D^dag entry by entry: the diagonal keeps its value, the sub-
+        # and superdiagonal become moduli, and the entries off the band
+        # (zero in the band frame) take their phases p_i conj(p_j)
+        generators[:, _SUB_ROW, _SUB_COL] = generators[:, _SUB_COL, _SUB_ROW] = np.abs(sub)
+        generators[:, _FAR_ROW, _FAR_COL] *= p[:, _FAR_ROW] * p[:, _FAR_COL].conj()
         evals, evecs = np.linalg.eigh(generators)
-        del generators
-        scaled = evecs * np.exp(-1j * evals)[:, None, :]
+        del generators, sub
+        evecs = np.einsum("ni,nij->nij", p.conj(), evecs)
+        del p
+        scaled = np.einsum("nij,nj->nij", evecs, np.exp(-1j * evals))
         # conjugating in place keeps the reconstruction at three block arrays
         block = scaled @ np.conjugate(evecs, out=evecs).swapaxes(1, 2)
         del scaled, evecs
@@ -251,16 +296,36 @@ def segment_propagator(hamiltonian_fn, t0, t1, steps):
         raise ValueError("t1 must be >= t0")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    u = np.eye(4, dtype=complex)
-    return u if t1 == t0 else _fold(u, hamiltonian_fn, t0, t1, steps)[0]
+    if t1 == t0:
+        return np.eye(4, dtype=complex)
+    q = hamiltonian_fn.frame
+    return q @ _fold(q.conj().T, hamiltonian_fn, t0, t1, steps)[0]
 
 
 def _segment_hamiltonian(system, drive, constants, dipolar_on=True):
+    """A segment's Hamiltonian in the band frame Q = (S, T0, A, B), built in
+    closed form (no eigendecomposition): the offset and drive part is
+    tridiagonal there and the dipolar operator diagonal. Entries that are
+    zero in exact arithmetic are set to 0, as a roundoff entry would send
+    the eigensolver back to its full reduction."""
     h0 = static_drive_hamiltonian(system, drive)
-    hd = dipolar_coupling_operator()
+    # A is along the (|00>, |11>) part of h0 T0; it is scaled to a largest
+    # modulus of 1 before it is normalized, so that a subnormal drive keeps
+    # Q unitary, and by its real parts, as a complex division by a
+    # subnormal overflows. With no drive, A = |00>.
+    v = (h0 @ _TRIPLET0)[[0, 3]]
+    scale = np.max(np.abs(v))
+    a = (v.view(float) / scale).view(complex) if scale else np.array([1.0, 0j])
+    a /= math.hypot(*np.abs(a))
+    q = np.zeros((4, 4), dtype=complex)
+    q[:, 0], q[:, 1] = _SINGLET, _TRIPLET0
+    q[[0, 3], 2] = a
+    q[[0, 3], 3] = a[::-1].conj() * [-1.0, 1.0]
+    h0 = np.where(_BAND, q.conj().T @ h0 @ q, 0.0)
+    hd = np.diag(np.diag(q.conj().T @ dipolar_coupling_operator() @ q).real)
     d1 = constants.omega_d1 if dipolar_on else 0.0
     d2 = constants.omega_d2 if dipolar_on else 0.0
-    return HarmonicHamiltonian(h0, hd, system.omega_r, system.phi, d1, d2)
+    return HarmonicHamiltonian(h0, hd, system.omega_r, system.phi, d1, d2, frame=q)
 
 
 def trim_unitaries(system, segment):
@@ -345,7 +410,9 @@ def _propagate(system, events, steps_per_period, sample_every):
         t0, t = t, t + event.duration
         steps = max(1, math.ceil(event.duration / system.rotor_period * steps_per_period))
         marks, times, due = _due_steps(t0, t, steps, due, sample_every, samples[-1][0])
-        u, partial = _fold(u_open @ u, fn, t0, t, steps, marks)
+        # into the segment's band frame and, at each sample and the end, out
+        u_close = u_close @ fn.frame
+        u, partial = _fold(fn.frame.conj().T @ u_open @ u, fn, t0, t, steps, marks)
         samples += [(te, u_close @ v) for te, v in zip(times, partial)]
         u = u_close @ u
     if samples and samples[-1][0] >= t:

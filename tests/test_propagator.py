@@ -7,12 +7,16 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from r2tr.hamiltonian import (dipolar_constants, effective_field,
-                              static_drive_hamiltonian)
+from r2tr import propagator
+from r2tr.cli import (analytic_point, build_drive, build_run, build_system,
+                      main as cli_main, preset_config)
+from r2tr.hamiltonian import (dipolar_constants, dipolar_coupling_operator,
+                              effective_field, static_drive_hamiltonian)
 from r2tr.operators import (SpinSystem, basis_state, check_density_matrix,
                             check_unitary, expectation, spin_operator)
 from r2tr.propagator import (FOLD_BLOCK, CWSegment, Delay, HarmonicHamiltonian,
                              IdealRotation, RFDrive, Trajectory, _due_steps, _fold,
+                             _segment_hamiltonian,
                              extract_gate, rotation_unitary, run_sequence,
                              segment_propagator, trim_unitaries)
 from r2tr.units import GAMMA_C13, GLYCINE_CC_DISTANCE, TWO_PI, deg_to_rad, hz_to_angular
@@ -485,3 +489,150 @@ def test_streamed_grid_matches_linspace(grid):
     assert marks == expected
     assert times == [float(edges[k + 1]) for k in expected]
     assert next_due == expected_due
+
+
+# ------------------------------------- the singlet-triplet band frame
+
+def lab_frame_hamiltonian(system, drive, constants, dipolar_on=True):
+    """The reference for `_segment_hamiltonian`: the same segment in the
+    product basis, with the identity frame."""
+    d1 = constants.omega_d1 if dipolar_on else 0.0
+    d2 = constants.omega_d2 if dipolar_on else 0.0
+    return HarmonicHamiltonian(static_drive_hamiltonian(system, drive),
+                               dipolar_coupling_operator(), system.omega_r,
+                               system.phi, d1, d2)
+
+
+OFFSETS_HZ = st.floats(-3e4, 3e4)
+
+
+@st.composite
+def pair_segments(draw):
+    """A pair segment: offsets equal, opposite, one zero or free, a drive
+    from 0 with any phase, the dipolar term on or off, an odd start time
+    and a step count that may cross a fold block."""
+    first = draw(st.one_of(st.just(0.0), OFFSETS_HZ))
+    second = draw(st.one_of(st.just(first), st.just(-first), st.just(0.0), OFFSETS_HZ))
+    system = SpinSystem(
+        gamma=GAMMA_C13, r=draw(st.floats(1.2e-10, 3e-10)),
+        theta_d=draw(st.floats(0.0, np.pi)), phi=draw(st.floats(0.0, TWO_PI)),
+        omega_r=hz_to_angular(draw(st.floats(2e3, 3e4))),
+        offsets=(hz_to_angular(first), hz_to_angular(second)))
+    drive = RFDrive(omega_1=hz_to_angular(draw(st.one_of(st.just(0.0), st.floats(0.0, 2e4)))),
+                    phase=draw(st.floats(-np.pi, np.pi)))
+    t0 = draw(st.floats(0.0, 2.0)) * system.rotor_period
+    t1 = t0 + draw(st.floats(0.01, 2.0)) * system.rotor_period
+    return system, drive, draw(st.booleans()), t0, t1, draw(st.integers(1, 700))
+
+
+def _band_segment(segment):
+    system, drive, dipolar_on, t0, t1, steps = segment
+    constants = dipolar_constants(system.gamma, system.r, system.theta_d)
+    return (_segment_hamiltonian(system, drive, constants, dipolar_on),
+            lab_frame_hamiltonian(system, drive, constants, dipolar_on), t0, t1, steps)
+
+
+SUBNORMAL_DRIVE = (glycine_system(), RFDrive(omega_1=1e-310, phase=0.7), True,
+                   0.3 * T_R, 1.7 * T_R, 600)
+
+
+@settings(max_examples=40, deadline=None)
+@given(segment=pair_segments())
+@example(segment=SUBNORMAL_DRIVE)
+def test_band_frame_hands_eigh_real_tridiagonal_generators(segment):
+    # what keeps each eigh on LAPACK's quick path: every generator `_fold`
+    # decomposes is exactly zero off the tridiagonal band, with a real
+    # subdiagonal
+    fn, _, t0, t1, steps = _band_segment(segment)
+    q = fn.frame
+    assert np.max(np.abs(q.conj().T @ q - np.eye(4))) <= 1e-15
+    decomposed = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        decomposed.append(a.copy())
+        return eigh(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        u = segment_propagator(fn, t0, t1, steps)
+    assert sum(len(a) for a in decomposed) == steps
+    off_band = abs(np.subtract.outer(np.arange(4), np.arange(4))) > 1
+    for a in decomposed:
+        assert np.all(a[:, off_band] == 0)
+        assert np.all(a[:, [1, 2, 3], [0, 1, 2]].imag == 0)
+        assert np.all(a[:, [0, 1, 2], [1, 2, 3]].imag == 0)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-11
+
+
+@settings(max_examples=40, deadline=None)
+@given(segment=pair_segments())
+@example(segment=SUBNORMAL_DRIVE)
+def test_band_frame_propagator_matches_lab_frame(segment):
+    fn, lab, t0, t1, steps = _band_segment(segment)
+    assert np.max(np.abs(segment_propagator(fn, t0, t1, steps)
+                         - segment_propagator(lab, t0, t1, steps))) < 1e-10
+
+
+def _lab_frame_walk(run):
+    """run() with every segment of the walk in the product basis."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(propagator, "_segment_hamiltonian", lab_frame_hamiltonian)
+        return run()
+
+
+def assert_walk_matches_lab_frame(system, events, sample_every, steps_per_period):
+    def gate():
+        return extract_gate(system, events, steps_per_period=steps_per_period)
+
+    def trajectory():
+        return run_sequence(basis_state("10"), system, events, sample_every,
+                            steps_per_period=steps_per_period)
+
+    assert np.max(np.abs(gate() - _lab_frame_walk(gate))) < 1e-10
+    traj, expected = trajectory(), _lab_frame_walk(trajectory)
+    assert traj.times.tobytes() == expected.times.tobytes()
+    assert np.max(np.abs(traj.iz - expected.iz)) < 1e-10
+    assert np.max(np.abs(traj.sz - expected.sz)) < 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(phi=st.floats(0.0, TWO_PI),
+       events=st.lists(st.one_of(PULSES, TIMED), max_size=5),
+       sample_periods=st.floats(0.05, 1.5))
+@example(phi=1.3, events=[Delay(0.37 * T_R, dipolar_on=False),
+                          CWSegment(RFDrive(hz_to_angular(2339.0), 0.9), 1.1 * T_R),
+                          Delay(0.8 * T_R)],
+         sample_periods=0.31)
+def test_walk_matches_lab_frame_walk(phi, events, sample_periods):
+    # segments start at odd times after the ones before them, and the
+    # sampling interval rarely divides T_r
+    assert_walk_matches_lab_frame(glycine_system(phi=phi), events,
+                                  sample_periods * T_R, 64)
+
+
+@pytest.mark.parametrize("preset", ["fig3a", "fig3b", "fig4"])
+def test_presets_match_lab_frame_walk(preset):
+    cfg = preset_config(preset)
+    if preset == "fig4":
+        # fig4's gate: CW for about half the exchange period
+        system, drive = build_system(cfg), build_drive(cfg)
+        cfg["sequence"] = [{"type": "cw", "duration_s": 0.5 * analytic_point(
+            system, drive).exchange_period}]
+    system, _, events, steps = build_run(cfg)
+    assert_walk_matches_lab_frame(system, events, system.rotor_period, steps)
+
+
+def test_fig3a_makes_the_pinned_eigh_matrices(tmp_path, monkeypatch):
+    # the 51,761 matrices that bench/selftest.py pins for fig3a: one per
+    # integrator step, and no eigendecomposition to build the band frame
+    matrices = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        matrices.append(len(a) if a.ndim == 3 else 1)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    assert cli_main(["repro", "fig3a", "--out", str(tmp_path)]) == 0
+    assert sum(matrices) == 51761

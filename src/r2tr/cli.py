@@ -41,9 +41,11 @@ MAX_FID_POINTS = 2**20
 MIN_SPIN_RATE_HZ = 1.0
 # angular frequencies of the period fit's scan over [0.5, 1.5] of the guess
 FIT_SCAN_POINTS = 101
-# scan frequencies QR-factored together, so the fit's memory is this many
-# times the window's samples, not FIT_SCAN_POINTS times
-FIT_SCAN_CHUNK = 16
+# the period fit's scan QR-factors its frequencies in chunks of at most 16,
+# and of fewer on a long window, so that a chunk's frequencies times the
+# window's samples stay within this many elements (a chunk holds about nine
+# such float arrays); a window longer than this takes one frequency at a time
+FIT_SCAN_ELEMENTS = 2**16
 
 
 class ConfigError(ValueError):
@@ -358,8 +360,9 @@ def fit_exchange_period(times, values, period_guess):
         return np.sum(residuals**2, axis=-1)
 
     scan = np.linspace(0.5, 1.5, FIT_SCAN_POINTS) * (TWO_PI / period_guess)
-    k = int(np.argmin(np.concatenate([sum_of_squares(scan[i:i + FIT_SCAN_CHUNK])
-                                      for i in range(0, len(scan), FIT_SCAN_CHUNK)])))
+    chunk = min(16, max(1, FIT_SCAN_ELEMENTS // len(times)))
+    k = int(np.argmin(np.concatenate([sum_of_squares(scan[i:i + chunk])
+                                      for i in range(0, len(scan), chunk)])))
     if k in (0, len(scan) - 1):
         raise RuntimeError("no cosine fit: the best frequency is at the edge of the scan")
     lo, hi = scan[k - 1], scan[k + 1]

@@ -24,16 +24,19 @@ orthogonal one. The secular dipolar operator is diagonal there, (0, -1/2,
 1/4, 1/4), and the offset and drive part is tridiagonal (S-T0 from the
 offset difference, T0-A from the drive, A-B from the offset sum), so every
 step generator is tridiagonal. Each generator is made real symmetric by a
-diagonal unitary similarity before its eigendecomposition, which then
-skips LAPACK's Householder reduction. The walk enters the frame with Q^dag
-and leaves it with Q.
+diagonal unitary similarity, so it goes to LAPACK's real symmetric solver,
+and its step unitary is rebuilt from the real eigenvectors by real matrix
+products; a generator with entries off the band, which only a product-basis
+Hamiltonian has, keeps the complex Hermitian path. The walk enters the
+frame with Q^dag and leaves it with Q.
 
 The steps are taken in fixed blocks: each block's edges and generators are
 built and exponentiated together, and its run of steps between two samples is
-multiplied out by batched pairwise products before it is folded into U,
-so no Python loop runs once per step. No time grid is stored: a block's
-edges and the sample times are computed from the step, and one block is
-alive at a time, so memory is O(one block) whatever the segment's length.
+multiplied out by batched pairwise products (the long levels of the pairing
+in real arithmetic) before it is folded into U, so no Python loop runs once
+per step. No time grid is stored: a block's edges and the sample times are
+computed from the step, and one block is alive at a time, so memory is
+O(one block) whatever the segment's length.
 """
 
 from dataclasses import dataclass
@@ -53,6 +56,8 @@ DEFAULT_STEPS_PER_PERIOD = 1024
 # steps per batch in `_fold`: one eigh and one pairwise reduction share their
 # Python overhead over this many steps, and a batch stays at 128 kB
 FOLD_BLOCK = 512
+# the shortest level of `_chain` that is multiplied in real arithmetic
+REAL_CHAIN_LEVEL = 128
 # the singlet and central triplet of the pair, the band frame's first two
 # columns; the entries of a 4x4 tridiagonal matrix, its subdiagonal and the
 # entries off its band
@@ -213,9 +218,26 @@ def rotation_unitary(targets, axis, angle):
 
 def _chain(unitaries):
     """Time-ordered product U_{n-1} ... U_1 U_0 of a batch of unitaries, by
-    batched pairwise products (log2 n batched matmuls, not n - 1 matmuls)."""
+    batched pairwise products (log2 n batched matmuls, not n - 1 matmuls).
+
+    A level of at least REAL_CHAIN_LEVEL unitaries multiplies its pairs A B
+    in real arithmetic: A's float view, 4 x 8, times the real 8 x 8 form of
+    B, whose rows 2k and 2k + 1 are the float views of row k of B and of iB.
+    numpy's batched real matmul is several times faster than its complex one
+    on 4 x 4 matrices, but on a short level building the real form costs
+    more than that saves.
+    """
     while (n := len(unitaries)) > 1:
-        pairs = unitaries[1::2] @ unitaries[0:n - 1:2]
+        if n >= REAL_CHAIN_LEVEL:
+            right = unitaries[0:n - 1:2].view(float)
+            real = np.empty((len(right), 4, 2, 8))
+            real[:, :, 0] = right
+            real[:, :, 1, 0::2] = -right[..., 1::2]
+            real[:, :, 1, 1::2] = right[..., 0::2]
+            pairs = (unitaries[1::2].view(float) @ real.reshape(-1, 8, 8)).view(complex)
+            del real
+        else:
+            pairs = unitaries[1::2] @ unitaries[0:n - 1:2]
         unitaries = np.concatenate((pairs, unitaries[n - 1:])) if n % 2 else pairs
     return unitaries[0]
 
@@ -246,10 +268,14 @@ def _fold(u, fn, t0, t1, steps, marks=()):
     Each generator M is decomposed as D M D^dag, D = diag(p) with
     p_j = exp(-i sum_{m<j} theta_m) and theta_m the phase of M[m+1, m].
     This is an exact unitary similarity for any Hermitian M, and it makes
-    the subdiagonal real, |M[m+1, m]|. A tridiagonal M (the band frame's
-    generators) so becomes real symmetric tridiagonal, and LAPACK skips its
-    Householder stage. The eigenvectors of M are those of D M D^dag with
-    their rows scaled by conj(p).
+    the subdiagonal real, |M[m+1, m]|. A block whose entries off the band
+    are all zero (every block of the band frame) so becomes real symmetric
+    tridiagonal: it goes to the real symmetric solver as float64, and its
+    step unitaries D^dag exp(-i D M D^dag) D are rebuilt in real arithmetic
+    and then scaled by the phases. A block with entries off the band (a
+    product-basis Hamiltonian's) keeps the complex Hermitian path, where the
+    eigenvectors of M are those of D M D^dag with their rows scaled by
+    conj(p).
     """
     dt = (t1 - t0) / steps
     ends = sorted({k + 1 for k in marks})
@@ -268,18 +294,42 @@ def _fold(u, fn, t0, t1, steps, marks=()):
         # np.angle, not sub / abs(sub), which overflows on a subnormal entry
         p[:, 1:] = np.exp(-1j * np.add.accumulate(np.angle(sub), axis=1))
         # D M D^dag entry by entry: the diagonal keeps its value, the sub-
-        # and superdiagonal become moduli, and the entries off the band
-        # (zero in the band frame) take their phases p_i conj(p_j)
-        generators[:, _SUB_ROW, _SUB_COL] = generators[:, _SUB_COL, _SUB_ROW] = np.abs(sub)
-        generators[:, _FAR_ROW, _FAR_COL] *= p[:, _FAR_ROW] * p[:, _FAR_COL].conj()
-        evals, evecs = np.linalg.eigh(generators)
-        del generators, sub
-        evecs = np.einsum("ni,nij->nij", p.conj(), evecs)
-        del p
-        scaled = np.einsum("nij,nj->nij", evecs, np.exp(-1j * evals))
-        # conjugating in place keeps the reconstruction at three block arrays
-        block = scaled @ np.conjugate(evecs, out=evecs).swapaxes(1, 2)
-        del scaled, evecs
+        # and superdiagonal become moduli, and the entries off the band take
+        # their phases p_i conj(p_j)
+        if generators[:, _FAR_ROW, _FAR_COL].any():
+            generators[:, _SUB_ROW, _SUB_COL] = generators[:, _SUB_COL, _SUB_ROW] = np.abs(sub)
+            generators[:, _FAR_ROW, _FAR_COL] *= p[:, _FAR_ROW] * p[:, _FAR_COL].conj()
+            evals, evecs = np.linalg.eigh(generators)
+            del generators, sub
+            evecs = np.einsum("ni,nij->nij", p.conj(), evecs)
+            del p
+            scaled = np.einsum("nij,nj->nij", evecs, np.exp(-1j * evals))
+            # conjugating in place keeps the reconstruction at three block arrays
+            block = scaled @ np.conjugate(evecs, out=evecs).swapaxes(1, 2)
+            del scaled, evecs
+        else:
+            # a band block: D M D^dag is real symmetric tridiagonal, but for
+            # the diagonal's imaginary roundoff, which the complex solver
+            # ignores too. With its real eigenvectors W, U = D^dag W e^{-i
+            # Lambda} W^T D; xt = e^{-i Lambda} W^T is built in the float view
+            # of a contiguous complex array by (4, 1) @ (1, 2) outer products,
+            # so W @ xt is one real matmul. Contiguous outputs and same-dtype
+            # operands keep numpy from allocating iterator buffers.
+            real = np.ascontiguousarray(generators.real)
+            del generators
+            real[:, _SUB_ROW, _SUB_COL] = real[:, _SUB_COL, _SUB_ROW] = np.abs(sub)
+            del sub
+            evals, w = np.linalg.eigh(real)
+            del real
+            rotation = np.exp(-1j * evals).view(float).reshape(-1, 4, 1, 2)
+            del evals
+            xt = np.ascontiguousarray(w.swapaxes(1, 2))[..., None] @ rotation
+            del rotation
+            block = (w @ xt.reshape(-1, 4, 8)).view(complex)
+            del w, xt
+            block = np.einsum("ni,nij->nij", p.conj(), block)
+            block = np.einsum("nij,nj->nij", block, p)
+            del p
         start = lo
         while j < len(ends) and ends[j] <= hi:
             u = _chain(block[start - lo:ends[j] - lo]) @ u

@@ -13,9 +13,10 @@ from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
-from r2tr.cli import (FIT_SCAN_POINTS, ConfigError, _simulate_report, build_drive,
-                      build_events, build_system, fit_exchange_period, glycine_defaults,
-                      load_config, main, preset_config, transfer_fraction)
+from r2tr import cli
+from r2tr.cli import (FIT_SCAN_ELEMENTS, FIT_SCAN_POINTS, ConfigError, _simulate_report,
+                      build_drive, build_events, build_system, fit_exchange_period,
+                      glycine_defaults, load_config, main, preset_config, transfer_fraction)
 from r2tr.propagator import CWSegment, Delay, IdealRotation, Trajectory
 from r2tr.units import TWO_PI
 
@@ -162,6 +163,40 @@ def test_fit_exchange_period_memory_is_a_chunk_of_the_scan():
         tracemalloc.stop()
     assert fit.period == pytest.approx(period, rel=1e-6)
     assert peak < FIT_SCAN_POINTS * samples * 3 * 8
+
+
+def noisy_exchange(samples, period=3.2e-3, seed=0):
+    t = np.linspace(0.0, 2.0 * period, samples)
+    noise = np.random.default_rng(seed).normal(scale=1e-3, size=samples)
+    return t, 0.02 - 0.48 * np.cos(TWO_PI * t / period) + noise
+
+
+@pytest.mark.parametrize("chunk", [0, 5, 7, 15])
+def test_fit_exchange_period_is_bitwise_the_same_in_any_chunk(chunk, monkeypatch):
+    # the scan's QR is per frequency, so how many frequencies share a chunk
+    # changes no bit of the fit; a budget below the window's samples (chunk
+    # 0 here) takes one frequency at a time
+    samples = 2000
+    t, iz = noisy_exchange(samples)
+    expected = fit_exchange_period(t, iz, period_guess=3.0e-3)  # chunks of 16
+    monkeypatch.setattr(cli, "FIT_SCAN_ELEMENTS", (chunk + 1) * samples - 1)
+    assert fit_exchange_period(t, iz, period_guess=3.0e-3) == expected
+
+
+def test_fit_exchange_period_memory_is_bounded_on_a_long_window():
+    # a window above the scan's element budget is factored one frequency at a
+    # time: about ten window-sized float arrays, where chunks of 16 held
+    # about 140
+    samples = FIT_SCAN_ELEMENTS + 1
+    t, iz = noisy_exchange(samples)
+    tracemalloc.start()
+    try:
+        fit = fit_exchange_period(t, iz, period_guess=3.0e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit.period == pytest.approx(3.2e-3, rel=1e-5)
+    assert peak < 16 * samples * 8
 
 
 def test_transfer_fraction_directions():

@@ -160,6 +160,26 @@ def test_walk_memory_is_flat_in_segment_length(walk):
     assert abs(peaks[1] - peaks[0]) < 64 * 1024
 
 
+@pytest.mark.parametrize("walk", [
+    pytest.param(lambda system, events, steps: extract_gate(system, events,
+                                                            steps_per_period=steps),
+                 id="extract_gate"),
+    # samples every 5.3 rotor periods: marks fall inside some blocks
+    pytest.param(lambda system, events, steps: run_sequence(
+        basis_state("10"), system, events, 5.3 * system.rotor_period,
+        steps_per_period=steps), id="run_sequence"),
+])
+def test_fold_heap_stays_within_three_block_arrays(walk):
+    # fig3a folds about a hundred blocks, and no more than three complex
+    # (FOLD_BLOCK, 4, 4) arrays are alive at a time; the 64 kB of slack
+    # holds the walk's small arrays (U, edges, phases, eigenvalues, samples).
+    # A broadcast ufunc that casts or writes into a strided output allocates
+    # iterator buffers of about a block each, and breaks the bound.
+    system, _, events, steps = build_run(preset_config("fig3a"))
+    walk(system, events, steps)  # numpy's one-time allocations are not the fold's
+    assert _peak_bytes(lambda: walk(system, events, steps)) <= 3 * FOLD_BLOCK * 256 + 64 * 1024
+
+
 def test_harmonic_antiderivatives_match_quadrature():
     from scipy.integrate import quad
     sys = glycine_system(phi=0.9)
@@ -536,16 +556,8 @@ SUBNORMAL_DRIVE = (glycine_system(), RFDrive(omega_1=1e-310, phase=0.7), True,
                    0.3 * T_R, 1.7 * T_R, 600)
 
 
-@settings(max_examples=40, deadline=None)
-@given(segment=pair_segments())
-@example(segment=SUBNORMAL_DRIVE)
-def test_band_frame_hands_eigh_real_tridiagonal_generators(segment):
-    # what keeps each eigh on LAPACK's quick path: every generator `_fold`
-    # decomposes is exactly zero off the tridiagonal band, with a real
-    # subdiagonal
-    fn, _, t0, t1, steps = _band_segment(segment)
-    q = fn.frame
-    assert np.max(np.abs(q.conj().T @ q - np.eye(4))) <= 1e-15
+def _eigh_inputs(fn, t0, t1, steps):
+    """segment_propagator(fn, t0, t1, steps) and every array it hands eigh."""
     decomposed = []
     eigh = np.linalg.eigh
 
@@ -557,11 +569,39 @@ def test_band_frame_hands_eigh_real_tridiagonal_generators(segment):
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         u = segment_propagator(fn, t0, t1, steps)
     assert sum(len(a) for a in decomposed) == steps
+    return u, decomposed
+
+
+@settings(max_examples=40, deadline=None)
+@given(segment=pair_segments())
+@example(segment=SUBNORMAL_DRIVE)
+def test_band_frame_hands_eigh_real_tridiagonal_generators(segment):
+    # what keeps each eigh on LAPACK's quick real path: every generator
+    # `_fold` decomposes is exactly zero off the tridiagonal band, with a
+    # real subdiagonal, and reaches eigh as a float64 array
+    fn, _, t0, t1, steps = _band_segment(segment)
+    q = fn.frame
+    assert np.max(np.abs(q.conj().T @ q - np.eye(4))) <= 1e-15
+    u, decomposed = _eigh_inputs(fn, t0, t1, steps)
     off_band = abs(np.subtract.outer(np.arange(4), np.arange(4))) > 1
     for a in decomposed:
+        assert a.dtype == np.float64
         assert np.all(a[:, off_band] == 0)
         assert np.all(a[:, [1, 2, 3], [0, 1, 2]].imag == 0)
         assert np.all(a[:, [0, 1, 2], [1, 2, 3]].imag == 0)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-11
+
+
+def test_lab_frame_generators_keep_the_complex_solver():
+    # a driven segment in the product basis has entries off the band, so
+    # its blocks keep the complex Hermitian path
+    system = glycine_system(phi=0.3)
+    constants = dipolar_constants(system.gamma, system.r, system.theta_d)
+    fn = lab_frame_hamiltonian(system, RFDrive(omega_1=hz_to_angular(2339.0), phase=0.4),
+                               constants)
+    steps = FOLD_BLOCK + 3
+    u, decomposed = _eigh_inputs(fn, 0.1 * T_R, 1.3 * T_R, steps)
+    assert [a.dtype for a in decomposed] == [np.complex128, np.complex128]
     assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-11
 
 

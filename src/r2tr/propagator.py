@@ -32,11 +32,10 @@ frame with Q^dag and leaves it with Q.
 
 The steps are taken in fixed blocks: each block's edges and generators are
 built and exponentiated together, and its run of steps between two samples is
-multiplied out by batched pairwise products (the long levels of the pairing
-in real arithmetic) before it is folded into U, so no Python loop runs once
-per step. No time grid is stored: a block's edges and the sample times are
-computed from the step, and one block is alive at a time, so memory is
-O(one block) whatever the segment's length.
+multiplied out by batched pairwise products before it is folded into U,
+so no Python loop runs once per step. No time grid is stored: a block's
+edges and the sample times are computed from the step, and one block is
+alive at a time, so memory is O(one block) whatever the segment's length.
 """
 
 from dataclasses import dataclass
@@ -56,8 +55,6 @@ DEFAULT_STEPS_PER_PERIOD = 1024
 # steps per batch in `_fold`: one eigh and one pairwise reduction share their
 # Python overhead over this many steps, and a batch stays at 128 kB
 FOLD_BLOCK = 512
-# the shortest level of `_chain` that is multiplied in real arithmetic
-REAL_CHAIN_LEVEL = 128
 # the singlet and central triplet of the pair, the band frame's first two
 # columns; the entries of a 4x4 tridiagonal matrix, its subdiagonal and the
 # entries off its band
@@ -218,26 +215,9 @@ def rotation_unitary(targets, axis, angle):
 
 def _chain(unitaries):
     """Time-ordered product U_{n-1} ... U_1 U_0 of a batch of unitaries, by
-    batched pairwise products (log2 n batched matmuls, not n - 1 matmuls).
-
-    A level of at least REAL_CHAIN_LEVEL unitaries multiplies its pairs A B
-    in real arithmetic: A's float view, 4 x 8, times the real 8 x 8 form of
-    B, whose rows 2k and 2k + 1 are the float views of row k of B and of iB.
-    numpy's batched real matmul is several times faster than its complex one
-    on 4 x 4 matrices, but on a short level building the real form costs
-    more than that saves.
-    """
+    batched pairwise products (log2 n batched matmuls, not n - 1 matmuls)."""
     while (n := len(unitaries)) > 1:
-        if n >= REAL_CHAIN_LEVEL:
-            right = unitaries[0:n - 1:2].view(float)
-            real = np.empty((len(right), 4, 2, 8))
-            real[:, :, 0] = right
-            real[:, :, 1, 0::2] = -right[..., 1::2]
-            real[:, :, 1, 1::2] = right[..., 0::2]
-            pairs = (unitaries[1::2].view(float) @ real.reshape(-1, 8, 8)).view(complex)
-            del real
-        else:
-            pairs = unitaries[1::2] @ unitaries[0:n - 1:2]
+        pairs = unitaries[1::2] @ unitaries[0:n - 1:2]
         unitaries = np.concatenate((pairs, unitaries[n - 1:])) if n % 2 else pairs
     return unitaries[0]
 

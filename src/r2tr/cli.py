@@ -32,9 +32,11 @@ from .units import (GAMMA_C13, HBAR, MU0_OVER_4PI, TWO_PI, deg_to_rad,
 SCHEMA_VERSION = 1
 FLAG = (True, False)
 # size limits, checked before anything is allocated: integrator steps of one
-# CW or delay segment, and points of an FID
+# CW or delay segment, points of an FID, and samples of a trajectory (each
+# holds about 1 kB until the trajectory is reduced)
 MAX_SEGMENT_STEPS = 2**20
 MAX_FID_POINTS = 2**20
+MAX_SAMPLES = 2**16
 # slowest accepted spinning (Hz): far below any MAS rate, and far above the
 # rates where w_r**2 underflows or the step integrals, which subtract
 # antiderivatives of size w_d/w_r and w_d/w_r**2, cancel the dipolar term
@@ -438,6 +440,15 @@ def _simulate_report(cfg):
     system, drive, events, steps = build_run(cfg)
     sample_every = (_number(cfg.get("sample_every_s", 0.0), "sample_every_s", 0.0)
                     or system.rotor_period)
+    # a sample falls due at most once per step and once per sample_every_s
+    timed = [e for e in events if not isinstance(e, IdealRotation)]
+    duration = sum(e.duration for e in timed)
+    total_steps = sum(math.ceil(e.duration / system.rotor_period * steps) for e in timed)
+    samples = min(total_steps, duration / sample_every)
+    if samples > MAX_SAMPLES:
+        raise ConfigError(
+            f"sample_every_s = {sample_every:g} s gives up to {samples:.4g} samples "
+            f"over {duration:g} s of sequence; at most {MAX_SAMPLES} are allowed")
     initial = basis_state(_choice(cfg.get("initial_state", "00"), BASIS_LABELS, "initial_state"))
     traj = run_sequence(initial, system, events, sample_every,
                         steps_per_period=steps)

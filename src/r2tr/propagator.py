@@ -14,7 +14,7 @@ evaluates V rho V^dag at the samples only.
 Integration is by piecewise step exponentials. Each segment's Hamiltonian
 carries its rotor-harmonic decomposition, and each step uses its exact
 integral plus the leading commutator correction, so the step error is far
-below the sampling error. Every step exponential is taken via Hermitian
+below the sampling error. Every step exponential is taken via a symmetric
 eigendecomposition, keeping unitarity at roundoff.
 
 A segment is integrated in the singlet-triplet band frame Q = (S, T0, A,
@@ -23,19 +23,17 @@ B): S and T0 are the singlet and central triplet, A is the combination of
 orthogonal one. The secular dipolar operator is diagonal there, (0, -1/2,
 1/4, 1/4), and the offset and drive part is tridiagonal (S-T0 from the
 offset difference, T0-A from the drive, A-B from the offset sum), so every
-step generator is tridiagonal. Each generator is made real symmetric by a
-diagonal unitary similarity, so it goes to LAPACK's real symmetric solver,
-and its step unitary is rebuilt from the real eigenvectors by real matrix
-products; a generator with entries off the band, which only a product-basis
-Hamiltonian has, keeps the complex Hermitian path. The walk enters the
-frame with Q^dag and leaves it with Q.
+step generator is tridiagonal. A diagonal unitary similarity makes each one
+real symmetric, so it goes to LAPACK's real symmetric solver, and its step
+unitary is rebuilt from the real eigenvectors by real matrix products. The
+walk enters the frame with Q^dag and leaves it with Q.
 
 The steps are taken in fixed blocks: each block's edges and generators are
-built and exponentiated together, and its run of steps between two samples is
-multiplied out by batched pairwise products before it is folded into U,
-so no Python loop runs once per step. No time grid is stored: a block's
-edges and the sample times are computed from the step, and one block is
-alive at a time, so memory is O(one block) whatever the segment's length.
+built and exponentiated together, the samples that fall due in it are found
+on its edges, and its run of steps between two samples is multiplied out by
+batched pairwise products before it is folded into U, so no Python loop
+runs once per step. No time grid is stored, and one block is alive at a
+time, so memory is O(one block) whatever the segment's length.
 """
 
 from dataclasses import dataclass
@@ -56,13 +54,11 @@ DEFAULT_STEPS_PER_PERIOD = 1024
 # Python overhead over this many steps, and a batch stays at 128 kB
 FOLD_BLOCK = 512
 # the singlet and central triplet of the pair, the band frame's first two
-# columns; the entries of a 4x4 tridiagonal matrix, its subdiagonal and the
-# entries off its band
+# columns; the diagonal and subdiagonal entries of a 4x4 matrix
 _SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
 _TRIPLET0 = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
-_BAND = abs(np.subtract.outer(np.arange(4), np.arange(4))) <= 1
+_DIAG = np.arange(4)
 _SUB_ROW, _SUB_COL = np.arange(1, 4), np.arange(3)
-_FAR_ROW, _FAR_COL = np.nonzero(~_BAND)
 
 
 @dataclass(frozen=True)
@@ -146,35 +142,37 @@ class Trajectory:
 
 
 class HarmonicHamiltonian:
-    """H(t) = H_static + D(t) H_dip with D a sum of two rotor harmonics.
+    """H(t) = H_static + D(t) H_dip with D a sum of two rotor harmonics,
+    written in the band frame.
 
     Knows its own antiderivatives, which lets the integrator use exact
     per-step integrals and the leading commutator correction.
 
-    h_static and h_dip are written in the basis of frame's columns: frame
-    is a unitary Q, and the product-basis Hamiltonian is Q H(t) Q^dag. The
-    default is the identity, the product basis itself.
+    frame is a unitary Q, and the product-basis Hamiltonian is Q H(t) Q^dag.
+    In its basis h_static is tridiagonal and h_dip diagonal, and only those
+    entries are read.
     """
 
-    def __init__(self, h_static, h_dip, omega_r, phi, omega_d1, omega_d2,
-                 frame=None):
+    def __init__(self, h_static, h_dip, omega_r, phi, omega_d1, omega_d2, frame):
         self.h_static = np.asarray(h_static, dtype=complex)
         self.h_dip = np.asarray(h_dip, dtype=complex)
-        self.frame = np.eye(4, dtype=complex) if frame is None else frame
+        self.frame = frame
         self.omega_r = omega_r
         self.phi = phi
         self.omega_d1 = omega_d1
         self.omega_d2 = omega_d2
-        self._comm = self.h_static @ self.h_dip - self.h_dip @ self.h_static
+        comm = self.h_static @ self.h_dip - self.h_dip @ self.h_static
+        # [H_static, H_dip] is tridiagonal with a zero diagonal
+        self._comm_sub = comm[_SUB_ROW, _SUB_COL]
 
     def step_generators(self, edges, dt):
-        """Hermitian generators M_k with U_k = exp(-i M_k) for the steps
-        between consecutive edges, each dt long.
+        """Hermitian tridiagonal generators M_k with U_k = exp(-i M_k) for
+        the steps between consecutive edges, each dt long.
 
         M_k = integral of H over the step plus the leading Magnus
         commutator term (which is i times an anti-Hermitian matrix, hence
         Hermitian as written). The antiderivatives are evaluated once per
-        edge and differenced.
+        edge and differenced. The entries off the band are zero.
         """
         arg = self.omega_r * edges + self.phi
         sin1, cos1 = np.sin(arg), np.cos(arg)
@@ -190,12 +188,14 @@ class HarmonicHamiltonian:
         term1 = (q[1:] - q[:-1]) - p[:-1] * dt
         term2 = (r[1:] - r[:-1]) - edges[:-1] * area
         k = term1 - term2
-        # an (n, 1) @ (1, 16) outer product allocates only its result, where
-        # a broadcast multiply also allocates two iterator buffers
-        m = area.astype(complex)[:, None] @ self.h_dip.reshape(1, 16)
-        m += (dt * self.h_static).reshape(1, 16)
-        m -= (0.5j * k)[:, None] @ self._comm.reshape(1, 16)
-        return m.reshape(-1, 4, 4)
+        m = np.zeros((len(area), 4, 4), dtype=complex)
+        m[:, _DIAG, _DIAG] = (np.multiply.outer(area, self.h_dip.real[_DIAG, _DIAG])
+                              + dt * self.h_static[_DIAG, _DIAG])
+        sub = (dt * self.h_static[_SUB_ROW, _SUB_COL]
+               - np.multiply.outer(0.5j * k, self._comm_sub))
+        m[:, _SUB_ROW, _SUB_COL] = sub
+        m[:, _SUB_COL, _SUB_ROW] = sub.conj()
+        return m
 
 
 def _spin_rotation(angle, axis_op):
@@ -222,102 +222,82 @@ def _chain(unitaries):
     return unitaries[0]
 
 
-def _edge(t0, t1, steps, k):
-    """Edge k of `steps` equal steps over [t0, t1], bitwise equal to
-    np.linspace(t0, t1, steps + 1)[k] for k < steps (the last edge is t1);
-    k is an int or a float array of such indices."""
-    step = (t1 - t0) / steps
-    # linspace's own form for a step that rounds to zero
-    return k * step + t0 if step else k / steps * (t1 - t0) + t0
-
-
-def _fold(u, fn, t0, t1, steps, marks=()):
+def _fold(u, fn, t0, t1, steps, due, every, last):
     """Fold the step unitaries exp(-i M_k) of fn's `steps` equal steps over
-    [t0, t1] into u in time order; return u and the partial products after
-    the steps in marks.
+    [t0, t1] into u in time order; return u, the samples [(t, partial)] and
+    the next due time.
 
     This is the only product over step unitaries. The steps are taken
-    FOLD_BLOCK at a time: a block's edges and generators are built, checked
-    and exponentiated with one batched Hermitian eigendecomposition. The
-    last block is released before the next one is built, so memory is one
-    block whatever the number of steps. Within a block, each run of steps
-    that ends at a mark or at the block edge is reduced by `_chain` and then
-    multiplied into u. Marks are step indices in range(steps); a repeated
-    mark gives one partial product.
+    FOLD_BLOCK at a time: a block's edges are computed as np.linspace(t0,
+    t1, steps + 1) would give them, without the grid, and its generators
+    are built, checked and exponentiated with one batched eigendecomposition.
+    The last block is released before the next one is built, so memory is
+    one block whatever the number of steps.
 
-    Each generator M is decomposed as D M D^dag, D = diag(p) with
-    p_j = exp(-i sum_{m<j} theta_m) and theta_m the phase of M[m+1, m].
-    This is an exact unitary similarity for any Hermitian M, and it makes
-    the subdiagonal real, |M[m+1, m]|. A block whose entries off the band
-    are all zero (every block of the band frame) so becomes real symmetric
-    tridiagonal: it goes to the real symmetric solver as float64, and its
-    step unitaries D^dag exp(-i D M D^dag) D are rebuilt in real arithmetic
-    and then scaled by the phases. A block with entries off the band (a
-    product-basis Hamiltonian's) keeps the complex Hermitian path, where the
-    eigenvectors of M are those of D M D^dag with their rows scaled by
-    conj(p).
+    A sample falls due at the first step that ends past `last` and at or
+    after `due` (less 1e-15 s of slack); then `due` += `every`. Its time is
+    the step's end, and its partial product is u after that step. Within a
+    block, each run of steps that ends at a sample or at the block edge is
+    reduced by `_chain` and then multiplied into u.
+
+    Each generator M is tridiagonal and is decomposed as D M D^dag, D =
+    diag(p) with p_j = exp(-i sum_{m<j} theta_m) and theta_m the phase of
+    M[m+1, m]. This unitary similarity makes M real symmetric tridiagonal,
+    with subdiagonal |M[m+1, m]|: it goes to the real symmetric solver as
+    float64, and its step unitary D^dag exp(-i D M D^dag) D is rebuilt in
+    real arithmetic and then scaled by the phases.
     """
-    dt = (t1 - t0) / steps
-    ends = sorted({k + 1 for k in marks})
-    partial, j = [], 0
+    step = (t1 - t0) / steps
+    samples, k = [], 0
     for lo in range(0, steps, FOLD_BLOCK):
         hi = min(lo + FOLD_BLOCK, steps)
         block = None  # the last block goes before the next one is built
-        edges = _edge(t0, t1, steps, np.arange(lo, hi + 1, dtype=float))
+        edges = np.arange(lo, hi + 1, dtype=float)
+        # linspace's own form for a step that rounds to zero
+        edges = edges * step + t0 if step else edges / steps * (t1 - t0) + t0
         if hi == steps:
             edges[-1] = t1
-        generators = fn.step_generators(edges, dt)
+        generators = fn.step_generators(edges, step)
         if not np.all(np.isfinite(generators)):
             raise ValueError("Hamiltonian produced non-finite entries")
         sub = generators[:, _SUB_ROW, _SUB_COL]
         p = np.ones((hi - lo, 4), dtype=complex)
         # np.angle, not sub / abs(sub), which overflows on a subnormal entry
         p[:, 1:] = np.exp(-1j * np.add.accumulate(np.angle(sub), axis=1))
-        # D M D^dag entry by entry: the diagonal keeps its value, the sub-
-        # and superdiagonal become moduli, and the entries off the band take
-        # their phases p_i conj(p_j)
-        if generators[:, _FAR_ROW, _FAR_COL].any():
-            generators[:, _SUB_ROW, _SUB_COL] = generators[:, _SUB_COL, _SUB_ROW] = np.abs(sub)
-            generators[:, _FAR_ROW, _FAR_COL] *= p[:, _FAR_ROW] * p[:, _FAR_COL].conj()
-            evals, evecs = np.linalg.eigh(generators)
-            del generators, sub
-            evecs = np.einsum("ni,nij->nij", p.conj(), evecs)
-            del p
-            scaled = np.einsum("nij,nj->nij", evecs, np.exp(-1j * evals))
-            # conjugating in place keeps the reconstruction at three block arrays
-            block = scaled @ np.conjugate(evecs, out=evecs).swapaxes(1, 2)
-            del scaled, evecs
-        else:
-            # a band block: D M D^dag is real symmetric tridiagonal, but for
-            # the diagonal's imaginary roundoff, which the complex solver
-            # ignores too. With its real eigenvectors W, U = D^dag W e^{-i
-            # Lambda} W^T D; xt = e^{-i Lambda} W^T is built in the float view
-            # of a contiguous complex array by (4, 1) @ (1, 2) outer products,
-            # so W @ xt is one real matmul. Contiguous outputs and same-dtype
-            # operands keep numpy from allocating iterator buffers.
-            real = np.ascontiguousarray(generators.real)
-            del generators
-            real[:, _SUB_ROW, _SUB_COL] = real[:, _SUB_COL, _SUB_ROW] = np.abs(sub)
-            del sub
-            evals, w = np.linalg.eigh(real)
-            del real
-            rotation = np.exp(-1j * evals).view(float).reshape(-1, 4, 1, 2)
-            del evals
-            xt = np.ascontiguousarray(w.swapaxes(1, 2))[..., None] @ rotation
-            del rotation
-            block = (w @ xt.reshape(-1, 4, 8)).view(complex)
-            del w, xt
-            block = np.einsum("ni,nij->nij", p.conj(), block)
-            block = np.einsum("nij,nj->nij", block, p)
-            del p
+        # D M D^dag is real symmetric tridiagonal, but for the diagonal's
+        # imaginary roundoff, which a complex solver ignores too. With its
+        # real eigenvectors W, U = D^dag W e^{-i Lambda} W^T D; xt = e^{-i
+        # Lambda} W^T is built in the float view of a contiguous complex array
+        # by (4, 1) @ (1, 2) outer products, so W @ xt is one real matmul.
+        # Contiguous outputs and same-dtype operands keep numpy from
+        # allocating iterator buffers.
+        real = np.ascontiguousarray(generators.real)
+        del generators
+        real[:, _SUB_ROW, _SUB_COL] = real[:, _SUB_COL, _SUB_ROW] = np.abs(sub)
+        del sub
+        evals, w = np.linalg.eigh(real)
+        del real
+        rotation = np.exp(-1j * evals).view(float).reshape(-1, 4, 1, 2)
+        del evals
+        xt = np.ascontiguousarray(w.swapaxes(1, 2))[..., None] @ rotation
+        del rotation
+        block = (w @ xt.reshape(-1, 4, 8)).view(complex)
+        del w, xt
+        block = np.einsum("ni,nij->nij", p.conj(), block)
+        block = np.einsum("nij,nj->nij", block, p)
+        del p
+        # k is the first step that may take a sample; the block's step ends
+        # are edges[1:]
+        k = max(k, lo + int(np.searchsorted(edges[1:], last, side="right")))
         start = lo
-        while j < len(ends) and ends[j] <= hi:
-            u = _chain(block[start - lo:ends[j] - lo]) @ u
-            partial.append(u)
-            start, j = ends[j], j + 1
+        while (k := max(k, lo + int(np.searchsorted(edges[1:], due - 1e-15)))) < hi:
+            k += 1
+            u = _chain(block[start - lo:k - lo]) @ u
+            samples.append((float(edges[k - lo]), u))
+            start, due = k, due + every
         if start < hi:
             u = _chain(block[start - lo:hi - lo]) @ u
-    return u, partial
+    return u, samples, due
 
 
 def segment_propagator(hamiltonian_fn, t0, t1, steps):
@@ -329,15 +309,14 @@ def segment_propagator(hamiltonian_fn, t0, t1, steps):
     if t1 == t0:
         return np.eye(4, dtype=complex)
     q = hamiltonian_fn.frame
-    return q @ _fold(q.conj().T, hamiltonian_fn, t0, t1, steps)[0]
+    return q @ _fold(q.conj().T, hamiltonian_fn, t0, t1, steps, math.inf, math.inf, t0)[0]
 
 
 def _segment_hamiltonian(system, drive, constants, dipolar_on=True):
     """A segment's Hamiltonian in the band frame Q = (S, T0, A, B), built in
     closed form (no eigendecomposition): the offset and drive part is
-    tridiagonal there and the dipolar operator diagonal. Entries that are
-    zero in exact arithmetic are set to 0, as a roundoff entry would send
-    the eigensolver back to its full reduction."""
+    tridiagonal there and the dipolar operator diagonal, and only those
+    entries are read: the others are zero but for roundoff."""
     h0 = static_drive_hamiltonian(system, drive)
     # A is along the (|00>, |11>) part of h0 T0; it is scaled to a largest
     # modulus of 1 before it is normalized, so that a subnormal drive keeps
@@ -351,7 +330,7 @@ def _segment_hamiltonian(system, drive, constants, dipolar_on=True):
     q[:, 0], q[:, 1] = _SINGLET, _TRIPLET0
     q[[0, 3], 2] = a
     q[[0, 3], 3] = a[::-1].conj() * [-1.0, 1.0]
-    h0 = np.where(_BAND, q.conj().T @ h0 @ q, 0.0)
+    h0 = q.conj().T @ h0 @ q
     hd = np.diag(np.diag(q.conj().T @ dipolar_coupling_operator() @ q).real)
     d1 = constants.omega_d1 if dipolar_on else 0.0
     d2 = constants.omega_d2 if dipolar_on else 0.0
@@ -371,40 +350,6 @@ def trim_unitaries(system, segment):
         axis_op = cph * spin_operator(k, "y") - sph * spin_operator(k, "x")
         u_open = _spin_rotation(beta, axis_op) @ u_open
     return u_open, u_open.conj().T
-
-
-def _due_steps(t0, t1, steps, due, every, last):
-    """Steps of `_fold`'s grid over [t0, t1] at which samples fall due, their
-    end times, and the next due time: the first step end past `last` and
-    `due` (less 1e-15 s of slack), then `due` += `every`.
-
-    The steps are those np.searchsorted finds on the grid's step ends, found
-    without building the grid: each is estimated from the uniform step, then
-    moved to the exact index by comparing with the ends `_edge` computes.
-    """
-    delta = t1 - t0
-
-    def end(k):
-        return t1 if k == steps - 1 else _edge(t0, t1, steps, k + 1)
-
-    def first(x):
-        # the first step whose end is >= x, or steps if there is none
-        if x > t1:
-            return steps
-        k = 0 if x <= t0 else min(max(math.ceil((x - t0) / delta * steps) - 1, 0), steps - 1)
-        while k > 0 and end(k - 1) >= x:
-            k -= 1
-        while end(k) < x:
-            k += 1
-        return k
-
-    marks = []
-    k = first(math.nextafter(last, math.inf))  # the first end > last
-    while (k := max(k, first(due - 1e-15))) < steps:
-        marks.append(k)
-        due += every
-        k += 1
-    return marks, [end(k) for k in marks], due
 
 
 def _propagate(system, events, steps_per_period, sample_every):
@@ -439,11 +384,11 @@ def _propagate(system, events, steps_per_period, sample_every):
             continue
         t0, t = t, t + event.duration
         steps = max(1, math.ceil(event.duration / system.rotor_period * steps_per_period))
-        marks, times, due = _due_steps(t0, t, steps, due, sample_every, samples[-1][0])
         # into the segment's band frame and, at each sample and the end, out
         u_close = u_close @ fn.frame
-        u, partial = _fold(fn.frame.conj().T @ u_open @ u, fn, t0, t, steps, marks)
-        samples += [(te, u_close @ v) for te, v in zip(times, partial)]
+        u, partial, due = _fold(fn.frame.conj().T @ u_open @ u, fn, t0, t, steps,
+                                due, sample_every, samples[-1][0])
+        samples += [(te, u_close @ v) for te, v in partial]
         u = u_close @ u
     if samples and samples[-1][0] >= t:
         t = samples.pop()[0]  # a sample at the end gives way to U

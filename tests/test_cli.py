@@ -388,6 +388,9 @@ SIMULATE = ["simulate"]
                  ["spectrum"], id="fid-too-many-points"),
     pytest.param({"fid": {"duration_s": 1.0, "dwell_s": 1e-320}}, "fid.duration_s",
                  ["spectrum"], id="fid-points-overflow"),
+    # one sample per step of a 0.1 s segment, each held until the end
+    pytest.param({"sequence": [{"type": "cw", "duration_s": 0.1}], "sample_every_s": 1e-12},
+                 "sample_every_s", SIMULATE, id="too-many-samples"),
     # frequencies that overflow in rad/s, a zero spin rate, and a spin rate
     # whose rotor period overflows
     pytest.param({**_system(spin_rate_hz=1e308), "sequence": [PULSE, CW]},

@@ -1,6 +1,7 @@
-import functools
+import itertools
 import math
 import tracemalloc
+import weakref
 
 from hypothesis import example, given, settings, strategies as st
 import numpy as np
@@ -15,10 +16,9 @@ from r2tr.hamiltonian import (dipolar_constants, dipolar_coupling_operator,
 from r2tr.operators import (SpinSystem, basis_state, check_density_matrix,
                             check_unitary, expectation, spin_operator)
 from r2tr.propagator import (FOLD_BLOCK, CWSegment, Delay, HarmonicHamiltonian,
-                             IdealRotation, RFDrive, Trajectory, _due_steps, _fold,
-                             _segment_hamiltonian,
-                             extract_gate, rotation_unitary, run_sequence,
-                             segment_propagator, trim_unitaries)
+                             IdealRotation, RFDrive, Trajectory, _fold,
+                             _segment_hamiltonian, extract_gate, rotation_unitary,
+                             run_sequence, segment_propagator, trim_unitaries)
 from r2tr.units import GAMMA_C13, GLYCINE_CC_DISTANCE, TWO_PI, deg_to_rad, hz_to_angular
 
 
@@ -29,13 +29,9 @@ def glycine_system(phi=0.0, offsets=(2000.0, 18699.0)):
                       offsets=tuple(TWO_PI * o for o in offsets))
 
 
-def harmonic_hamiltonian(system, drive=None):
+def harmonic_hamiltonian(system, drive=None, dipolar_on=True):
     c = dipolar_constants(system.gamma, system.r, system.theta_d)
-    from r2tr.hamiltonian import dipolar_coupling_operator
-    h_static = static_drive_hamiltonian(system, drive)
-    h_dip = dipolar_coupling_operator()
-    return HarmonicHamiltonian(h_static, h_dip, system.omega_r, system.phi,
-                               c.omega_d1, c.omega_d2)
+    return _segment_hamiltonian(system, drive, c, dipolar_on)
 
 
 def test_rotation_unitary_pi_pulse():
@@ -62,8 +58,9 @@ def test_segment_propagator_constant_hamiltonian_exact():
     # with the dipolar amplitudes zeroed the Hamiltonian is static and the
     # propagator must match the closed-form exponential
     sys = glycine_system()
-    h0 = static_drive_hamiltonian(sys, RFDrive(omega_1=hz_to_angular(1000.0)))
-    fn = HarmonicHamiltonian(h0, np.zeros((4, 4)), sys.omega_r, 0.0, 0.0, 0.0)
+    drive = RFDrive(omega_1=hz_to_angular(1000.0))
+    h0 = static_drive_hamiltonian(sys, drive)
+    fn = harmonic_hamiltonian(sys, drive, dipolar_on=False)
     t1 = 2.5e-4
     u = segment_propagator(fn, 0.0, t1, 200)
     assert np.max(np.abs(u - expm(-1j * h0 * t1))) < 1e-9
@@ -86,29 +83,29 @@ def test_fold_matches_serial_product(steps):
     t1 = steps / 64 * sys.rotor_period
     edges = np.linspace(0.0, t1, steps + 1)
     generators = fn.step_generators(edges, t1 / steps)
-    unitaries = [expm(-1j * m) for m in generators]
     u0 = rotation_unitary((0,), "x", 0.7)
-
-    def serial(k):
-        # U_k ... U_1 U_0 u0, one product per step
-        return functools.reduce(lambda u, uk: uk @ u, unitaries[:k + 1], u0)
-
-    # step 0 and the last step, each twice, and both sides of every block edge
-    marks = [0, 0, steps - 1, steps - 1] + [
-        k for edge in range(FOLD_BLOCK, steps, FOLD_BLOCK) for k in (edge - 1, edge)]
-    u, partial = _fold(u0, fn, 0.0, t1, steps, marks)
-    assert np.max(np.abs(u - serial(steps - 1))) < 1e-12
-    expected = sorted(set(marks))
-    assert len(partial) == len(expected)
-    for k, v in zip(expected, partial):
-        assert np.max(np.abs(v - serial(k))) < 1e-12, k
+    # U_k ... U_1 U_0 u0 after each step k, one product per step
+    serial = list(itertools.accumulate((expm(-1j * m) for m in generators),
+                                       lambda u, uk: uk @ u, initial=u0))[1:]
+    # a sample at every step: step 0, the last step and both sides of every
+    # block edge; then one every 37.3 steps, which ends runs inside blocks
+    for every in (0.0, 37.3 * t1 / steps):
+        u, samples, due = _fold(u0, fn, 0.0, t1, steps, 0.0, every, 0.0)
+        assert np.max(np.abs(u - serial[-1])) < 1e-12
+        marks, expected_due = _due_steps_on_grid(edges[1:], 0.0, every, 0.0)
+        if not every:
+            assert marks == list(range(steps))
+        assert due == expected_due
+        assert [t for t, _ in samples] == [float(edges[k + 1]) for k in marks]
+        for k, (_, v) in zip(marks, samples):
+            assert np.max(np.abs(v - serial[k])) < 1e-12, k
 
 
 def test_non_finite_hamiltonian_is_rejected():
     sys = glycine_system()
     fn = harmonic_hamiltonian(sys)
     bad = HarmonicHamiltonian(fn.h_static, fn.h_dip, fn.omega_r, fn.phi,
-                              math.inf, fn.omega_d2)
+                              math.inf, fn.omega_d2, fn.frame)
     with np.errstate(invalid="ignore"), pytest.raises(
             ValueError, match="Hamiltonian produced non-finite entries"):
         segment_propagator(bad, 0.0, sys.rotor_period, 64)
@@ -193,9 +190,9 @@ def test_harmonic_antiderivatives_match_quadrature():
     dt = t1 - t0
     mods = fn.step_generators(np.linspace(t0, t1, 2), dt)
     # single step: generator = dt*h_static + integral(D)*h_dip + commutator term;
-    # read the integral off the |00><00| element, where h_dip is diagonal (1/4)
-    h_static = static_drive_hamiltonian(sys, None)
-    area = (mods[0][0, 0] - dt * h_static[0, 0]).real / 0.25
+    # read the integral off entry [2, 2], where the band frame's h_dip is 1/4
+    # and the commutator term is zero
+    area = (mods[0][2, 2] - dt * fn.h_static[2, 2]).real / 0.25
     assert area == pytest.approx(num, rel=1e-10)
 
 
@@ -444,8 +441,9 @@ def test_untrimmed_cw_composes_in_time(phi, periods, split):
 # ------------------------------------------------- the streamed step grid
 
 def _due_steps_on_grid(ends, due, every, last):
-    """Reference for `_due_steps`: the same search by np.searchsorted on the
-    stored step ends np.linspace(t0, t1, steps + 1)[1:]."""
+    """Reference for `_fold`'s sample placement: the steps at which samples
+    fall due and the next due time, found by np.searchsorted on the stored
+    step ends np.linspace(t0, t1, steps + 1)[1:]."""
     marks = []
     k = int(np.searchsorted(ends, last, side="right"))
     while (k := max(k, int(np.searchsorted(ends, due - 1e-15)))) < len(ends):
@@ -455,15 +453,26 @@ def _due_steps_on_grid(ends, due, every, last):
     return marks, due
 
 
+# the phase each step of `_EdgeRecorder` adds to entry [0, 0]: 2200 steps
+# stay below pi, so a partial product's phase gives its step count
+STEP_PHASE = 1e-3
+
+
 class _EdgeRecorder:
-    """A zero Hamiltonian that keeps the edges and step `_fold` gives it."""
+    """A diagonal Hamiltonian that keeps the edges and step `_fold` gives it,
+    and counts, at each block, the edges and generator arrays of earlier
+    blocks that are still alive."""
 
     def __init__(self):
-        self.blocks = []
+        self.blocks, self.refs, self.alive = [], [], []
 
     def step_generators(self, edges, dt):
         self.blocks.append((edges.copy(), dt))
-        return np.zeros((len(edges) - 1, 4, 4), dtype=complex)
+        self.alive.append(sum(ref() is not None for ref in self.refs))
+        m = np.zeros((len(edges) - 1, 4, 4), dtype=complex)
+        m[:, 0, 0] = STEP_PHASE
+        self.refs += [weakref.ref(edges), weakref.ref(m)]
+        return m
 
 
 @st.composite
@@ -498,29 +507,69 @@ def test_streamed_grid_matches_linspace(grid):
     t0, t1, steps, due, every, last = grid
     edges = np.linspace(t0, t1, steps + 1)
     recorder = _EdgeRecorder()
-    _fold(np.eye(4, dtype=complex), recorder, t0, t1, steps)
+    _, samples, next_due = _fold(np.eye(4, dtype=complex), recorder, t0, t1, steps,
+                                 due, every, last)
     assert len(recorder.blocks) == -(-steps // FOLD_BLOCK)
+    # one block alive at a time: a view of a block's edges kept for the
+    # sample search would hold the whole array while the next is built
+    assert recorder.alive == [0] * len(recorder.blocks)
     for b, (block_edges, dt) in enumerate(recorder.blocks):
         lo = b * FOLD_BLOCK
         assert block_edges.tobytes() == edges[lo:lo + FOLD_BLOCK + 1].tobytes()
         assert dt == (edges[-1] - edges[0]) / steps
-    marks, times, next_due = _due_steps(t0, t1, steps, due, every, last)
-    expected, expected_due = _due_steps_on_grid(edges[1:], due, every, last)
-    assert marks == expected
-    assert times == [float(edges[k + 1]) for k in expected]
+    marks, expected_due = _due_steps_on_grid(edges[1:], due, every, last)
+    assert [t for t, _ in samples] == [float(edges[k + 1]) for k in marks]
+    # a sample after step k has taken k + 1 steps
+    assert [round(-np.angle(v[0, 0]) / STEP_PHASE) for _, v in samples] == [
+        k + 1 for k in marks]
     assert next_due == expected_due
 
 
 # ------------------------------------- the singlet-triplet band frame
 
-def lab_frame_hamiltonian(system, drive, constants, dipolar_on=True):
+class LabHamiltonian:
     """The reference for `_segment_hamiltonian`: the same segment in the
-    product basis, with the identity frame."""
-    d1 = constants.omega_d1 if dipolar_on else 0.0
-    d2 = constants.omega_d2 if dipolar_on else 0.0
-    return HarmonicHamiltonian(static_drive_hamiltonian(system, drive),
-                               dipolar_coupling_operator(), system.omega_r,
-                               system.phi, d1, d2)
+    product basis, with the identity frame. Its step generators are the full
+    4x4 matrices area H_dip + dt H_static - i/2 K [H_static, H_dip]."""
+
+    frame = np.eye(4, dtype=complex)
+
+    def __init__(self, system, drive, constants, dipolar_on=True):
+        self.h_static = static_drive_hamiltonian(system, drive)
+        self.h_dip = dipolar_coupling_operator()
+        self.comm = self.h_static @ self.h_dip - self.h_dip @ self.h_static
+        self.omega_r, self.phi = system.omega_r, system.phi
+        self.omega_d1 = constants.omega_d1 if dipolar_on else 0.0
+        self.omega_d2 = constants.omega_d2 if dipolar_on else 0.0
+
+    def step_generators(self, edges, dt):
+        arg = self.omega_r * edges + self.phi
+        wr, d1, d2 = self.omega_r, self.omega_d1, self.omega_d2
+        # the antiderivatives of D(t), of that and of t D(t)
+        p = d1 / wr * np.sin(arg) + d2 / (2.0 * wr) * np.sin(2.0 * arg)
+        q = -d1 / wr**2 * np.cos(arg) - d2 / (4.0 * wr**2) * np.cos(2.0 * arg)
+        r = (d1 * (edges * np.sin(arg) / wr + np.cos(arg) / wr**2)
+             + d2 * (edges * np.sin(2.0 * arg) / (2.0 * wr) + np.cos(2.0 * arg) / (4.0 * wr**2)))
+        area = np.diff(p)
+        k = (np.diff(q) - p[:-1] * dt) - (np.diff(r) - edges[:-1] * area)
+        return (area[:, None, None] * self.h_dip + dt * self.h_static
+                - 0.5j * k[:, None, None] * self.comm)
+
+
+def reference_fold(u, fn, t0, t1, steps, due, every, last):
+    """The reference for `_fold`: the whole np.linspace grid exponentiated at
+    once by the complex Hermitian solver, one product per step, and samples
+    where `_due_steps_on_grid` places them."""
+    edges = np.linspace(t0, t1, steps + 1)
+    evals, evecs = np.linalg.eigh(fn.step_generators(edges, (t1 - t0) / steps))
+    unitaries = (evecs * np.exp(-1j * evals)[:, None, :]) @ evecs.conj().swapaxes(1, 2)
+    marks, due = _due_steps_on_grid(edges[1:], due, every, last)
+    marks, samples = set(marks), []
+    for k, uk in enumerate(unitaries):
+        u = uk @ u
+        if k in marks:
+            samples.append((float(edges[k + 1]), u))
+    return u, samples, due
 
 
 OFFSETS_HZ = st.floats(-3e4, 3e4)
@@ -549,7 +598,7 @@ def _band_segment(segment):
     system, drive, dipolar_on, t0, t1, steps = segment
     constants = dipolar_constants(system.gamma, system.r, system.theta_d)
     return (_segment_hamiltonian(system, drive, constants, dipolar_on),
-            lab_frame_hamiltonian(system, drive, constants, dipolar_on), t0, t1, steps)
+            LabHamiltonian(system, drive, constants, dipolar_on), t0, t1, steps)
 
 
 SUBNORMAL_DRIVE = (glycine_system(), RFDrive(omega_1=1e-310, phase=0.7), True,
@@ -592,17 +641,17 @@ def test_band_frame_hands_eigh_real_tridiagonal_generators(segment):
     assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-11
 
 
-def test_lab_frame_generators_keep_the_complex_solver():
-    # a driven segment in the product basis has entries off the band, so
-    # its blocks keep the complex Hermitian path
-    system = glycine_system(phi=0.3)
-    constants = dipolar_constants(system.gamma, system.r, system.theta_d)
-    fn = lab_frame_hamiltonian(system, RFDrive(omega_1=hz_to_angular(2339.0), phase=0.4),
-                               constants)
-    steps = FOLD_BLOCK + 3
-    u, decomposed = _eigh_inputs(fn, 0.1 * T_R, 1.3 * T_R, steps)
-    assert [a.dtype for a in decomposed] == [np.complex128, np.complex128]
-    assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-11
+@settings(max_examples=40, deadline=None)
+@given(segment=pair_segments())
+@example(segment=SUBNORMAL_DRIVE)
+def test_band_generators_are_lab_generators_in_the_frame(segment):
+    fn, lab, t0, t1, steps = _band_segment(segment)
+    edges = np.linspace(t0, t1, steps + 1)
+    dt = (t1 - t0) / steps
+    q = fn.frame
+    expected = q.conj().T @ lab.step_generators(edges, dt) @ q
+    band = fn.step_generators(edges, dt)
+    assert np.max(np.abs(band - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 @settings(max_examples=40, deadline=None)
@@ -610,14 +659,17 @@ def test_lab_frame_generators_keep_the_complex_solver():
 @example(segment=SUBNORMAL_DRIVE)
 def test_band_frame_propagator_matches_lab_frame(segment):
     fn, lab, t0, t1, steps = _band_segment(segment)
-    assert np.max(np.abs(segment_propagator(fn, t0, t1, steps)
-                         - segment_propagator(lab, t0, t1, steps))) < 1e-10
+    u_lab, _, _ = reference_fold(np.eye(4, dtype=complex), lab, t0, t1, steps,
+                                 math.inf, math.inf, t0)
+    assert np.max(np.abs(segment_propagator(fn, t0, t1, steps) - u_lab)) < 1e-10
 
 
 def _lab_frame_walk(run):
-    """run() with every segment of the walk in the product basis."""
+    """run() with every segment of the walk in the product basis, folded by
+    the reference."""
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(propagator, "_segment_hamiltonian", lab_frame_hamiltonian)
+        monkeypatch.setattr(propagator, "_segment_hamiltonian", LabHamiltonian)
+        monkeypatch.setattr(propagator, "_fold", reference_fold)
         return run()
 
 

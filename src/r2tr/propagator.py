@@ -5,17 +5,28 @@ irradiation segments. CW segments are wrapped with trim pulses that align
 each spin's quantization axis with its effective field before the drive
 and undo the rotation afterwards.
 
-One walk over the events folds every step unitary into the sequence
-unitary U and records sampled views (t, V): the unitary a measurement at
-t sees, through the closing trim pulse inside a CW segment, as in a
-point-by-point experiment. `extract_gate` returns U; `run_sequence`
-evaluates V rho V^dag at the samples only.
+One walk over the events folds every segment into the sequence unitary U
+and records sampled views (t, V): the unitary a measurement at t sees,
+through the closing trim pulse inside a CW segment, as in a point-by-point
+experiment. `extract_gate` returns U; `run_sequence` evaluates V rho V^dag
+at the samples only.
 
 Integration is by piecewise step exponentials. Each segment's Hamiltonian
 carries its rotor-harmonic decomposition, and each step uses its exact
 integral plus the leading commutator correction, so the step error is far
 below the sampling error. Every step exponential is taken via a symmetric
 eigendecomposition, keeping unitarity at roundoff.
+
+A segment's step grid runs from its start t0 in whole steps of h = T_r /
+steps_per_period and ends with one closing step, at most h long, at its
+end t1. Its Hamiltonian has the rotor period T_r, so every period of whole
+steps has the same product U_T, whatever its start. One period is folded
+(or all the whole steps, if fewer), marked with the partial products P(r)
+after the r steps that samples and the segment's end need. After K whole
+periods and r steps the unitary is P(r) U_T^K, so the segment ends at
+C P(rem) U_T^K with C the closing step, and each sample takes its own
+partial and power. A segment's cost grows with steps_per_period, not with
+its length.
 
 A segment is integrated in the singlet-triplet band frame Q = (S, T0, A,
 B): S and T0 are the singlet and central triplet, A is the combination of
@@ -28,12 +39,12 @@ real symmetric, so it goes to LAPACK's real symmetric solver, and its step
 unitary is rebuilt from the real eigenvectors by real matrix products. The
 walk enters the frame with Q^dag and leaves it with Q.
 
-The steps are taken in fixed blocks: each block's edges and generators are
-built and exponentiated together, the samples that fall due in it are found
-on its edges, and its run of steps between two samples is multiplied out by
-batched pairwise products before it is folded into U, so no Python loop
-runs once per step. No time grid is stored, and one block is alive at a
-time, so memory is O(one block) whatever the segment's length.
+The steps of a fold are taken in fixed blocks: each block's edges and
+generators are built and exponentiated together, and its run of steps
+between two marked partial products is multiplied out by batched pairwise
+products before it is folded into U, so no Python loop runs once per step.
+No time grid is stored, and one block is alive at a time, so memory is
+O(one block) whatever the number of steps.
 """
 
 from dataclasses import dataclass
@@ -222,23 +233,20 @@ def _chain(unitaries):
     return unitaries[0]
 
 
-def _fold(u, fn, t0, t1, steps, due, every, last):
-    """Fold the step unitaries exp(-i M_k) of fn's `steps` equal steps over
-    [t0, t1] into u in time order; return u, the samples [(t, partial)] and
-    the next due time.
+def _fold(u, fn, t0, step, steps, marks):
+    """Fold the step unitaries exp(-i M_k) of fn's `steps` steps, each
+    `step` long from t0, into u in time order; return u and the partial
+    products [u after step k for k in marks], marks being increasing step
+    indices.
 
-    This is the only product over step unitaries. The steps are taken
-    FOLD_BLOCK at a time: a block's edges are computed as np.linspace(t0,
-    t1, steps + 1) would give them, without the grid, and its generators
-    are built, checked and exponentiated with one batched eigendecomposition.
+    This is the only product over step unitaries. Step k runs from t0 + k
+    step to t0 + (k + 1) step. The steps are taken FOLD_BLOCK at a time: a
+    block's edges are computed without the grid, and its generators are
+    built, checked and exponentiated with one batched eigendecomposition.
     The last block is released before the next one is built, so memory is
-    one block whatever the number of steps.
-
-    A sample falls due at the first step that ends past `last` and at or
-    after `due` (less 1e-15 s of slack); then `due` += `every`. Its time is
-    the step's end, and its partial product is u after that step. Within a
-    block, each run of steps that ends at a sample or at the block edge is
-    reduced by `_chain` and then multiplied into u.
+    one block whatever the number of steps. Within a block, each run of
+    steps that ends at a mark or at the block edge is reduced by `_chain`
+    and then multiplied into u.
 
     Each generator M is tridiagonal and is decomposed as D M D^dag, D =
     diag(p) with p_j = exp(-i sum_{m<j} theta_m) and theta_m the phase of
@@ -247,16 +255,11 @@ def _fold(u, fn, t0, t1, steps, due, every, last):
     float64, and its step unitary D^dag exp(-i D M D^dag) D is rebuilt in
     real arithmetic and then scaled by the phases.
     """
-    step = (t1 - t0) / steps
-    samples, k = [], 0
+    partials = []
     for lo in range(0, steps, FOLD_BLOCK):
         hi = min(lo + FOLD_BLOCK, steps)
         block = None  # the last block goes before the next one is built
-        edges = np.arange(lo, hi + 1, dtype=float)
-        # linspace's own form for a step that rounds to zero
-        edges = edges * step + t0 if step else edges / steps * (t1 - t0) + t0
-        if hi == steps:
-            edges[-1] = t1
+        edges = np.arange(lo, hi + 1, dtype=float) * step + t0
         generators = fn.step_generators(edges, step)
         if not np.all(np.isfinite(generators)):
             raise ValueError("Hamiltonian produced non-finite entries")
@@ -286,22 +289,19 @@ def _fold(u, fn, t0, t1, steps, due, every, last):
         block = np.einsum("ni,nij->nij", p.conj(), block)
         block = np.einsum("nij,nj->nij", block, p)
         del p
-        # k is the first step that may take a sample; the block's step ends
-        # are edges[1:]
-        k = max(k, lo + int(np.searchsorted(edges[1:], last, side="right")))
         start = lo
-        while (k := max(k, lo + int(np.searchsorted(edges[1:], due - 1e-15)))) < hi:
-            k += 1
-            u = _chain(block[start - lo:k - lo]) @ u
-            samples.append((float(edges[k - lo]), u))
-            start, due = k, due + every
+        while len(partials) < len(marks) and (k := marks[len(partials)]) < hi:
+            u = _chain(block[start - lo:k + 1 - lo]) @ u
+            partials.append(u)
+            start = k + 1
         if start < hi:
             u = _chain(block[start - lo:hi - lo]) @ u
-    return u, samples, due
+    return u, partials
 
 
 def segment_propagator(hamiltonian_fn, t0, t1, steps):
-    """Time-ordered propagator over [t0, t1] under a time-dependent Hamiltonian."""
+    """Time-ordered propagator over [t0, t1] under a time-dependent
+    Hamiltonian, in `steps` equal steps."""
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
     if steps < 1:
@@ -309,7 +309,7 @@ def segment_propagator(hamiltonian_fn, t0, t1, steps):
     if t1 == t0:
         return np.eye(4, dtype=complex)
     q = hamiltonian_fn.frame
-    return q @ _fold(q.conj().T, hamiltonian_fn, t0, t1, steps, math.inf, math.inf, t0)[0]
+    return q @ _fold(q.conj().T, hamiltonian_fn, t0, (t1 - t0) / steps, steps, ())[0]
 
 
 def _segment_hamiltonian(system, drive, constants, dipolar_on=True):
@@ -352,18 +352,54 @@ def trim_unitaries(system, segment):
     return u_open, u_open.conj().T
 
 
+def _sample_steps(t0, t1, h, n, due, every, last):
+    """The steps of a segment at which samples fall due, and the next due
+    time. Step k < n ends at t0 + (k + 1) h, and the closing step n at t1.
+
+    A sample falls due at the first step that ends past `last`, the time of
+    the sample before it, and at or after `due` (less 1e-15 s of slack);
+    then `due` += `every`. Each such step is estimated by arithmetic on the
+    grid and then moved to the first step whose end, computed as the fold
+    computes it, meets the rule.
+    """
+    def end(k):
+        return t0 + (k + 1) * h if k < n else t1
+
+    marks, k = [], 0
+    while k <= n:
+        x = max(due - 1e-15, math.nextafter(last, math.inf))
+        lo, k = k, max(k, math.ceil(min((x - t0) / h, n + 1.0)) - 1)
+        while k > lo and end(k - 1) >= x:
+            k -= 1
+        while k <= n and end(k) < x:
+            k += 1
+        if k > n:
+            break
+        marks.append(k)
+        last, due, k = end(k), due + every, k + 1
+    return marks, due
+
+
 def _propagate(system, events, steps_per_period, sample_every):
     """Walk a sequence once; return its unitary U and the samples [(t, V)].
 
-    This is the only dispatch over event types, and every step unitary is
+    This is the only dispatch over event types, and every segment is
     folded into U here. V is the unitary a measurement at t sees: U so far,
     taken through the closing trim pulse inside a CW segment. Samples are
-    taken at t = 0 after any leading pulses, at the first step end past
-    each multiple of sample_every, and at the end of the sequence (the last
-    sample holds U, so it includes any trailing pulses).
+    taken at t = 0 after any leading pulses, at the steps `_sample_steps`
+    finds for each multiple of sample_every, and at the end of the sequence
+    (the last sample holds U, so it includes any trailing pulses).
+
+    A segment of duration d takes ceil(d / T_r * steps_per_period) steps:
+    n whole steps of h = T_r / steps_per_period and a closing one. One
+    fold of min(n, s) steps from its start, s = steps_per_period, gives the
+    period product U_T and the partials P(r) at the residues r of the
+    marked step counts; the unitary after c whole steps is
+    P(c mod s) U_T^(c div s).
     """
     constants = dipolar_constants(system.gamma, system.r, system.theta_d)
     eye = np.eye(4, dtype=complex)
+    h = system.rotor_period / steps_per_period
     u, samples = eye, []
     t, due = 0.0, sample_every
     for event in events:
@@ -383,12 +419,27 @@ def _propagate(system, events, steps_per_period, sample_every):
         if event.duration == 0.0:
             continue
         t0, t = t, t + event.duration
-        steps = max(1, math.ceil(event.duration / system.rotor_period * steps_per_period))
+        n = max(1, math.ceil(event.duration / system.rotor_period * steps_per_period)) - 1
+        marks, due = _sample_steps(t0, t, h, n, due, sample_every, samples[-1][0])
+        counts = [k + 1 for k in marks if k < n]
+        residues = sorted({c % steps_per_period for c in counts + [n]} - {0})
+        u_period, partials = _fold(eye, fn, t0, h, min(n, steps_per_period),
+                                   [r - 1 for r in residues])
+        partial = dict(zip([0, *residues], [eye, *partials]))
         # into the segment's band frame and, at each sample and the end, out
         u_close = u_close @ fn.frame
-        u, partial, due = _fold(fn.frame.conj().T @ u_open @ u, fn, t0, t, steps,
-                                due, sample_every, samples[-1][0])
-        samples += [(te, u_close @ v) for te, v in partial]
+        u = fn.frame.conj().T @ u_open @ u
+        periods = 0
+        for c in counts:
+            q, r = divmod(c, steps_per_period)
+            u, periods = np.linalg.matrix_power(u_period, q - periods) @ u, q
+            samples.append((t0 + c * h, u_close @ partial[r] @ u))
+        q, r = divmod(n, steps_per_period)
+        u = partial[r] @ np.linalg.matrix_power(u_period, q - periods) @ u
+        t_close = t0 + n * h
+        u, _ = _fold(u, fn, t_close, t - t_close, 1, ())
+        if n in marks:
+            samples.append((t, u_close @ u))
         u = u_close @ u
     if samples and samples[-1][0] >= t:
         t = samples.pop()[0]  # a sample at the end gives way to U
@@ -404,8 +455,8 @@ def run_sequence(initial, system, events, sample_every,
     it reflects the prepared state. During a trimmed CW segment the sampled
     observables are taken through the closing trim pulse (the state itself
     keeps evolving under the drive). A sample is due at the first step end
-    past each multiple of sample_every. The last sample is the state at the
-    end of the sequence, after any trailing pulses.
+    at or after each multiple of sample_every. The last sample is the state
+    at the end of the sequence, after any trailing pulses.
     """
     _, samples = _propagate(system, events, steps_per_period, sample_every)
     rho = np.asarray(initial, dtype=complex)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -16,7 +17,7 @@ from r2tr.hamiltonian import (dipolar_constants, dipolar_coupling_operator,
 from r2tr.operators import (SpinSystem, basis_state, check_density_matrix,
                             check_unitary, expectation, spin_operator)
 from r2tr.propagator import (FOLD_BLOCK, CWSegment, Delay, HarmonicHamiltonian,
-                             IdealRotation, RFDrive, Trajectory, _fold,
+                             IdealRotation, RFDrive, Trajectory, _fold, _sample_steps,
                              _segment_hamiltonian, extract_gate, rotation_unitary,
                              run_sequence, segment_propagator, trim_unitaries)
 from r2tr.units import GAMMA_C13, GLYCINE_CC_DISTANCE, TWO_PI, deg_to_rad, hz_to_angular
@@ -80,24 +81,21 @@ def test_segment_propagator_self_convergence():
 def test_fold_matches_serial_product(steps):
     sys = glycine_system(phi=0.3)
     fn = harmonic_hamiltonian(sys, RFDrive(omega_1=hz_to_angular(2339.0)))
-    t1 = steps / 64 * sys.rotor_period
-    edges = np.linspace(0.0, t1, steps + 1)
-    generators = fn.step_generators(edges, t1 / steps)
+    step = sys.rotor_period / 64
+    edges = np.arange(steps + 1) * step
+    generators = fn.step_generators(edges, step)
     u0 = rotation_unitary((0,), "x", 0.7)
     # U_k ... U_1 U_0 u0 after each step k, one product per step
     serial = list(itertools.accumulate((expm(-1j * m) for m in generators),
                                        lambda u, uk: uk @ u, initial=u0))[1:]
-    # a sample at every step: step 0, the last step and both sides of every
-    # block edge; then one every 37.3 steps, which ends runs inside blocks
-    for every in (0.0, 37.3 * t1 / steps):
-        u, samples, due = _fold(u0, fn, 0.0, t1, steps, 0.0, every, 0.0)
+    # a partial after every step: step 0, the last step and both sides of
+    # every block edge; then after every 37th step, which ends runs inside
+    # blocks
+    for marks in (range(steps), range(36, steps, 37)):
+        u, partials = _fold(u0, fn, 0.0, step, steps, marks)
         assert np.max(np.abs(u - serial[-1])) < 1e-12
-        marks, expected_due = _due_steps_on_grid(edges[1:], 0.0, every, 0.0)
-        if not every:
-            assert marks == list(range(steps))
-        assert due == expected_due
-        assert [t for t, _ in samples] == [float(edges[k + 1]) for k in marks]
-        for k, (_, v) in zip(marks, samples):
+        assert len(partials) == len(marks)
+        for k, v in zip(marks, partials):
             assert np.max(np.abs(v - serial[k])) < 1e-12, k
 
 
@@ -440,16 +438,14 @@ def test_untrimmed_cw_composes_in_time(phi, periods, split):
 
 # ------------------------------------------------- the streamed step grid
 
-def _due_steps_on_grid(ends, due, every, last):
-    """Reference for `_fold`'s sample placement: the steps at which samples
-    fall due and the next due time, found by np.searchsorted on the stored
-    step ends np.linspace(t0, t1, steps + 1)[1:]."""
+def _scan_sample_steps(t0, t1, h, n, due, every, last):
+    """Reference for `_sample_steps`: every end of the stored step grid,
+    t0 + np.arange(1, n + 1) h and then t1, tested in turn."""
     marks = []
-    k = int(np.searchsorted(ends, last, side="right"))
-    while (k := max(k, int(np.searchsorted(ends, due - 1e-15)))) < len(ends):
-        marks.append(k)
-        due += every
-        k += 1
+    for k, end in enumerate([*(np.arange(1, n + 1) * h + t0), t1]):
+        if end >= due - 1e-15 and end > last:
+            marks.append(k)
+            last, due = end, due + every
     return marks, due
 
 
@@ -475,54 +471,83 @@ class _EdgeRecorder:
         return m
 
 
+T0S = st.one_of(st.just(0.0), st.floats(0.0, 0.05), st.floats(0.0, 2.0))
+
+
 @st.composite
-def grids(draw):
-    """A segment's start and end, its step count, and a sampling state: the
-    next due time, the interval and the last sample's time."""
-    t0 = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.05), st.floats(0.0, 2.0)))
-    duration = draw(st.one_of(
-        st.floats(0.0, 3.0).map(lambda periods: periods * T_R),
-        # down to durations that t0 absorbs, t0 + duration == t0
-        st.integers(40, 60).map(lambda e: t0 * 2.0**-e),
-        st.sampled_from([0.0, 2.2e-210, 5e-324])))
-    t1 = t0 + duration
+def fold_grids(draw):
+    """A fold's start, step and step count, from steps that t0 absorbs to
+    a hundredth of T_r, and increasing step indices to mark."""
+    t0 = draw(T0S)
+    step = draw(st.one_of(st.floats(0.0, 0.01).map(lambda periods: periods * T_R),
+                          st.integers(40, 60).map(lambda e: t0 * 2.0**-e),
+                          st.sampled_from([0.0, 2.2e-210, 5e-324])))
     steps = draw(st.one_of(
         st.integers(1, 2200),
         st.builds(lambda m, d: m * FOLD_BLOCK + d, st.integers(1, 4), st.integers(-2, 2))))
-    every = draw(st.floats(0.01, 1.5)) * T_R  # rarely a divisor of T_r
-    ends = np.linspace(t0, t1, steps + 1)[1:]
-    step_end = st.integers(0, steps - 1).map(lambda k: float(ends[k]))
-    last = draw(st.one_of(st.just(t0), st.floats(0.0, t0), step_end,
-                          step_end.map(lambda t: math.nextafter(t, math.inf))))
-    due = draw(st.one_of(step_end, st.floats(-0.5, 1.5).map(lambda x: t0 + x * duration),
-                         st.just(last + every)))
-    return t0, t1, steps, due, every, last
+    marks = sorted(draw(st.sets(st.integers(0, steps - 1), max_size=40)))
+    return t0, step, steps, marks
 
 
 @settings(max_examples=150, deadline=None)
-@given(grid=grids())
-@example(grid=(T_R, T_R + 2.2e-210, 1, T_R, 0.0546875 * T_R, T_R))
-@example(grid=(T_R, T_R + 2.2e-210, FOLD_BLOCK + 1, T_R, 0.0546875 * T_R, 0.0))
-def test_streamed_grid_matches_linspace(grid):
-    t0, t1, steps, due, every, last = grid
-    edges = np.linspace(t0, t1, steps + 1)
+@given(grid=fold_grids())
+def test_streamed_grid_matches_the_step_grid(grid):
+    t0, step, steps, marks = grid
+    edges = np.arange(steps + 1) * step + t0
     recorder = _EdgeRecorder()
-    _, samples, next_due = _fold(np.eye(4, dtype=complex), recorder, t0, t1, steps,
-                                 due, every, last)
+    _, partials = _fold(np.eye(4, dtype=complex), recorder, t0, step, steps, marks)
     assert len(recorder.blocks) == -(-steps // FOLD_BLOCK)
-    # one block alive at a time: a view of a block's edges kept for the
-    # sample search would hold the whole array while the next is built
+    # one block alive at a time: an array of a block kept for the marks
+    # would hold it while the next is built
     assert recorder.alive == [0] * len(recorder.blocks)
     for b, (block_edges, dt) in enumerate(recorder.blocks):
         lo = b * FOLD_BLOCK
         assert block_edges.tobytes() == edges[lo:lo + FOLD_BLOCK + 1].tobytes()
-        assert dt == (edges[-1] - edges[0]) / steps
-    marks, expected_due = _due_steps_on_grid(edges[1:], due, every, last)
-    assert [t for t, _ in samples] == [float(edges[k + 1]) for k in marks]
-    # a sample after step k has taken k + 1 steps
-    assert [round(-np.angle(v[0, 0]) / STEP_PHASE) for _, v in samples] == [
+        assert dt == step
+    # a partial after step k has taken k + 1 steps
+    assert [round(-np.angle(v[0, 0]) / STEP_PHASE) for v in partials] == [
         k + 1 for k in marks]
-    assert next_due == expected_due
+
+
+@st.composite
+def segment_grids(draw):
+    """A segment's start t0, whole step h and number n of whole steps, its
+    end t1 after a closing step of 0 to h (or ending an ulp before the
+    whole steps do, as rounding may leave it), and a sampling state: the
+    next due time, the interval and the last sample's time."""
+    t0 = draw(T0S)
+    h = T_R / draw(st.integers(1, 2048))
+    n = draw(st.integers(0, 2200))
+    t_close = t0 + n * h
+    t1 = draw(st.one_of(
+        st.floats(0.0, 1.0).map(lambda part: t_close + part * h),
+        st.sampled_from([t_close, t_close + (1 - 1e-9) * h, t_close + h,
+                         math.nextafter(t_close, -math.inf)])))
+    every = draw(st.one_of(st.just(0.0), st.floats(0.01, 1.5).map(lambda p: p * T_R)))
+    step_end = st.integers(0, n).map(lambda k: t0 + (k + 1) * h if k < n else t1)
+    # a last sample an ulp before a step end puts that end on the bound
+    last = draw(st.one_of(st.just(t0), st.floats(0.0, t0), step_end,
+                          step_end.map(lambda t: math.nextafter(t, math.inf)),
+                          step_end.map(lambda t: math.nextafter(t, -math.inf))))
+    due = draw(st.one_of(step_end, st.floats(-0.5, 1.5).map(lambda x: t0 + x * (t1 - t0)),
+                         st.just(last + every), st.just(math.inf)))
+    return t0, t1, h, n, due, every, last
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid=segment_grids())
+# a segment too short to advance the clock; one whose closing step ends
+# before its last whole step
+@example(grid=(T_R, T_R + 2.2e-210, T_R / 16, 0, T_R, 0.0546875 * T_R, T_R))
+@example(grid=(0.3, math.nextafter(0.3 + 600 * (T_R / 64), -math.inf), T_R / 64, 600,
+               0.3 + 599.5 * (T_R / 64), 0.0, 0.0))
+# a bound on a step end, where the estimate (x - t0) / h rounds up to the
+# next step
+@example(grid=(0.038048122245628785, 0.038048122245628785 + 386 * (T_R / 860), T_R / 860,
+               385, 0.0, 0.0,
+               math.nextafter(0.038048122245628785 + 250 * (T_R / 860), -math.inf)))
+def test_sample_steps_match_a_scan_of_the_step_ends(grid):
+    assert _sample_steps(*grid) == _scan_sample_steps(*grid)
 
 
 # ------------------------------------- the singlet-triplet band frame
@@ -556,20 +581,20 @@ class LabHamiltonian:
                 - 0.5j * k[:, None, None] * self.comm)
 
 
-def reference_fold(u, fn, t0, t1, steps, due, every, last):
-    """The reference for `_fold`: the whole np.linspace grid exponentiated at
-    once by the complex Hermitian solver, one product per step, and samples
-    where `_due_steps_on_grid` places them."""
-    edges = np.linspace(t0, t1, steps + 1)
-    evals, evecs = np.linalg.eigh(fn.step_generators(edges, (t1 - t0) / steps))
-    unitaries = (evecs * np.exp(-1j * evals)[:, None, :]) @ evecs.conj().swapaxes(1, 2)
-    marks, due = _due_steps_on_grid(edges[1:], due, every, last)
-    marks, samples = set(marks), []
-    for k, uk in enumerate(unitaries):
-        u = uk @ u
-        if k in marks:
-            samples.append((float(edges[k + 1]), u))
-    return u, samples, due
+def lab_unitaries(fn, edges, dt):
+    """exp(-i M_k) of fn's steps between consecutive edges, each dt long,
+    by the complex Hermitian solver."""
+    evals, evecs = np.linalg.eigh(fn.step_generators(edges, dt))
+    return (evecs * np.exp(-1j * evals)[:, None, :]) @ evecs.conj().swapaxes(1, 2)
+
+
+def reference_propagator(fn, t0, t1, steps):
+    """The reference for `segment_propagator`: the np.linspace grid, one
+    product per step."""
+    return functools.reduce(lambda u, uk: uk @ u,
+                            lab_unitaries(fn, np.linspace(t0, t1, steps + 1),
+                                          (t1 - t0) / steps),
+                            np.eye(4, dtype=complex))
 
 
 OFFSETS_HZ = st.floats(-3e4, 3e4)
@@ -659,17 +684,58 @@ def test_band_generators_are_lab_generators_in_the_frame(segment):
 @example(segment=SUBNORMAL_DRIVE)
 def test_band_frame_propagator_matches_lab_frame(segment):
     fn, lab, t0, t1, steps = _band_segment(segment)
-    u_lab, _, _ = reference_fold(np.eye(4, dtype=complex), lab, t0, t1, steps,
-                                 math.inf, math.inf, t0)
+    u_lab = reference_propagator(lab, t0, t1, steps)
     assert np.max(np.abs(segment_propagator(fn, t0, t1, steps) - u_lab)) < 1e-10
 
 
+def reference_walk(system, events, steps_per_period, sample_every):
+    """The reference for `_propagate`: each segment's step grid walked one
+    step at a time, with no period reuse. The whole steps run from the
+    segment's start t0 in steps of h = T_r / steps_per_period and a closing
+    step ends at its end; every step is exponentiated in the product basis
+    by the complex Hermitian solver and multiplied in, and a sample is taken
+    at the first step end at or after each due time (less 1e-15 s) that is
+    past the sample before it."""
+    constants = dipolar_constants(system.gamma, system.r, system.theta_d)
+    eye = np.eye(4, dtype=complex)
+    h = system.rotor_period / steps_per_period
+    u, samples, t, due = eye, [], 0.0, sample_every
+    for event in events:
+        if isinstance(event, IdealRotation):
+            u = rotation_unitary(event.targets, event.axis, event.angle) @ u
+            continue
+        if isinstance(event, Delay):
+            u_open = u_close = eye
+            lab = LabHamiltonian(system, None, constants, event.dipolar_on)
+        else:
+            u_open, u_close = trim_unitaries(system, event)
+            lab = LabHamiltonian(system, event.drive, constants)
+        if not samples:
+            samples.append((t, u))
+        if event.duration == 0.0:
+            continue
+        t0, t = t, t + event.duration
+        n = max(1, math.ceil(event.duration / system.rotor_period * steps_per_period)) - 1
+        edges = np.arange(n + 1) * h + t0
+        steps = [*lab_unitaries(lab, edges, h),
+                 *lab_unitaries(lab, np.array([edges[-1], t]), t - edges[-1])]
+        u = u_open @ u
+        for uk, end in zip(steps, [*edges[1:], t]):
+            u = uk @ u
+            if end >= due - 1e-15 and end > samples[-1][0]:
+                samples.append((float(end), u_close @ u))
+                due += sample_every
+        u = u_close @ u
+    if samples and samples[-1][0] >= t:
+        t = samples.pop()[0]
+    samples.append((t, u))
+    return u, samples
+
+
 def _lab_frame_walk(run):
-    """run() with every segment of the walk in the product basis, folded by
-    the reference."""
+    """run() with the walk replaced by the per-step reference."""
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(propagator, "_segment_hamiltonian", LabHamiltonian)
-        monkeypatch.setattr(propagator, "_fold", reference_fold)
+        monkeypatch.setattr(propagator, "_propagate", reference_walk)
         return run()
 
 
@@ -688,19 +754,47 @@ def assert_walk_matches_lab_frame(system, events, sample_every, steps_per_period
     assert np.max(np.abs(traj.sz - expected.sz)) < 1e-10
 
 
+@st.composite
+def lab_walks(draw):
+    """phi, up to five events, a sampling interval that rarely divides T_r
+    and a step count per period that is rarely a power of two. Segments
+    start at odd times after the ones before them, and run for under a
+    period up to several, a whole number of periods, or a whole number of
+    steps less a little, which leaves a closing step of nearly h."""
+    steps_per_period = draw(st.integers(1, 100))
+    h = T_R / steps_per_period
+    durations = st.one_of(
+        st.floats(0.0, 3.5).map(lambda periods: periods * T_R),
+        st.integers(1, 3).map(lambda periods: periods * T_R),
+        st.integers(1, 3 * steps_per_period).map(lambda steps: (steps - 1e-6) * h))
+    timed = st.one_of(
+        st.builds(Delay, duration=durations, dipolar_on=st.booleans()),
+        st.builds(CWSegment, drive=DRIVES, duration=durations, trim=st.booleans(),
+                  skip_trim=st.lists(st.sampled_from((0, 1)), max_size=2)))
+    return (draw(st.floats(0.0, TWO_PI)), draw(st.lists(st.one_of(PULSES, timed), max_size=5)),
+            draw(st.floats(0.05, 1.5)) * T_R, steps_per_period)
+
+
+CW_2339 = RFDrive(hz_to_angular(2339.0), 0.9)
+
+
 @settings(max_examples=30, deadline=None)
-@given(phi=st.floats(0.0, TWO_PI),
-       events=st.lists(st.one_of(PULSES, TIMED), max_size=5),
-       sample_periods=st.floats(0.05, 1.5))
-@example(phi=1.3, events=[Delay(0.37 * T_R, dipolar_on=False),
-                          CWSegment(RFDrive(hz_to_angular(2339.0), 0.9), 1.1 * T_R),
-                          Delay(0.8 * T_R)],
-         sample_periods=0.31)
-def test_walk_matches_lab_frame_walk(phi, events, sample_periods):
-    # segments start at odd times after the ones before them, and the
-    # sampling interval rarely divides T_r
-    assert_walk_matches_lab_frame(glycine_system(phi=phi), events,
-                                  sample_periods * T_R, 64)
+@given(walk=lab_walks())
+# odd start times and a sampling interval that does not divide T_r
+@example(walk=(1.3, [Delay(0.37 * T_R, dipolar_on=False), CWSegment(CW_2339, 1.1 * T_R),
+                     Delay(0.8 * T_R)], 0.31 * T_R, 64))
+# whole periods sampled once a period, at 48 steps per period
+@example(walk=(0.7, [CWSegment(CW_2339, 3 * T_R)], T_R, 48))
+# a segment under a period and one of several, sampled off the period
+@example(walk=(2.1, [IdealRotation((0,), "x", np.pi), CWSegment(CW_2339, 0.4 * T_R),
+                     CWSegment(CW_2339, 3.3 * T_R, trim=False)], 1.3 * T_R, 100))
+# 36 whole steps and a closing step of nearly h, sampled every step
+@example(walk=(0.2, [Delay(0.1 * T_R), CWSegment(CW_2339, (37 - 1e-6) * T_R / 24)],
+               0.5 * T_R / 24, 24))
+def test_walk_matches_lab_frame_walk(walk):
+    phi, events, sample_every, steps_per_period = walk
+    assert_walk_matches_lab_frame(glycine_system(phi=phi), events, sample_every,
+                                  steps_per_period)
 
 
 @pytest.mark.parametrize("preset", ["fig3a", "fig3b", "fig4"])
@@ -715,9 +809,8 @@ def test_presets_match_lab_frame_walk(preset):
     assert_walk_matches_lab_frame(system, events, system.rotor_period, steps)
 
 
-def test_fig3a_makes_the_pinned_eigh_matrices(tmp_path, monkeypatch):
-    # the 51,761 matrices that bench/selftest.py pins for fig3a: one per
-    # integrator step, and no eigendecomposition to build the band frame
+def _eigh_matrices(run):
+    """run() and the number of matrices it hands eigh."""
     matrices = []
     eigh = np.linalg.eigh
 
@@ -725,6 +818,27 @@ def test_fig3a_makes_the_pinned_eigh_matrices(tmp_path, monkeypatch):
         matrices.append(len(a) if a.ndim == 3 else 1)
         return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    assert cli_main(["repro", "fig3a", "--out", str(tmp_path)]) == 0
-    assert sum(matrices) == 51761
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        result = run()
+    return result, sum(matrices)
+
+
+def test_fig3a_makes_the_pinned_eigh_matrices(tmp_path):
+    # the matrices that bench/selftest.py pins for fig3a: its CW segment of
+    # 51,761 steps (50 periods and 561 steps at 1024 per period) folds one
+    # period, 1024 steps, and then takes one closing step: 1024 + 1 = 1025,
+    # and no eigendecomposition builds the band frame
+    assert _eigh_matrices(lambda: cli_main(["repro", "fig3a", "--out", str(tmp_path)])) == (
+        0, 1025)
+
+
+def test_eigh_matrices_do_not_grow_with_segment_length():
+    # a segment of 10 rotor periods and one of 40 both fold one period and
+    # take one closing step
+    system = glycine_system(phi=0.3)
+    drive = RFDrive(omega_1=hz_to_angular(2339.0))
+    for periods in (10, 40):
+        seg = CWSegment(drive=drive, duration=periods * T_R)
+        _, matrices = _eigh_matrices(lambda: extract_gate(system, [seg], steps_per_period=1024))
+        assert matrices == 1024 + 1, periods

@@ -3,8 +3,8 @@
 Condition class 'a' (flip-flop) matches the difference of the two
 effective-field frequencies to a rotor harmonic, class 'b' (flop-flop)
 their sum. The carrier placement (hence the offsets) is treated as given
-and the RF amplitude is solved for; a sweep over carrier placement can be
-layered on top by the caller.
+and the RF amplitude in [0, 10 omega_r] is solved for in closed form; a
+sweep over carrier placement can be layered on top by the caller.
 """
 
 from dataclasses import dataclass, asdict
@@ -12,16 +12,13 @@ import json
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .hamiltonian import bq_factors, effective_field
 from .units import angular_to_hz
 
 SOLVER_REL_TOL = 1e-6
-BRACKET_FACTOR = 10.0  # search amplitudes up to 10 * omega_r
-SOLVER_GRID_POINTS = 4096  # sign-change grid of solve_amplitude
+BRACKET_FACTOR = 10.0  # no amplitude above 10 * omega_r is returned
 # brentq's relative x tolerance and step limit, as in scipy.optimize.brentq
-BRENT_RTOL = 4 * np.finfo(float).eps
+BRENT_RTOL = 4 * math.ulp(1.0)
 BRENT_MAXITER = 100
 SELECTIVITY_THRESHOLD_HZ = 1000.0  # shift differences below this recouple poorly
 
@@ -115,44 +112,45 @@ def brentq(f, xa, xb, xtol):
     raise RuntimeError(f"brentq did not converge in {BRENT_MAXITER} steps")
 
 
-def condition_residual(delta_i, delta_s, omega_1, omega_r, condition_class, m):
-    """Distance (rad/s) from the matching condition for the given class/harmonic."""
+def _check_condition(condition_class, m):
     if m not in (1, 2):
         raise ValueError(f"harmonic m must be 1 or 2, got {m}")
+    if condition_class not in ("a", "b"):
+        raise ValueError(f"condition class must be 'a' or 'b', got {condition_class!r}")
+
+
+def condition_residual(delta_i, delta_s, omega_1, omega_r, condition_class, m):
+    """Distance (rad/s) from the matching condition for the given class/harmonic."""
+    _check_condition(condition_class, m)
     # the omega_e of effective_field, without its tilt angle
     w_ei = math.hypot(delta_i, omega_1)
     w_es = math.hypot(delta_s, omega_1)
-    if condition_class == "a":
-        return abs(w_es - w_ei) - m * omega_r
-    if condition_class == "b":
-        return (w_ei + w_es) - m * omega_r
-    raise ValueError(f"condition class must be 'a' or 'b', got {condition_class!r}")
+    side = abs(w_es - w_ei) if condition_class == "a" else w_ei + w_es
+    return side - m * omega_r
 
 
 def solve_amplitude(delta_i, delta_s, omega_r, condition_class, m):
     """All RF amplitudes in [0, 10 * omega_r] satisfying the matching condition.
 
-    Roots are located by sign changes on a dense grid and polished by
-    Brent's method (brentq); an empty list means the condition has no
-    solution at this carrier placement. Each root satisfies
-    |condition_residual| < 1e-6 * omega_r.
+    With B >= S the larger and smaller of |delta_i|, |delta_s| and
+    d = m * omega_r, class a's |w_eS - w_eI| falls from B - S to 0 as
+    omega_1 grows and class b's w_eI + w_eS rises from B + S, so there is
+    one root iff B - S >= d (a) or B + S <= d (b), else none. Squaring twice
+    gives sqrt(S^2 + omega_1^2) = |s|, s = ((B - S)(B + S) - d^2) / (2d),
+    so omega_1 = sqrt((s - S)(s + S)), exactly 0 for a root at 0. A root is
+    kept only if |condition_residual| < 1e-6 * omega_r.
     """
-
-    def f(w1):
-        return condition_residual(delta_i, delta_s, w1, omega_r, condition_class, m)
-
-    upper = BRACKET_FACTOR * omega_r
-    grid = np.linspace(0.0, upper, SOLVER_GRID_POINTS)
-    vals = np.fromiter(map(f, grid), float, len(grid))
-    tol = SOLVER_REL_TOL * omega_r
-    # a cell brackets a root when it starts on a zero or changes sign
-    cells = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
-    roots = [grid[k] if vals[k] == 0.0
-             else brentq(f, grid[k], grid[k + 1], xtol=1e-3 * tol)
-             for k in cells]
-    if vals[-1] == 0.0:
-        roots.append(grid[-1])
-    return [r for r in roots if abs(f(r)) < tol]
+    _check_condition(condition_class, m)
+    small, big = sorted((abs(delta_i), abs(delta_s)))
+    d = m * omega_r
+    if (big - small < d) if condition_class == "a" else (big + small > d):
+        return []
+    s = ((big - small) * (big + small) - d * d) / (2 * d)
+    omega_1 = math.sqrt(max((s - small) * (s + small), 0.0))
+    if omega_1 > BRACKET_FACTOR * omega_r:
+        return []
+    residual = condition_residual(delta_i, delta_s, omega_1, omega_r, condition_class, m)
+    return [omega_1] if abs(residual) < SOLVER_REL_TOL * omega_r else []
 
 
 def _mechanism_score(condition_class, delta_i, delta_s, omega_1):

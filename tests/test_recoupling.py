@@ -142,16 +142,19 @@ def effective_field_residual(delta_i, delta_s, omega_1, omega_r, condition_class
     return (w_ei + w_es) - m * omega_r
 
 
-def per_cell_solve_amplitude(residual, delta_i, delta_s, omega_r, condition_class, m):
-    """solve_amplitude's grid and brackets, visited cell by cell in a Python
-    loop: the reference it must match root for root and evaluation for
-    evaluation."""
+PER_CELL_GRID_POINTS = 4096
+
+
+def per_cell_solve_amplitude(delta_i, delta_s, omega_r, condition_class, m):
+    """The reference root search: sign changes of effective_field_residual
+    on a 4,096-point grid over [0, 10 omega_r], visited cell by cell in a
+    Python loop and polished by Brent's method."""
 
     def f(w1):
-        return residual(delta_i, delta_s, w1, omega_r, condition_class, m)
+        return effective_field_residual(delta_i, delta_s, w1, omega_r, condition_class, m)
 
     upper = recoupling.BRACKET_FACTOR * omega_r
-    grid = np.linspace(0.0, upper, recoupling.SOLVER_GRID_POINTS)
+    grid = np.linspace(0.0, upper, PER_CELL_GRID_POINTS)
     vals = np.array([f(w) for w in grid])
     roots = []
     tol = recoupling.SOLVER_REL_TOL * omega_r
@@ -174,40 +177,50 @@ def recording(residual, calls):
     return wrapper
 
 
-def assert_solves_like_per_cell_scan(point, monkeypatch):
-    calls, expected_calls = [], []
-    monkeypatch.setattr(recoupling, "condition_residual",
-                        recording(condition_residual, calls))
+def assert_solves_like_per_cell_scan(point):
+    # the same number of roots, each within the 1e-6 omega_r of criterion 1,
+    # and condition_residual equal to the reference residual at each root
+    d_i, d_s, w_r, *condition = point
     roots = solve_amplitude(*point)
-    expected = per_cell_solve_amplitude(
-        recording(effective_field_residual, expected_calls), *point)
-    monkeypatch.undo()
-    assert roots == expected
-    assert calls == expected_calls
+    expected = per_cell_solve_amplitude(*point)
+    assert len(roots) == len(expected)
+    for root, ref in zip(roots, expected):
+        assert abs(root - ref) <= 1e-6 * w_r
+        assert (condition_residual(d_i, d_s, root, w_r, *condition)
+                == effective_field_residual(d_i, d_s, root, w_r, *condition))
     return roots
 
 
 @settings(max_examples=40, deadline=None)
 @given(point=POINTS)
 def test_solve_amplitude_matches_per_cell_scan(point):
-    # the same roots, to the bit, from the same residual evaluations
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        assert_solves_like_per_cell_scan(point, monkeypatch)
+    assert_solves_like_per_cell_scan(point)
 
 
-def test_solve_amplitude_keeps_exact_grid_zeros(monkeypatch):
-    # class b with offsets (0, 2), w_r = 1 and m = 2 is met at w_1 = 0, the
-    # first grid point; (3, 0), w_r = 9, m = 1 at w_1 = 4 = grid[182]
-    assert assert_solves_like_per_cell_scan((0.0, 2.0, 1.0, "b", 2), monkeypatch) == [0.0]
-    assert assert_solves_like_per_cell_scan((3.0, 0.0, 9.0, "b", 1), monkeypatch) == [4.0]
+def test_solve_amplitude_keeps_exact_grid_zeros():
+    # both classes with offsets (0, 2), w_r = 1 and m = 2 are met at w_1 = 0,
+    # the scan's first grid point; class b with (3, 0), w_r = 9, m = 1 at
+    # w_1 = 4 = grid[182]
+    assert assert_solves_like_per_cell_scan((0.0, 2.0, 1.0, "a", 2)) == [0.0]
+    assert assert_solves_like_per_cell_scan((0.0, 2.0, 1.0, "b", 2)) == [0.0]
+    assert assert_solves_like_per_cell_scan((3.0, 0.0, 9.0, "b", 1)) == [4.0]
     for point in ((D_I, D_S, W_R, "a", 2), (0.0, 0.0, W_R, "b", 1)):
-        assert_solves_like_per_cell_scan(point, monkeypatch)
+        assert_solves_like_per_cell_scan(point)
+
+
+@pytest.mark.parametrize("condition", [("c", 1), ("a", 3)])
+def test_solve_amplitude_rejects_a_bad_condition_without_a_root(condition):
+    # at glycine's offsets and spin rate neither class b with m = 1 (the
+    # branch an unknown class would take) nor class a with m = 3 has a root:
+    # the check must come before the early return
+    with pytest.raises(ValueError):
+        solve_amplitude(D_I, D_S, W_R, *condition)
 
 
 def test_default_solve_makes_the_pinned_residual_evaluations(monkeypatch):
-    # the 16,398 evaluations that bench/selftest.py pins for the default
-    # `r2tr solve`: four 4,096-point grids, the Brent steps, the root filter
-    # and one residual per plan
+    # the default `r2tr solve` has class a roots at m = 1 and m = 2 and none
+    # of class b: one residual per root in solve_amplitude's filter plus one
+    # per plan in make_plan, 2 + 2 = 4
     system = build_system(glycine_defaults())
     calls = []
     monkeypatch.setattr(recoupling, "condition_residual",
@@ -215,12 +228,12 @@ def test_default_solve_makes_the_pinned_residual_evaluations(monkeypatch):
     plans = solve_plans(system.offsets[0], system.offsets[1], system.omega_r,
                         dipolar_constants(system.gamma, system.r, system.theta_d))
     assert len(plans) == 2
-    assert len(calls) == 16398
+    assert len(calls) == 4
 
 
 def test_solve_amplitude_memory_holds_no_per_point_objects():
-    # the scan keeps the grid, the values and the bracket mask as arrays;
-    # a Python list of the values costs far more than four grid-sized arrays
+    # the closed form holds a few floats and a one-element list: no grid,
+    # no per-point objects
     solve_amplitude(D_I, D_S, W_R, "a", 2)
     tracemalloc.start()
     try:
@@ -228,7 +241,7 @@ def test_solve_amplitude_memory_holds_no_per_point_objects():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 8 * recoupling.SOLVER_GRID_POINTS
+    assert peak < 1024
 
 
 def test_theta_from_period_matches_known_geometry():

@@ -1,16 +1,15 @@
-"""Hamiltonian construction for a homonuclear pair under MAS and CW drive.
+"""The scalars of a homonuclear pair's Hamiltonian under MAS and CW drive.
 
-Covers the MAS-modulated dipolar coupling, the offset and RF part of the
-rotating-frame Hamiltonian, effective fields, and the B/Q scaling factors
-of the two recoupling classes.
+Covers the rotor-harmonic amplitudes of the MAS-modulated dipolar
+coupling, the effective field each spin feels under the drive, and the B/Q
+scaling factors of the two recoupling classes. The Hamiltonian itself is
+written in closed form, in the band frame where the propagator integrates
+it (see `propagator`).
 """
 
 from dataclasses import dataclass
 import math
 
-import numpy as np
-
-from .operators import SPINS, spin_operator
 from .units import HBAR, MU0_OVER_4PI
 
 
@@ -52,31 +51,6 @@ def dipolar_constants(gamma, r, theta_d):
         omega_d1=math.sqrt(2.0) * omega_full * math.sin(2.0 * theta_d),
         omega_d2=omega_full * math.sin(theta_d) ** 2,
     )
-
-
-def dipolar_coupling_operator():
-    """The secular homonuclear form I_z S_z - (1/4)(I+S- + I-S+) of the pair."""
-    iz = spin_operator(0, "z")
-    sz = spin_operator(1, "z")
-    ip = spin_operator(0, "+")
-    im = spin_operator(0, "-")
-    sp = spin_operator(1, "+")
-    sm = spin_operator(1, "-")
-    return iz @ sz - 0.25 * (ip @ sm + im @ sp)
-
-
-def static_drive_hamiltonian(system, drive):
-    """Offset + RF part of the rotating-frame Hamiltonian (time independent)."""
-    h = np.zeros((4, 4), dtype=complex)
-    for k, dw in enumerate(system.offsets):
-        h = h + dw * spin_operator(k, "z")
-    if drive is not None and drive.omega_1 != 0.0:
-        cx, sx = math.cos(drive.phase), math.sin(drive.phase)
-        for k in SPINS:
-            h = h + drive.omega_1 * (
-                cx * spin_operator(k, "x") + sx * spin_operator(k, "y")
-            )
-    return h
 
 
 def effective_field(delta_omega, omega_1):

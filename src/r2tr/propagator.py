@@ -29,12 +29,15 @@ partial and power. A segment's cost grows with steps_per_period, not with
 its length.
 
 A segment is integrated in the singlet-triplet band frame Q = (S, T0, A,
-B): S and T0 are the singlet and central triplet, A is the combination of
-|00> and |11> that the offset and drive part couples to T0, and B is the
-orthogonal one. The secular dipolar operator is diagonal there, (0, -1/2,
-1/4, 1/4), and the offset and drive part is tridiagonal (S-T0 from the
-offset difference, T0-A from the drive, A-B from the offset sum), so every
-step generator is tridiagonal. A diagonal unitary similarity makes each one
+B): S and T0 are the singlet and central triplet, and A, B = (+-e^{-i phi}
+|00> + e^{i phi} |11>)/sqrt(2) for the drive phase phi (phi = 0 in a
+delay). There the Hamiltonian is written in closed form. The offset and
+drive part is real tridiagonal with a zero diagonal and subdiagonal c =
+((d_I - d_S)/2, omega_1, -(d_I + d_S)/2), d_I and d_S the offsets, and the
+secular dipolar operator is diagonal, d = (0, -1/2, 1/4, 1/4). So every
+step generator is tridiagonal: its diagonal is the step's area of D(t)
+times d, and its subdiagonal dt c_j - (i/2) K c_j (d_j - d_{j+1}), K the
+step's commutator integral. A diagonal unitary similarity makes each one
 real symmetric, so it goes to LAPACK's real symmetric solver, and its step
 unitary is rebuilt from the real eigenvectors by real matrix products. The
 walk enters the frame with Q^dag and leaves it with Q.
@@ -47,29 +50,43 @@ No time grid is stored, and one block is alive at a time, so memory is
 O(one block) whatever the number of steps.
 """
 
+import cmath
 from dataclasses import dataclass
 import math
 
 import numpy as np
 
-from .hamiltonian import (
-    dipolar_constants,
-    dipolar_coupling_operator,
-    effective_field,
-    static_drive_hamiltonian,
-)
+from .hamiltonian import dipolar_constants, effective_field
 from .operators import SPINS, expectation, spin_operator
 
 DEFAULT_STEPS_PER_PERIOD = 1024
 # steps per batch in `_fold`: one eigh and one pairwise reduction share their
 # Python overhead over this many steps, and a batch stays at 128 kB
 FOLD_BLOCK = 512
-# the singlet and central triplet of the pair, the band frame's first two
-# columns; the diagonal and subdiagonal entries of a 4x4 matrix
-_SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
-_TRIPLET0 = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
+# the secular dipolar operator in the band frame, which is diagonal there,
+# and the differences d_j - d_{j+1} of its neighbouring entries
+_DIPOLAR_BAND = np.array([0.0, -0.5, 0.25, 0.25])
+_DIPOLAR_STEPS = _DIPOLAR_BAND[:-1] - _DIPOLAR_BAND[1:]
+# the diagonal and subdiagonal entries of a 4x4 matrix
 _DIAG = np.arange(4)
 _SUB_ROW, _SUB_COL = np.arange(1, 4), np.arange(3)
+
+
+def _finite(value, field, non_negative=False):
+    """Raise a ValueError that names the field unless value is a finite
+    number (and, if non_negative, not below 0)."""
+    if not math.isfinite(value) or (non_negative and value < 0):
+        sign = " and non-negative" if non_negative else ""
+        raise ValueError(f"{field} must be finite{sign}, got {value!r}")
+
+
+def _spins(indices, field):
+    """indices as a tuple, if each is a spin index in SPINS; else a
+    ValueError that names the field."""
+    indices = tuple(indices)
+    if any(k not in SPINS for k in indices):
+        raise ValueError(f"{field} entries must be spin indices {SPINS}, got {indices}")
+    return indices
 
 
 @dataclass(frozen=True)
@@ -84,8 +101,8 @@ class RFDrive:
     phase: float = 0.0
 
     def __post_init__(self):
-        if self.omega_1 < 0:
-            raise ValueError("drive amplitude must be non-negative")
+        _finite(self.omega_1, "omega_1", non_negative=True)
+        _finite(self.phase, "phase")
 
 
 @dataclass(frozen=True)
@@ -97,7 +114,8 @@ class IdealRotation:
     angle: float
 
     def __post_init__(self):
-        targets = tuple(self.targets)
+        targets = _spins(self.targets, "targets")
+        _finite(self.angle, "angle")
         if not targets:
             raise ValueError("rotation needs at least one target spin")
         if len(set(targets)) != len(targets):
@@ -113,8 +131,7 @@ class Delay:
     dipolar_on: bool = True
 
     def __post_init__(self):
-        if self.duration < 0:
-            raise ValueError("duration must be non-negative")
+        _finite(self.duration, "duration", non_negative=True)
 
 
 @dataclass(frozen=True)
@@ -132,9 +149,8 @@ class CWSegment:
     skip_trim: tuple = ()
 
     def __post_init__(self):
-        if self.duration < 0:
-            raise ValueError("duration must be non-negative")
-        object.__setattr__(self, "skip_trim", tuple(self.skip_trim))
+        _finite(self.duration, "duration", non_negative=True)
+        object.__setattr__(self, "skip_trim", _spins(self.skip_trim, "skip_trim"))
 
 
 @dataclass(frozen=True)
@@ -160,21 +176,19 @@ class HarmonicHamiltonian:
     per-step integrals and the leading commutator correction.
 
     frame is a unitary Q, and the product-basis Hamiltonian is Q H(t) Q^dag.
-    In its basis h_static is tridiagonal and h_dip diagonal, and only those
-    entries are read.
+    In its basis H_static is real tridiagonal with a zero diagonal and the
+    subdiagonal `coupling` c = (S-T0, T0-A, A-B), and H_dip is the diagonal
+    d = (0, -1/2, 1/4, 1/4). Their commutator is then tridiagonal with a zero
+    diagonal and the subdiagonal c_j (d_j - d_{j+1}).
     """
 
-    def __init__(self, h_static, h_dip, omega_r, phi, omega_d1, omega_d2, frame):
-        self.h_static = np.asarray(h_static, dtype=complex)
-        self.h_dip = np.asarray(h_dip, dtype=complex)
+    def __init__(self, coupling, omega_r, phi, omega_d1, omega_d2, frame):
+        self.coupling = np.asarray(coupling, dtype=float)
         self.frame = frame
         self.omega_r = omega_r
         self.phi = phi
         self.omega_d1 = omega_d1
         self.omega_d2 = omega_d2
-        comm = self.h_static @ self.h_dip - self.h_dip @ self.h_static
-        # [H_static, H_dip] is tridiagonal with a zero diagonal
-        self._comm_sub = comm[_SUB_ROW, _SUB_COL]
 
     def step_generators(self, edges, dt):
         """Hermitian tridiagonal generators M_k with U_k = exp(-i M_k) for
@@ -200,10 +214,9 @@ class HarmonicHamiltonian:
         term2 = (r[1:] - r[:-1]) - edges[:-1] * area
         k = term1 - term2
         m = np.zeros((len(area), 4, 4), dtype=complex)
-        m[:, _DIAG, _DIAG] = (np.multiply.outer(area, self.h_dip.real[_DIAG, _DIAG])
-                              + dt * self.h_static[_DIAG, _DIAG])
-        sub = (dt * self.h_static[_SUB_ROW, _SUB_COL]
-               - np.multiply.outer(0.5j * k, self._comm_sub))
+        m[:, _DIAG, _DIAG] = np.multiply.outer(area, _DIPOLAR_BAND)
+        sub = (dt * self.coupling
+               - np.multiply.outer(0.5j * k, self.coupling * _DIPOLAR_STEPS))
         m[:, _SUB_ROW, _SUB_COL] = sub
         m[:, _SUB_COL, _SUB_ROW] = sub.conj()
         return m
@@ -313,28 +326,22 @@ def segment_propagator(hamiltonian_fn, t0, t1, steps):
 
 
 def _segment_hamiltonian(system, drive, constants, dipolar_on=True):
-    """A segment's Hamiltonian in the band frame Q = (S, T0, A, B), built in
-    closed form (no eigendecomposition): the offset and drive part is
-    tridiagonal there and the dipolar operator diagonal, and only those
-    entries are read: the others are zero but for roundoff."""
-    h0 = static_drive_hamiltonian(system, drive)
-    # A is along the (|00>, |11>) part of h0 T0; it is scaled to a largest
-    # modulus of 1 before it is normalized, so that a subnormal drive keeps
-    # Q unitary, and by its real parts, as a complex division by a
-    # subnormal overflows. With no drive, A = |00>.
-    v = (h0 @ _TRIPLET0)[[0, 3]]
-    scale = np.max(np.abs(v))
-    a = (v.view(float) / scale).view(complex) if scale else np.array([1.0, 0j])
-    a /= math.hypot(*np.abs(a))
-    q = np.zeros((4, 4), dtype=complex)
-    q[:, 0], q[:, 1] = _SINGLET, _TRIPLET0
-    q[[0, 3], 2] = a
-    q[[0, 3], 3] = a[::-1].conj() * [-1.0, 1.0]
-    h0 = q.conj().T @ h0 @ q
-    hd = np.diag(np.diag(q.conj().T @ dipolar_coupling_operator() @ q).real)
+    """A segment's Hamiltonian in the band frame Q = (S, T0, A, B), in
+    closed form. A, B = (+-e^{-i phi} |00> + e^{i phi} |11>)/sqrt(2) for the
+    drive phase phi; a delay (no drive) takes phi = 0 and omega_1 = 0."""
+    omega_1, phase = (drive.omega_1, drive.phase) if drive is not None else (0.0, 0.0)
+    s = 1.0 / math.sqrt(2.0)
+    a = cmath.exp(-1j * phase) * s
+    # the columns S, T0, A, B in the product basis |00>, |01>, |10>, |11>
+    q = np.array([[0.0, 0.0, a, -a],
+                  [s, s, 0.0, 0.0],
+                  [-s, s, 0.0, 0.0],
+                  [0.0, 0.0, a.conjugate(), a.conjugate()]])
+    delta_i, delta_s = system.offsets
+    coupling = ((delta_i - delta_s) / 2.0, omega_1, -(delta_i + delta_s) / 2.0)
     d1 = constants.omega_d1 if dipolar_on else 0.0
     d2 = constants.omega_d2 if dipolar_on else 0.0
-    return HarmonicHamiltonian(h0, hd, system.omega_r, system.phi, d1, d2, frame=q)
+    return HarmonicHamiltonian(coupling, system.omega_r, system.phi, d1, d2, frame=q)
 
 
 def trim_unitaries(system, segment):

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from r2tr.hamiltonian import (bq_factors, dipolar_constants,
-                              dipolar_coupling_operator, effective_field,
-                              static_drive_hamiltonian)
+from r2tr.hamiltonian import bq_factors, dipolar_constants, effective_field
 from r2tr.operators import SpinSystem, spin_operator
 from r2tr.propagator import RFDrive, _segment_hamiltonian
 from r2tr.units import (GAMMA_C13, GLYCINE_CC_DISTANCE, TWO_PI, deg_to_rad,
@@ -31,6 +29,29 @@ def modulation(fn, t):
     """D(t) of a HarmonicHamiltonian: its two rotor harmonics at time t."""
     arg = fn.omega_r * np.asarray(t) + fn.phi
     return fn.omega_d1 * np.cos(arg) + fn.omega_d2 * np.cos(2.0 * arg)
+
+
+def band_segment(drive, phi=0.0):
+    """The glycine pair's segment Hamiltonian under drive (None: a delay)."""
+    sys = glycine_system(phi=phi)
+    return sys, _segment_hamiltonian(sys, drive, dipolar_constants(sys.gamma, sys.r, sys.theta_d))
+
+
+def in_product_basis(fn, band):
+    """Q band Q^dag: a band-frame matrix of fn in the product basis."""
+    return fn.frame @ band @ fn.frame.conj().T
+
+
+def band_static(fn):
+    """The band-frame offset and drive part: real tridiagonal, zero diagonal,
+    subdiagonal fn.coupling."""
+    return np.diag(fn.coupling, -1) + np.diag(fn.coupling, 1)
+
+
+# the secular dipolar operator in the band frame
+BAND_DIPOLAR = np.diag([0.0, -0.5, 0.25, 0.25])
+DRIVES = (None, RFDrive(omega_1=0.0, phase=1.3), RFDrive(omega_1=hz_to_angular(2339.0)),
+          RFDrive(omega_1=hz_to_angular(2339.0), phase=-2.9))
 
 
 def test_dipolar_constants_glycine():
@@ -67,35 +88,37 @@ def test_modulation_is_rotor_periodic_and_zero_mean():
 
 
 def test_coupling_operator_structure():
-    op = dipolar_coupling_operator()
+    # in every band frame the dipolar operator is diag(0, -1/2, 1/4, 1/4):
+    # the secular form I_z S_z - (1/4)(I+S- + I-S+) in the product basis
     iz = spin_operator(0, "z") @ spin_operator(1, "z")
     flip = (spin_operator(0, "+") @ spin_operator(1, "-")
             + spin_operator(0, "-") @ spin_operator(1, "+"))
-    assert np.allclose(op, iz - 0.25 * flip)
-    assert np.allclose(op, op.conj().T)
+    for drive in DRIVES:
+        _, fn = band_segment(drive)
+        assert np.max(np.abs(in_product_basis(fn, BAND_DIPOLAR) - (iz - 0.25 * flip))) < 1e-14
 
 
 def test_static_drive_hamiltonian():
-    sys = glycine_system()
-    h0 = static_drive_hamiltonian(sys, None)
-    # offsets only: diagonal
-    assert np.allclose(h0, np.diag(np.diag(h0)))
-    drive = RFDrive(omega_1=hz_to_angular(2339.0))
-    h = static_drive_hamiltonian(sys, drive)
-    expected = (sys.offsets[0] * spin_operator(0, "z")
-                + sys.offsets[1] * spin_operator(1, "z")
-                + drive.omega_1 * (spin_operator(0, "x")
-                                   + spin_operator(1, "x")))
-    assert np.allclose(h, expected)
+    # the band frame's closed-form couplings are the offset and RF part of
+    # the rotating-frame Hamiltonian in the product basis, with a drive of
+    # any phase and in a delay
+    for drive in DRIVES:
+        sys, fn = band_segment(drive)
+        expected = (sys.offsets[0] * spin_operator(0, "z")
+                    + sys.offsets[1] * spin_operator(1, "z"))
+        if drive is not None:
+            expected = expected + drive.omega_1 * sum(
+                np.cos(drive.phase) * spin_operator(k, "x")
+                + np.sin(drive.phase) * spin_operator(k, "y") for k in (0, 1))
+        h = in_product_basis(fn, band_static(fn))
+        assert np.max(np.abs(h - expected)) < 1e-14 * np.max(np.abs(expected))
 
 
 def test_rotating_frame_hamiltonian_is_hermitian():
-    sys = glycine_system(phi=1.1)
-    c = dipolar_constants(sys.gamma, sys.r, sys.theta_d)
     drive = RFDrive(omega_1=hz_to_angular(2339.0), phase=0.4)
-    fn = _segment_hamiltonian(sys, drive, c)
+    _, fn = band_segment(drive, phi=1.1)
     for t in (0.0, 1.7e-5, 3.3e-4):
-        h = fn.h_static + modulation(fn, t) * fn.h_dip
+        h = in_product_basis(fn, band_static(fn) + modulation(fn, t) * BAND_DIPOLAR)
         assert np.allclose(h, h.conj().T)
 
 

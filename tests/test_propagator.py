@@ -12,8 +12,7 @@ from scipy.linalg import expm
 from r2tr import propagator
 from r2tr.cli import (analytic_point, build_drive, build_run, build_system,
                       main as cli_main, preset_config)
-from r2tr.hamiltonian import (dipolar_constants, dipolar_coupling_operator,
-                              effective_field, static_drive_hamiltonian)
+from r2tr.hamiltonian import dipolar_constants, effective_field
 from r2tr.operators import (SpinSystem, basis_state, check_density_matrix,
                             check_unitary, expectation, spin_operator)
 from r2tr.propagator import (FOLD_BLOCK, CWSegment, Delay, HarmonicHamiltonian,
@@ -28,6 +27,25 @@ def glycine_system(phi=0.0, offsets=(2000.0, 18699.0)):
                       theta_d=deg_to_rad(64.0), phi=phi,
                       omega_r=TWO_PI * 7884.0,
                       offsets=tuple(TWO_PI * o for o in offsets))
+
+
+def dipolar_coupling_operator():
+    """The secular homonuclear form I_z S_z - (1/4)(I+S- + I-S+) of the pair,
+    in the product basis."""
+    flip = (spin_operator(0, "+") @ spin_operator(1, "-")
+            + spin_operator(0, "-") @ spin_operator(1, "+"))
+    return spin_operator(0, "z") @ spin_operator(1, "z") - 0.25 * flip
+
+
+def static_drive_hamiltonian(system, drive):
+    """The offset and RF part of the rotating-frame Hamiltonian, in the
+    product basis (no drive: offsets only)."""
+    h = sum(dw * spin_operator(k, "z") for k, dw in enumerate(system.offsets))
+    if drive is not None:
+        h = h + drive.omega_1 * sum(math.cos(drive.phase) * spin_operator(k, "x")
+                                    + math.sin(drive.phase) * spin_operator(k, "y")
+                                    for k in (0, 1))
+    return h
 
 
 def harmonic_hamiltonian(system, drive=None, dipolar_on=True):
@@ -102,8 +120,8 @@ def test_fold_matches_serial_product(steps):
 def test_non_finite_hamiltonian_is_rejected():
     sys = glycine_system()
     fn = harmonic_hamiltonian(sys)
-    bad = HarmonicHamiltonian(fn.h_static, fn.h_dip, fn.omega_r, fn.phi,
-                              math.inf, fn.omega_d2, fn.frame)
+    bad = HarmonicHamiltonian(fn.coupling, fn.omega_r, fn.phi, math.inf, fn.omega_d2,
+                              fn.frame)
     with np.errstate(invalid="ignore"), pytest.raises(
             ValueError, match="Hamiltonian produced non-finite entries"):
         segment_propagator(bad, 0.0, sys.rotor_period, 64)
@@ -187,10 +205,9 @@ def test_harmonic_antiderivatives_match_quadrature():
     num, _ = quad(modulation, t0, t1, limit=200)
     dt = t1 - t0
     mods = fn.step_generators(np.linspace(t0, t1, 2), dt)
-    # single step: generator = dt*h_static + integral(D)*h_dip + commutator term;
-    # read the integral off entry [2, 2], where the band frame's h_dip is 1/4
-    # and the commutator term is zero
-    area = (mods[0][2, 2] - dt * fn.h_static[2, 2]).real / 0.25
+    # single step: the generator's diagonal is integral(D) times the band
+    # frame's dipolar diagonal, so entry [2, 2] is exactly a quarter of it
+    area = mods[0][2, 2].real / 0.25
     assert area == pytest.approx(num, rel=1e-10)
 
 
@@ -383,6 +400,25 @@ def test_event_validation():
         IdealRotation((0, 0), "x", np.pi / 2)
     with pytest.raises(TypeError):
         run_sequence(basis_state("00"), glycine_system(), ["pulse"], 1e-4)
+
+
+@pytest.mark.parametrize("make, field", [
+    pytest.param(lambda: Delay(math.nan), "duration", id="delay-nan"),
+    pytest.param(lambda: Delay(math.inf), "duration", id="delay-inf"),
+    pytest.param(lambda: CWSegment(RFDrive(1e4), math.nan), "duration", id="cw-nan"),
+    pytest.param(lambda: CWSegment(RFDrive(1e4), -1e-3), "duration", id="cw-negative"),
+    pytest.param(lambda: CWSegment(RFDrive(1e4), 1e-3, skip_trim=(7,)), "skip_trim",
+                 id="skip-trim-out-of-range"),
+    pytest.param(lambda: RFDrive(math.nan), "omega_1", id="amplitude-nan"),
+    pytest.param(lambda: RFDrive(math.inf), "omega_1", id="amplitude-inf"),
+    pytest.param(lambda: RFDrive(1e4, math.nan), "phase", id="phase-nan"),
+    pytest.param(lambda: RFDrive(1e4, -math.inf), "phase", id="phase-inf"),
+    pytest.param(lambda: IdealRotation((5,), "x", 1.0), "targets", id="target-out-of-range"),
+    pytest.param(lambda: IdealRotation((0,), "x", math.nan), "angle", id="angle-nan"),
+])
+def test_event_rejects_bad_input_naming_the_field(make, field):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        make()
 
 
 # ---------------------------------------------------- properties of the walk
@@ -603,8 +639,8 @@ OFFSETS_HZ = st.floats(-3e4, 3e4)
 @st.composite
 def pair_segments(draw):
     """A pair segment: offsets equal, opposite, one zero or free, a drive
-    from 0 with any phase, the dipolar term on or off, an odd start time
-    and a step count that may cross a fold block."""
+    from 0 with any phase or none (a delay), the dipolar term on or off, an
+    odd start time and a step count that may cross a fold block."""
     first = draw(st.one_of(st.just(0.0), OFFSETS_HZ))
     second = draw(st.one_of(st.just(first), st.just(-first), st.just(0.0), OFFSETS_HZ))
     system = SpinSystem(
@@ -612,8 +648,9 @@ def pair_segments(draw):
         theta_d=draw(st.floats(0.0, np.pi)), phi=draw(st.floats(0.0, TWO_PI)),
         omega_r=hz_to_angular(draw(st.floats(2e3, 3e4))),
         offsets=(hz_to_angular(first), hz_to_angular(second)))
-    drive = RFDrive(omega_1=hz_to_angular(draw(st.one_of(st.just(0.0), st.floats(0.0, 2e4)))),
-                    phase=draw(st.floats(-np.pi, np.pi)))
+    drive = draw(st.one_of(st.none(), st.builds(
+        RFDrive, st.one_of(st.just(0.0), st.floats(0.0, 2e4)).map(hz_to_angular),
+        st.floats(-np.pi, np.pi))))
     t0 = draw(st.floats(0.0, 2.0)) * system.rotor_period
     t1 = t0 + draw(st.floats(0.01, 2.0)) * system.rotor_period
     return system, drive, draw(st.booleans()), t0, t1, draw(st.integers(1, 700))

@@ -292,8 +292,8 @@ def build_run(cfg):
     for k, event in enumerate(events):
         if isinstance(event, IdealRotation):
             continue
-        # the segment takes ceil(x) steps, which exceeds the limit exactly
-        # when x does; x may overflow to inf, where ceil would raise
+        # the segment takes up to ceil(x) + 1 steps, which are bounded by
+        # bounding x; x may overflow to inf, where ceil would raise
         x = event.duration / system.rotor_period * steps
         if x > MAX_SEGMENT_STEPS:
             raise ConfigError(
@@ -440,10 +440,11 @@ def _simulate_report(cfg):
     system, drive, events, steps = build_run(cfg)
     sample_every = (_number(cfg.get("sample_every_s", 0.0), "sample_every_s", 0.0)
                     or system.rotor_period)
-    # a sample falls due at most once per step and once per sample_every_s
+    # a sample falls due at most once per step, ceil(x) + 1 in a segment,
+    # and once per sample_every_s
     timed = [e for e in events if not isinstance(e, IdealRotation)]
     duration = sum(e.duration for e in timed)
-    total_steps = sum(math.ceil(e.duration / system.rotor_period * steps) for e in timed)
+    total_steps = sum(math.ceil(e.duration / system.rotor_period * steps) + 1 for e in timed)
     samples = min(total_steps, duration / sample_every)
     if samples > MAX_SAMPLES:
         raise ConfigError(

@@ -17,16 +17,17 @@ integral plus the leading commutator correction, so the step error is far
 below the sampling error. Every step exponential is taken via a symmetric
 eigendecomposition, keeping unitarity at roundoff.
 
-A segment's step grid runs from its start t0 in whole steps of h = T_r /
-steps_per_period and ends with one closing step, at most h long, at its
-end t1. Its Hamiltonian has the rotor period T_r, so every period of whole
-steps has the same product U_T, whatever its start. One period is folded
-(or all the whole steps, if fewer), marked with the partial products P(r)
-after the r steps that samples and the segment's end need. After K whole
-periods and r steps the unitary is P(r) U_T^K, so the segment ends at
-C P(rem) U_T^K with C the closing step, and each sample takes its own
-partial and power. A segment's cost grows with steps_per_period, not with
-its length.
+Whole steps of h = T_r / s, s = steps_per_period, lie on one grid per walk,
+t_a + j h, where the rotor phase omega_r t + phi is 0. A segment takes a
+leading step onto the grid unless it starts on it, then the whole steps and
+a closing step, at most h long. Its Hamiltonian has the rotor period T_r,
+and in the band frame it is real symmetric and even in time about t_a. So
+from t_a every period of whole steps has the product U_T, and the steps of
+its second half are transposes of the first half's: with P(r) the product
+of the first r steps, U_T = P(floor(s/2))^T P(ceil(s/2)) and P(r) =
+conj(P(s - r)) U_T. A long segment folds half a period, once, and its
+unitaries are P(r) U_T^K P(r0)^dag; one of at most ceil(s/2) whole steps
+folds them directly. Its cost grows with s, not with its length.
 
 A segment is integrated in the singlet-triplet band frame Q = (S, T0, A,
 B): S and T0 are the singlet and central triplet, and A, B = (+-e^{-i phi}
@@ -387,6 +388,19 @@ def _sample_steps(t0, t1, h, n, due, every, last):
     return marks, due
 
 
+def _period_partials(fn, t_a, h, s, residues):
+    """U_T and {r: P(r)} for residues r in [0, s), P(r) the product of the
+    first r steps of h = T_r / s from t_a, fn's rotor phase 0: by the mirror
+    identities of the module docstring, from ceil(s/2) folded steps."""
+    eye = np.eye(4, dtype=complex)
+    half = sorted(({min(r, s - r) for r in residues} | {s // 2, -(-s // 2)}) - {0})
+    _, partials = _fold(eye, fn, t_a, h, half[-1], [r - 1 for r in half])
+    p = dict(zip([0, *half], [eye, *partials]))
+    u_period = p[s // 2].T @ p[half[-1]]
+    return u_period, {r: p[r] if 2 * r <= s else p[s - r].conj() @ u_period
+                      for r in residues}
+
+
 def _propagate(system, events, steps_per_period, sample_every):
     """Walk a sequence once; return its unitary U and the samples [(t, V)].
 
@@ -397,16 +411,18 @@ def _propagate(system, events, steps_per_period, sample_every):
     finds for each multiple of sample_every, and at the end of the sequence
     (the last sample holds U, so it includes any trailing pulses).
 
-    A segment of duration d takes ceil(d / T_r * steps_per_period) steps:
-    n whole steps of h = T_r / steps_per_period and a closing one. One
-    fold of min(n, s) steps from its start, s = steps_per_period, gives the
-    period product U_T and the partials P(r) at the residues r of the
-    marked step counts; the unitary after c whole steps is
-    P(c mod s) U_T^(c div s).
+    A segment from t0 to t1 takes a leading step to the first grid point g0
+    = t_a + j0 h after t0 (none if t0 is on the grid or none is inside), n
+    whole steps and a closing step. If n <= ceil(s/2), they are folded from
+    g0. Else `_period_partials` gives U_T and P(r) at the residues of j0 and
+    of the marked step counts; after c whole steps the unitary is P((j0 +
+    c) mod s) U_T^q P(j0 mod s)^dag, q = (j0 + c) div s - j0 div s.
     """
     constants = dipolar_constants(system.gamma, system.r, system.theta_d)
     eye = np.eye(4, dtype=complex)
-    h = system.rotor_period / steps_per_period
+    s = steps_per_period
+    h = system.rotor_period / s
+    t_a = -(system.phi % math.tau) / system.omega_r
     u, samples = eye, []
     t, due = 0.0, sample_every
     for event in events:
@@ -426,24 +442,37 @@ def _propagate(system, events, steps_per_period, sample_every):
         if event.duration == 0.0:
             continue
         t0, t = t, t + event.duration
-        n = max(1, math.ceil(event.duration / system.rotor_period * steps_per_period)) - 1
-        marks, due = _sample_steps(t0, t, h, n, due, sample_every, samples[-1][0])
-        counts = [k + 1 for k in marks if k < n]
-        residues = sorted({c % steps_per_period for c in counts + [n]} - {0})
-        u_period, partials = _fold(eye, fn, t0, h, min(n, steps_per_period),
-                                   [r - 1 for r in residues])
-        partial = dict(zip([0, *residues], [eye, *partials]))
         # into the segment's band frame and, at each sample and the end, out
         u_close = u_close @ fn.frame
         u = fn.frame.conj().T @ u_open @ u
-        periods = 0
+        j0 = math.ceil((t0 - t_a) / h)
+        g0 = t_a + j0 * h
+        g0 = g0 if t0 < g0 < t else t0
+        if g0 > t0:  # the leading step, whose end may take a sample
+            u, _ = _fold(u, fn, t0, g0 - t0, 1, ())
+            marks, due = _sample_steps(t0, g0, h, 0, due, sample_every, samples[-1][0])
+            if marks:
+                samples.append((g0, u_close @ u))
+        n = max(1, math.ceil((t - g0) / system.rotor_period * s)) - 1
+        marks, due = _sample_steps(g0, t, h, n, due, sample_every, samples[-1][0])
+        counts = [k + 1 for k in marks if k < n]
+        if n > -(-s // 2):
+            period = s
+            u_period, partial = _period_partials(
+                fn, t_a, h, s, {(j0 + c) % s for c in [0, *counts, n]})
+        else:  # a short segment folds its own steps, as one unrepeated period
+            j0, period, u_period = 0, n + 1, eye
+            residues = sorted({*counts, n} - {0})
+            _, partials = _fold(eye, fn, g0, h, n, [r - 1 for r in residues])
+            partial = dict(zip([0, *residues], [eye, *partials]))
+        u, periods = partial[j0 % period].conj().T @ u, j0 // period
         for c in counts:
-            q, r = divmod(c, steps_per_period)
+            q, r = divmod(j0 + c, period)
             u, periods = np.linalg.matrix_power(u_period, q - periods) @ u, q
-            samples.append((t0 + c * h, u_close @ partial[r] @ u))
-        q, r = divmod(n, steps_per_period)
+            samples.append((g0 + c * h, u_close @ partial[r] @ u))
+        q, r = divmod(j0 + n, period)
         u = partial[r] @ np.linalg.matrix_power(u_period, q - periods) @ u
-        t_close = t0 + n * h
+        t_close = g0 + n * h
         u, _ = _fold(u, fn, t_close, t - t_close, 1, ())
         if n in marks:
             samples.append((t, u_close @ u))

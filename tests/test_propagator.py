@@ -16,9 +16,10 @@ from r2tr.hamiltonian import dipolar_constants, effective_field
 from r2tr.operators import (SpinSystem, basis_state, check_density_matrix,
                             check_unitary, expectation, spin_operator)
 from r2tr.propagator import (FOLD_BLOCK, CWSegment, Delay, HarmonicHamiltonian,
-                             IdealRotation, RFDrive, Trajectory, _fold, _sample_steps,
-                             _segment_hamiltonian, extract_gate, rotation_unitary,
-                             run_sequence, segment_propagator, trim_unitaries)
+                             IdealRotation, RFDrive, Trajectory, _fold, _period_partials,
+                             _sample_steps, _segment_hamiltonian, extract_gate,
+                             rotation_unitary, run_sequence, segment_propagator,
+                             trim_unitaries)
 from r2tr.units import GAMMA_C13, GLYCINE_CC_DISTANCE, TWO_PI, deg_to_rad, hz_to_angular
 
 
@@ -733,15 +734,19 @@ def test_band_frame_propagator_matches_lab_frame(segment):
 
 def reference_walk(system, events, steps_per_period, sample_every):
     """The reference for `_propagate`: each segment's step grid walked one
-    step at a time, with no period reuse. The whole steps run from the
-    segment's start t0 in steps of h = T_r / steps_per_period and a closing
-    step ends at its end; every step is exponentiated in the product basis
-    by the complex Hermitian solver and multiplied in, and a sample is taken
-    at the first step end at or after each due time (less 1e-15 s) that is
-    past the sample before it."""
+    step at a time, with no period reuse and no mirror. The whole steps of h
+    = T_r / steps_per_period lie on the grid t_a + j h, t_a = -(phi mod 2
+    pi) / omega_r, where the rotor phase is 0: a segment from t0 to t1 has
+    the edges [t0, g0, g0 + h, ..., g0 + n h, t1], g0 being the first grid
+    point after t0 (or t0 itself, if it is on the grid or no grid point
+    lies inside). Every step is exponentiated in
+    the product basis by the complex Hermitian solver and multiplied in,
+    and a sample is taken at the first step end at or after each due time
+    (less 1e-15 s) that is past the sample before it."""
     constants = dipolar_constants(system.gamma, system.r, system.theta_d)
     eye = np.eye(4, dtype=complex)
     h = system.rotor_period / steps_per_period
+    t_a = -(system.phi % math.tau) / system.omega_r
     u, samples, t, due = eye, [], 0.0, sample_every
     for event in events:
         if isinstance(event, IdealRotation):
@@ -758,12 +763,17 @@ def reference_walk(system, events, steps_per_period, sample_every):
         if event.duration == 0.0:
             continue
         t0, t = t, t + event.duration
-        n = max(1, math.ceil(event.duration / system.rotor_period * steps_per_period)) - 1
-        edges = np.arange(n + 1) * h + t0
-        steps = [*lab_unitaries(lab, edges, h),
+        g0 = t_a + math.ceil((t0 - t_a) / h) * h
+        g0 = g0 if t0 < g0 < t else t0
+        n = max(1, math.ceil((t - g0) / system.rotor_period * steps_per_period)) - 1
+        edges = np.arange(n + 1) * h + g0
+        lead = int(g0 > t0)  # a leading step from t0 to g0, or none
+        steps = [*lab_unitaries(lab, np.array([t0, g0]), g0 - t0)[:lead],
+                 *lab_unitaries(lab, edges, h),
                  *lab_unitaries(lab, np.array([edges[-1], t]), t - edges[-1])]
+        ends = [g0][:lead] + [*edges[1:], t]
         u = u_open @ u
-        for uk, end in zip(steps, [*edges[1:], t]):
+        for uk, end in zip(steps, ends):
             u = uk @ u
             if end >= due - 1e-15 and end > samples[-1][0]:
                 samples.append((float(end), u_close @ u))
@@ -834,6 +844,9 @@ CW_2339 = RFDrive(hz_to_angular(2339.0), 0.9)
 # 36 whole steps and a closing step of nearly h, sampled every step
 @example(walk=(0.2, [Delay(0.1 * T_R), CWSegment(CW_2339, (37 - 1e-6) * T_R / 24)],
                0.5 * T_R / 24, 24))
+# a sample falls due inside a leading step, 0.37 to 0.37125 T_r, and lands
+# at its end, the first grid point
+@example(walk=(1.3, [Delay(0.37 * T_R), CWSegment(CW_2339, 3.3 * T_R)], 0.3705 * T_R, 64))
 def test_walk_matches_lab_frame_walk(walk):
     phi, events, sample_every, steps_per_period = walk
     assert_walk_matches_lab_frame(glycine_system(phi=phi), events, sample_every,
@@ -868,20 +881,62 @@ def _eigh_matrices(run):
 
 
 def test_fig3a_makes_the_pinned_eigh_matrices(tmp_path):
-    # the matrices that bench/selftest.py pins for fig3a: its CW segment of
-    # 51,761 steps (50 periods and 561 steps at 1024 per period) folds one
-    # period, 1024 steps, and then takes one closing step: 1024 + 1 = 1025,
-    # and no eigendecomposition builds the band frame
+    # fig3a's CW segment of 51,761 steps (50 periods and 561 steps at 1024
+    # per period) starts at t = 0 with phi = 0, on the grid, so it takes no
+    # leading step; it folds half a period, 1024 / 2 = 512 steps, and then
+    # takes one closing step: 512 + 1 = 513, and no eigendecomposition
+    # builds the band frame
     assert _eigh_matrices(lambda: cli_main(["repro", "fig3a", "--out", str(tmp_path)])) == (
-        0, 1025)
+        0, 513)
 
 
 def test_eigh_matrices_do_not_grow_with_segment_length():
-    # a segment of 10 rotor periods and one of 40 both fold one period and
-    # take one closing step
+    # a segment of 10 rotor periods and one of 40 both take one leading step
+    # (phi = 0.3 puts t = 0 off the grid, 0.3 / 2 pi * 1024 = 48.9 steps past
+    # rotor phase 0), fold half a period, 1024 / 2 = 512 steps, and take one
+    # closing step: 1 + 512 + 1 = 514
     system = glycine_system(phi=0.3)
     drive = RFDrive(omega_1=hz_to_angular(2339.0))
     for periods in (10, 40):
         seg = CWSegment(drive=drive, duration=periods * T_R)
         _, matrices = _eigh_matrices(lambda: extract_gate(system, [seg], steps_per_period=1024))
-        assert matrices == 1024 + 1, periods
+        assert matrices == 1 + 512 + 1, periods
+
+
+@st.composite
+def period_folds(draw):
+    """A pair segment's Hamiltonian and steps per period: 1, 2, 3, odd or even."""
+    system, drive, dipolar_on, *_ = draw(pair_segments())
+    steps = draw(st.one_of(st.sampled_from((1, 2, 3)),
+                           st.integers(2, 600).map(lambda k: 2 * k + 1),
+                           st.integers(2, 600).map(lambda k: 2 * k)))
+    return harmonic_hamiltonian(system, drive, dipolar_on), steps
+
+
+@settings(max_examples=40, deadline=None)
+@given(fold=period_folds())
+def test_half_period_fold_matches_a_full_period_fold(fold):
+    # from rotor phase 0, the steps of the second half period mirror those of
+    # the first: U_T and every P(r) follow from ceil(s/2) folded steps
+    fn, steps = fold
+    t_a, h = -fn.phi / fn.omega_r, TWO_PI / fn.omega_r / steps
+    u_period, partial = _period_partials(fn, t_a, h, steps, set(range(steps)))
+    eye = np.eye(4, dtype=complex)
+    full_period, partials = _fold(eye, fn, t_a, h, steps, list(range(steps - 1)))
+    assert np.max(np.abs(u_period - full_period)) < 1e-12
+    for r, expected in enumerate([eye, *partials]):
+        assert np.max(np.abs(partial[r] - expected)) < 1e-12, r
+
+
+@settings(max_examples=40, deadline=None)
+@given(phi=st.floats(0.0, TWO_PI), steps_per_period=st.integers(1, 100),
+       part=st.floats(0.0, 1.0), rest=st.floats(0.0, 1.0, exclude_max=True))
+def test_short_segment_makes_at_most_two_more_eigh_matrices(phi, steps_per_period, part,
+                                                            rest):
+    # n <= ceil(s/2) whole steps are folded as they are, with at most a
+    # leading and a closing step around them: at most n + 2 matrices
+    whole = math.floor(part * -(-steps_per_period // 2))
+    seg = CWSegment(drive=CW_2339, duration=(whole + rest) * T_R / steps_per_period)
+    _, matrices = _eigh_matrices(lambda: extract_gate(
+        glycine_system(phi=phi), [seg], steps_per_period=steps_per_period))
+    assert matrices <= whole + 2

@@ -87,6 +87,9 @@ def load_config(path):
         raise ConfigError(
             f"config {path} is not valid JSON: {exc.msg} "
             f"(line {exc.lineno}, column {exc.colno})") from exc
+    # bytes that are not UTF-8, an integer past the digit limit, deep nesting
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"config {path} cannot be read as JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     version = cfg.get("schema_version")

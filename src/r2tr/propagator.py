@@ -43,14 +43,15 @@ real symmetric, so it goes to LAPACK's real symmetric solver, and its step
 unitary is rebuilt from the real eigenvectors by real matrix products. The
 walk enters the frame with Q^dag and leaves it with Q.
 
-The steps of a fold are taken in fixed blocks: each block's edges and
-generators are built and exponentiated together, and its run of steps
-between two marked partial products is multiplied out by batched pairwise
-products before it is folded into U, so no Python loop runs once per step.
-No time grid is stored, and one block is alive at a time, so memory is
-O(one block) whatever the number of steps.
+A fold starts from the identity and returns its partial products at the
+step counts asked of it. Its steps are taken in fixed blocks: each block's
+edges and generators are built and exponentiated together, and each run of
+steps up to the next count is multiplied out by batched pairwise products,
+so no Python loop runs once per step. No time grid is stored, and one block
+is alive at a time, so memory is O(one block) whatever the number of steps.
 """
 
+import bisect
 import cmath
 from dataclasses import dataclass
 import math
@@ -247,20 +248,17 @@ def _chain(unitaries):
     return unitaries[0]
 
 
-def _fold(u, fn, t0, step, steps, marks):
-    """Fold the step unitaries exp(-i M_k) of fn's `steps` steps, each
-    `step` long from t0, into u in time order; return u and the partial
-    products [u after step k for k in marks], marks being increasing step
-    indices.
+def _fold(fn, t0, step, counts):
+    """{c: U_{c-1} ... U_1 U_0} for each step count c in `counts` (the
+    identity for c = 0), U_k = exp(-i M_k) fn's step k from t0 + k step.
 
-    This is the only product over step unitaries. Step k runs from t0 + k
-    step to t0 + (k + 1) step. The steps are taken FOLD_BLOCK at a time: a
-    block's edges are computed without the grid, and its generators are
-    built, checked and exponentiated with one batched eigendecomposition.
-    The last block is released before the next one is built, so memory is
-    one block whatever the number of steps. Within a block, each run of
-    steps that ends at a mark or at the block edge is reduced by `_chain`
-    and then multiplied into u.
+    This is the only product over step unitaries; it takes max(counts)
+    steps, FOLD_BLOCK at a time. A block's edges are computed without the
+    grid, and its generators are built, checked and exponentiated with one
+    batched eigendecomposition. The last block is released before the next
+    one is built, so memory is one block whatever the number of steps.
+    Within a block, each run of steps that ends at a count or at the block
+    edge is reduced by `_chain` and then multiplied into the product so far.
 
     Each generator M is tridiagonal and is decomposed as D M D^dag, D =
     diag(p) with p_j = exp(-i sum_{m<j} theta_m) and theta_m the phase of
@@ -269,7 +267,10 @@ def _fold(u, fn, t0, step, steps, marks):
     float64, and its step unitary D^dag exp(-i D M D^dag) D is rebuilt in
     real arithmetic and then scaled by the phases.
     """
-    partials = []
+    u = np.eye(4, dtype=complex)
+    partials = dict.fromkeys(counts, u)
+    marks = sorted(partials)
+    steps = marks[-1]
     for lo in range(0, steps, FOLD_BLOCK):
         hi = min(lo + FOLD_BLOCK, steps)
         block = None  # the last block goes before the next one is built
@@ -304,13 +305,12 @@ def _fold(u, fn, t0, step, steps, marks):
         block = np.einsum("nij,nj->nij", block, p)
         del p
         start = lo
-        while len(partials) < len(marks) and (k := marks[len(partials)]) < hi:
-            u = _chain(block[start - lo:k + 1 - lo]) @ u
-            partials.append(u)
-            start = k + 1
+        for c in marks[bisect.bisect_right(marks, lo):bisect.bisect_right(marks, hi)]:
+            u = partials[c] = _chain(block[start - lo:c - lo]) @ u
+            start = c
         if start < hi:
             u = _chain(block[start - lo:hi - lo]) @ u
-    return u, partials
+    return partials
 
 
 def segment_propagator(hamiltonian_fn, t0, t1, steps):
@@ -323,7 +323,7 @@ def segment_propagator(hamiltonian_fn, t0, t1, steps):
     if t1 == t0:
         return np.eye(4, dtype=complex)
     q = hamiltonian_fn.frame
-    return q @ _fold(q.conj().T, hamiltonian_fn, t0, (t1 - t0) / steps, steps, ())[0]
+    return q @ _fold(hamiltonian_fn, t0, (t1 - t0) / steps, {steps})[steps] @ q.conj().T
 
 
 def _segment_hamiltonian(system, drive, constants, dipolar_on=True):
@@ -360,43 +360,36 @@ def trim_unitaries(system, segment):
     return u_open, u_open.conj().T
 
 
-def _sample_steps(t0, t1, h, n, due, every, last):
-    """The steps of a segment at which samples fall due, and the next due
-    time. Step k < n ends at t0 + (k + 1) h, and the closing step n at t1.
+def _sample_steps(g0, t, h, n, due, every, last):
+    """The step counts of a segment at which samples fall due, and the next
+    due time. After c steps the segment is at end(c): g0 after the leading
+    step (c = 0), g0 + c h after whole step c <= n and t after the closing
+    step (c = n + 1), computed as the walk computes them.
 
-    A sample falls due at the first step that ends past `last`, the time of
-    the sample before it, and at or after `due` (less 1e-15 s of slack);
-    then `due` += `every`. Each such step is estimated by arithmetic on the
-    grid and then moved to the first step whose end, computed as the fold
-    computes it, meets the rule.
+    A sample falls due at the first end past `last`, the time of the sample
+    before it, and at or after `due` (less 1e-15 s of slack); then `due` +=
+    `every`. Each is found by bisection. The ends rise with c, but rounding
+    may put t an ulp before g0 + n h: count n + 1 is keyed on the larger.
     """
-    def end(k):
-        return t0 + (k + 1) * h if k < n else t1
+    def end(c):
+        return g0 + c * h if c <= n else max(t, g0 + n * h)
 
-    marks, k = [], 0
-    while k <= n:
+    marks, c = [], 0
+    while True:
         x = max(due - 1e-15, math.nextafter(last, math.inf))
-        lo, k = k, max(k, math.ceil(min((x - t0) / h, n + 1.0)) - 1)
-        while k > lo and end(k - 1) >= x:
-            k -= 1
-        while k <= n and end(k) < x:
-            k += 1
-        if k > n:
-            break
-        marks.append(k)
-        last, due, k = end(k), due + every, k + 1
-    return marks, due
+        c += bisect.bisect_left(range(c, n + 2), x, key=end)
+        if c > n + 1:
+            return marks, due
+        marks.append(c)
+        last, due, c = end(c), due + every, c + 1
 
 
 def _period_partials(fn, t_a, h, s, residues):
     """U_T and {r: P(r)} for residues r in [0, s), P(r) the product of the
     first r steps of h = T_r / s from t_a, fn's rotor phase 0: by the mirror
     identities of the module docstring, from ceil(s/2) folded steps."""
-    eye = np.eye(4, dtype=complex)
-    half = sorted(({min(r, s - r) for r in residues} | {s // 2, -(-s // 2)}) - {0})
-    _, partials = _fold(eye, fn, t_a, h, half[-1], [r - 1 for r in half])
-    p = dict(zip([0, *half], [eye, *partials]))
-    u_period = p[s // 2].T @ p[half[-1]]
+    p = _fold(fn, t_a, h, {min(r, s - r) for r in residues} | {s // 2, -(-s // 2)})
+    u_period = p[s // 2].T @ p[-(-s // 2)]
     return u_period, {r: p[r] if 2 * r <= s else p[s - r].conj() @ u_period
                       for r in residues}
 
@@ -407,16 +400,18 @@ def _propagate(system, events, steps_per_period, sample_every):
     This is the only dispatch over event types, and every segment is
     folded into U here. V is the unitary a measurement at t sees: U so far,
     taken through the closing trim pulse inside a CW segment. Samples are
-    taken at t = 0 after any leading pulses, at the steps `_sample_steps`
-    finds for each multiple of sample_every, and at the end of the sequence
-    (the last sample holds U, so it includes any trailing pulses).
+    taken at t = 0 after any leading pulses, at the step counts
+    `_sample_steps` finds for each multiple of sample_every, and at the end
+    of the sequence (the last sample holds U, so it includes any trailing
+    pulses). Each fold starts from the identity; the walk multiplies it in.
 
-    A segment from t0 to t1 takes a leading step to the first grid point g0
+    A segment from t0 to t takes a leading step to the first grid point g0
     = t_a + j0 h after t0 (none if t0 is on the grid or none is inside), n
-    whole steps and a closing step. If n <= ceil(s/2), they are folded from
-    g0. Else `_period_partials` gives U_T and P(r) at the residues of j0 and
-    of the marked step counts; after c whole steps the unitary is P((j0 +
-    c) mod s) U_T^q P(j0 mod s)^dag, q = (j0 + c) div s - j0 div s.
+    whole steps and a closing step, which end at counts 0 to n + 1. If n <=
+    ceil(s/2), the whole steps are folded from g0. Else `_period_partials`
+    gives U_T and P(r) at the residues of j0 and of the sampled counts;
+    after c whole steps the unitary is P((j0 + c) mod s) U_T^q P(j0 mod
+    s)^dag, q = (j0 + c) div s - j0 div s.
     """
     constants = dipolar_constants(system.gamma, system.r, system.theta_d)
     eye = np.eye(4, dtype=complex)
@@ -448,23 +443,20 @@ def _propagate(system, events, steps_per_period, sample_every):
         j0 = math.ceil((t0 - t_a) / h)
         g0 = t_a + j0 * h
         g0 = g0 if t0 < g0 < t else t0
-        if g0 > t0:  # the leading step, whose end may take a sample
-            u, _ = _fold(u, fn, t0, g0 - t0, 1, ())
-            marks, due = _sample_steps(t0, g0, h, 0, due, sample_every, samples[-1][0])
-            if marks:
-                samples.append((g0, u_close @ u))
+        if g0 > t0:  # the leading step
+            u = _fold(fn, t0, g0 - t0, {1})[1] @ u
         n = max(1, math.ceil((t - g0) / system.rotor_period * s)) - 1
         marks, due = _sample_steps(g0, t, h, n, due, sample_every, samples[-1][0])
-        counts = [k + 1 for k in marks if k < n]
+        if 0 in marks:  # only ever at the end of a leading step
+            samples.append((g0, u_close @ u))
+        counts = [c for c in marks if 0 < c <= n]
         if n > -(-s // 2):
             period = s
             u_period, partial = _period_partials(
                 fn, t_a, h, s, {(j0 + c) % s for c in [0, *counts, n]})
         else:  # a short segment folds its own steps, as one unrepeated period
             j0, period, u_period = 0, n + 1, eye
-            residues = sorted({*counts, n} - {0})
-            _, partials = _fold(eye, fn, g0, h, n, [r - 1 for r in residues])
-            partial = dict(zip([0, *residues], [eye, *partials]))
+            partial = _fold(fn, g0, h, {0, *counts, n})
         u, periods = partial[j0 % period].conj().T @ u, j0 // period
         for c in counts:
             q, r = divmod(j0 + c, period)
@@ -473,8 +465,8 @@ def _propagate(system, events, steps_per_period, sample_every):
         q, r = divmod(j0 + n, period)
         u = partial[r] @ np.linalg.matrix_power(u_period, q - periods) @ u
         t_close = g0 + n * h
-        u, _ = _fold(u, fn, t_close, t - t_close, 1, ())
-        if n in marks:
+        u = _fold(fn, t_close, t - t_close, {1})[1] @ u
+        if n + 1 in marks:
             samples.append((t, u_close @ u))
         u = u_close @ u
     if samples and samples[-1][0] >= t:

@@ -290,8 +290,25 @@ def _coupling_system(coupling_hz):
 SIMULATE = ["simulate"]
 
 
+def _digits_config():
+    """The default config with a 5,000-digit integer as its spin rate."""
+    text = json.dumps({**glycine_defaults(), **_system(spin_rate_hz="DIGITS")})
+    return text.replace('"DIGITS"', "9" * 5000).encode()
+
+
+# without an integer digit limit the spin rate parses, and its field check
+# rejects it instead of the decoder
+DIGIT_LIMIT = 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000
+
+
 @pytest.mark.parametrize("patch, field, argv", [
-    pytest.param(None, "not valid JSON", SIMULATE, id="bad-json"),
+    pytest.param(b"{", "not valid JSON", SIMULATE, id="bad-json"),
+    # files the decoder rejects without a position: each names the file
+    pytest.param(b'{"schema_version": 1, "note": "\xff"}', "cfg.json", ["gate"],
+                 id="not-utf-8"),
+    pytest.param(_digits_config(), "cfg.json" if DIGIT_LIMIT else "system.spin_rate_hz",
+                 ["gate"], id="integer-digits"),
+    pytest.param(b"[" * 100000 + b"]" * 100000, "cfg.json", ["gate"], id="deep-nesting"),
     pytest.param({"sequence": [dict(PULSE, targets=[5])]},
                  "sequence[0].targets", SIMULATE, id="target-out-of-range"),
     pytest.param({"sequence": [dict(PULSE, axis="+")]},
@@ -414,8 +431,8 @@ SIMULATE = ["simulate"]
 ])
 def test_cli_malformed_config_exit_code(tmp_path, capsys, patch, field, argv):
     path = tmp_path / "cfg.json"
-    if patch is None:
-        path.write_text("{")
+    if isinstance(patch, bytes):
+        path.write_bytes(patch)
     else:
         write_config(tmp_path, {**glycine_defaults(), **patch})
     if argv[0] != "repro":

@@ -103,19 +103,18 @@ def test_fold_matches_serial_product(steps):
     step = sys.rotor_period / 64
     edges = np.arange(steps + 1) * step
     generators = fn.step_generators(edges, step)
-    u0 = rotation_unitary((0,), "x", 0.7)
-    # U_k ... U_1 U_0 u0 after each step k, one product per step
+    # U_{c-1} ... U_1 U_0 after each step count c, one product per step
     serial = list(itertools.accumulate((expm(-1j * m) for m in generators),
-                                       lambda u, uk: uk @ u, initial=u0))[1:]
-    # a partial after every step: step 0, the last step and both sides of
-    # every block edge; then after every 37th step, which ends runs inside
-    # blocks
-    for marks in (range(steps), range(36, steps, 37)):
-        u, partials = _fold(u0, fn, 0.0, step, steps, marks)
-        assert np.max(np.abs(u - serial[-1])) < 1e-12
-        assert len(partials) == len(marks)
-        for k, v in zip(marks, partials):
-            assert np.max(np.abs(v - serial[k])) < 1e-12, k
+                                       lambda u, uk: uk @ u, initial=np.eye(4)))
+    # every count: 0, 1, the last and both sides of every block edge; every
+    # 37th, which ends runs inside blocks; the last alone; and count 0, a
+    # repeated count and a count on a block edge, unsorted
+    for counts in (range(steps + 1), [*range(37, steps, 37), steps], [steps],
+                   [steps, min(FOLD_BLOCK, steps), 0, 1, 1, min(FOLD_BLOCK, steps)]):
+        partials = _fold(fn, 0.0, step, counts)
+        assert sorted(partials) == sorted(set(counts))
+        for c in counts:
+            assert np.max(np.abs(partials[c] - serial[c])) < 1e-12, c
 
 
 def test_non_finite_hamiltonian_is_rejected():
@@ -475,13 +474,13 @@ def test_untrimmed_cw_composes_in_time(phi, periods, split):
 
 # ------------------------------------------------- the streamed step grid
 
-def _scan_sample_steps(t0, t1, h, n, due, every, last):
-    """Reference for `_sample_steps`: every end of the stored step grid,
-    t0 + np.arange(1, n + 1) h and then t1, tested in turn."""
+def _scan_sample_steps(ends, due, every, last):
+    """Reference for `_sample_steps`: every end of a stored step grid, count
+    0 first, tested in turn."""
     marks = []
-    for k, end in enumerate([*(np.arange(1, n + 1) * h + t0), t1]):
+    for c, end in enumerate(ends):
         if end >= due - 1e-15 and end > last:
-            marks.append(k)
+            marks.append(c)
             last, due = end, due + every
     return marks, due
 
@@ -532,7 +531,7 @@ def test_streamed_grid_matches_the_step_grid(grid):
     t0, step, steps, marks = grid
     edges = np.arange(steps + 1) * step + t0
     recorder = _EdgeRecorder()
-    _, partials = _fold(np.eye(4, dtype=complex), recorder, t0, step, steps, marks)
+    partials = _fold(recorder, t0, step, [k + 1 for k in marks] + [steps])
     assert len(recorder.blocks) == -(-steps // FOLD_BLOCK)
     # one block alive at a time: an array of a block kept for the marks
     # would hold it while the next is built
@@ -541,17 +540,17 @@ def test_streamed_grid_matches_the_step_grid(grid):
         lo = b * FOLD_BLOCK
         assert block_edges.tobytes() == edges[lo:lo + FOLD_BLOCK + 1].tobytes()
         assert dt == step
-    # a partial after step k has taken k + 1 steps
-    assert [round(-np.angle(v[0, 0]) / STEP_PHASE) for v in partials] == [
-        k + 1 for k in marks]
+    # the partial at count c has taken c steps
+    assert {c: round(-np.angle(v[0, 0]) / STEP_PHASE) for c, v in partials.items()} == {
+        c: c for c in [k + 1 for k in marks] + [steps]}
 
 
 @st.composite
 def segment_grids(draw):
-    """A segment's start t0, whole step h and number n of whole steps, its
-    end t1 after a closing step of 0 to h (or ending an ulp before the
-    whole steps do, as rounding may leave it), and a sampling state: the
-    next due time, the interval and the last sample's time."""
+    """A segment's first grid point t0, whole step h and number n of whole
+    steps, its end t1 after a closing step of 0 to h (or ending an ulp
+    before the whole steps do, as rounding may leave it), and a sampling
+    state: the next due time, the interval and the last sample's time."""
     t0 = draw(T0S)
     h = T_R / draw(st.integers(1, 2048))
     n = draw(st.integers(0, 2200))
@@ -561,7 +560,7 @@ def segment_grids(draw):
         st.sampled_from([t_close, t_close + (1 - 1e-9) * h, t_close + h,
                          math.nextafter(t_close, -math.inf)])))
     every = draw(st.one_of(st.just(0.0), st.floats(0.01, 1.5).map(lambda p: p * T_R)))
-    step_end = st.integers(0, n).map(lambda k: t0 + (k + 1) * h if k < n else t1)
+    step_end = st.integers(0, n + 1).map(lambda c: t0 + c * h if c <= n else t1)
     # a last sample an ulp before a step end puts that end on the bound
     last = draw(st.one_of(st.just(t0), st.floats(0.0, t0), step_end,
                           step_end.map(lambda t: math.nextafter(t, math.inf)),
@@ -578,13 +577,24 @@ def segment_grids(draw):
 @example(grid=(T_R, T_R + 2.2e-210, T_R / 16, 0, T_R, 0.0546875 * T_R, T_R))
 @example(grid=(0.3, math.nextafter(0.3 + 600 * (T_R / 64), -math.inf), T_R / 64, 600,
                0.3 + 599.5 * (T_R / 64), 0.0, 0.0))
-# a bound on a step end, where the estimate (x - t0) / h rounds up to the
-# next step
+# a closing step that ends an ulp before count 0's end, which is due: a
+# bisection over the two ends probes the closing end first and must not pass
+# over count 0
+@example(grid=(T_R, math.nextafter(T_R, -math.inf), T_R / 16, 0, 0.0, 0.0,
+               math.nextafter(T_R, -math.inf)))
+# a segment with a leading step, from 0.3 - 0.7 h to g0 = 0.3, whose end
+# is due: one search takes it as count 0, then whole steps and the close
+@example(grid=(0.3, 0.3 + 10.5 * (T_R / 64), T_R / 64, 10, 0.3 - 0.2 * (T_R / 64),
+               4 * (T_R / 64), 0.3 - 0.7 * (T_R / 64)))
+# a bound on a step end, where an estimate (x - t0) / h would round up to
+# the next step
 @example(grid=(0.038048122245628785, 0.038048122245628785 + 386 * (T_R / 860), T_R / 860,
                385, 0.0, 0.0,
                math.nextafter(0.038048122245628785 + 250 * (T_R / 860), -math.inf)))
 def test_sample_steps_match_a_scan_of_the_step_ends(grid):
-    assert _sample_steps(*grid) == _scan_sample_steps(*grid)
+    g0, t, h, n, *state = grid
+    assert _sample_steps(*grid) == _scan_sample_steps(
+        [g0, *(np.arange(1, n + 1) * h + g0), t], *state)
 
 
 # ------------------------------------- the singlet-triplet band frame
@@ -921,11 +931,10 @@ def test_half_period_fold_matches_a_full_period_fold(fold):
     fn, steps = fold
     t_a, h = -fn.phi / fn.omega_r, TWO_PI / fn.omega_r / steps
     u_period, partial = _period_partials(fn, t_a, h, steps, set(range(steps)))
-    eye = np.eye(4, dtype=complex)
-    full_period, partials = _fold(eye, fn, t_a, h, steps, list(range(steps - 1)))
-    assert np.max(np.abs(u_period - full_period)) < 1e-12
-    for r, expected in enumerate([eye, *partials]):
-        assert np.max(np.abs(partial[r] - expected)) < 1e-12, r
+    full = _fold(fn, t_a, h, range(steps + 1))
+    assert np.max(np.abs(u_period - full[steps])) < 1e-12
+    for r in range(steps):
+        assert np.max(np.abs(partial[r] - full[r])) < 1e-12, r
 
 
 @settings(max_examples=40, deadline=None)

@@ -21,8 +21,8 @@ from .gates import (cns, gate_to_json, iswap, locally_equivalent,
                     makhlin_invariants, universality_class, weyl_coordinates)
 from .hamiltonian import dipolar_constants
 from .operators import BASIS_LABELS, SPINS, SpinSystem, basis_state
-from .propagator import (DEFAULT_STEPS_PER_PERIOD, CWSegment, Delay,
-                         IdealRotation, RFDrive, extract_gate, run_sequence)
+from .propagator import (DEFAULT_STEPS_PER_PERIOD, MAX_STEPS_PER_PERIOD, CWSegment,
+                         Delay, IdealRotation, RFDrive, extract_gate, run_sequence)
 from .readout import classify_state, fid_to_csv, simulate_fid, stick_spectrum
 from .recoupling import (brentq, operating_point, plans_to_json, solve_plans,
                          theta_from_period)
@@ -306,12 +306,13 @@ def build_run(cfg):
     return system, drive, events, steps
 
 
-def _steps_per_period(cfg):
-    """integrator.steps_per_period (set by --steps-per-period), a whole number >= 1."""
-    field = "integrator.steps_per_period"
+def _steps_per_period(cfg, field="integrator.steps_per_period"):
+    """integrator.steps_per_period, a whole number from 1 to MAX_STEPS_PER_PERIOD;
+    a ConfigError names `field`, --steps-per-period if the flag set it."""
     value = _block(cfg, "integrator").get("steps_per_period", DEFAULT_STEPS_PER_PERIOD)
-    if _number(value, field, 1.0) != int(value):
-        raise ConfigError(f"{field} must be a whole number, got {value!r}")
+    if not 1 <= _number(value, field) == int(value) <= MAX_STEPS_PER_PERIOD:
+        raise ConfigError(f"{field} must be a whole number from 1 to "
+                          f"{MAX_STEPS_PER_PERIOD}, got {value!r}")
     return int(value)
 
 
@@ -426,7 +427,7 @@ def preset_config(name):
             {"type": "cw", "duration_s": 5e-3},
         ]
     elif name == "fig4":
-        cfg["sequence"] = []  # built per basis state at run time
+        cfg["sequence"] = []  # run_fig4 builds one half-period CW gate for all four states
     else:
         raise ConfigError(f"unknown preset {name!r}")
     return cfg
@@ -688,8 +689,9 @@ def main(argv=None):
         else:
             cfg = load_config(args.config) if args.config else glycine_defaults()
         if getattr(args, "steps_per_period", None) is not None:
-            cfg["integrator"] = dict(_block(cfg, "integrator"), steps_per_period=_number(
-                args.steps_per_period, "--steps-per-period", 1.0))
+            cfg["integrator"] = dict(_block(cfg, "integrator"),
+                                     steps_per_period=args.steps_per_period)
+            _steps_per_period(cfg, "--steps-per-period")
         handler = {"solve": cmd_solve, "simulate": cmd_simulate, "gate": cmd_gate,
                    "spectrum": cmd_spectrum, "repro": cmd_repro}[args.command]
         return handler(cfg, args)

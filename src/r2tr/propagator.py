@@ -44,17 +44,17 @@ unitary is rebuilt from the real eigenvectors by real matrix products. The
 walk enters the frame with Q^dag and leaves it with Q.
 
 A fold starts from the identity and returns its partial products at the
-step counts asked of it. Its steps are taken in fixed blocks: each block's
-edges and generators are built and exponentiated together, and each run of
-steps up to the next count is multiplied out by batched pairwise products,
-so no Python loop runs once per step. No time grid is stored, and one block
-is alive at a time, so memory is O(one block) whatever the number of steps.
+step counts asked of it. Its steps are built and exponentiated in one batch,
+and each run of steps up to the next count is multiplied out by batched
+pairwise products, so no Python loop runs once per step. A fold takes at most
+ceil(s/2) steps, so s <= MAX_STEPS_PER_PERIOD bounds its memory.
 """
 
 import bisect
 import cmath
 from dataclasses import dataclass
 import math
+import numbers
 
 import numpy as np
 
@@ -62,9 +62,10 @@ from .hamiltonian import dipolar_constants, effective_field
 from .operators import SPINS, expectation, spin_operator
 
 DEFAULT_STEPS_PER_PERIOD = 1024
-# steps per batch in `_fold`: one eigh and one pairwise reduction share their
-# Python overhead over this many steps, and a batch stays at 128 kB
-FOLD_BLOCK = 512
+# the most steps per rotor period, which sizes a fold: ceil(s/2) steps, 1 MB a
+# batch array. On glycine, doubling s changes a rotor period's propagator by
+# 5e-13 from 2**11, 2e-13 from 2**12 and 2**13, and 4e-13 from 2**14: roundoff
+MAX_STEPS_PER_PERIOD = 2**13
 # the secular dipolar operator in the band frame, which is diagonal there,
 # and the differences d_j - d_{j+1} of its neighbouring entries
 _DIPOLAR_BAND = np.array([0.0, -0.5, 0.25, 0.25])
@@ -80,6 +81,15 @@ def _finite(value, field, non_negative=False):
     if not math.isfinite(value) or (non_negative and value < 0):
         sign = " and non-negative" if non_negative else ""
         raise ValueError(f"{field} must be finite{sign}, got {value!r}")
+
+
+def _steps(value, field):
+    """value, if an integer (not a bool) from 1 to MAX_STEPS_PER_PERIOD; else a ValueError."""
+    if value is True or not (isinstance(value, numbers.Integral)
+                             and 1 <= value <= MAX_STEPS_PER_PERIOD):
+        raise ValueError(f"{field} must be an integer from 1 to "
+                         f"{MAX_STEPS_PER_PERIOD}, got {value!r}")
+    return value
 
 
 def _spins(indices, field):
@@ -252,13 +262,10 @@ def _fold(fn, t0, step, counts):
     """{c: U_{c-1} ... U_1 U_0} for each step count c in `counts` (the
     identity for c = 0), U_k = exp(-i M_k) fn's step k from t0 + k step.
 
-    This is the only product over step unitaries; it takes max(counts)
-    steps, FOLD_BLOCK at a time. A block's edges are computed without the
-    grid, and its generators are built, checked and exponentiated with one
-    batched eigendecomposition. The last block is released before the next
-    one is built, so memory is one block whatever the number of steps.
-    Within a block, each run of steps that ends at a count or at the block
-    edge is reduced by `_chain` and then multiplied into the product so far.
+    This is the only product over step unitaries. Its max(counts) steps are
+    built from their edges, computed without the grid, then checked and
+    exponentiated in one batch, by one eigendecomposition; each run of steps
+    that ends at a count is reduced by `_chain` and multiplied in.
 
     Each generator M is tridiagonal and is decomposed as D M D^dag, D =
     diag(p) with p_j = exp(-i sum_{m<j} theta_m) and theta_m the phase of
@@ -269,47 +276,39 @@ def _fold(fn, t0, step, counts):
     """
     u = np.eye(4, dtype=complex)
     partials = dict.fromkeys(counts, u)
-    marks = sorted(partials)
-    steps = marks[-1]
-    for lo in range(0, steps, FOLD_BLOCK):
-        hi = min(lo + FOLD_BLOCK, steps)
-        block = None  # the last block goes before the next one is built
-        edges = np.arange(lo, hi + 1, dtype=float) * step + t0
-        generators = fn.step_generators(edges, step)
-        if not np.all(np.isfinite(generators)):
-            raise ValueError("Hamiltonian produced non-finite entries")
-        sub = generators[:, _SUB_ROW, _SUB_COL]
-        p = np.ones((hi - lo, 4), dtype=complex)
-        # np.angle, not sub / abs(sub), which overflows on a subnormal entry
-        p[:, 1:] = np.exp(-1j * np.add.accumulate(np.angle(sub), axis=1))
-        # D M D^dag is real symmetric tridiagonal, but for the diagonal's
-        # imaginary roundoff, which a complex solver ignores too. With its
-        # real eigenvectors W, U = D^dag W e^{-i Lambda} W^T D; xt = e^{-i
-        # Lambda} W^T is built in the float view of a contiguous complex array
-        # by (4, 1) @ (1, 2) outer products, so W @ xt is one real matmul.
-        # Contiguous outputs and same-dtype operands keep numpy from
-        # allocating iterator buffers.
-        real = np.ascontiguousarray(generators.real)
-        del generators
-        real[:, _SUB_ROW, _SUB_COL] = real[:, _SUB_COL, _SUB_ROW] = np.abs(sub)
-        del sub
-        evals, w = np.linalg.eigh(real)
-        del real
-        rotation = np.exp(-1j * evals).view(float).reshape(-1, 4, 1, 2)
-        del evals
-        xt = np.ascontiguousarray(w.swapaxes(1, 2))[..., None] @ rotation
-        del rotation
-        block = (w @ xt.reshape(-1, 4, 8)).view(complex)
-        del w, xt
-        block = np.einsum("ni,nij->nij", p.conj(), block)
-        block = np.einsum("nij,nj->nij", block, p)
-        del p
-        start = lo
-        for c in marks[bisect.bisect_right(marks, lo):bisect.bisect_right(marks, hi)]:
-            u = partials[c] = _chain(block[start - lo:c - lo]) @ u
-            start = c
-        if start < hi:
-            u = _chain(block[start - lo:hi - lo]) @ u
+    marks = sorted({0, *partials})
+    if (steps := marks[-1]) == 0:
+        return partials
+    generators = fn.step_generators(np.arange(steps + 1, dtype=float) * step + t0, step)
+    if not np.all(np.isfinite(generators)):
+        raise ValueError("Hamiltonian produced non-finite entries")
+    sub = generators[:, _SUB_ROW, _SUB_COL]
+    p = np.ones((steps, 4), dtype=complex)
+    # np.angle, not sub / abs(sub), which overflows on a subnormal entry
+    p[:, 1:] = np.exp(-1j * np.add.accumulate(np.angle(sub), axis=1))
+    # D M D^dag is real symmetric tridiagonal, but for the diagonal's imaginary
+    # roundoff, which a complex solver ignores too. With its real eigenvectors
+    # W, U = D^dag W e^{-i Lambda} W^T D; xt = e^{-i Lambda} W^T is built in the
+    # float view of a contiguous complex array by (4, 1) @ (1, 2) outer products,
+    # so W @ xt is one real matmul. Contiguous outputs and same-dtype operands
+    # keep numpy from allocating iterator buffers.
+    real = np.ascontiguousarray(generators.real)
+    del generators
+    real[:, _SUB_ROW, _SUB_COL] = real[:, _SUB_COL, _SUB_ROW] = np.abs(sub)
+    del sub
+    evals, w = np.linalg.eigh(real)
+    del real
+    rotation = np.exp(-1j * evals).view(float).reshape(-1, 4, 1, 2)
+    del evals
+    xt = np.ascontiguousarray(w.swapaxes(1, 2))[..., None] @ rotation
+    del rotation
+    batch = (w @ xt.reshape(-1, 4, 8)).view(complex)
+    del w, xt
+    batch = np.einsum("ni,nij->nij", p.conj(), batch)
+    batch = np.einsum("nij,nj->nij", batch, p)
+    del p
+    for lo, c in zip(marks, marks[1:]):
+        u = partials[c] = _chain(batch[lo:c]) @ u
     return partials
 
 
@@ -318,8 +317,7 @@ def segment_propagator(hamiltonian_fn, t0, t1, steps):
     Hamiltonian, in `steps` equal steps."""
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    _steps(steps, "steps")
     if t1 == t0:
         return np.eye(4, dtype=complex)
     q = hamiltonian_fn.frame
@@ -415,7 +413,7 @@ def _propagate(system, events, steps_per_period, sample_every):
     """
     constants = dipolar_constants(system.gamma, system.r, system.theta_d)
     eye = np.eye(4, dtype=complex)
-    s = steps_per_period
+    s = _steps(steps_per_period, "steps_per_period")
     h = system.rotor_period / s
     t_a = -(system.phi % math.tau) / system.omega_r
     u, samples = eye, []

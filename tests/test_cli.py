@@ -15,9 +15,12 @@ import pytest
 
 from r2tr import cli
 from r2tr.cli import (FIT_SCAN_ELEMENTS, FIT_SCAN_POINTS, ConfigError, _simulate_report,
-                      build_drive, build_events, build_system, fit_exchange_period,
-                      glycine_defaults, load_config, main, preset_config, transfer_fraction)
-from r2tr.propagator import CWSegment, Delay, IdealRotation, Trajectory
+                      build_drive, build_events, build_run, build_system,
+                      fit_exchange_period, glycine_defaults, load_config, main,
+                      preset_config, transfer_fraction)
+from r2tr.operators import basis_state
+from r2tr.propagator import CWSegment, Delay, IdealRotation, Trajectory, extract_gate
+from r2tr.readout import simulate_fid, stick_spectrum
 from r2tr.units import TWO_PI
 
 
@@ -309,6 +312,12 @@ DIGIT_LIMIT = 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000
     pytest.param(_digits_config(), "cfg.json" if DIGIT_LIMIT else "system.spin_rate_hz",
                  ["gate"], id="integer-digits"),
     pytest.param(b"[" * 100000 + b"]" * 100000, "cfg.json", ["gate"], id="deep-nesting"),
+    pytest.param(None, "cfg.json", ["gate"], id="config-file-missing"),
+    pytest.param(b"[]", "config root", SIMULATE, id="root-is-list"),
+    pytest.param({"system": _without(glycine_defaults()["system"], "offsets_hz")},
+                 "offsets_hz", ["solve"], id="system-without-offsets"),
+    pytest.param(json.dumps({**_without(glycine_defaults(), "drive"), "sequence": [CW]}).encode(),
+                 "sequence[0]", ["gate"], id="cw-without-drive"),
     pytest.param({"sequence": [dict(PULSE, targets=[5])]},
                  "sequence[0].targets", SIMULATE, id="target-out-of-range"),
     pytest.param({"sequence": [dict(PULSE, axis="+")]},
@@ -337,6 +346,13 @@ DIGIT_LIMIT = 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000
                  "sequence[1].duration_s", SIMULATE, id="duration-negative"),
     pytest.param({"integrator": {"steps_per_period": 0}},
                  "integrator.steps_per_period", SIMULATE, id="config-steps-zero"),
+    pytest.param({"integrator": {"steps_per_period": 2.5}},
+                 "integrator.steps_per_period", ["gate"], id="config-steps-fraction"),
+    # one past MAX_STEPS_PER_PERIOD, from the config and from the flag
+    pytest.param({"integrator": {"steps_per_period": 8193}},
+                 "integrator.steps_per_period", SIMULATE, id="config-steps-above-cap"),
+    pytest.param({}, "--steps-per-period", ["gate", "--steps-per-period", "8193"],
+                 id="steps-flag-above-cap"),
     pytest.param({}, "--steps-per-period", ["repro", "fig3a", "--steps-per-period", "0"],
                  id="repro-steps-zero"),
     pytest.param({}, "--steps-per-period", ["simulate", "--steps-per-period", "-5"],
@@ -396,11 +412,17 @@ DIGIT_LIMIT = 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000
                  "sequence[1].duration_s", SIMULATE, id="cw-too-many-steps"),
     pytest.param({"sequence": [{"type": "delay", "duration_s": 1e300}]},
                  "sequence[0].duration_s", ["gate"], id="delay-steps-overflow"),
+    # a step count that once only the segment bound caught now meets the cap
+    # on steps per period; within the cap, a long segment still meets the
+    # segment bound: 2e-2 s at 8192 steps per period is 1.3e6 steps
     pytest.param({"sequence": [PULSE, {"type": "cw", "duration_s": 2e-2}]},
-                 "sequence[1].duration_s", ["spectrum", "--steps-per-period", "1000000"],
+                 "--steps-per-period", ["spectrum", "--steps-per-period", "1000000"],
                  id="steps-flag-too-many-steps"),
-    pytest.param({}, "sequence[1].duration_s", ["repro", "fig4", "--steps-per-period", "100000"],
+    pytest.param({}, "--steps-per-period", ["repro", "fig4", "--steps-per-period", "100000"],
                  id="repro-too-many-steps"),
+    pytest.param({"sequence": [PULSE, {"type": "cw", "duration_s": 2e-2}]},
+                 "sequence[1].duration_s", ["spectrum", "--steps-per-period", "8192"],
+                 id="steps-flag-segment-too-many-steps"),
     pytest.param({"fid": {"duration_s": 1.0, "dwell_s": 1e-7}}, "fid.duration_s",
                  ["spectrum"], id="fid-too-many-points"),
     pytest.param({"fid": {"duration_s": 1.0, "dwell_s": 1e-320}}, "fid.duration_s",
@@ -433,7 +455,7 @@ def test_cli_malformed_config_exit_code(tmp_path, capsys, patch, field, argv):
     path = tmp_path / "cfg.json"
     if isinstance(patch, bytes):
         path.write_bytes(patch)
-    else:
+    elif patch is not None:  # None: no config file
         write_config(tmp_path, {**glycine_defaults(), **patch})
     if argv[0] != "repro":
         argv = [*argv, "--config", str(path)]
@@ -585,6 +607,44 @@ def test_cli_spectrum_json(tmp_path):
     peaks = json.loads((tmp_path / "spectrum.json").read_text())["peaks"]
     assert peaks[0][1] == pytest.approx(-1.0)
     assert peaks[1][1] == pytest.approx(1.0)
+
+
+def test_cli_spectrum_applies_the_gate_and_writes_the_fid(tmp_path, capsys):
+    # the spectrum and the FID are those of U rho U^dag, U the sequence's gate
+    cfg = glycine_defaults()
+    cfg.update(sequence=[PULSE, CW], initial_state="01",
+               integrator={"steps_per_period": 256},
+               fid={"duration_s": 2e-3, "dwell_s": 2.5e-5})
+    path = write_config(tmp_path, cfg)
+    assert main(["spectrum", "--config", path, "--out", str(tmp_path)]) == 0
+    system, _, events, steps = build_run(cfg)
+    u = extract_gate(system, events, steps_per_period=steps)
+    rho = u @ basis_state("01") @ u.conj().T
+    peaks = np.loadtxt(tmp_path / "spectrum.csv", delimiter=",", skiprows=1)
+    expected = np.array(stick_spectrum(rho, system).peaks)
+    np.testing.assert_allclose(peaks, expected, rtol=1e-11, atol=1e-12)
+    # the gate moved the peaks off the prepared state's -1 and +1
+    assert np.max(np.abs(peaks[:, 1] - [1.0, -1.0])) > 0.1
+    fid = np.loadtxt(tmp_path / "fid.csv", delimiter=",", skiprows=1)
+    expected = simulate_fid(rho, system, 2e-3, 2.5e-5)
+    assert len(fid) == len(expected) == 80
+    np.testing.assert_allclose(fid[:, 0], np.arange(80) * 2.5e-5, rtol=1e-11)
+    np.testing.assert_allclose(fid[:, 1] + 1j * fid[:, 2], expected, rtol=1e-11, atol=1e-12)
+
+
+def test_cli_simulate_json_matches_csv(tmp_path, capsys):
+    cfg = glycine_defaults()
+    cfg["sequence"] = [PULSE, CW]
+    path = write_config(tmp_path, cfg)
+    argv = ["simulate", "--config", path, "--out", str(tmp_path), "--steps-per-period", "256"]
+    assert main([*argv, "--format", "json"]) == 0
+    assert main(argv) == 0
+    trajectory = json.loads((tmp_path / "trajectory.json").read_text())
+    rows = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1)
+    assert sorted(trajectory) == ["Iz", "Sz", "t_s"]
+    assert len(trajectory["t_s"]) == len(rows) > 5
+    for k, key in enumerate(("t_s", "Iz", "Sz")):
+        np.testing.assert_allclose(trajectory[key], rows[:, k], rtol=1e-11, atol=1e-12)
 
 
 def test_cli_imports_without_scipy():

@@ -2,7 +2,6 @@ import functools
 import itertools
 import math
 import tracemalloc
-import weakref
 
 from hypothesis import example, given, settings, strategies as st
 import numpy as np
@@ -15,7 +14,7 @@ from r2tr.cli import (analytic_point, build_drive, build_run, build_system,
 from r2tr.hamiltonian import dipolar_constants, effective_field
 from r2tr.operators import (SpinSystem, basis_state, check_density_matrix,
                             check_unitary, expectation, spin_operator)
-from r2tr.propagator import (FOLD_BLOCK, CWSegment, Delay, HarmonicHamiltonian,
+from r2tr.propagator import (MAX_STEPS_PER_PERIOD, CWSegment, Delay, HarmonicHamiltonian,
                              IdealRotation, RFDrive, Trajectory, _fold, _period_partials,
                              _sample_steps, _segment_hamiltonian, extract_gate,
                              rotation_unitary, run_sequence, segment_propagator,
@@ -95,8 +94,7 @@ def test_segment_propagator_self_convergence():
     assert np.max(np.abs(u1 - u2)) < 1e-8
 
 
-@pytest.mark.parametrize("steps", [1, 2, FOLD_BLOCK - 1, FOLD_BLOCK, FOLD_BLOCK + 1,
-                                   2 * FOLD_BLOCK + 3])
+@pytest.mark.parametrize("steps", [1, 2, 511, 512, 513, 1027])
 def test_fold_matches_serial_product(steps):
     sys = glycine_system(phi=0.3)
     fn = harmonic_hamiltonian(sys, RFDrive(omega_1=hz_to_angular(2339.0)))
@@ -106,11 +104,10 @@ def test_fold_matches_serial_product(steps):
     # U_{c-1} ... U_1 U_0 after each step count c, one product per step
     serial = list(itertools.accumulate((expm(-1j * m) for m in generators),
                                        lambda u, uk: uk @ u, initial=np.eye(4)))
-    # every count: 0, 1, the last and both sides of every block edge; every
-    # 37th, which ends runs inside blocks; the last alone; and count 0, a
-    # repeated count and a count on a block edge, unsorted
+    # every count; every 37th, which ends runs of 37 steps; the last alone;
+    # and count 0, a repeated count and a middle count, unsorted
     for counts in (range(steps + 1), [*range(37, steps, 37), steps], [steps],
-                   [steps, min(FOLD_BLOCK, steps), 0, 1, 1, min(FOLD_BLOCK, steps)]):
+                   [steps, -(-steps // 2), 0, 1, 1, -(-steps // 2)]):
         partials = _fold(fn, 0.0, step, counts)
         assert sorted(partials) == sorted(set(counts))
         for c in counts:
@@ -128,8 +125,8 @@ def test_non_finite_hamiltonian_is_rejected():
 
 
 def test_extract_gate_memory_does_not_grow_with_segment_length():
-    # edges and generators are built one fold block at a time, so a long
-    # segment holds one block, far below one (steps, 4, 4) array
+    # a fold takes at most half a rotor period of steps, so a long segment
+    # holds one half-period batch, far below one (steps, 4, 4) array
     sys = glycine_system(phi=0.3)
     steps = 2**16
     seg = CWSegment(drive=RFDrive(omega_1=hz_to_angular(2339.0)),
@@ -162,8 +159,8 @@ def _peak_bytes(run):
                  id="run_sequence"),
 ])
 def test_walk_memory_is_flat_in_segment_length(walk):
-    # no per-step time grid and one fold block alive at a time: four times
-    # the steps leave the peak where it was
+    # no per-step time grid and one half-period fold: four times the steps
+    # leave the peak where it was
     sys = glycine_system(phi=0.3)
     drive = RFDrive(omega_1=hz_to_angular(2339.0))
     peaks = []
@@ -177,20 +174,62 @@ def test_walk_memory_is_flat_in_segment_length(walk):
     pytest.param(lambda system, events, steps: extract_gate(system, events,
                                                             steps_per_period=steps),
                  id="extract_gate"),
-    # samples every 5.3 rotor periods: marks fall inside some blocks
+    # samples every 5.3 rotor periods: marks fall inside the fold
     pytest.param(lambda system, events, steps: run_sequence(
         basis_state("10"), system, events, 5.3 * system.rotor_period,
         steps_per_period=steps), id="run_sequence"),
 ])
 def test_fold_heap_stays_within_three_block_arrays(walk):
-    # fig3a folds about a hundred blocks, and no more than three complex
-    # (FOLD_BLOCK, 4, 4) arrays are alive at a time; the 64 kB of slack
-    # holds the walk's small arrays (U, edges, phases, eigenvalues, samples).
-    # A broadcast ufunc that casts or writes into a strided output allocates
-    # iterator buffers of about a block each, and breaks the bound.
+    # fig3a folds half a rotor period, ceil(s/2) steps, in one batch, and no
+    # more than three complex (ceil(s/2), 4, 4) arrays are alive at a time;
+    # the 64 kB of slack holds the walk's small arrays (U, edges, phases,
+    # eigenvalues, samples). A broadcast ufunc that casts or writes into a
+    # strided output allocates iterator buffers of about a batch each, and
+    # breaks the bound.
     system, _, events, steps = build_run(preset_config("fig3a"))
     walk(system, events, steps)  # numpy's one-time allocations are not the fold's
-    assert _peak_bytes(lambda: walk(system, events, steps)) <= 3 * FOLD_BLOCK * 256 + 64 * 1024
+    batch = -(-steps // 2)
+    assert _peak_bytes(lambda: walk(system, events, steps)) <= 3 * batch * 256 + 64 * 1024
+
+
+def test_fold_heap_at_the_step_cap_stays_within_three_batch_arrays():
+    # at MAX_STEPS_PER_PERIOD the fig3a fold is 4096 steps, 1 MB a batch array
+    cfg = preset_config("fig3a")
+    cfg["integrator"] = {"steps_per_period": MAX_STEPS_PER_PERIOD}
+    system, _, events, steps = build_run(cfg)
+    extract_gate(system, events, steps_per_period=steps)
+    peak = _peak_bytes(lambda: extract_gate(system, events, steps_per_period=steps))
+    assert peak <= 3 * (MAX_STEPS_PER_PERIOD // 2) * 256 + 64 * 1024
+
+
+@pytest.mark.parametrize("steps", [-4, 0, 1.5, True, MAX_STEPS_PER_PERIOD + 1])
+@pytest.mark.parametrize("walk", [
+    lambda system, events, steps: extract_gate(system, events, steps_per_period=steps),
+    lambda system, events, steps: run_sequence(basis_state("10"), system, events, T_R,
+                                               steps_per_period=steps),
+], ids=["extract_gate", "run_sequence"])
+def test_walk_rejects_steps_per_period_outside_the_cap(walk, steps):
+    # unchecked, -4 folds a wrong gate and 0 divides by zero; neither 1.5
+    # nor True is a step count, and 8193 is past the cap
+    events = [CWSegment(drive=CW_2339, duration=3e-4)]
+    with pytest.raises(ValueError, match="steps_per_period"):
+        walk(glycine_system(), events, steps)
+
+
+@pytest.mark.parametrize("t1, steps, message", [
+    (-1e-6, 64, "t1 must be >= t0"),
+    (1e-4, 0, "steps must be"),
+    (1e-4, MAX_STEPS_PER_PERIOD + 1, "steps must be"),
+])
+def test_segment_propagator_rejects_bad_bounds(t1, steps, message):
+    fn = harmonic_hamiltonian(glycine_system(), CW_2339)
+    with pytest.raises(ValueError, match=message):
+        segment_propagator(fn, 0.0, t1, steps)
+
+
+def test_segment_propagator_of_no_time_is_the_identity():
+    fn = harmonic_hamiltonian(glycine_system(), CW_2339)
+    assert np.array_equal(segment_propagator(fn, 1e-4, 1e-4, 64), np.eye(4))
 
 
 def test_harmonic_antiderivatives_match_quadrature():
@@ -491,19 +530,16 @@ STEP_PHASE = 1e-3
 
 
 class _EdgeRecorder:
-    """A diagonal Hamiltonian that keeps the edges and step `_fold` gives it,
-    and counts, at each block, the edges and generator arrays of earlier
-    blocks that are still alive."""
+    """A diagonal Hamiltonian that keeps the edges and step of each call
+    `_fold` makes."""
 
     def __init__(self):
-        self.blocks, self.refs, self.alive = [], [], []
+        self.calls = []
 
     def step_generators(self, edges, dt):
-        self.blocks.append((edges.copy(), dt))
-        self.alive.append(sum(ref() is not None for ref in self.refs))
+        self.calls.append((edges.copy(), dt))
         m = np.zeros((len(edges) - 1, 4, 4), dtype=complex)
         m[:, 0, 0] = STEP_PHASE
-        self.refs += [weakref.ref(edges), weakref.ref(m)]
         return m
 
 
@@ -518,9 +554,7 @@ def fold_grids(draw):
     step = draw(st.one_of(st.floats(0.0, 0.01).map(lambda periods: periods * T_R),
                           st.integers(40, 60).map(lambda e: t0 * 2.0**-e),
                           st.sampled_from([0.0, 2.2e-210, 5e-324])))
-    steps = draw(st.one_of(
-        st.integers(1, 2200),
-        st.builds(lambda m, d: m * FOLD_BLOCK + d, st.integers(1, 4), st.integers(-2, 2))))
+    steps = draw(st.integers(1, 2200))
     marks = sorted(draw(st.sets(st.integers(0, steps - 1), max_size=40)))
     return t0, step, steps, marks
 
@@ -532,14 +566,10 @@ def test_streamed_grid_matches_the_step_grid(grid):
     edges = np.arange(steps + 1) * step + t0
     recorder = _EdgeRecorder()
     partials = _fold(recorder, t0, step, [k + 1 for k in marks] + [steps])
-    assert len(recorder.blocks) == -(-steps // FOLD_BLOCK)
-    # one block alive at a time: an array of a block kept for the marks
-    # would hold it while the next is built
-    assert recorder.alive == [0] * len(recorder.blocks)
-    for b, (block_edges, dt) in enumerate(recorder.blocks):
-        lo = b * FOLD_BLOCK
-        assert block_edges.tobytes() == edges[lo:lo + FOLD_BLOCK + 1].tobytes()
-        assert dt == step
+    # one batch: one call, with every edge of the step grid
+    [(batch_edges, dt)] = recorder.calls
+    assert batch_edges.tobytes() == edges.tobytes()
+    assert dt == step
     # the partial at count c has taken c steps
     assert {c: round(-np.angle(v[0, 0]) / STEP_PHASE) for c, v in partials.items()} == {
         c: c for c in [k + 1 for k in marks] + [steps]}
@@ -651,7 +681,7 @@ OFFSETS_HZ = st.floats(-3e4, 3e4)
 def pair_segments(draw):
     """A pair segment: offsets equal, opposite, one zero or free, a drive
     from 0 with any phase or none (a delay), the dipolar term on or off, an
-    odd start time and a step count that may cross a fold block."""
+    odd start time and a step count from 1 to 700."""
     first = draw(st.one_of(st.just(0.0), OFFSETS_HZ))
     second = draw(st.one_of(st.just(first), st.just(-first), st.just(0.0), OFFSETS_HZ))
     system = SpinSystem(

@@ -43,11 +43,11 @@ MAX_SAMPLES = 2**16
 MIN_SPIN_RATE_HZ = 1.0
 # angular frequencies of the period fit's scan over [0.5, 1.5] of the guess
 FIT_SCAN_POINTS = 101
-# the period fit's scan QR-factors its frequencies in chunks of at most 16,
-# and of fewer on a long window, so that a chunk's frequencies times the
-# window's samples stay within this many elements (a chunk holds about nine
-# such float arrays); a window longer than this takes one frequency at a time
-FIT_SCAN_ELEMENTS = 2**16
+# the period fit's scan QR-factors its frequencies in chunks whose
+# frequencies times the window's samples stay within this many elements (a
+# chunk holds about nine such float arrays); a window longer than this takes
+# one frequency at a time
+FIT_SCAN_ELEMENTS = 2**11
 
 
 class ConfigError(ValueError):
@@ -366,7 +366,7 @@ def fit_exchange_period(times, values, period_guess):
         return np.sum(residuals**2, axis=-1)
 
     scan = np.linspace(0.5, 1.5, FIT_SCAN_POINTS) * (TWO_PI / period_guess)
-    chunk = min(16, max(1, FIT_SCAN_ELEMENTS // len(times)))
+    chunk = max(1, FIT_SCAN_ELEMENTS // len(times))
     k = int(np.argmin(np.concatenate([sum_of_squares(scan[i:i + chunk])
                                       for i in range(0, len(scan), chunk)])))
     if k in (0, len(scan) - 1):
@@ -520,11 +520,14 @@ def run_fig4(cfg):
 
 # ------------------------------------------------------------ subcommands
 
-def _out_path(out_dir, name):
+def _emit(out_dir, name, write):
+    """write(path) of the file `name` in out_dir (made if missing; the
+    current directory if empty), then announce the path."""
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        return os.path.join(out_dir, name)
-    return name
+    path = os.path.join(out_dir, name)
+    write(path)
+    print(f"wrote {path}")
 
 
 def cmd_solve(cfg, args):
@@ -537,10 +540,10 @@ def cmd_solve(cfg, args):
                         constants, classes=classes, harmonics=harmonics)
     text = plans_to_json(plans)
     if args.out:
-        path = _out_path(args.out, "plans.json")
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {path}")
+        def write(path):
+            with open(path, "w") as fh:
+                fh.write(text + "\n")
+        _emit(args.out, "plans.json", write)
     else:
         print(text)
     if not plans:
@@ -551,14 +554,11 @@ def cmd_solve(cfg, args):
 def cmd_simulate(cfg, args):
     traj, report = _simulate_report(cfg)
     if args.format == "json":
-        path = _out_path(args.out, "trajectory.json")
-        _write_json(path, {"t_s": [float(t) for t in traj.times],
-                           "Iz": [float(v) for v in traj.iz],
-                           "Sz": [float(v) for v in traj.sz]})
+        _emit(args.out, "trajectory.json", lambda path: _write_json(
+            path, {"t_s": [float(t) for t in traj.times],
+                   "Iz": [float(v) for v in traj.iz], "Sz": [float(v) for v in traj.sz]}))
     else:
-        path = _out_path(args.out, "trajectory.csv")
-        traj.to_csv(path)
-    print(f"wrote {path}")
+        _emit(args.out, "trajectory.csv", traj.to_csv)
     for key in ("fitted_period_s", "analytic_period_s",
                 "theta_d_deg_from_period", "max_transfer_fraction"):
         if key in report and report[key] is not None:
@@ -584,9 +584,7 @@ def cmd_gate(cfg, args):
         "weyl_coordinates": [angles.theta_x, angles.theta_y, angles.theta_z],
         "universality_class": universality_class(angles, tol=1e-2),
     }
-    path = _out_path(args.out, "gate.json")
-    _write_json(path, report)
-    print(f"wrote {path}")
+    _emit(args.out, "gate.json", lambda path: _write_json(path, report))
     print(f"makhlin invariants: g1 = {g1.real:.6g}{g1.imag:+.6g}j, "
           f"g2 = {g2:.6g}")
     print(f"locally equivalent to ISWAP: {report['locally_equivalent_iswap']}")
@@ -611,17 +609,13 @@ def cmd_spectrum(cfg, args):
         rho = u @ rho @ u.conj().T
     spectrum = stick_spectrum(rho, system)
     if args.format == "json":
-        path = _out_path(args.out, "spectrum.json")
-        _write_json(path, {"peaks": [[off, amp] for off, amp in spectrum.peaks]})
+        _emit(args.out, "spectrum.json", lambda path: _write_json(
+            path, {"peaks": [[off, amp] for off, amp in spectrum.peaks]}))
     else:
-        path = _out_path(args.out, "spectrum.csv")
-        spectrum.to_csv(path)
-    print(f"wrote {path}")
+        _emit(args.out, "spectrum.csv", spectrum.to_csv)
     if fid_blk:
         fid = simulate_fid(rho, system, duration, dwell)
-        fid_path = _out_path(args.out, "fid.csv")
-        fid_to_csv(fid, dwell, fid_path)
-        print(f"wrote {fid_path}")
+        _emit(args.out, "fid.csv", lambda path: fid_to_csv(fid, dwell, path))
     return 0
 
 
@@ -629,12 +623,8 @@ def cmd_repro(cfg, args):
     name = args.preset
     if name in ("fig3a", "fig3b"):
         traj, report = _simulate_report(cfg)
-        csv_path = _out_path(args.out, f"{name}_trajectory.csv")
-        traj.to_csv(csv_path)
-        report_path = _out_path(args.out, f"{name}_report.json")
-        _write_json(report_path, report)
-        print(f"wrote {csv_path}")
-        print(f"wrote {report_path}")
+        _emit(args.out, f"{name}_trajectory.csv", traj.to_csv)
+        _emit(args.out, f"{name}_report.json", lambda path: _write_json(path, report))
         if name == "fig3a":
             fitted = (f"{report['fitted_period_s'] * 1e3:.4g} ms"
                       if "fitted_period_s" in report else "none, the fit found no period")
@@ -645,10 +635,8 @@ def cmd_repro(cfg, args):
         return 0
     report, spectra = run_fig4(cfg)
     for label, spectrum in spectra.items():
-        spectrum.to_csv(_out_path(args.out, f"fig4_{label}_spectrum.csv"))
-    report_path = _out_path(args.out, "fig4_report.json")
-    _write_json(report_path, report)
-    print(f"wrote {report_path}")
+        _emit(args.out, f"fig4_{label}_spectrum.csv", spectrum.to_csv)
+    _emit(args.out, "fig4_report.json", lambda path: _write_json(path, report))
     print("truth table:", json.dumps(report["truth_table"], sort_keys=True))
     return 0
 

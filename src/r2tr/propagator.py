@@ -128,6 +128,8 @@ class IdealRotation:
     def __post_init__(self):
         targets = _spins(self.targets, "targets")
         _finite(self.angle, "angle")
+        if self.axis not in ("x", "y", "z"):  # exp(-i angle I_k^axis) needs a Hermitian axis
+            raise ValueError(f"axis must be x, y or z, got {self.axis!r}")
         if not targets:
             raise ValueError("rotation needs at least one target spin")
         if len(set(targets)) != len(targets):

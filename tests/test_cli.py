@@ -18,7 +18,7 @@ from r2tr.cli import (FIT_SCAN_ELEMENTS, FIT_SCAN_POINTS, ConfigError, _simulate
                       build_drive, build_events, build_run, build_system,
                       fit_exchange_period, glycine_defaults, load_config, main,
                       preset_config, transfer_fraction)
-from r2tr.operators import basis_state
+from r2tr.operators import BASIS_LABELS, basis_state
 from r2tr.propagator import CWSegment, Delay, IdealRotation, Trajectory, extract_gate
 from r2tr.readout import simulate_fid, stick_spectrum
 from r2tr.units import TWO_PI
@@ -181,16 +181,18 @@ def test_fit_exchange_period_is_bitwise_the_same_in_any_chunk(chunk, monkeypatch
     # 0 here) takes one frequency at a time
     samples = 2000
     t, iz = noisy_exchange(samples)
-    expected = fit_exchange_period(t, iz, period_guess=3.0e-3)  # chunks of 16
+    monkeypatch.setattr(cli, "FIT_SCAN_ELEMENTS", FIT_SCAN_POINTS * samples)
+    expected = fit_exchange_period(t, iz, period_guess=3.0e-3)  # the whole scan at once
     monkeypatch.setattr(cli, "FIT_SCAN_ELEMENTS", (chunk + 1) * samples - 1)
     assert fit_exchange_period(t, iz, period_guess=3.0e-3) == expected
 
 
 def test_fit_exchange_period_memory_is_bounded_on_a_long_window():
     # a window above the scan's element budget is factored one frequency at a
-    # time: about ten window-sized float arrays, where chunks of 16 held
-    # about 140
-    samples = FIT_SCAN_ELEMENTS + 1
+    # time: about ten window-sized float arrays, where the whole scan would
+    # hold about 900
+    samples = 2**16 + 1
+    assert samples > FIT_SCAN_ELEMENTS
     t, iz = noisy_exchange(samples)
     tracemalloc.start()
     try:
@@ -293,10 +295,10 @@ def _coupling_system(coupling_hz):
 SIMULATE = ["simulate"]
 
 
-def _digits_config():
-    """The default config with a 5,000-digit integer as its spin rate."""
+def _digits_config(digits):
+    """The default config with an integer of `digits` nines as its spin rate."""
     text = json.dumps({**glycine_defaults(), **_system(spin_rate_hz="DIGITS")})
-    return text.replace('"DIGITS"', "9" * 5000).encode()
+    return text.replace('"DIGITS"', "9" * digits).encode()
 
 
 # without an integer digit limit the spin rate parses, and its field check
@@ -309,8 +311,10 @@ DIGIT_LIMIT = 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000
     # files the decoder rejects without a position: each names the file
     pytest.param(b'{"schema_version": 1, "note": "\xff"}', "cfg.json", ["gate"],
                  id="not-utf-8"),
-    pytest.param(_digits_config(), "cfg.json" if DIGIT_LIMIT else "system.spin_rate_hz",
+    pytest.param(_digits_config(5000), "cfg.json" if DIGIT_LIMIT else "system.spin_rate_hz",
                  ["gate"], id="integer-digits"),
+    # within the digit limit, but beyond the float range
+    pytest.param(_digits_config(401), "system.spin_rate_hz", ["gate"], id="integer-overflow"),
     pytest.param(b"[" * 100000 + b"]" * 100000, "cfg.json", ["gate"], id="deep-nesting"),
     pytest.param(None, "cfg.json", ["gate"], id="config-file-missing"),
     pytest.param(b"[]", "config root", SIMULATE, id="root-is-list"),
@@ -524,6 +528,21 @@ def test_period_fit_reported_only_for_a_real_swing():
     assert "theta_d_deg_from_period" in fig3a
 
 
+def test_period_below_the_geometry_minimum_reports_a_theta_note():
+    # at theta_d = 90 degrees and 2600 Hz, off the matching amplitude, the
+    # pair exchanges faster than any geometry of the analytic model allows:
+    # the fitted period stands, and the orientation it implies is null
+    cfg = glycine_defaults()
+    cfg["system"]["theta_d_deg"] = 90.0
+    cfg["drive"]["amplitude_hz"] = 2600.0
+    cfg["sequence"] = [PULSE, {"type": "cw", "duration_s": 6e-3}]
+    _, report = _simulate_report(cfg)
+    assert report["fitted_period_s"] == pytest.approx(2.517e-3, rel=1e-3)
+    assert report["fitted_period_s"] < report["analytic_period_s"]
+    assert report["theta_d_deg_from_period"] is None
+    assert "below the theta=90deg minimum" in report["theta_note"]
+
+
 def test_cli_simulate_too_short_to_fit(tmp_path, capsys):
     # 2e-4 s is under two rotor periods: three samples cannot fix the four
     # parameters of the cosine fit, so no period is reported
@@ -645,6 +664,45 @@ def test_cli_simulate_json_matches_csv(tmp_path, capsys):
     assert len(trajectory["t_s"]) == len(rows) > 5
     for k, key in enumerate(("t_s", "Iz", "Sz")):
         np.testing.assert_allclose(trajectory[key], rows[:, k], rtol=1e-11, atol=1e-12)
+
+
+@pytest.mark.parametrize("argv, names", [
+    pytest.param(["solve"], ["plans.json"], id="solve"),
+    pytest.param(["simulate"], ["trajectory.csv"], id="simulate"),
+    pytest.param(["simulate", "--format", "json"], ["trajectory.json"], id="simulate-json"),
+    pytest.param(["gate"], ["gate.json"], id="gate"),
+    pytest.param(["spectrum"], ["spectrum.csv", "fid.csv"], id="spectrum"),
+    pytest.param(["spectrum", "--format", "json"], ["spectrum.json", "fid.csv"],
+                 id="spectrum-json"),
+    pytest.param(["repro", "fig3a"], ["fig3a_trajectory.csv", "fig3a_report.json"],
+                 id="repro-fig3a"),
+    pytest.param(["repro", "fig3b"], ["fig3b_trajectory.csv", "fig3b_report.json"],
+                 id="repro-fig3b"),
+    pytest.param(["repro", "fig4"], [*(f"fig4_{label}_spectrum.csv" for label in BASIS_LABELS),
+                                     "fig4_report.json"], id="repro-fig4"),
+])
+def test_cli_announces_each_file_it_writes(tmp_path, monkeypatch, capsys, argv, names):
+    # run once with --out, into a directory the run makes, and once without,
+    # into the working directory: the `wrote PATH` lines name, in order, the
+    # files the run made, and the run made no others; solve without --out
+    # prints its plans and writes nothing
+    cfg = glycine_defaults()
+    cfg.update(sequence=[PULSE, CW], integrator={"steps_per_period": 64},
+               fid={"duration_s": 1e-3, "dwell_s": 2.5e-5})
+    if argv[0] != "repro":
+        argv = [*argv, "--config", write_config(tmp_path, cfg)]
+    for out in ("out/run", ""):
+        work = tmp_path / ("with-out" if out else "without-out")
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main([*argv, "--out", out] if out else argv) == 0
+        expected = [] if argv[0] == "solve" and not out else [os.path.join(out, n) for n in names]
+        wrote = [line.removeprefix("wrote ") for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("wrote ")]
+        assert wrote == expected
+        made = [p for p in work.rglob("*") if p.is_file()]
+        assert sorted(str(p.relative_to(work)) for p in made) == sorted(expected)
+        assert all(p.stat().st_size > 0 for p in made)
 
 
 def test_cli_imports_without_scipy():

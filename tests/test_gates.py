@@ -2,6 +2,7 @@ import json
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
+import pytest
 import scipy.linalg
 
 from r2tr.gates import (cnot, cns, cns_circuit, gate_to_json, iswap,
@@ -22,6 +23,12 @@ def random_local(rng):
 
 def test_u_flip_zero_is_iswap():
     assert np.array_equal(u_flip(0.0), iswap())
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (4, 2), (8, 8)])
+def test_makhlin_invariants_reject_a_matrix_that_is_not_4x4(shape):
+    with pytest.raises(ValueError, match="4x4"):
+        makhlin_invariants(np.eye(*shape))
 
 
 def test_named_gate_invariants():

@@ -84,6 +84,11 @@ def test_check_density_matrix_rejects_bad_input():
     bad = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
     with pytest.raises(ValueError):
         check_density_matrix(bad)
+    # unit trace, but an off-diagonal entry without its conjugate partner
+    skew = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    skew[0, 1] = 0.1
+    with pytest.raises(ValueError, match="not Hermitian"):
+        check_density_matrix(skew)
 
 
 def test_check_unitary():
@@ -121,3 +126,6 @@ def test_theta_folding():
     a = _system(theta_d=deg_to_rad(64.0))
     b = _system(theta_d=deg_to_rad(116.0))
     assert a.theta_d == pytest.approx(b.theta_d)
+    # and so do -theta and theta
+    c = _system(theta_d=deg_to_rad(-64.0))
+    assert c.theta_d == pytest.approx(a.theta_d, abs=1e-15)

@@ -454,6 +454,11 @@ def test_event_validation():
     pytest.param(lambda: RFDrive(1e4, -math.inf), "phase", id="phase-inf"),
     pytest.param(lambda: IdealRotation((5,), "x", 1.0), "targets", id="target-out-of-range"),
     pytest.param(lambda: IdealRotation((0,), "x", math.nan), "angle", id="angle-nan"),
+    # spin_operator also builds the raising and lowering operators, which are
+    # not Hermitian: a rotation about them would not be unitary
+    pytest.param(lambda: IdealRotation((0,), "+", 1.0), "axis", id="axis-raising"),
+    pytest.param(lambda: IdealRotation((0,), "-", 1.0), "axis", id="axis-lowering"),
+    pytest.param(lambda: IdealRotation((0,), "w", 1.0), "axis", id="axis-unknown"),
 ])
 def test_event_rejects_bad_input_naming_the_field(make, field):
     with pytest.raises(ValueError, match=f"^{field} "):

@@ -112,6 +112,23 @@ def test_brentq_matches_scipy(point, data):
     assert calls == expected_calls
 
 
+def test_brentq_returns_an_exact_root_at_an_end():
+    for root in (1.0, 3.0):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - root
+
+        assert recoupling.brentq(f, 1.0, 3.0, xtol=1e-12) == root
+        assert calls == [1.0, 3.0]
+
+
+def test_brentq_rejects_a_bracket_without_a_sign_change():
+    with pytest.raises(ValueError, match="different signs"):
+        recoupling.brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
+
+
 # a matchable point or any offsets, spin rate and condition
 POINTS = st.one_of(matchable(), st.builds(
     lambda d_i, d_s, rate, condition: (TWO_PI * d_i, TWO_PI * d_s, TWO_PI * rate, *condition),
@@ -304,6 +321,14 @@ def test_plan_warns_on_small_shift_difference():
     plan = make_plan(TWO_PI * 100.0, TWO_PI * 600.0, W_R, "a", 2,
                      TWO_PI * 2000.0, glycine_constants())
     assert plan.warning is not None
+
+
+def test_mechanism_score_without_a_drive():
+    # no RF: every offset is infinitely larger than the amplitude, which
+    # class a wants and class b does not
+    scores = {k: make_plan(D_I, D_S, W_R, k, 2, 0.0, glycine_constants()).mechanism_score
+              for k in "ab"}
+    assert scores == {"a": math.inf, "b": 0.0}
 
 
 def test_operating_point_glycine():

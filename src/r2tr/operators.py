@@ -112,13 +112,17 @@ class SpinSystem:
     offsets: tuple
 
     def __post_init__(self):
+        if len(self.offsets) != 2:
+            raise ValueError("the spin pair needs exactly two offsets")
+        object.__setattr__(self, "offsets", tuple(float(o) for o in self.offsets))
+        for field in ("gamma", "r", "theta_d", "phi", "omega_r", "offsets"):
+            value = getattr(self, field)
+            if not all(map(math.isfinite, value if field == "offsets" else [value])):
+                raise ValueError(f"{field} must be finite, got {value!r}")
         if self.r <= 0:
             raise ValueError("internuclear distance must be positive")
         if self.omega_r <= 0:
             raise ValueError("spinning frequency must be positive")
-        if len(self.offsets) != 2:
-            raise ValueError("the spin pair needs exactly two offsets")
-        object.__setattr__(self, "offsets", tuple(float(o) for o in self.offsets))
         object.__setattr__(self, "theta_d", _fold_theta(self.theta_d))
 
     @property

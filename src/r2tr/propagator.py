@@ -11,11 +11,9 @@ through the closing trim pulse inside a CW segment, as in a point-by-point
 experiment. `extract_gate` returns U; `run_sequence` evaluates V rho V^dag
 at the samples only.
 
-Integration is by piecewise step exponentials. Each segment's Hamiltonian
-carries its rotor-harmonic decomposition, and each step uses its exact
-integral plus the leading commutator correction, so the step error is far
-below the sampling error. Every step exponential is taken via a symmetric
-eigendecomposition, keeping unitarity at roundoff.
+Integration is by step exponentials of each step's exact integral of H
+plus the leading commutator correction, from the rotor-harmonic form of H,
+each by a symmetric eigendecomposition, so unitarity holds at roundoff.
 
 Whole steps of h = T_r / s, s = steps_per_period, lie on one grid per walk,
 t_a + j h, where the rotor phase omega_r t + phi is 0. A segment takes a
@@ -25,9 +23,10 @@ and in the band frame it is real symmetric and even in time about t_a. So
 from t_a every period of whole steps has the product U_T, and the steps of
 its second half are transposes of the first half's: with P(r) the product
 of the first r steps, U_T = P(floor(s/2))^T P(ceil(s/2)) and P(r) =
-conj(P(s - r)) U_T. A long segment folds half a period, once, and its
-unitaries are P(r) U_T^K P(r0)^dag; one of at most ceil(s/2) whole steps
-folds them directly. Its cost grows with s, not with its length.
+conj(P(s - r)) U_T. A long segment's unitaries are P(r) U_T^K P(r0)^dag,
+from half a period's step unitaries, built once per walk and Hamiltonian;
+one of at most ceil(s/2) whole steps folds them directly. Its cost grows
+with s, not with its length.
 
 A segment is integrated in the singlet-triplet band frame Q = (S, T0, A,
 B): S and T0 are the singlet and central triplet, and A, B = (+-e^{-i phi}
@@ -41,18 +40,23 @@ times d, and its subdiagonal dt c_j - (i/2) K c_j (d_j - d_{j+1}), K the
 step's commutator integral. A diagonal unitary similarity makes each one
 real symmetric, so it goes to LAPACK's real symmetric solver, and its step
 unitary is rebuilt from the real eigenvectors by real matrix products. The
-walk enters the frame with Q^dag and leaves it with Q.
+walk enters the frame with Q^dag and leaves it with Q. With D(t) = 0 (a
+delay with the dipolar term off, or a pair along the spinning axis) H is
+the constant tridiag(c) = W Lambda W^T, and a segment's unitaries are W
+e^{-i Lambda x} W^T at its times x: one eigh, no step error at any length.
 
-A fold starts from the identity and returns its partial products at the
-step counts asked of it. Its steps are built and exponentiated in one batch,
-and each run of steps up to the next count is multiplied out by batched
-pairwise products, so no Python loop runs once per step. A fold takes at most
-ceil(s/2) steps, so s <= MAX_STEPS_PER_PERIOD bounds its memory.
+A fold returns its partial products at the step counts asked of it. Its
+steps are built and exponentiated in one batch of at most ceil(s/2), and
+runs of steps are multiplied out by batched pairwise products, with no
+Python loop per step. So s <= MAX_STEPS_PER_PERIOD bounds a walk's memory:
+three arrays of a batch's size while it builds one, and one kept batch for
+each distinct Hamiltonian that a later segment still has.
 """
 
 import bisect
 import cmath
 from dataclasses import dataclass
+import functools
 import math
 import numbers
 
@@ -178,22 +182,16 @@ class Trajectory:
     def to_csv(self, path):
         with open(path, "w") as fh:
             fh.write("t_s,Iz,Sz\n")
-            for t, a, b in zip(self.times, self.iz, self.sz):
+            for t, a, b in zip(self.times.tolist(), self.iz.tolist(), self.sz.tolist()):
                 fh.write(f"{t:.12g},{a:.12g},{b:.12g}\n")
 
 
 class HarmonicHamiltonian:
-    """H(t) = H_static + D(t) H_dip with D a sum of two rotor harmonics,
-    written in the band frame.
-
-    Knows its own antiderivatives, which lets the integrator use exact
-    per-step integrals and the leading commutator correction.
-
-    frame is a unitary Q, and the product-basis Hamiltonian is Q H(t) Q^dag.
-    In its basis H_static is real tridiagonal with a zero diagonal and the
-    subdiagonal `coupling` c = (S-T0, T0-A, A-B), and H_dip is the diagonal
-    d = (0, -1/2, 1/4, 1/4). Their commutator is then tridiagonal with a zero
-    diagonal and the subdiagonal c_j (d_j - d_{j+1}).
+    """H(t) = H_static + D(t) H_dip with D a sum of two rotor harmonics, in
+    the band frame, a unitary Q: the product-basis Hamiltonian is Q H(t)
+    Q^dag. There H_static = tridiag(c), c = `coupling`, and H_dip = diag(d),
+    as the module docstring writes them. It knows its antiderivatives, for
+    exact per-step integrals and the leading commutator correction.
     """
 
     def __init__(self, coupling, omega_r, phi, omega_d1, omega_d2, frame):
@@ -203,6 +201,12 @@ class HarmonicHamiltonian:
         self.phi = phi
         self.omega_d1 = omega_d1
         self.omega_d2 = omega_d2
+
+    @functools.cached_property
+    def eigh(self):
+        """(Lambda, W) if D(t) = 0, H the constant tridiag(c) = W Lambda W^T; else None."""
+        band = np.diag(self.coupling, -1)
+        return None if self.omega_d1 or self.omega_d2 else np.linalg.eigh(band + band.T)
 
     def step_generators(self, edges, dt):
         """Hermitian tridiagonal generators M_k with U_k = exp(-i M_k) for
@@ -260,14 +264,9 @@ def _chain(unitaries):
     return unitaries[0]
 
 
-def _fold(fn, t0, step, counts):
-    """{c: U_{c-1} ... U_1 U_0} for each step count c in `counts` (the
-    identity for c = 0), U_k = exp(-i M_k) fn's step k from t0 + k step.
-
-    This is the only product over step unitaries. Its max(counts) steps are
-    built from their edges, computed without the grid, then checked and
-    exponentiated in one batch, by one eigendecomposition; each run of steps
-    that ends at a count is reduced by `_chain` and multiplied in.
+def _step_unitaries(fn, t0, step, steps):
+    """fn's step unitaries U_k = exp(-i M_k), k < steps, from t0 + k step, as
+    one batch: built from their edges (not a grid), checked and exponentiated.
 
     Each generator M is tridiagonal and is decomposed as D M D^dag, D =
     diag(p) with p_j = exp(-i sum_{m<j} theta_m) and theta_m the phase of
@@ -276,11 +275,6 @@ def _fold(fn, t0, step, counts):
     float64, and its step unitary D^dag exp(-i D M D^dag) D is rebuilt in
     real arithmetic and then scaled by the phases.
     """
-    u = np.eye(4, dtype=complex)
-    partials = dict.fromkeys(counts, u)
-    marks = sorted({0, *partials})
-    if (steps := marks[-1]) == 0:
-        return partials
     generators = fn.step_generators(np.arange(steps + 1, dtype=float) * step + t0, step)
     if not np.all(np.isfinite(generators)):
         raise ValueError("Hamiltonian produced non-finite entries")
@@ -307,11 +301,31 @@ def _fold(fn, t0, step, counts):
     batch = (w @ xt.reshape(-1, 4, 8)).view(complex)
     del w, xt
     batch = np.einsum("ni,nij->nij", p.conj(), batch)
-    batch = np.einsum("nij,nj->nij", batch, p)
-    del p
+    return np.einsum("nij,nj->nij", batch, p)
+
+
+def _partials(batch, counts):
+    """{c: U_{c-1} ... U_0} (the identity for c = 0) for each count c in
+    `counts` of a batch of step unitaries: the only product over them."""
+    u = np.eye(4, dtype=complex)
+    partials = dict.fromkeys(counts, u)
+    marks = sorted({0, *partials})
     for lo, c in zip(marks, marks[1:]):
         u = partials[c] = _chain(batch[lo:c]) @ u
     return partials
+
+
+def _fold(fn, t0, step, counts):
+    """The `_partials` of fn's steps k < max(counts) from t0 + k step; for a
+    constant H = W Lambda W^T (fn.eigh) they are W e^{-i Lambda c step} W^T."""
+    if fn.eigh is None:
+        steps = max(counts)
+        return _partials(_step_unitaries(fn, t0, step, steps) if steps else (), counts)
+    evals, w = fn.eigh
+    phases = {c: -(c * step) * evals for c in counts}
+    if not np.all(np.isfinite([*phases.values()])):
+        raise ValueError("Hamiltonian produced non-finite entries")
+    return {c: (w * np.exp(1j * x)) @ w.T for c, x in phases.items()}
 
 
 def segment_propagator(hamiltonian_fn, t0, t1, steps):
@@ -384,14 +398,20 @@ def _sample_steps(g0, t, h, n, due, every, last):
         last, due, c = end(c), due + every, c + 1
 
 
-def _period_partials(fn, t_a, h, s, residues):
+def _period_partials(batch, s, residues):
     """U_T and {r: P(r)} for residues r in [0, s), P(r) the product of the
-    first r steps of h = T_r / s from t_a, fn's rotor phase 0: by the mirror
-    identities of the module docstring, from ceil(s/2) folded steps."""
-    p = _fold(fn, t_a, h, {min(r, s - r) for r in residues} | {s // 2, -(-s // 2)})
+    first r steps of h = T_r / s from rotor phase 0: by the mirror identities
+    of the module docstring, from `batch`, the first ceil(s/2) of them."""
+    p = _partials(batch, {min(r, s - r) for r in residues} | {s // 2, -(-s // 2)})
     u_period = p[s // 2].T @ p[-(-s // 2)]
     return u_period, {r: p[r] if 2 * r <= s else p[s - r].conj() @ u_period
                       for r in residues}
+
+
+def _band_key(event):
+    """A timed event's drive amplitude and dipolar switch, its band-frame H."""
+    return ((event.drive.omega_1, True) if isinstance(event, CWSegment) else
+            (0.0, bool(event.dipolar_on)) if isinstance(event, Delay) else None)
 
 
 def _propagate(system, events, steps_per_period, sample_every):
@@ -408,7 +428,7 @@ def _propagate(system, events, steps_per_period, sample_every):
     A segment from t0 to t takes a leading step to the first grid point g0
     = t_a + j0 h after t0 (none if t0 is on the grid or none is inside), n
     whole steps and a closing step, which end at counts 0 to n + 1. If n <=
-    ceil(s/2), the whole steps are folded from g0. Else `_period_partials`
+    ceil(s/2) or H is constant, they are folded from g0. Else `_period_partials`
     gives U_T and P(r) at the residues of j0 and of the sampled counts;
     after c whole steps the unitary is P((j0 + c) mod s) U_T^q P(j0 mod
     s)^dag, q = (j0 + c) div s - j0 div s.
@@ -420,7 +440,9 @@ def _propagate(system, events, steps_per_period, sample_every):
     t_a = -(system.phi % math.tau) / system.omega_r
     u, samples = eye, []
     t, due = 0.0, sample_every
-    for event in events:
+    events = tuple(events)
+    last_use, kept = {_band_key(event): i for i, event in enumerate(events)}, {}
+    for i, event in enumerate(events):
         if isinstance(event, IdealRotation):
             u = rotation_unitary(event.targets, event.axis, event.angle) @ u
             continue
@@ -450,11 +472,14 @@ def _propagate(system, events, steps_per_period, sample_every):
         if 0 in marks:  # only ever at the end of a leading step
             samples.append((g0, u_close @ u))
         counts = [c for c in marks if 0 < c <= n]
-        if n > -(-s // 2):
+        if n > -(-s // 2) and fn.eigh is None:
             period = s
-            u_period, partial = _period_partials(
-                fn, t_a, h, s, {(j0 + c) % s for c in [0, *counts, n]})
-        else:  # a short segment folds its own steps, as one unrepeated period
+            if (key := _band_key(event)) not in kept:
+                kept[key] = _step_unitaries(fn, t_a, h, -(-s // 2))
+            u_period, partial = _period_partials(  # kept up to its H's last use
+                kept[key] if last_use[key] > i else kept.pop(key),
+                s, {(j0 + c) % s for c in [0, *counts, n]})
+        else:  # a short or constant segment folds its own steps, as one unrepeated period
             j0, period, u_period = 0, n + 1, eye
             partial = _fold(fn, g0, h, {0, *counts, n})
         u, periods = partial[j0 % period].conj().T @ u, j0 // period

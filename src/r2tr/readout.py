@@ -86,5 +86,5 @@ def classify_state(spectrum):
 def fid_to_csv(fid, dwell, path):
     with open(path, "w") as fh:
         fh.write("t_s,re,im\n")
-        for k, val in enumerate(fid):
+        for k, val in enumerate(fid.tolist()):
             fh.write(f"{k * dwell:.12g},{val.real:.12g},{val.imag:.12g}\n")

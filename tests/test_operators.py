@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -119,6 +121,16 @@ def test_spin_system_validation():
     for offsets in ((), (1.0,), (1.0, 2.0, 3.0)):
         with pytest.raises(ValueError):
             _system(offsets=offsets)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("field", ["gamma", "r", "theta_d", "phi", "omega_r", "offsets"])
+def test_spin_system_rejects_non_finite_fields(field, value):
+    # unchecked, omega_r = inf divided by zero, phi = inf and omega_r = nan
+    # failed to convert NaN to an integer, and r = inf gave a gate
+    bad = (TWO_PI * 2000.0, value) if field == "offsets" else value
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        _system(**{field: bad})
 
 
 def test_theta_folding():

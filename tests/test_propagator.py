@@ -16,9 +16,9 @@ from r2tr.operators import (SpinSystem, basis_state, check_density_matrix,
                             check_unitary, expectation, spin_operator)
 from r2tr.propagator import (MAX_STEPS_PER_PERIOD, CWSegment, Delay, HarmonicHamiltonian,
                              IdealRotation, RFDrive, Trajectory, _fold, _period_partials,
-                             _sample_steps, _segment_hamiltonian, extract_gate,
-                             rotation_unitary, run_sequence, segment_propagator,
-                             trim_unitaries)
+                             _sample_steps, _segment_hamiltonian, _step_unitaries,
+                             extract_gate, rotation_unitary, run_sequence,
+                             segment_propagator, trim_unitaries)
 from r2tr.units import GAMMA_C13, GLYCINE_CC_DISTANCE, TWO_PI, deg_to_rad, hz_to_angular
 
 
@@ -536,7 +536,9 @@ STEP_PHASE = 1e-3
 
 class _EdgeRecorder:
     """A diagonal Hamiltonian that keeps the edges and step of each call
-    `_fold` makes."""
+    `_fold` makes. It has no constant form, so `_fold` builds its steps."""
+
+    eigh = None
 
     def __init__(self):
         self.calls = []
@@ -729,7 +731,6 @@ def _eigh_inputs(fn, t0, t1, steps):
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         u = segment_propagator(fn, t0, t1, steps)
-    assert sum(len(a) for a in decomposed) == steps
     return u, decomposed
 
 
@@ -744,6 +745,14 @@ def test_band_frame_hands_eigh_real_tridiagonal_generators(segment):
     q = fn.frame
     assert np.max(np.abs(q.conj().T @ q - np.eye(4))) <= 1e-15
     u, decomposed = _eigh_inputs(fn, t0, t1, steps)
+    if fn.eigh is None:
+        assert sum(len(a) for a in decomposed) == steps
+    else:
+        # D(t) = 0: one symmetric 4x4 matrix, the constant H = tridiag(c),
+        # serves every step
+        [a] = decomposed
+        assert a.shape == (4, 4) and np.array_equal(a, a.T)
+        decomposed = [a[None]]
     off_band = abs(np.subtract.outer(np.arange(4), np.arange(4))) > 1
     for a in decomposed:
         assert a.dtype == np.float64
@@ -965,7 +974,8 @@ def test_half_period_fold_matches_a_full_period_fold(fold):
     # the first: U_T and every P(r) follow from ceil(s/2) folded steps
     fn, steps = fold
     t_a, h = -fn.phi / fn.omega_r, TWO_PI / fn.omega_r / steps
-    u_period, partial = _period_partials(fn, t_a, h, steps, set(range(steps)))
+    u_period, partial = _period_partials(_step_unitaries(fn, t_a, h, -(-steps // 2)), steps,
+                                         set(range(steps)))
     full = _fold(fn, t_a, h, range(steps + 1))
     assert np.max(np.abs(u_period - full[steps])) < 1e-12
     for r in range(steps):
@@ -984,3 +994,117 @@ def test_short_segment_makes_at_most_two_more_eigh_matrices(phi, steps_per_perio
     _, matrices = _eigh_matrices(lambda: extract_gate(
         glycine_system(phi=phi), [seg], steps_per_period=steps_per_period))
     assert matrices <= whole + 2
+
+
+# ------------------------------- constant segments and one fold per Hamiltonian
+
+SMALL_HZ = st.floats(-500.0, 500.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(offsets=st.tuples(SMALL_HZ, SMALL_HZ), amplitude=SMALL_HZ.map(abs),
+       phase=st.floats(-np.pi, np.pi), phi=st.floats(0.0, TWO_PI),
+       part=st.floats(0.0, 1.0), along_axis=st.booleans())
+def test_constant_segments_are_exact_at_any_length(offsets, amplitude, phase, phi, part,
+                                                   along_axis):
+    # a dipolar-off delay, or an untrimmed CW segment of a pair along the
+    # spinning axis (theta_D = 0, so D(t) = 0), is exp(-i H T) in closed form:
+    # its error stays at the rounding of the phases lambda T (here at most
+    # about 600 rad) from a fraction of T_r up to 10^3 T_r, where the
+    # period power of the stepped fold erred by 3e-10, and costs one eigh
+    system = SpinSystem(gamma=GAMMA_C13, r=GLYCINE_CC_DISTANCE,
+                        theta_d=0.0 if along_axis else deg_to_rad(64.0), phi=phi,
+                        omega_r=TWO_PI * 7884.0, offsets=tuple(map(hz_to_angular, offsets)))
+    drive = RFDrive(hz_to_angular(amplitude), phase) if along_axis else None
+    evals, vecs = np.linalg.eigh(static_drive_hamiltonian(system, drive))
+    for periods in (part, 10 + part, 999 + part):
+        duration = periods * system.rotor_period
+        event = (CWSegment(drive, duration, trim=False) if along_axis
+                 else Delay(duration, dipolar_on=False))
+        u, matrices = _eigh_matrices(lambda: extract_gate(system, [event]))
+        exact = (vecs * np.exp(-1j * evals * duration)) @ vecs.conj().T
+        assert np.max(np.abs(u - exact)) < 1e-12, periods
+        assert matrices == (duration > 0), periods
+
+
+def test_non_finite_constant_hamiltonian_is_rejected():
+    fn = harmonic_hamiltonian(glycine_system(), dipolar_on=False)
+    bad = HarmonicHamiltonian((math.nan, 0.0, 1.0), fn.omega_r, fn.phi, 0.0, 0.0, fn.frame)
+    with pytest.raises(ValueError, match="Hamiltonian produced non-finite entries"):
+        segment_propagator(bad, 0.0, T_R, 64)
+
+
+def _alternating_walk(periods):
+    """CW, a dipolar-on delay, a pulse, CW at another phase, a dipolar-on
+    delay and CW: two Hamiltonians, each in segments of `periods` T_r."""
+    return [CWSegment(CW_2339, periods * T_R), Delay(periods * T_R),
+            IdealRotation((0,), "x", np.pi), CWSegment(RFDrive(CW_2339.omega_1, -2.0),
+                                                       periods * T_R),
+            Delay(periods * T_R), CWSegment(CW_2339, periods * T_R)]
+
+
+def test_each_hamiltonian_folds_one_half_period_per_walk():
+    # phi = 0.3 puts t = 0 48.89 steps past rotor phase 0, and segments of
+    # 10.37 T_r start 10,618.88 steps apart, so none starts on the grid: each
+    # of the five segments takes a leading and a closing step, and each of
+    # the two Hamiltonians folds 1024 / 2 = 512 steps once: 2 * 512 + 5 + 5
+    _, matrices = _eigh_matrices(lambda: extract_gate(
+        glycine_system(phi=0.3), _alternating_walk(10.37), steps_per_period=1024))
+    assert matrices == 2 * 512 + 5 + 5
+
+
+@pytest.mark.parametrize("events, kept", [
+    pytest.param(_alternating_walk(3.3), 2, id="two-alternating"),
+    pytest.param([CWSegment(RFDrive(hz_to_angular(amplitude)), 3.3 * T_R)
+                  for amplitude in (1e3, 2e3, 3e3)], 0, id="each-once"),
+])
+@pytest.mark.parametrize("walk", [
+    pytest.param(lambda system, events, steps: extract_gate(system, events,
+                                                            steps_per_period=steps),
+                 id="extract_gate"),
+    pytest.param(lambda system, events, steps: run_sequence(
+        basis_state("10"), system, events, 5.3 * system.rotor_period,
+        steps_per_period=steps), id="run_sequence"),
+])
+def test_walk_keeps_a_batch_only_for_a_later_segment(walk, events, kept):
+    # the walk keeps a Hamiltonian's half-period batch while a later segment
+    # has that Hamiltonian, and lets it go at its last: the alternating walk
+    # keeps two, a walk of three drives used once each none; a fold has at
+    # most three batch arrays alive besides, and the 64 kB of slack holds
+    # the small arrays
+    system, steps = glycine_system(phi=0.3), 1024
+    walk(system, events, steps)
+    batch = -(-steps // 2) * 256
+    assert _peak_bytes(lambda: walk(system, events, steps)) <= (
+        kept * batch + 3 * batch + 64 * 1024)
+
+
+@st.composite
+def repeated_walks(draw):
+    """phi, up to six events whose segments repeat two drive amplitudes (at
+    any phase) and the two delays, a sampling interval and a step count per
+    period. Most segments run past half a period, so they fold through the
+    half-period batch their Hamiltonian shares."""
+    steps_per_period = draw(st.integers(1, 64))
+    amplitudes = draw(st.lists(st.floats(0.0, 1e4).map(hz_to_angular), min_size=2,
+                               max_size=2))
+    durations = st.floats(0.0, 3.5).map(lambda periods: periods * T_R)
+    timed = st.one_of(
+        st.builds(Delay, duration=durations, dipolar_on=st.booleans()),
+        st.builds(CWSegment, drive=st.builds(RFDrive, st.sampled_from(amplitudes),
+                                             st.floats(-np.pi, np.pi)),
+                  duration=durations, trim=st.booleans()))
+    return (draw(st.floats(0.0, TWO_PI)), draw(st.lists(st.one_of(PULSES, timed), max_size=6)),
+            draw(st.floats(0.05, 1.5)) * T_R, steps_per_period)
+
+
+@settings(max_examples=30, deadline=None)
+@given(walk=repeated_walks())
+# the drive twice at two phases, around a dipolar-on delay, then that delay again
+@example(walk=(1.3, [CWSegment(CW_2339, 2.3 * T_R), Delay(1.1 * T_R),
+                     CWSegment(RFDrive(CW_2339.omega_1, -1.0), 3.2 * T_R),
+                     Delay(0.8 * T_R)], 0.31 * T_R, 48))
+def test_repeated_hamiltonian_walk_matches_lab_frame_walk(walk):
+    phi, events, sample_every, steps_per_period = walk
+    assert_walk_matches_lab_frame(glycine_system(phi=phi), events, sample_every,
+                                  steps_per_period)

@@ -104,3 +104,14 @@ def test_fid_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t_s,re,im"
     assert lines[2] == "1e-05,3,-4"
+
+
+def test_fid_csv_writes_numpy_scalars_as_they_format(tmp_path):
+    # the writer formats Python floats; numpy's float64 subclasses float,
+    # so zeros of either sign, nan, inf and subnormals read as before
+    fid = np.array([0.0, -0.0 - 0.0j, complex(np.nan, -np.inf), 5e-324 - 2e-310j,
+                    1 / 3 + 2j / 3, -1e300j])
+    path = tmp_path / "fid.csv"
+    fid_to_csv(fid, 2.5e-5, path)
+    assert path.read_text().splitlines() == ["t_s,re,im"] + [
+        f"{k * 2.5e-5:.12g},{v.real:.12g},{v.imag:.12g}" for k, v in enumerate(fid)]

@@ -30,7 +30,6 @@ from .units import (GAMMA_C13, HBAR, MU0_OVER_4PI, TWO_PI, deg_to_rad,
                     hz_to_angular, ppm_to_hz, rad_to_deg)
 
 SCHEMA_VERSION = 1
-FLAG = (True, False)
 # size limits, checked before anything is allocated: integrator steps of one
 # CW or delay segment, points of an FID, and samples of a trajectory (each
 # holds about 1 kB until the trajectory is reduced)
@@ -235,14 +234,14 @@ def build_events(cfg, drive):
     """Event list from the config's sequence block; CW events use `drive`
     (the config's `build_drive`, None without a drive block).
 
-    A missing field, a number that is not finite, a negative duration, a
-    spin index other than 0 (I) or 1 (S), an empty target list or one that
-    repeats a spin, an unknown rotation axis, a flag that is not a boolean
-    or an event that is not an object raises a ConfigError that names the
-    field, e.g. sequence[0].axis.
+    A missing field, an event that is not an object, an angle or duration
+    that is not a finite number (or is negative), or a bad drive.trim or
+    drive.skip_trim raises a ConfigError that names the field. The event
+    types check spin indices, target lists, axes and flags: their ValueError
+    becomes a ConfigError naming the field, e.g. sequence[0].axis.
     """
     drive_blk = _block(cfg, "drive")
-    trim = _choice(drive_blk.get("trim", True), FLAG, "drive.trim")
+    trim = _choice(drive_blk.get("trim", True), (True, False), "drive.trim")
     skip_trim = _choices(drive_blk.get("skip_trim", ()), SPINS, "drive.skip_trim")
     events = []
     for k, ev in enumerate(_block(cfg, "sequence", list)):
@@ -254,33 +253,23 @@ def build_events(cfg, drive):
             duration = _number(_field(ev, "duration_s", where),
                                f"{where}.duration_s", 0.0)
         if kind == "pulse":
-            axis = _field(ev, "axis", where)
-            if axis not in ("x", "y", "z"):
-                raise ConfigError(f"{where}.axis must be x, y or z, got {axis!r}")
-            targets = _choices(_field(ev, "targets", where), SPINS, f"{where}.targets")
-            if not targets:
-                raise ConfigError(f"{where}.targets must name at least one spin, got []")
-            if len(set(targets)) != len(targets):
-                raise ConfigError(f"{where}.targets must not repeat a spin, got {list(targets)}")
-            events.append(IdealRotation(
-                targets=targets,
-                axis=axis,
-                angle=deg_to_rad(_number(_field(ev, "angle_deg", where),
-                                         f"{where}.angle_deg"))))
+            angle = deg_to_rad(_number(_field(ev, "angle_deg", where), f"{where}.angle_deg"))
+            event, fields = IdealRotation, dict(targets=_field(ev, "targets", where),
+                                                axis=_field(ev, "axis", where), angle=angle)
         elif kind == "cw":
             if drive is None:
                 raise ConfigError(f"{where}: cw event needs a drive block")
-            events.append(CWSegment(
-                drive=drive,
-                duration=duration,
-                trim=_choice(ev.get("trim", trim), FLAG, f"{where}.trim"),
-                skip_trim=_choices(ev.get("skip_trim", skip_trim), SPINS,
-                                   f"{where}.skip_trim")))
+            event, fields = CWSegment, dict(drive=drive, duration=duration,
+                                            trim=ev.get("trim", trim),
+                                            skip_trim=ev.get("skip_trim", skip_trim))
         elif kind == "delay":
-            events.append(Delay(duration=duration, dipolar_on=_choice(
-                ev.get("dipolar_on", True), FLAG, f"{where}.dipolar_on")))
+            event, fields = Delay, dict(duration=duration, dipolar_on=ev.get("dipolar_on", True))
         else:
             raise ConfigError(f"{where}: unknown event type {kind!r}")
+        try:  # the event's message starts with the field it names
+            events.append(event(**fields))
+        except ValueError as exc:
+            raise ConfigError(f"{where}.{exc}") from exc
     return events
 
 

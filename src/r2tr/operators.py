@@ -114,11 +114,13 @@ class SpinSystem:
     def __post_init__(self):
         if len(self.offsets) != 2:
             raise ValueError("the spin pair needs exactly two offsets")
-        object.__setattr__(self, "offsets", tuple(float(o) for o in self.offsets))
         for field in ("gamma", "r", "theta_d", "phi", "omega_r", "offsets"):
             value = getattr(self, field)
-            if not all(map(math.isfinite, value if field == "offsets" else [value])):
-                raise ValueError(f"{field} must be finite, got {value!r}")
+            # a bool is not a number here, though math.isfinite takes True as 1
+            if any(isinstance(v, (bool, np.bool_)) or not math.isfinite(v)
+                   for v in (value if field == "offsets" else [value])):
+                raise ValueError(f"{field} must be finite and not a bool, got {value!r}")
+        object.__setattr__(self, "offsets", tuple(float(o) for o in self.offsets))
         if self.r <= 0:
             raise ValueError("internuclear distance must be positive")
         if self.omega_r <= 0:

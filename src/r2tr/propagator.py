@@ -81,10 +81,17 @@ _SUB_ROW, _SUB_COL = np.arange(1, 4), np.arange(3)
 
 def _finite(value, field, non_negative=False):
     """Raise a ValueError that names the field unless value is a finite
-    number (and, if non_negative, not below 0)."""
-    if not math.isfinite(value) or (non_negative and value < 0):
-        sign = " and non-negative" if non_negative else ""
-        raise ValueError(f"{field} must be finite{sign}, got {value!r}")
+    number, not a bool (and, if non_negative, not below 0)."""
+    if (isinstance(value, (bool, np.bool_)) or not math.isfinite(value)
+            or (non_negative and value < 0)):
+        sign = " non-negative" if non_negative else ""
+        raise ValueError(f"{field} must be a finite{sign} number, got {value!r}")
+
+
+def _flag(value, field):
+    """Raise a ValueError that names the field unless value is a bool."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{field} must be a bool, got {value!r}")
 
 
 def _steps(value, field):
@@ -97,12 +104,13 @@ def _steps(value, field):
 
 
 def _spins(indices, field):
-    """indices as a tuple, if each is a spin index in SPINS; else a
-    ValueError that names the field."""
-    indices = tuple(indices)
-    if any(k not in SPINS for k in indices):
-        raise ValueError(f"{field} entries must be spin indices {SPINS}, got {indices}")
-    return indices
+    """indices as a tuple, if a list or tuple of integers (not bools) in SPINS;
+    else a ValueError that names the field."""
+    if not (isinstance(indices, (list, tuple)) and all(
+            isinstance(k, numbers.Integral) and not isinstance(k, bool) and k in SPINS
+            for k in indices)):
+        raise ValueError(f"{field} must list spin indices {SPINS}, got {indices!r}")
+    return tuple(indices)
 
 
 @dataclass(frozen=True)
@@ -130,15 +138,12 @@ class IdealRotation:
     angle: float
 
     def __post_init__(self):
-        targets = _spins(self.targets, "targets")
+        object.__setattr__(self, "targets", targets := _spins(self.targets, "targets"))
         _finite(self.angle, "angle")
         if self.axis not in ("x", "y", "z"):  # exp(-i angle I_k^axis) needs a Hermitian axis
             raise ValueError(f"axis must be x, y or z, got {self.axis!r}")
-        if not targets:
-            raise ValueError("rotation needs at least one target spin")
-        if len(set(targets)) != len(targets):
-            raise ValueError(f"rotation targets must not repeat a spin, got {targets}")
-        object.__setattr__(self, "targets", targets)
+        if not targets or len(set(targets)) != len(targets):
+            raise ValueError(f"targets must name at least one spin and none twice, got {targets}")
 
 
 @dataclass(frozen=True)
@@ -150,6 +155,7 @@ class Delay:
 
     def __post_init__(self):
         _finite(self.duration, "duration", non_negative=True)
+        _flag(self.dipolar_on, "dipolar_on")
 
 
 @dataclass(frozen=True)
@@ -168,6 +174,7 @@ class CWSegment:
 
     def __post_init__(self):
         _finite(self.duration, "duration", non_negative=True)
+        _flag(self.trim, "trim")
         object.__setattr__(self, "skip_trim", _spins(self.skip_trim, "skip_trim"))
 
 
@@ -528,6 +535,7 @@ def extract_gate(system, events, steps_per_period=DEFAULT_STEPS_PER_PERIOD,
     z-precession exp(-i T (w_eI I_z + w_eS S_z)) accumulated over the CW
     segments is divided out on the left, exposing the recoupled bilinear part.
     """
+    events = tuple(events)  # read twice: by the walk and by the precession sum
     u, _ = _propagate(system, events, steps_per_period, math.inf)
     if not remove_effective_precession:
         return u

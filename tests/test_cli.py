@@ -397,6 +397,19 @@ DIGIT_LIMIT = 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000
                  SIMULATE, id="targets-empty"),
     pytest.param({"sequence": [dict(PULSE, targets=[0, 0], angle_deg=90.0)]},
                  "sequence[0].targets", ["spectrum"], id="targets-repeated"),
+    # the event types check these; the message still names the config field
+    pytest.param({"sequence": [PULSE, dict(CW, trim="false")]}, "sequence[1].trim",
+                 SIMULATE, id="event-trim-string"),
+    pytest.param({"sequence": [PULSE, dict(CW, skip_trim=[True])]},
+                 "sequence[1].skip_trim", ["gate"], id="event-skip-trim-bool"),
+    pytest.param({"sequence": [dict(PULSE, targets=[True])]}, "sequence[0].targets",
+                 SIMULATE, id="target-bool"),
+    pytest.param({"sequence": [dict(PULSE, targets=[1.0])]}, "sequence[0].targets",
+                 ["gate"], id="target-float"),
+    pytest.param({"sequence": [dict(PULSE, targets="01")]}, "sequence[0].targets",
+                 ["spectrum"], id="targets-string"),
+    pytest.param({"sequence": [dict(PULSE, targets=5)]}, "sequence[0].targets",
+                 SIMULATE, id="targets-number"),
     pytest.param(_ppm_system(carrier_mhz=0.0), "system.carrier_mhz", ["solve"],
                  id="carrier-zero"),
     pytest.param(_ppm_system(carrier_mhz=-100.0), "system.carrier_mhz", ["gate"],

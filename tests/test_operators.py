@@ -123,11 +123,13 @@ def test_spin_system_validation():
             _system(offsets=offsets)
 
 
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, True,
+                                   pytest.param(np.True_, id="np-True")])
 @pytest.mark.parametrize("field", ["gamma", "r", "theta_d", "phi", "omega_r", "offsets"])
 def test_spin_system_rejects_non_finite_fields(field, value):
     # unchecked, omega_r = inf divided by zero, phi = inf and omega_r = nan
-    # failed to convert NaN to an integer, and r = inf gave a gate
+    # failed to convert NaN to an integer, and r = inf gave a gate; a bool,
+    # which math.isfinite takes as 1, spun the pair at 1 rad/s
     bad = (TWO_PI * 2000.0, value) if field == "offsets" else value
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         _system(**{field: bad})

@@ -459,10 +459,54 @@ def test_event_validation():
     pytest.param(lambda: IdealRotation((0,), "+", 1.0), "axis", id="axis-raising"),
     pytest.param(lambda: IdealRotation((0,), "-", 1.0), "axis", id="axis-lowering"),
     pytest.param(lambda: IdealRotation((0,), "w", 1.0), "axis", id="axis-unknown"),
+    # flags are bools: a string, even "no" or "false", is truthy
+    pytest.param(lambda: Delay(1e-3, "no"), "dipolar_on", id="dipolar-on-string"),
+    pytest.param(lambda: CWSegment(RFDrive(1e4), 1e-3, trim="false"), "trim",
+                 id="trim-string"),
+    # spin indices are integers in a list or tuple: True and 1.0 equal 1, a
+    # bare 0 is no list, and "01" would iterate as its characters
+    pytest.param(lambda: IdealRotation((True,), "x", 1.0), "targets", id="target-bool"),
+    pytest.param(lambda: IdealRotation((1.0,), "x", 1.0), "targets", id="target-float"),
+    pytest.param(lambda: IdealRotation(0, "x", 1.0), "targets", id="targets-int"),
+    pytest.param(lambda: IdealRotation("01", "x", 1.0), "targets", id="targets-string"),
+    pytest.param(lambda: IdealRotation((), "x", 1.0), "targets", id="targets-empty"),
+    pytest.param(lambda: IdealRotation((0, 0), "x", 1.0), "targets", id="targets-repeated"),
+    pytest.param(lambda: CWSegment(RFDrive(1e4), 1e-3, skip_trim=(True,)), "skip_trim",
+                 id="skip-trim-bool"),
+    # a bool is not a number: True would be 1 s, 1 rad/s or 1 rad
+    pytest.param(lambda: Delay(True), "duration", id="duration-bool"),
+    pytest.param(lambda: RFDrive(True), "omega_1", id="amplitude-bool"),
+    pytest.param(lambda: IdealRotation((0,), "x", True), "angle", id="angle-bool"),
 ])
 def test_event_rejects_bad_input_naming_the_field(make, field):
     with pytest.raises(ValueError, match=f"^{field} "):
         make()
+
+
+def test_numpy_flags_and_indices_give_the_gate_of_python_ones():
+    system = glycine_system(phi=0.3)
+    drive = RFDrive(omega_1=hz_to_angular(2339.0))
+
+    def walk(true, one):
+        return [IdealRotation((one,), "x", np.pi),
+                CWSegment(drive, 1.3 * system.rotor_period, trim=true, skip_trim=(one,)),
+                Delay(0.4 * system.rotor_period, dipolar_on=true)]
+
+    reference = extract_gate(system, walk(True, 1), steps_per_period=64)
+    u = extract_gate(system, walk(np.True_, np.int64(1)), steps_per_period=64)
+    assert np.array_equal(u, reference)
+
+
+def test_extract_gate_reads_an_iterator_of_events_once():
+    # the walk and the precession sum both read the events: an iterator
+    # spent by the walk left the precession in
+    system = glycine_system()
+    events = [IdealRotation((0,), "x", np.pi), _cw(3e-3 / system.rotor_period)]
+    expected = extract_gate(system, events, steps_per_period=64,
+                            remove_effective_precession=True)
+    u = extract_gate(system, iter(events), steps_per_period=64,
+                     remove_effective_precession=True)
+    assert np.array_equal(u, expected)
 
 
 # ---------------------------------------------------- properties of the walk

@@ -10,6 +10,7 @@ Conventions fixed once here:
 from dataclasses import dataclass
 from functools import lru_cache
 import math
+import numbers
 
 import numpy as np
 
@@ -60,15 +61,30 @@ def expectation(rho, op):
     return np.trace(rho @ op)
 
 
-def check_density_matrix(rho, herm_tol=1e-12, trace_tol=1e-10, eig_tol=1e-10):
-    """Validate Hermiticity, unit trace and positivity of a density matrix."""
+def real_number(value):
+    """Whether value is a real number: an int or a float, Python's or numpy's,
+    but not a bool, which would pass for 0 or 1."""
+    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+
+
+def check_density_matrix(rho, herm_tol=1e-12, trace_tol=1e-10, eig_tol=1e-10,
+                         field="density matrix"):
+    """rho as a complex array, if it is a finite 4x4 density matrix: Hermitian,
+    of unit trace and positive semidefinite; else a ValueError that names
+    the field."""
     rho = np.asarray(rho)
+    if rho.shape != (4, 4) or not np.issubdtype(rho.dtype, np.number):
+        raise ValueError(f"{field} must be a 4x4 matrix of numbers, "
+                         f"got {rho.dtype} of shape {rho.shape}")
+    rho = np.asarray(rho, dtype=complex)
+    if not np.all(np.isfinite(rho)):
+        raise ValueError(f"{field} has non-finite entries")
     if np.abs(rho - rho.conj().T).max() > herm_tol:
-        raise ValueError("density matrix is not Hermitian")
+        raise ValueError(f"{field} is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > trace_tol or abs(np.trace(rho).imag) > trace_tol:
-        raise ValueError("density matrix trace differs from 1")
+        raise ValueError(f"{field} trace differs from 1")
     if np.linalg.eigvalsh(rho).min() < -eig_tol:
-        raise ValueError("density matrix has a negative eigenvalue")
+        raise ValueError(f"{field} has a negative eigenvalue")
     return rho
 
 
@@ -116,10 +132,10 @@ class SpinSystem:
             raise ValueError("the spin pair needs exactly two offsets")
         for field in ("gamma", "r", "theta_d", "phi", "omega_r", "offsets"):
             value = getattr(self, field)
-            # a bool is not a number here, though math.isfinite takes True as 1
-            if any(isinstance(v, (bool, np.bool_)) or not math.isfinite(v)
-                   for v in (value if field == "offsets" else [value])):
-                raise ValueError(f"{field} must be finite and not a bool, got {value!r}")
+            if not all(real_number(v) and math.isfinite(v)
+                       for v in (value if field == "offsets" else [value])):
+                raise ValueError(f"{field} must be finite, a real number and not a bool, "
+                                 f"got {value!r}")
         object.__setattr__(self, "offsets", tuple(float(o) for o in self.offsets))
         if self.r <= 0:
             raise ValueError("internuclear distance must be positive")

@@ -8,8 +8,10 @@ and undo the rotation afterwards.
 One walk over the events folds every segment into the sequence unitary U
 and records sampled views (t, V): the unitary a measurement at t sees,
 through the closing trim pulse inside a CW segment, as in a point-by-point
-experiment. `extract_gate` returns U; `run_sequence` evaluates V rho V^dag
-at the samples only.
+experiment. `extract_gate` returns U. Inside a segment the sampled views
+are formed together, by one stacked product. `run_sequence` takes the
+populations diag(V rho V^dag) of all samples in one contraction, and reads
+<I_z> and <S_z> off them, as both operators are diagonal.
 
 Integration is by step exponentials of each step's exact integral of H
 plus the leading commutator correction, from the rotor-harmonic form of H,
@@ -63,7 +65,7 @@ import numbers
 import numpy as np
 
 from .hamiltonian import dipolar_constants, effective_field
-from .operators import SPINS, expectation, spin_operator
+from .operators import SPINS, check_density_matrix, real_number, spin_operator
 
 DEFAULT_STEPS_PER_PERIOD = 1024
 # the most steps per rotor period, which sizes a fold: ceil(s/2) steps, 1 MB a
@@ -80,9 +82,9 @@ _SUB_ROW, _SUB_COL = np.arange(1, 4), np.arange(3)
 
 
 def _finite(value, field, non_negative=False):
-    """Raise a ValueError that names the field unless value is a finite
-    number, not a bool (and, if non_negative, not below 0)."""
-    if (isinstance(value, (bool, np.bool_)) or not math.isfinite(value)
+    """Raise a ValueError that names the field unless value is a finite real
+    number, not a bool or a string (and, if non_negative, not below 0)."""
+    if (not real_number(value) or not math.isfinite(value)
             or (non_negative and value < 0)):
         sign = " non-negative" if non_negative else ""
         raise ValueError(f"{field} must be a finite{sign} number, got {value!r}")
@@ -490,10 +492,15 @@ def _propagate(system, events, steps_per_period, sample_every):
             j0, period, u_period = 0, n + 1, eye
             partial = _fold(fn, g0, h, {0, *counts, n})
         u, periods = partial[j0 % period].conj().T @ u, j0 // period
+        units, partials = [], []
         for c in counts:
             q, r = divmod(j0 + c, period)
             u, periods = np.linalg.matrix_power(u_period, q - periods) @ u, q
-            samples.append((g0 + c * h, u_close @ partial[r] @ u))
+            units.append(u)
+            partials.append(partial[r])
+        if counts:  # the segment's sampled views, as one stacked product
+            views = u_close @ np.array(partials) @ np.array(units)
+            samples += zip([g0 + c * h for c in counts], views)
         q, r = divmod(j0 + n, period)
         u = partial[r] @ np.linalg.matrix_power(u_period, q - periods) @ u
         t_close = g0 + n * h
@@ -515,16 +522,24 @@ def run_sequence(initial, system, events, sample_every,
     it reflects the prepared state. During a trimmed CW segment the sampled
     observables are taken through the closing trim pulse (the state itself
     keeps evolving under the drive). A sample is due at the first step end
-    at or after each multiple of sample_every. The last sample is the state
-    at the end of the sequence, after any trailing pulses.
+    at or after each multiple of sample_every: sample_every = 0 samples
+    every step end, and inf only the start and the end. The last sample is
+    the state at the end of the sequence, after any trailing pulses.
+
+    `initial` must be a 4x4 density matrix and sample_every a non-negative
+    real number; anything else raises a ValueError that names it.
     """
+    if not (real_number(sample_every) and sample_every >= 0):
+        raise ValueError(f"sample_every must be a non-negative number (0 for every "
+                         f"step end, inf for the ends only), got {sample_every!r}")
+    rho = check_density_matrix(initial, field="initial")
     _, samples = _propagate(system, events, steps_per_period, sample_every)
-    rho = np.asarray(initial, dtype=complex)
-    states = [v @ rho @ v.conj().T for _, v in samples]
+    v = np.array([v for _, v in samples])
+    populations = np.einsum("nij,jk,nik->ni", v, rho, v.conj()).real
     iz_op, sz_op = (spin_operator(k, "z") for k in SPINS)
     return Trajectory(times=np.array([t for t, _ in samples]),
-                      iz=np.array([expectation(r, iz_op).real for r in states]),
-                      sz=np.array([expectation(r, sz_op).real for r in states]))
+                      iz=populations @ iz_op.diagonal().real,
+                      sz=populations @ sz_op.diagonal().real)
 
 
 def extract_gate(system, events, steps_per_period=DEFAULT_STEPS_PER_PERIOD,

@@ -8,10 +8,11 @@ line at its resonance offset.
 """
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
-from .operators import SPINS, expectation, spin_operator
+from .operators import SPINS, expectation, real_number, spin_operator
 from .propagator import rotation_unitary
 from .units import angular_to_hz
 
@@ -51,10 +52,14 @@ def simulate_fid(rho, system, duration, dwell):
 
     The register then precesses freely under its offsets only; the detected
     signal is <I_+ + S_+>(t). For |0>|0> this is
-    (1/2)(e^{i dw_I t} + e^{i dw_S t}).
+    (1/2)(e^{i dw_I t} + e^{i dw_S t}). A duration that is not a finite
+    non-negative number, or a dwell that is not a finite positive one,
+    raises a ValueError that names it.
     """
-    if dwell <= 0:
-        raise ValueError("dwell must be positive")
+    if not (real_number(duration) and 0 <= duration < math.inf):
+        raise ValueError(f"duration must be a finite non-negative number, got {duration!r}")
+    if not (real_number(dwell) and 0 < dwell < math.inf):
+        raise ValueError(f"dwell must be a finite positive number, got {dwell!r}")
     u = rotation_unitary(SPINS, "y", np.pi / 2)
     rho = u @ np.asarray(rho, dtype=complex) @ u.conj().T
     amplitudes = [expectation(rho, spin_operator(k, "+")) for k in SPINS]

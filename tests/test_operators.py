@@ -124,12 +124,14 @@ def test_spin_system_validation():
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, True,
-                                   pytest.param(np.True_, id="np-True")])
+                                   pytest.param(np.True_, id="np-True"),
+                                   pytest.param("1", id="string")])
 @pytest.mark.parametrize("field", ["gamma", "r", "theta_d", "phi", "omega_r", "offsets"])
 def test_spin_system_rejects_non_finite_fields(field, value):
     # unchecked, omega_r = inf divided by zero, phi = inf and omega_r = nan
     # failed to convert NaN to an integer, and r = inf gave a gate; a bool,
-    # which math.isfinite takes as 1, spun the pair at 1 rad/s
+    # which math.isfinite takes as 1, spun the pair at 1 rad/s; a string
+    # raised a TypeError that named no field
     bad = (TWO_PI * 2000.0, value) if field == "offsets" else value
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         _system(**{field: bad})

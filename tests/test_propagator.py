@@ -477,10 +477,49 @@ def test_event_validation():
     pytest.param(lambda: Delay(True), "duration", id="duration-bool"),
     pytest.param(lambda: RFDrive(True), "omega_1", id="amplitude-bool"),
     pytest.param(lambda: IdealRotation((0,), "x", True), "angle", id="angle-bool"),
+    # nor is a string, though float() would read it as one
+    pytest.param(lambda: Delay("1e-3"), "duration", id="duration-string"),
+    pytest.param(lambda: CWSegment(RFDrive(1e4), "1e-3"), "duration", id="cw-duration-string"),
+    pytest.param(lambda: RFDrive("1"), "omega_1", id="amplitude-string"),
+    pytest.param(lambda: RFDrive(1e4, "0"), "phase", id="phase-string"),
+    pytest.param(lambda: IdealRotation((0,), "x", "3.14"), "angle", id="angle-string"),
+    # the sampling entry point: a NaN or negative interval sampled every step
+    pytest.param(lambda: _sampled(sample_every=math.nan), "sample_every",
+                 id="sample-every-nan"),
+    pytest.param(lambda: _sampled(sample_every=-1.0), "sample_every",
+                 id="sample-every-negative"),
+    pytest.param(lambda: _sampled(sample_every=True), "sample_every", id="sample-every-bool"),
+    pytest.param(lambda: _sampled(sample_every="1e-4"), "sample_every",
+                 id="sample-every-string"),
+    # an unchecked initial state gave a NaN trajectory or a numpy shape error
+    pytest.param(lambda: _sampled(initial=np.full((4, 4), math.nan)), "initial",
+                 id="initial-nan"),
+    pytest.param(lambda: _sampled(initial=np.eye(3) / 3), "initial", id="initial-3x3"),
+    pytest.param(lambda: _sampled(initial=np.eye(4)), "initial", id="initial-trace-4"),
+    pytest.param(lambda: _sampled(initial=np.diag([1.5, -0.5, 0.0, 0.0])), "initial",
+                 id="initial-negative-population"),
+    pytest.param(lambda: _sampled(initial="00"), "initial", id="initial-label"),
 ])
 def test_event_rejects_bad_input_naming_the_field(make, field):
     with pytest.raises(ValueError, match=f"^{field} "):
         make()
+
+
+def _sampled(initial=basis_state("00"), sample_every=1e-4):
+    """run_sequence over two rotor periods of CW, at 16 steps per period."""
+    system = glycine_system()
+    events = [CWSegment(RFDrive(hz_to_angular(2339.0)), 2 * system.rotor_period)]
+    return run_sequence(initial, system, events, sample_every, steps_per_period=16)
+
+
+@pytest.mark.parametrize("sample_every, samples", [(0.0, 33), (math.inf, 2)])
+def test_sample_every_zero_takes_every_step_end_and_inf_the_ends(sample_every, samples):
+    # two periods of 16 steps from the grid: 31 whole steps and a closing
+    # step, whose 32 ends follow the sample at t = 0
+    traj = _sampled(sample_every=sample_every)
+    assert len(traj.times) == samples
+    assert traj.times[0] == 0.0
+    assert traj.times[-1] == pytest.approx(2 * glycine_system().rotor_period, rel=1e-12)
 
 
 def test_numpy_flags_and_indices_give_the_gate_of_python_ones():
@@ -543,6 +582,40 @@ def test_walk_samples_and_gate_agree(phi, events, sample_periods):
     rho = u @ basis_state("10") @ u.conj().T
     assert abs(expectation(rho, spin_operator(0, "z")).real - traj.iz[-1]) < 1e-12
     assert abs(expectation(rho, spin_operator(1, "z")).real - traj.sz[-1]) < 1e-12
+
+
+@st.composite
+def mixed_states(draw):
+    """A random mixed state: A A^dag + 1/10, of unit trace, Hermitian by
+    construction and positive definite."""
+    parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32))
+    a = np.array(parts[:16]).reshape(4, 4) + 1j * np.array(parts[16:]).reshape(4, 4)
+    rho = a @ a.conj().T + 0.1 * np.eye(4)
+    rho = (rho + rho.conj().T) / 2
+    return rho / np.trace(rho).real
+
+
+@settings(max_examples=30, deadline=None)
+@given(system=st.builds(
+           SpinSystem, gamma=st.just(GAMMA_C13),
+           r=st.floats(1.2, 3.0).map(lambda angstrom: angstrom * 1e-10),
+           theta_d=st.floats(0.0, np.pi), phi=st.floats(0.0, TWO_PI),
+           omega_r=st.floats(5e3, 15e3).map(hz_to_angular),
+           offsets=st.tuples(*2 * [st.floats(-2e4, 2e4).map(hz_to_angular)])),
+       events=st.lists(st.one_of(PULSES, TIMED), max_size=5),
+       sample_periods=st.floats(0.0, 1.5), rho=mixed_states())
+def test_sampled_populations_match_the_trace_of_each_state(system, events, sample_periods,
+                                                           rho):
+    # the batched contraction against <I_z> = tr(V rho V^dag I_z) at each
+    # of the walk's own samples
+    sample_every = sample_periods * T_R
+    _, samples = propagator._propagate(system, events, 16, sample_every)
+    traj = run_sequence(rho, system, events, sample_every, steps_per_period=16)
+    assert traj.times.tobytes() == np.array([t for t, _ in samples]).tobytes()
+    for (_, v), iz, sz in zip(samples, traj.iz, traj.sz, strict=True):
+        state = v @ rho @ v.conj().T
+        assert abs(np.trace(state @ spin_operator(0, "z")).real - iz) <= 1e-15
+        assert abs(np.trace(state @ spin_operator(1, "z")).real - sz) <= 1e-15
 
 
 @settings(max_examples=10, deadline=None)

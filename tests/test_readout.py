@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,22 @@ def test_fid_of_ground_state():
 def test_fid_requires_positive_dwell():
     with pytest.raises(ValueError):
         simulate_fid(basis_state("00"), glycine_system(), 1e-3, 0.0)
+
+
+@pytest.mark.parametrize("duration, dwell, field", [
+    # a NaN failed to convert to an integer point count, and a negative
+    # duration gave numpy's negative dimensions
+    pytest.param(math.nan, 1e-5, "duration", id="duration-nan"),
+    pytest.param(-1e-3, 1e-5, "duration", id="duration-negative"),
+    pytest.param(math.inf, 1e-5, "duration", id="duration-inf"),
+    pytest.param("1e-3", 1e-5, "duration", id="duration-string"),
+    pytest.param(1e-3, math.nan, "dwell", id="dwell-nan"),
+    pytest.param(1e-3, "1e-5", "dwell", id="dwell-string"),
+    pytest.param(1e-3, True, "dwell", id="dwell-bool"),
+])
+def test_fid_rejects_bad_input_naming_the_field(duration, dwell, field):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        simulate_fid(basis_state("00"), glycine_system(), duration, dwell)
 
 
 def test_fid_transform_peak_positions_and_signs():

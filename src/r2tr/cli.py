@@ -31,15 +31,10 @@ from .units import (GAMMA_C13, HBAR, MU0_OVER_4PI, TWO_PI, deg_to_rad,
 
 SCHEMA_VERSION = 1
 # size limits, checked before anything is allocated: integrator steps of one
-# CW or delay segment, points of an FID, and samples of a trajectory (each
-# holds about 1 kB until the trajectory is reduced)
+# CW or delay segment and points of an FID (the samples of a trajectory are
+# bounded by propagator.MAX_SAMPLES)
 MAX_SEGMENT_STEPS = 2**20
 MAX_FID_POINTS = 2**20
-MAX_SAMPLES = 2**16
-# slowest accepted spinning (Hz): far below any MAS rate, and far above the
-# rates where w_r**2 underflows or the step integrals, which subtract
-# antiderivatives of size w_d/w_r and w_d/w_r**2, cancel the dipolar term
-MIN_SPIN_RATE_HZ = 1.0
 # angular frequencies of the period fit's scan over [0.5, 1.5] of the guess
 FIT_SCAN_POINTS = 101
 # the period fit's scan QR-factors its frequencies in chunks whose
@@ -124,19 +119,10 @@ def build_system(cfg):
         raise ConfigError(
             "system block needs exactly one of 'r_angstrom' or 'coupling_hz'")
     if has_r:
-        key, r = "r_angstrom", number("r_angstrom") * 1e-10
+        r_key, r = "r_angstrom", number("r_angstrom") * 1e-10
     else:
-        key = "coupling_hz"
-        r = _radius_from_coupling(gamma, _positive(blk[key], "system.coupling_hz"))
-    try:
-        coupling = dipolar_constants(gamma, r, 0.0).omega_full
-    except (ValueError, ArithmeticError):  # r <= 0; r**3 underflows or overflows
-        coupling = math.nan
-    if not (math.isfinite(coupling) and coupling > 0):
-        raise ConfigError(
-            f"system.{key} = {blk[key]!r} (with system.gamma_rad_per_s_per_t = "
-            f"{gamma:g}) gives a dipolar coupling of {coupling:g} rad/s; it must "
-            f"be finite and positive")
+        r_key = "coupling_hz"
+        r = _radius_from_coupling(gamma, _positive(blk[r_key], "system.coupling_hz"))
     if "offsets_hz" in blk:
         key = "offsets_hz"
         offsets_hz = offsets(key)
@@ -150,11 +136,15 @@ def build_system(cfg):
         raise ConfigError("system block needs 'offsets_hz' or 'offsets_ppm'")
     theta_d = deg_to_rad(number("theta_d_deg", 0.0))
     phi = deg_to_rad(number("phi_deg", 0.0))
-    omega_r = _angular(_number(_field(blk, "spin_rate_hz", "system"), "system.spin_rate_hz",
-                               MIN_SPIN_RATE_HZ), "system.spin_rate_hz")
-    return SpinSystem(gamma=gamma, r=r, theta_d=theta_d, phi=phi, omega_r=omega_r,
-                      offsets=tuple(_angular(o, f"system.{key}[{k}]")
-                                    for k, o in enumerate(offsets_hz)))
+    omega_r = hz_to_angular(_number(_field(blk, "spin_rate_hz", "system"),
+                                    "system.spin_rate_hz"))
+    angular = tuple(_angular(o, f"system.{key}[{k}]") for k, o in enumerate(offsets_hz))
+    try:
+        return SpinSystem(gamma=gamma, r=r, theta_d=theta_d, phi=phi, omega_r=omega_r,
+                          offsets=angular)
+    except ValueError as exc:  # SpinSystem's range checks, named r or omega_r
+        field = {"r": r_key, "omega_r": "spin_rate_hz"}[str(exc).split()[0]]
+        raise ConfigError(f"system.{field} = {blk[field]!r}: {exc}") from exc
 
 
 def _block(cfg, key, kind=dict):
@@ -433,19 +423,13 @@ def _simulate_report(cfg):
     system, drive, events, steps = build_run(cfg)
     sample_every = (_number(cfg.get("sample_every_s", 0.0), "sample_every_s", 0.0)
                     or system.rotor_period)
-    # a sample falls due at most once per step, ceil(x) + 1 in a segment,
-    # and once per sample_every_s
-    timed = [e for e in events if not isinstance(e, IdealRotation)]
-    duration = sum(e.duration for e in timed)
-    total_steps = sum(math.ceil(e.duration / system.rotor_period * steps) + 1 for e in timed)
-    samples = min(total_steps, duration / sample_every)
-    if samples > MAX_SAMPLES:
-        raise ConfigError(
-            f"sample_every_s = {sample_every:g} s gives up to {samples:.4g} samples "
-            f"over {duration:g} s of sequence; at most {MAX_SAMPLES} are allowed")
     initial = basis_state(_choice(cfg.get("initial_state", "00"), BASIS_LABELS, "initial_state"))
-    traj = run_sequence(initial, system, events, sample_every,
-                        steps_per_period=steps)
+    try:
+        traj = run_sequence(initial, system, events, sample_every, steps_per_period=steps)
+    except ValueError as exc:  # too many samples, counted before any is taken
+        if not str(exc).startswith("sample_every"):
+            raise
+        raise ConfigError(f"sample_every_s: {exc}") from exc
     report = {"max_transfer_fraction": transfer_fraction(traj)}
     cw = drive is not None and any(isinstance(e, CWSegment) for e in events)
     point = analytic_point(system, drive) if cw else None

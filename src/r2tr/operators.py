@@ -14,8 +14,15 @@ import numbers
 
 import numpy as np
 
+from .hamiltonian import dipolar_constants
+from .units import TWO_PI
+
 SPINS = (0, 1)  # spin indices: 0 is I, 1 is S
 BASIS_LABELS = ("00", "01", "10", "11")
+# slowest spinning (Hz): far below any MAS rate, and far above the rates
+# where w_r**2 underflows or the step integrals, which subtract
+# antiderivatives of size w_d/w_r and w_d/w_r**2, cancel the dipolar term
+MIN_SPIN_RATE_HZ = 1.0
 
 _SINGLE = {
     "x": np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex),
@@ -116,8 +123,11 @@ class SpinSystem:
     theta_d  angle between internuclear vector and spinning axis, rad
              (folded into [0, pi/2])
     phi      initial rotor phase, rad
-    omega_r  spinning angular frequency, rad/s
+    omega_r  spinning angular frequency, rad/s, at least 2 pi MIN_SPIN_RATE_HZ
     offsets  (I, S) resonance offsets from the RF carrier, rad/s; exactly two
+
+    r and gamma must give a finite, positive dipolar coupling. A field out
+    of range raises a ValueError that starts with its name.
     """
 
     gamma: float
@@ -137,10 +147,16 @@ class SpinSystem:
                 raise ValueError(f"{field} must be finite, a real number and not a bool, "
                                  f"got {value!r}")
         object.__setattr__(self, "offsets", tuple(float(o) for o in self.offsets))
-        if self.r <= 0:
-            raise ValueError("internuclear distance must be positive")
-        if self.omega_r <= 0:
-            raise ValueError("spinning frequency must be positive")
+        try:  # r <= 0, or r**3 underflows or overflows
+            coupling = dipolar_constants(self.gamma, self.r, 0.0).omega_full
+        except (ValueError, ArithmeticError):
+            coupling = math.nan
+        if not (math.isfinite(coupling) and coupling > 0):
+            raise ValueError(f"r = {self.r!r} m (with gamma = {self.gamma!r}) gives a dipolar "
+                             f"coupling of {coupling:g} rad/s; it must be finite and positive")
+        if not self.omega_r >= TWO_PI * MIN_SPIN_RATE_HZ:
+            raise ValueError(f"omega_r must be at least 2 pi x {MIN_SPIN_RATE_HZ:g} Hz, got "
+                             f"{self.omega_r!r} rad/s")
         object.__setattr__(self, "theta_d", _fold_theta(self.theta_d))
 
     @property

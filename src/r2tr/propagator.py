@@ -5,13 +5,15 @@ irradiation segments. CW segments are wrapped with trim pulses that align
 each spin's quantization axis with its effective field before the drive
 and undo the rotation afterwards.
 
-One walk over the events folds every segment into the sequence unitary U
-and records sampled views (t, V): the unitary a measurement at t sees,
-through the closing trim pulse inside a CW segment, as in a point-by-point
-experiment. `extract_gate` returns U. Inside a segment the sampled views
-are formed together, by one stacked product. `run_sequence` takes the
-populations diag(V rho V^dag) of all samples in one contraction, and reads
-<I_z> and <S_z> off them, as both operators are diagonal.
+A walk over the events is planned first, in float arithmetic: each
+segment's grid, steps and samples. It then folds every segment into the
+sequence unitary U and records sampled views (t, V): the unitary a
+measurement at t sees, through the closing trim pulse inside a CW segment,
+as in a point-by-point experiment. `extract_gate` returns U. Inside a
+segment the sampled views are formed together, by one stacked product.
+`run_sequence` takes the populations diag(V rho V^dag) of all samples in
+one contraction, and reads <I_z> and <S_z> off them, as both operators are
+diagonal.
 
 Integration is by step exponentials of each step's exact integral of H
 plus the leading commutator correction, from the rotor-harmonic form of H,
@@ -47,15 +49,19 @@ delay with the dipolar term off, or a pair along the spinning axis) H is
 the constant tridiag(c) = W Lambda W^T, and a segment's unitaries are W
 e^{-i Lambda x} W^T at its times x: one eigh, no step error at any length.
 
-A fold returns its partial products at the step counts asked of it. Its
-steps are built and exponentiated in one batch of at most ceil(s/2), and
-runs of steps are multiplied out by batched pairwise products, with no
-Python loop per step. So s <= MAX_STEPS_PER_PERIOD bounds a walk's memory:
-three arrays of a batch's size while it builds one, and one kept batch for
-each distinct Hamiltonian that a later segment still has.
+A fold returns its partial products at the step counts asked of it, by
+batched pairwise products, with no Python loop per step. A time-dependent
+Hamiltonian's steps are exponentiated in batches of at most ceil(s/2), each
+by one generator call and one batched eigh: its half-period batch, built at
+its first segment if a segment folds it, and the chunks of its edge batch
+(its leading, closing and short segments' steps, in walk order), each built
+as the walk reaches it, once the chunk before has gone; both go at its last
+segment. So s <= MAX_STEPS_PER_PERIOD bounds a walk's memory: (2k + 3)
+ceil(s/2) step unitaries of 256 B for k time-dependent Hamiltonians still to
+come (a half-period batch and a chunk each, and three arrays of a batch being
+built), besides the plan, under 1 kB per timed event, and the samples.
 """
 
-import bisect
 import cmath
 from dataclasses import dataclass
 import functools
@@ -72,6 +78,8 @@ DEFAULT_STEPS_PER_PERIOD = 1024
 # batch array. On glycine, doubling s changes a rotor period's propagator by
 # 5e-13 from 2**11, 2e-13 from 2**12 and 2**13, and 4e-13 from 2**14: roundoff
 MAX_STEPS_PER_PERIOD = 2**13
+# the most samples of one walk, each about 1 kB until the trajectory is reduced
+MAX_SAMPLES = 2**16
 # the secular dipolar operator in the band frame, which is diagonal there,
 # and the differences d_j - d_{j+1} of its neighbouring entries
 _DIPOLAR_BAND = np.array([0.0, -0.5, 0.25, 0.25])
@@ -217,9 +225,11 @@ class HarmonicHamiltonian:
         band = np.diag(self.coupling, -1)
         return None if self.omega_d1 or self.omega_d2 else np.linalg.eigh(band + band.T)
 
-    def step_generators(self, edges, dt):
+    def step_generators(self, edges, dt, starts=None):
         """Hermitian tridiagonal generators M_k with U_k = exp(-i M_k) for
-        the steps between consecutive edges, each dt long.
+        the steps between consecutive edges, each dt long; or, given the
+        indices `starts`, for the steps from edges[j] to edges[j + 1], j in
+        starts, the k-th dt[k] long: several runs of steps in one call.
 
         M_k = integral of H over the step plus the leading Magnus
         commutator term (which is i times an anti-Hermitian matrix, hence
@@ -235,14 +245,15 @@ class HarmonicHamiltonian:
         q = -d1 / wr**2 * cos1 - d2 / (4.0 * wr**2) * cos2
         r = d1 * (edges * sin1 / wr + cos1 / wr**2)
         r += d2 * (edges * sin2 / (2.0 * wr) + cos2 / (4.0 * wr**2))
-        area = p[1:] - p[:-1]
+        lo, hi = (slice(None, -1), slice(1, None)) if starts is None else (starts, starts + 1)
+        area = p[hi] - p[lo]
         # K = iint_{t0<t2<t1<t} (D(t2) - D(t1)) dt2 dt1 over the step
-        term1 = (q[1:] - q[:-1]) - p[:-1] * dt
-        term2 = (r[1:] - r[:-1]) - edges[:-1] * area
+        term1 = (q[hi] - q[lo]) - p[lo] * dt
+        term2 = (r[hi] - r[lo]) - edges[lo] * area
         k = term1 - term2
         m = np.zeros((len(area), 4, 4), dtype=complex)
         m[:, _DIAG, _DIAG] = np.multiply.outer(area, _DIPOLAR_BAND)
-        sub = (dt * self.coupling
+        sub = (np.multiply.outer(dt, self.coupling)
                - np.multiply.outer(0.5j * k, self.coupling * _DIPOLAR_STEPS))
         m[:, _SUB_ROW, _SUB_COL] = sub
         m[:, _SUB_COL, _SUB_ROW] = sub.conj()
@@ -273,9 +284,11 @@ def _chain(unitaries):
     return unitaries[0]
 
 
-def _step_unitaries(fn, t0, step, steps):
-    """fn's step unitaries U_k = exp(-i M_k), k < steps, from t0 + k step, as
-    one batch: built from their edges (not a grid), checked and exponentiated.
+def _step_unitaries(fn, runs):
+    """fn's step unitaries U_k = exp(-i M_k) as one batch, for `runs` of
+    (t0, step, steps): from each t0, the steps k < steps from t0 + k step,
+    in turn. They are built from their edges (not a grid), checked and
+    exponentiated.
 
     Each generator M is tridiagonal and is decomposed as D M D^dag, D =
     diag(p) with p_j = exp(-i sum_{m<j} theta_m) and theta_m the phase of
@@ -284,7 +297,17 @@ def _step_unitaries(fn, t0, step, steps):
     float64, and its step unitary D^dag exp(-i D M D^dag) D is rebuilt in
     real arithmetic and then scaled by the phases.
     """
-    generators = fn.step_generators(np.arange(steps + 1, dtype=float) * step + t0, step)
+    edges = [np.arange(steps + 1, dtype=float) * step + t0 for t0, step, steps in runs]
+    if len(runs) == 1:
+        generators = fn.step_generators(edges[0], runs[0][1])
+    else:  # no step joins one run's last edge to the next run's first
+        counts = [steps for *_, steps in runs]
+        firsts = np.cumsum([0, *counts[:-1]]) + np.arange(len(runs))
+        generators = fn.step_generators(
+            np.concatenate(edges), np.repeat([step for _, step, _ in runs], counts),
+            np.concatenate([np.arange(steps) + j for j, steps in zip(firsts, counts)]))
+    del edges
+    steps = len(generators)
     if not np.all(np.isfinite(generators)):
         raise ValueError("Hamiltonian produced non-finite entries")
     sub = generators[:, _SUB_ROW, _SUB_COL]
@@ -329,7 +352,7 @@ def _fold(fn, t0, step, counts):
     constant H = W Lambda W^T (fn.eigh) they are W e^{-i Lambda c step} W^T."""
     if fn.eigh is None:
         steps = max(counts)
-        return _partials(_step_unitaries(fn, t0, step, steps) if steps else (), counts)
+        return _partials(_step_unitaries(fn, [(t0, step, steps)]) if steps else (), counts)
     evals, w = fn.eigh
     phases = {c: -(c * step) * evals for c in counts}
     if not np.all(np.isfinite([*phases.values()])):
@@ -383,28 +406,36 @@ def trim_unitaries(system, segment):
     return u_open, u_open.conj().T
 
 
-def _sample_steps(g0, t, h, n, due, every, last):
+def _sample_steps(g0, t, h, n, due, every, last, limit=MAX_SAMPLES):
     """The step counts of a segment at which samples fall due, and the next
-    due time. After c steps the segment is at end(c): g0 after the leading
-    step (c = 0), g0 + c h after whole step c <= n and t after the closing
-    step (c = n + 1), computed as the walk computes them.
+    due time; past `limit` counts it stops, at limit + 1. After c steps the
+    segment is at end(c): g0 after the leading step (c = 0), g0 + c h after
+    whole step c <= n and t after the closing step (c = n + 1), computed as
+    the walk computes them.
 
     A sample falls due at the first end past `last`, the time of the sample
     before it, and at or after `due` (less 1e-15 s of slack); then `due` +=
-    `every`. Each is found by bisection. The ends rise with c, but rounding
-    may put t an ulp before g0 + n h: count n + 1 is keyed on the larger.
+    `every`. The ends rise with c, but rounding may put t an ulp before g0 +
+    n h: count n + 1 is keyed on the larger. Each count starts from the
+    estimate ceil((x - g0) / h) for the bound x, and moves down while the end
+    before it is due and up while its own is not: on the grid, a step or none.
     """
     def end(c):
         return g0 + c * h if c <= n else max(t, g0 + n * h)
 
-    marks, c = [], 0
-    while True:
+    marks, lo = [], 0
+    while len(marks) <= limit:
         x = max(due - 1e-15, math.nextafter(last, math.inf))
-        c += bisect.bisect_left(range(c, n + 2), x, key=end)
-        if c > n + 1:
-            return marks, due
+        if not x <= end(n + 1):
+            break
+        c = min(max(lo, math.ceil((x - g0) / h)), n + 1)
+        while c > lo and end(c - 1) >= x:
+            c -= 1
+        while end(c) < x:
+            c += 1
         marks.append(c)
-        last, due, c = end(c), due + every, c + 1
+        last, due, lo = end(c), due + every, c + 1
+    return marks, due
 
 
 def _period_partials(batch, s, residues):
@@ -423,74 +454,177 @@ def _band_key(event):
             (0.0, bool(event.dipolar_on)) if isinstance(event, Delay) else None)
 
 
-def _propagate(system, events, steps_per_period, sample_every):
-    """Walk a sequence once; return its unitary U and the samples [(t, V)].
+class _Segment:
+    """A timed event of a walk, as `_Plan` holds it."""
 
-    This is the only dispatch over event types, and every segment is
-    folded into U here. V is the unitary a measurement at t sees: U so far,
-    taken through the closing trim pulse inside a CW segment. Samples are
-    taken at t = 0 after any leading pulses, at the step counts
-    `_sample_steps` finds for each multiple of sample_every, and at the end
-    of the sequence (the last sample holds U, so it includes any trailing
-    pulses). Each fold starts from the identity; the walk multiplies it in.
+    __slots__ = ("event", "key", "t0", "t", "j0", "g0", "n", "marks", "folds", "where",
+                 "last")
 
-    A segment from t0 to t takes a leading step to the first grid point g0
-    = t_a + j0 h after t0 (none if t0 is on the grid or none is inside), n
-    whole steps and a closing step, which end at counts 0 to n + 1. If n <=
-    ceil(s/2) or H is constant, they are folded from g0. Else `_period_partials`
-    gives U_T and P(r) at the residues of j0 and of the sampled counts;
-    after c whole steps the unitary is P((j0 + c) mod s) U_T^q P(j0 mod
-    s)^dag, q = (j0 + c) div s - j0 div s.
+    def __init__(self, event, key, t0, t, j0, g0, n, marks, folds):
+        self.event, self.key, self.t0, self.t, self.j0 = event, key, t0, t, j0
+        self.g0, self.n, self.marks, self.folds = g0, n, marks, folds
+        self.where, self.last = None, True
+
+    def runs(self, h):
+        """Its leading, whole and closing steps, each (t0, step, steps): None
+        for no leading step and for whole steps that fold."""
+        t_close = self.g0 + self.n * h
+        return ((self.t0, self.g0 - self.t0, 1) if self.g0 > self.t0 else None,
+                None if self.folds else (self.g0, h, self.n),
+                (t_close, self.t - t_close, 1))
+
+
+class _Plan:
+    """A walk over a sequence in float arithmetic, made before any matrix.
+
+    `walk` holds each event in turn: a rotation as it is, None where the
+    first sample is taken (t = 0, after any leading pulses), and a timed
+    event of nonzero duration as a _Segment: from t0 to t a leading step to
+    g0 (if g0 > t0), n whole steps of h from grid point j0 and a closing
+    step, samples after the step counts `marks` (0 to n + 1), and whole
+    steps from the half-period batch if it `folds`. `chunks` holds each
+    time-dependent Hamiltonian's edge batch, by `_band_key`: its segments'
+    runs in walk order, in chunks of at most ceil(s/2) steps, at a segment's
+    `where` (chunk, offset); `last` marks its last segment, and `folding`
+    the Hamiltonians that some segment folds. More than MAX_SAMPLES
+    `samples` raise a ValueError; the count stops there.
     """
+
+    def __init__(self, system, events, s, sample_every):
+        self.h = h = system.rotor_period / s
+        self.t_a = t_a = -(system.phi % math.tau) / system.omega_r
+        self.half = half = -(-s // 2)
+        constants = dipolar_constants(system.gamma, system.r, system.theta_d)
+        # D(t) = 0 leaves every segment's H constant, even with the dipolar term on
+        varies = bool(constants.omega_d1 or constants.omega_d2)
+        self.walk, self.chunks, self.folding = [], {}, set()
+        # per Hamiltonian: one key object, its latest segment and its last chunk's steps
+        keys, latest, fill = {}, {}, {}
+        t, due, last, samples = 0.0, sample_every, None, 0
+        for event in events:
+            if isinstance(event, IdealRotation):
+                self.walk.append(event)
+                continue
+            if (key := _band_key(event)) is None:
+                raise TypeError(f"unknown event type {type(event).__name__}")
+            if last is None:
+                self.walk.append(None)
+                last, samples = t, 1
+            if event.duration == 0.0:
+                continue
+            t0, t = t, t + event.duration
+            j0 = math.ceil((t0 - t_a) / h)
+            g0 = t_a + j0 * h
+            g0 = g0 if t0 < g0 < t else t0
+            n = max(1, math.ceil((t - g0) / system.rotor_period * s)) - 1
+            marks, due = _sample_steps(g0, t, h, n, due, sample_every, last,
+                                       MAX_SAMPLES - samples)
+            if (samples := samples + len(marks)) > MAX_SAMPLES:
+                break
+            if marks:
+                last = g0 + marks[-1] * h if marks[-1] <= n else t
+            varying = key[1] and varies
+            seg = _Segment(event, keys.setdefault(key, key), t0, t, j0, g0, n,
+                           tuple(marks), varying and n > half)
+            self.walk.append(seg)
+            if not varying:
+                continue
+            if key in latest:
+                latest[key].last = False
+            latest[key] = seg
+            if seg.folds:
+                self.folding.add(key)
+            chunks, where = self.chunks.setdefault(key, [[]]), []
+            for run in seg.runs(h):
+                if not (run and run[2]):
+                    where.append(None)
+                    continue
+                if fill.setdefault(key, 0) + run[2] > half:
+                    chunks.append([])
+                    fill[key] = 0
+                where.append((len(chunks) - 1, fill[key]))
+                chunks[-1].append(run)
+                fill[key] += run[2]
+            seg.where = tuple(where)
+        # a sample due at the end gives way to U, which the walk takes last
+        self.samples = samples + (not samples or last < t)
+        if self.samples > MAX_SAMPLES:
+            raise ValueError(f"sample_every = {sample_every!r} s takes more than "
+                             f"{MAX_SAMPLES} samples of this sequence")
+        self.end = t
+
+
+def _propagate(system, events, steps_per_period, sample_every):
+    """Walk a sequence once, as `_Plan` plans it; return its unitary U and
+    the samples [(t, V)].
+
+    With the plan, this is the only dispatch over event types, and every
+    segment is folded into U here. V is the unitary a measurement at t sees: U so far, taken
+    through the closing trim pulse inside a CW segment. Samples are taken at
+    t = 0 after any leading pulses, at the step counts `_sample_steps` finds
+    for each multiple of sample_every, and at the end of the sequence (the
+    last sample holds U, so it includes any trailing pulses). Each fold
+    starts from the identity; the walk multiplies it in.
+
+    A segment's leading step, n whole steps and closing step end at counts
+    0 to n + 1. If n <= ceil(s/2) or H is constant, they are folded from g0.
+    Else `_period_partials` gives U_T and P(r) at the residues of j0 and of
+    the sampled counts; after c whole steps the unitary is P((j0 + c) mod s)
+    U_T^q P(j0 mod s)^dag, q = (j0 + c) div s - j0 div s.
+    """
+    s = _steps(steps_per_period, "steps_per_period")
+    plan = _Plan(system, events, s, sample_every)
     constants = dipolar_constants(system.gamma, system.r, system.theta_d)
     eye = np.eye(4, dtype=complex)
-    s = _steps(steps_per_period, "steps_per_period")
-    h = system.rotor_period / s
-    t_a = -(system.phi % math.tau) / system.omega_r
     u, samples = eye, []
-    t, due = 0.0, sample_every
-    events = tuple(events)
-    last_use, kept = {_band_key(event): i for i, event in enumerate(events)}, {}
-    for i, event in enumerate(events):
-        if isinstance(event, IdealRotation):
-            u = rotation_unitary(event.targets, event.axis, event.angle) @ u
+    halves, edges = {}, {}  # per Hamiltonian: its half-period batch; (index, chunk)
+    for seg in plan.walk:
+        if seg is None:
+            samples.append((0.0, u))
             continue
+        if isinstance(seg, IdealRotation):
+            u = rotation_unitary(seg.targets, seg.axis, seg.angle) @ u
+            continue
+        event, key = seg.event, seg.key
         if isinstance(event, Delay):
             u_open = u_close = eye
             fn = _segment_hamiltonian(system, None, constants, event.dipolar_on)
-        elif isinstance(event, CWSegment):
+        else:
             u_open, u_close = trim_unitaries(system, event)
             fn = _segment_hamiltonian(system, event.drive, constants)
-        else:
-            raise TypeError(f"unknown event type {type(event).__name__}")
-        if not samples:
-            samples.append((t, u))
-        if event.duration == 0.0:
-            continue
-        t0, t = t, t + event.duration
+        if seg.where is not None and key not in edges:  # its Hamiltonian's first segment
+            if key in plan.folding:
+                halves[key] = _step_unitaries(fn, [(plan.t_a, plan.h, plan.half)])
+            edges[key] = None, None
+
+        def fold(k, counts):  # the partials of the leading (0), whole (1) or closing (2) run
+            if seg.where is None:
+                start, step, _ = seg.runs(plan.h)[k]
+                return _fold(fn, start, step, counts)
+            if seg.where[k] is None:  # no whole steps
+                return _partials((), counts)
+            index, offset = seg.where[k]
+            if edges[key][0] != index:
+                edges[key] = None  # the chunk before goes first
+                edges[key] = index, _step_unitaries(fn, plan.chunks[key][index])
+            return _partials(edges[key][1][offset:offset + max(counts)], counts)
+
         # into the segment's band frame and, at each sample and the end, out
         u_close = u_close @ fn.frame
         u = fn.frame.conj().T @ u_open @ u
-        j0 = math.ceil((t0 - t_a) / h)
-        g0 = t_a + j0 * h
-        g0 = g0 if t0 < g0 < t else t0
-        if g0 > t0:  # the leading step
-            u = _fold(fn, t0, g0 - t0, {1})[1] @ u
-        n = max(1, math.ceil((t - g0) / system.rotor_period * s)) - 1
-        marks, due = _sample_steps(g0, t, h, n, due, sample_every, samples[-1][0])
+        g0, n, marks = seg.g0, seg.n, seg.marks
+        if g0 > seg.t0:  # the leading step
+            u = fold(0, {1})[1] @ u
         if 0 in marks:  # only ever at the end of a leading step
             samples.append((g0, u_close @ u))
         counts = [c for c in marks if 0 < c <= n]
-        if n > -(-s // 2) and fn.eigh is None:
-            period = s
-            if (key := _band_key(event)) not in kept:
-                kept[key] = _step_unitaries(fn, t_a, h, -(-s // 2))
-            u_period, partial = _period_partials(  # kept up to its H's last use
-                kept[key] if last_use[key] > i else kept.pop(key),
-                s, {(j0 + c) % s for c in [0, *counts, n]})
+        if seg.folds:
+            j0, period = seg.j0, s
+            u_period, partial = _period_partials(
+                halves[key], s, {(j0 + c) % s for c in [0, *counts, n]})
         else:  # a short or constant segment folds its own steps, as one unrepeated period
             j0, period, u_period = 0, n + 1, eye
-            partial = _fold(fn, g0, h, {0, *counts, n})
+            partial = fold(1, {0, *counts, n})
         u, periods = partial[j0 % period].conj().T @ u, j0 // period
         units, partials = [], []
         for c in counts:
@@ -500,14 +634,17 @@ def _propagate(system, events, steps_per_period, sample_every):
             partials.append(partial[r])
         if counts:  # the segment's sampled views, as one stacked product
             views = u_close @ np.array(partials) @ np.array(units)
-            samples += zip([g0 + c * h for c in counts], views)
+            samples += zip([g0 + c * plan.h for c in counts], views)
         q, r = divmod(j0 + n, period)
         u = partial[r] @ np.linalg.matrix_power(u_period, q - periods) @ u
-        t_close = g0 + n * h
-        u = _fold(fn, t_close, t - t_close, {1})[1] @ u
+        u = fold(2, {1})[1] @ u
         if n + 1 in marks:
-            samples.append((t, u_close @ u))
+            samples.append((seg.t, u_close @ u))
         u = u_close @ u
+        if seg.last:  # its Hamiltonian's batches go
+            halves.pop(key, None)
+            edges.pop(key, None)
+    t = plan.end
     if samples and samples[-1][0] >= t:
         t = samples.pop()[0]  # a sample at the end gives way to U
     samples.append((t, u))

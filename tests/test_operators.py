@@ -137,6 +137,19 @@ def test_spin_system_rejects_non_finite_fields(field, value):
         _system(**{field: bad})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("r", 1e-200), ("r", 1e200), ("r", 0.0), ("r", -1.53e-10),
+    ("omega_r", 1e-300), ("omega_r", 0.0), ("omega_r", -TWO_PI * 7884.0), ("omega_r", 6.0),
+])
+def test_spin_system_rejects_out_of_range_fields(field, value):
+    # unchecked, r = 1e-200 (r**3 underflows) and omega_r = 1e-300
+    # (omega_r**2 underflows) were taken, and extract_gate then raised a bare
+    # ZeroDivisionError; below 1 Hz of spinning the step integrals lose the
+    # dipolar term
+    with pytest.raises(ValueError, match=f"^{field} "):
+        _system(**{field: value})
+
+
 def test_theta_folding():
     # theta and pi - theta give the same geometry
     a = _system(theta_d=deg_to_rad(64.0))

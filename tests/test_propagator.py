@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import time
 import tracemalloc
 
 from hypothesis import example, given, settings, strategies as st
@@ -14,10 +15,10 @@ from r2tr.cli import (analytic_point, build_drive, build_run, build_system,
 from r2tr.hamiltonian import dipolar_constants, effective_field
 from r2tr.operators import (SpinSystem, basis_state, check_density_matrix,
                             check_unitary, expectation, spin_operator)
-from r2tr.propagator import (MAX_STEPS_PER_PERIOD, CWSegment, Delay, HarmonicHamiltonian,
-                             IdealRotation, RFDrive, Trajectory, _fold, _period_partials,
-                             _sample_steps, _segment_hamiltonian, _step_unitaries,
-                             extract_gate, rotation_unitary, run_sequence,
+from r2tr.propagator import (MAX_SAMPLES, MAX_STEPS_PER_PERIOD, CWSegment, Delay,
+                             HarmonicHamiltonian, IdealRotation, RFDrive, Trajectory, _fold,
+                             _period_partials, _sample_steps, _segment_hamiltonian,
+                             _step_unitaries, extract_gate, rotation_unitary, run_sequence,
                              segment_propagator, trim_unitaries)
 from r2tr.units import GAMMA_C13, GLYCINE_CC_DISTANCE, TWO_PI, deg_to_rad, hz_to_angular
 
@@ -520,6 +521,30 @@ def test_sample_every_zero_takes_every_step_end_and_inf_the_ends(sample_every, s
     assert len(traj.times) == samples
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(2 * glycine_system().rotor_period, rel=1e-12)
+
+
+def test_plan_takes_the_most_samples_and_rejects_one_more():
+    # from t = 0 on the grid (phi = 0), sample_every = 0 samples t = 0 and
+    # the ends of the n whole steps and of the closing step: n + 2 samples
+    def plan(steps):
+        events = [CWSegment(CW_2339, steps * T_R / 16)]
+        return propagator._Plan(glycine_system(), events, 16, 0.0)
+
+    assert plan(MAX_SAMPLES - 1.5).samples == MAX_SAMPLES  # n = MAX_SAMPLES - 2
+    with pytest.raises(ValueError, match="^sample_every "):
+        plan(MAX_SAMPLES - 0.5)
+
+
+def test_too_many_samples_fail_before_any_step_is_exponentiated():
+    # sample_every = 0 on 10^4 rotor periods would take 10^7 samples: the
+    # plan stops counting past MAX_SAMPLES, and no eigh is called
+    events = [CWSegment(CW_2339, 1e4 * T_R)]
+    start = time.perf_counter()
+    with pytest.MonkeyPatch.context() as monkeypatch, pytest.raises(
+            ValueError, match=f"^sample_every = 0.0 s takes more than {MAX_SAMPLES} samples"):
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        run_sequence(basis_state("00"), glycine_system(), events, 0.0)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_numpy_flags_and_indices_give_the_gate_of_python_ones():
@@ -1036,8 +1061,8 @@ def test_presets_match_lab_frame_walk(preset):
     assert_walk_matches_lab_frame(system, events, system.rotor_period, steps)
 
 
-def _eigh_matrices(run):
-    """run() and the number of matrices it hands eigh."""
+def _eigh_calls(run):
+    """run() and the number of matrices of each call it makes to eigh."""
     matrices = []
     eigh = np.linalg.eigh
 
@@ -1048,6 +1073,12 @@ def _eigh_matrices(run):
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         result = run()
+    return result, matrices
+
+
+def _eigh_matrices(run):
+    """run() and the number of matrices it hands eigh."""
+    result, matrices = _eigh_calls(run)
     return result, sum(matrices)
 
 
@@ -1091,8 +1122,8 @@ def test_half_period_fold_matches_a_full_period_fold(fold):
     # the first: U_T and every P(r) follow from ceil(s/2) folded steps
     fn, steps = fold
     t_a, h = -fn.phi / fn.omega_r, TWO_PI / fn.omega_r / steps
-    u_period, partial = _period_partials(_step_unitaries(fn, t_a, h, -(-steps // 2)), steps,
-                                         set(range(steps)))
+    u_period, partial = _period_partials(_step_unitaries(fn, [(t_a, h, -(-steps // 2))]),
+                                         steps, set(range(steps)))
     full = _fold(fn, t_a, h, range(steps + 1))
     assert np.max(np.abs(u_period - full[steps])) < 1e-12
     for r in range(steps):
@@ -1164,10 +1195,15 @@ def test_each_hamiltonian_folds_one_half_period_per_walk():
     # phi = 0.3 puts t = 0 48.89 steps past rotor phase 0, and segments of
     # 10.37 T_r start 10,618.88 steps apart, so none starts on the grid: each
     # of the five segments takes a leading and a closing step, and each of
-    # the two Hamiltonians folds 1024 / 2 = 512 steps once: 2 * 512 + 5 + 5
-    _, matrices = _eigh_matrices(lambda: extract_gate(
+    # the two Hamiltonians folds 1024 / 2 = 512 steps once: 2 * 512 + 5 + 5.
+    # Each Hamiltonian hands eigh its half-period batch and then one batch of
+    # its leading and closing steps, 6 for the drive's three segments and 4
+    # for the delay's two: 4 calls, where one call per leading or closing
+    # step made 12
+    _, calls = _eigh_calls(lambda: extract_gate(
         glycine_system(phi=0.3), _alternating_walk(10.37), steps_per_period=1024))
-    assert matrices == 2 * 512 + 5 + 5
+    assert sum(calls) == 2 * 512 + 5 + 5
+    assert calls == [512, 6, 512, 4]
 
 
 @pytest.mark.parametrize("events, kept", [
@@ -1194,6 +1230,30 @@ def test_walk_keeps_a_batch_only_for_a_later_segment(walk, events, kept):
     batch = -(-steps // 2) * 256
     assert _peak_bytes(lambda: walk(system, events, steps)) <= (
         kept * batch + 3 * batch + 64 * 1024)
+
+
+@pytest.mark.parametrize("walk", [
+    pytest.param(lambda system, events, steps: extract_gate(system, events,
+                                                            steps_per_period=steps),
+                 id="extract_gate"),
+    pytest.param(lambda system, events, steps: run_sequence(
+        basis_state("10"), system, events, 5.3 * system.rotor_period,
+        steps_per_period=steps), id="run_sequence"),
+])
+def test_walk_of_many_short_segments_stays_within_the_walk_bound(walk):
+    # 600 CW segments of one Hamiltonian, each under half a period, so none
+    # folds: their leading, whole and closing steps, about 47,000, go to eigh
+    # in chunks of at most 128 steps, each built when the walk reaches it
+    # and after the chunk before it has gone (a segment's leading step ends
+    # one chunk, and its whole and closing steps start the next). The module
+    # docstring's bound for one Hamiltonian is 2 + 3 batch arrays and the
+    # plan, under 1 kB a segment; the 64 kB of slack holds the small arrays
+    system, steps = glycine_system(phi=0.3), 256
+    events = [CWSegment(CW_2339, 0.3 * T_R) for _ in range(600)]
+    walk(system, events[:10], steps)  # numpy's one-time allocations are not the walk's
+    batch = -(-steps // 2) * 256
+    assert _peak_bytes(lambda: walk(system, events, steps)) <= (
+        (2 + 3) * batch + 600 * 1024 + 64 * 1024)
 
 
 @st.composite
@@ -1225,3 +1285,25 @@ def test_repeated_hamiltonian_walk_matches_lab_frame_walk(walk):
     phi, events, sample_every, steps_per_period = walk
     assert_walk_matches_lab_frame(glycine_system(phi=phi), events, sample_every,
                                   steps_per_period)
+
+
+@settings(max_examples=40, deadline=None)
+@given(walk=repeated_walks())
+def test_walk_exponentiates_and_samples_what_its_plan_counts(walk):
+    # the plan fixes the work before any matrix: each folded Hamiltonian's
+    # half-period batch, the runs of its edge batch and one eigh per segment
+    # of a constant Hamiltonian; no batch passes ceil(s/2) steps, and the
+    # walk returns as many samples as the plan counts
+    phi, events, sample_every, steps_per_period = walk
+    system = glycine_system(phi=phi)
+    plan = propagator._Plan(system, events, steps_per_period, sample_every)
+    segments = [seg for seg in plan.walk if isinstance(seg, propagator._Segment)]
+    steps = len(plan.folding) * plan.half + sum(
+        run[2] for chunks in plan.chunks.values() for chunk in chunks for run in chunk)
+    constant = sum(seg.where is None for seg in segments)
+    (_, samples), calls = _eigh_calls(lambda: propagator._propagate(
+        system, events, steps_per_period, sample_every))
+    assert sum(calls) == steps + constant
+    assert max(calls, default=0) <= plan.half
+    assert len(samples) == plan.samples
+

@@ -16,8 +16,12 @@ one contraction, and reads <I_z> and <S_z> off them, as both operators are
 diagonal.
 
 Integration is by step exponentials of each step's exact integral of H
-plus the leading commutator correction, from the rotor-harmonic form of H,
-each by a symmetric eigendecomposition, so unitarity holds at roundoff.
+plus the leading commutator correction, from the rotor-harmonic form of H.
+Made real symmetric (below), a step exponent m has exp(-i m) = cos m - i
+sin m, summed from their Taylor series through m^9 by real matrix products:
+the rest is under 2.6e-19 < 2^-53 for ||m||_inf <= theta = 2^-4. A larger m
+is scaled by 2^-k onto theta and squared back k times, at a roundoff of 2^k
+eps; past k = 25 (7.5e-9) a ValueError names steps_per_period.
 
 Whole steps of h = T_r / s, s = steps_per_period, lie on one grid per walk,
 t_a + j h, where the rotor phase omega_r t + phi is 0. A segment takes a
@@ -42,21 +46,20 @@ secular dipolar operator is diagonal, d = (0, -1/2, 1/4, 1/4). So every
 step generator is tridiagonal: its diagonal is the step's area of D(t)
 times d, and its subdiagonal dt c_j - (i/2) K c_j (d_j - d_{j+1}), K the
 step's commutator integral. A diagonal unitary similarity makes each one
-real symmetric, so it goes to LAPACK's real symmetric solver, and its step
-unitary is rebuilt from the real eigenvectors by real matrix products. The
-walk enters the frame with Q^dag and leaves it with Q. With D(t) = 0 (a
-delay with the dipolar term off, or a pair along the spinning axis) H is
-the constant tridiag(c) = W Lambda W^T, and a segment's unitaries are W
-e^{-i Lambda x} W^T at its times x: one eigh, no step error at any length.
+real symmetric. The walk enters the frame with Q^dag and leaves it with Q.
+With D(t) = 0 (a delay with the dipolar term off, or a pair along the
+spinning axis) H is the constant tridiag(c) = W Lambda W^T, and a segment's
+unitaries are W e^{-i Lambda x} W^T at its times x: one eigh, no step error
+at any length.
 
 A fold returns its partial products at the step counts asked of it, by
 batched pairwise products, with no Python loop per step. A time-dependent
 Hamiltonian's steps are exponentiated in batches of at most ceil(s/2), each
-by one generator call and one batched eigh: its half-period batch, built at
-its first segment if a segment folds it, and the chunks of its edge batch
-(its leading, closing and short segments' steps, in walk order), each built
-as the walk reaches it, once the chunk before has gone; both go at its last
-segment. So s <= MAX_STEPS_PER_PERIOD bounds a walk's memory: (2k + 3)
+by one generator call and one batched exponential: its half-period batch,
+built at its first segment if a segment folds it, and the chunks of its edge
+batch (its leading, closing and short segments' steps, in walk order), each
+built as the walk reaches it, once the chunk before has gone; both go at its
+last segment. So s <= MAX_STEPS_PER_PERIOD bounds a walk's memory: (2k + 3)
 ceil(s/2) step unitaries of 256 B for k time-dependent Hamiltonians still to
 come (a half-period batch and a chunk each, and three arrays of a batch being
 built), besides the plan, under 1 kB per timed event, and the samples.
@@ -84,6 +87,10 @@ MAX_SAMPLES = 2**16
 # and the differences d_j - d_{j+1} of its neighbouring entries
 _DIPOLAR_BAND = np.array([0.0, -0.5, 0.25, 0.25])
 _DIPOLAR_STEPS = _DIPOLAR_BAND[:-1] - _DIPOLAR_BAND[1:]
+# the step exponential's theta, cap on squarings and series of cos m and -sin m
+_THETA, _MAX_SQUARINGS = 2.0**-4, 25
+_COS = [(-1) ** j / math.factorial(2 * j) for j in range(5)]
+_MINUS_SIN = [(-1) ** (j + 1) / math.factorial(2 * j + 1) for j in range(5)]
 # the diagonal and subdiagonal entries of a 4x4 matrix
 _DIAG = np.arange(4)
 _SUB_ROW, _SUB_COL = np.arange(1, 4), np.arange(3)
@@ -284,6 +291,39 @@ def _chain(unitaries):
     return unitaries[0]
 
 
+def _exp_minus_i(m):
+    """exp(-i m), as the module docstring states, of a batch of real symmetric
+    tridiagonal m (float64, overwritten), each from its own m alone."""
+    # ||m||_inf, its largest row sum (inf if that overflows)
+    norm = functools.reduce(np.maximum, (abs(m).reshape(-1, 4) @ np.ones(4)).reshape(-1, 4).T)
+    if not np.all(norm < _THETA * 2.0**_MAX_SQUARINGS):
+        raise ValueError(f"steps_per_period is too small for these frequencies: a step of "
+                         f"norm {norm.max():.3g} needs over {_MAX_SQUARINGS} squarings")
+    squarings = np.maximum(np.frexp(norm / _THETA)[1], 0)  # norm / _THETA is exact
+    m *= np.ldexp(1.0, -squarings)[:, None, None]
+    x, poly, sin = m @ m, np.empty_like(m), np.empty_like(m)
+    np.matmul(m, _horner(x, _MINUS_SIN, sin, poly), out=sin)  # -sin m
+    cos = _horner(x, _COS, poly, m)  # into m, which the caller may still hold
+    del x, poly, m
+    for k in range(squarings.max(initial=0)):  # C <- C^2 - S^2, S <- 2 S C
+        c, s = cos[double := squarings > k], sin[double]
+        cos[double], sin[double] = c @ c - s @ s, 2.0 * (s @ c)
+    u = np.empty(cos.shape, dtype=complex)
+    u.real, u.imag = cos, sin
+    return u
+
+
+def _horner(x, coefficients, p, q):
+    """sum_j coefficients[j] x^j by Horner's rule, into p and q by turns; it
+    returns the one written last, q for five coefficients."""
+    np.multiply(x, coefficients[-1], out=p)
+    for k, c in enumerate(coefficients[-2::-1]):
+        if k:
+            p, q = np.matmul(p, x, out=q), p
+        p.reshape(-1, 16)[:, ::5] += c  # the diagonals, a view
+    return p
+
+
 def _step_unitaries(fn, runs):
     """fn's step unitaries U_k = exp(-i M_k) as one batch, for `runs` of
     (t0, step, steps): from each t0, the steps k < steps from t0 + k step,
@@ -293,9 +333,7 @@ def _step_unitaries(fn, runs):
     Each generator M is tridiagonal and is decomposed as D M D^dag, D =
     diag(p) with p_j = exp(-i sum_{m<j} theta_m) and theta_m the phase of
     M[m+1, m]. This unitary similarity makes M real symmetric tridiagonal,
-    with subdiagonal |M[m+1, m]|: it goes to the real symmetric solver as
-    float64, and its step unitary D^dag exp(-i D M D^dag) D is rebuilt in
-    real arithmetic and then scaled by the phases.
+    with subdiagonal |M[m+1, m]|, and U = D^dag exp(-i D M D^dag) D.
     """
     edges = [np.arange(steps + 1, dtype=float) * step + t0 for t0, step, steps in runs]
     if len(runs) == 1:
@@ -307,31 +345,17 @@ def _step_unitaries(fn, runs):
             np.concatenate(edges), np.repeat([step for _, step, _ in runs], counts),
             np.concatenate([np.arange(steps) + j for j, steps in zip(firsts, counts)]))
     del edges
-    steps = len(generators)
     if not np.all(np.isfinite(generators)):
         raise ValueError("Hamiltonian produced non-finite entries")
     sub = generators[:, _SUB_ROW, _SUB_COL]
-    p = np.ones((steps, 4), dtype=complex)
+    p = np.ones((len(sub), 4), dtype=complex)
     # np.angle, not sub / abs(sub), which overflows on a subnormal entry
     p[:, 1:] = np.exp(-1j * np.add.accumulate(np.angle(sub), axis=1))
-    # D M D^dag is real symmetric tridiagonal, but for the diagonal's imaginary
-    # roundoff, which a complex solver ignores too. With its real eigenvectors
-    # W, U = D^dag W e^{-i Lambda} W^T D; xt = e^{-i Lambda} W^T is built in the
-    # float view of a contiguous complex array by (4, 1) @ (1, 2) outer products,
-    # so W @ xt is one real matmul. Contiguous outputs and same-dtype operands
-    # keep numpy from allocating iterator buffers.
     real = np.ascontiguousarray(generators.real)
-    del generators
     real[:, _SUB_ROW, _SUB_COL] = real[:, _SUB_COL, _SUB_ROW] = np.abs(sub)
-    del sub
-    evals, w = np.linalg.eigh(real)
-    del real
-    rotation = np.exp(-1j * evals).view(float).reshape(-1, 4, 1, 2)
-    del evals
-    xt = np.ascontiguousarray(w.swapaxes(1, 2))[..., None] @ rotation
-    del rotation
-    batch = (w @ xt.reshape(-1, 4, 8)).view(complex)
-    del w, xt
+    del generators, sub
+    batch = _exp_minus_i(real)
+    del real  # two batch arrays, not three, in each einsum
     batch = np.einsum("ni,nij->nij", p.conj(), batch)
     return np.einsum("nij,nj->nij", batch, p)
 
@@ -339,11 +363,10 @@ def _step_unitaries(fn, runs):
 def _partials(batch, counts):
     """{c: U_{c-1} ... U_0} (the identity for c = 0) for each count c in
     `counts` of a batch of step unitaries: the only product over them."""
-    u = np.eye(4, dtype=complex)
-    partials = dict.fromkeys(counts, u)
-    marks = sorted({0, *partials})
-    for lo, c in zip(marks, marks[1:]):
-        u = partials[c] = _chain(batch[lo:c]) @ u
+    partials = {0: np.eye(4, dtype=complex)} if 0 in counts else {}
+    marks = sorted({0, *counts})
+    for lo, c in zip(marks, marks[1:]):  # from 0: one step is its own unitary
+        u = partials[c] = _chain(batch[lo:c]) @ u if lo else _chain(batch[:c])
     return partials
 
 

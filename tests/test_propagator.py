@@ -537,11 +537,13 @@ def test_plan_takes_the_most_samples_and_rejects_one_more():
 
 def test_too_many_samples_fail_before_any_step_is_exponentiated():
     # sample_every = 0 on 10^4 rotor periods would take 10^7 samples: the
-    # plan stops counting past MAX_SAMPLES, and no eigh is called
+    # plan stops counting past MAX_SAMPLES, and no step exponential or eigh
+    # is called
     events = [CWSegment(CW_2339, 1e4 * T_R)]
     start = time.perf_counter()
     with pytest.MonkeyPatch.context() as monkeypatch, pytest.raises(
             ValueError, match=f"^sample_every = 0.0 s takes more than {MAX_SAMPLES} samples"):
+        monkeypatch.setattr(propagator, "_exp_minus_i", None)
         monkeypatch.setattr(np.linalg, "eigh", None)
         run_sequence(basis_state("00"), glycine_system(), events, 0.0)
     assert time.perf_counter() - start < 5.0
@@ -861,47 +863,100 @@ SUBNORMAL_GENERATORS = (glycine_system(offsets=(0.0, 0.0)),
                         RFDrive(omega_1=6.99e-308, phase=0.0), False, 0.0, 0.5e-3, 5)
 
 
-def _eigh_inputs(fn, t0, t1, steps):
-    """segment_propagator(fn, t0, t1, steps) and every array it hands eigh."""
-    decomposed = []
-    eigh = np.linalg.eigh
+def _recorded(run, record):
+    """run(), and record(a) of each array it hands the step exponential
+    `_exp_minus_i` and of each it hands eigh, as two lists."""
+    exponentiated, decomposed = [], []
+    exp_minus_i, eigh = propagator._exp_minus_i, np.linalg.eigh
+
+    def recording_exp(m):
+        exponentiated.append(record(m))
+        return exp_minus_i(m)
 
     def recording_eigh(a, *args, **kwargs):
-        decomposed.append(a.copy())
+        decomposed.append(record(a))
         return eigh(a, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(propagator, "_exp_minus_i", recording_exp)
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-        u = segment_propagator(fn, t0, t1, steps)
-    return u, decomposed
+        result = run()
+    return result, exponentiated, decomposed
 
 
 @settings(max_examples=40, deadline=None)
 @given(segment=pair_segments())
 @example(segment=SUBNORMAL_DRIVE)
 def test_band_frame_hands_eigh_real_tridiagonal_generators(segment):
-    # what keeps each eigh on LAPACK's quick real path: every generator
-    # `_fold` decomposes is exactly zero off the tridiagonal band, with a
-    # real subdiagonal, and reaches eigh as a float64 array
+    # what keeps each step exponential in real arithmetic: every generator
+    # `_fold` exponentiates is exactly zero off the tridiagonal band and
+    # symmetric, and reaches the exponential as a float64 array; the one eigh
+    # of a constant H gets a real symmetric tridiagonal matrix too
     fn, _, t0, t1, steps = _band_segment(segment)
     q = fn.frame
     assert np.max(np.abs(q.conj().T @ q - np.eye(4))) <= 1e-15
-    u, decomposed = _eigh_inputs(fn, t0, t1, steps)
+    # the exponential overwrites its argument: record copies
+    u, exponentiated, decomposed = _recorded(
+        lambda: segment_propagator(fn, t0, t1, steps), np.copy)
     if fn.eigh is None:
-        assert sum(len(a) for a in decomposed) == steps
+        assert sum(len(a) for a in exponentiated) == steps
+        assert decomposed == []
     else:
         # D(t) = 0: one symmetric 4x4 matrix, the constant H = tridiag(c),
         # serves every step
         [a] = decomposed
-        assert a.shape == (4, 4) and np.array_equal(a, a.T)
-        decomposed = [a[None]]
+        assert a.shape == (4, 4) and exponentiated == []
+        exponentiated = [a[None]]
     off_band = abs(np.subtract.outer(np.arange(4), np.arange(4))) > 1
-    for a in decomposed:
+    for a in exponentiated:
         assert a.dtype == np.float64
         assert np.all(a[:, off_band] == 0)
-        assert np.all(a[:, [1, 2, 3], [0, 1, 2]].imag == 0)
-        assert np.all(a[:, [0, 1, 2], [1, 2, 3]].imag == 0)
+        assert np.array_equal(a, a.swapaxes(1, 2))
     assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-11
+
+
+@st.composite
+def tridiagonal_batches(draw):
+    """0 to 5 real symmetric tridiagonal 4x4 matrices, each at its own scale:
+    0, subnormal, or from 1e-12 to 2e4 (row sums to 6e4, where the step
+    exponential squares 20 times)."""
+    entries = st.lists(st.floats(-1.0, 1.0), min_size=7, max_size=7)
+    scales = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310]), st.floats(1e-12, 2e4))
+    batch = np.zeros((draw(st.integers(0, 5)), 4, 4))
+    for m in batch:
+        scale, (*diagonal, a, b, c) = draw(scales), draw(entries)
+        m[...] = scale * (np.diag(diagonal) + np.diag([a, b, c], 1) + np.diag([a, b, c], -1))
+    return batch
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch=tridiagonal_batches())
+@example(batch=np.zeros((0, 4, 4)))
+@example(batch=np.diag([2e4, -2e4, 1.0, 0.0])[None] + np.diag([2e4, 0.0, 5e-324], 1)
+         + np.diag([2e4, 0.0, 5e-324], -1))
+def test_step_exponential_matches_expm_alone_and_in_a_batch(batch):
+    # the series is exact to roundoff up to ||m||_inf = 2^-4; past it, each
+    # of k squarings (2^k < 32 ||m||_inf) at most doubles the error: within
+    # 4 * 32 eps ||m||_inf of scipy's expm and of unitarity. A step's unitary
+    # depends on its own m alone, so batch chunking cannot change it
+    u = propagator._exp_minus_i(batch.copy())
+    assert u.shape == batch.shape and u.dtype == complex
+    for m, step in zip(batch, u):
+        bound = 128 * np.finfo(float).eps * max(1.0, np.abs(m).sum(axis=1).max())
+        assert np.max(np.abs(step - expm(-1j * m))) <= bound
+        assert np.max(np.abs(step.conj().T @ step - np.eye(4))) <= bound
+        assert propagator._exp_minus_i(m[None].copy())[0].tobytes() == step.tobytes()
+
+
+def test_absurd_step_phases_fail_naming_steps_per_period():
+    # offsets of 1e300 Hz make each step's exponent about 1e294 rad: its
+    # exponential would need some 980 squarings, and its phase has no digit
+    # left; past 25 squarings (a roundoff of 2^25 eps = 7.5e-9) the engine
+    # raises instead of returning a meaningless gate
+    system = glycine_system(offsets=(1e300, -1e300))
+    for event in (CWSegment(CW_2339, 3.3 * T_R), Delay(3.3 * T_R)):
+        with pytest.raises(ValueError, match="^steps_per_period "):
+            extract_gate(system, [event])
 
 
 @settings(max_examples=40, deadline=None)
@@ -1061,48 +1116,37 @@ def test_presets_match_lab_frame_walk(preset):
     assert_walk_matches_lab_frame(system, events, system.rotor_period, steps)
 
 
-def _eigh_calls(run):
-    """run() and the number of matrices of each call it makes to eigh."""
-    matrices = []
-    eigh = np.linalg.eigh
-
-    def counting_eigh(a, *args, **kwargs):
-        matrices.append(len(a) if a.ndim == 3 else 1)
-        return eigh(a, *args, **kwargs)
-
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        result = run()
-    return result, matrices
-
-
-def _eigh_matrices(run):
-    """run() and the number of matrices it hands eigh."""
-    result, matrices = _eigh_calls(run)
-    return result, sum(matrices)
+def _counted(run):
+    """run(), the number of matrices of each call it makes to the step
+    exponential, and the number of matrices it hands eigh."""
+    result, exponentiated, decomposed = _recorded(
+        run, lambda a: len(a) if a.ndim == 3 else 1)
+    return result, exponentiated, sum(decomposed)
 
 
 def test_fig3a_makes_the_pinned_eigh_matrices(tmp_path):
     # fig3a's CW segment of 51,761 steps (50 periods and 561 steps at 1024
     # per period) starts at t = 0 with phi = 0, on the grid, so it takes no
     # leading step; it folds half a period, 1024 / 2 = 512 steps, and then
-    # takes one closing step: 512 + 1 = 513, and no eigendecomposition
-    # builds the band frame
-    assert _eigh_matrices(lambda: cli_main(["repro", "fig3a", "--out", str(tmp_path)])) == (
-        0, 513)
+    # takes one closing step: 512 + 1 = 513 step exponentials, and no
+    # eigendecomposition builds the band frame
+    code, exponentiated, decomposed = _counted(
+        lambda: cli_main(["repro", "fig3a", "--out", str(tmp_path)]))
+    assert (code, sum(exponentiated), decomposed) == (0, 513, 0)
 
 
 def test_eigh_matrices_do_not_grow_with_segment_length():
     # a segment of 10 rotor periods and one of 40 both take one leading step
     # (phi = 0.3 puts t = 0 off the grid, 0.3 / 2 pi * 1024 = 48.9 steps past
     # rotor phase 0), fold half a period, 1024 / 2 = 512 steps, and take one
-    # closing step: 1 + 512 + 1 = 514
+    # closing step: 1 + 512 + 1 = 514 step exponentials, and no eigh
     system = glycine_system(phi=0.3)
     drive = RFDrive(omega_1=hz_to_angular(2339.0))
     for periods in (10, 40):
         seg = CWSegment(drive=drive, duration=periods * T_R)
-        _, matrices = _eigh_matrices(lambda: extract_gate(system, [seg], steps_per_period=1024))
-        assert matrices == 1 + 512 + 1, periods
+        _, exponentiated, decomposed = _counted(
+            lambda: extract_gate(system, [seg], steps_per_period=1024))
+        assert (sum(exponentiated), decomposed) == (1 + 512 + 1, 0), periods
 
 
 @st.composite
@@ -1139,9 +1183,10 @@ def test_short_segment_makes_at_most_two_more_eigh_matrices(phi, steps_per_perio
     # leading and a closing step around them: at most n + 2 matrices
     whole = math.floor(part * -(-steps_per_period // 2))
     seg = CWSegment(drive=CW_2339, duration=(whole + rest) * T_R / steps_per_period)
-    _, matrices = _eigh_matrices(lambda: extract_gate(
+    _, exponentiated, decomposed = _counted(lambda: extract_gate(
         glycine_system(phi=phi), [seg], steps_per_period=steps_per_period))
-    assert matrices <= whole + 2
+    assert sum(exponentiated) <= whole + 2
+    assert decomposed == 0
 
 
 # ------------------------------- constant segments and one fold per Hamiltonian
@@ -1169,10 +1214,10 @@ def test_constant_segments_are_exact_at_any_length(offsets, amplitude, phase, ph
         duration = periods * system.rotor_period
         event = (CWSegment(drive, duration, trim=False) if along_axis
                  else Delay(duration, dipolar_on=False))
-        u, matrices = _eigh_matrices(lambda: extract_gate(system, [event]))
+        u, exponentiated, decomposed = _counted(lambda: extract_gate(system, [event]))
         exact = (vecs * np.exp(-1j * evals * duration)) @ vecs.conj().T
         assert np.max(np.abs(u - exact)) < 1e-12, periods
-        assert matrices == (duration > 0), periods
+        assert (exponentiated, decomposed) == ([], duration > 0), periods
 
 
 def test_non_finite_constant_hamiltonian_is_rejected():
@@ -1196,14 +1241,15 @@ def test_each_hamiltonian_folds_one_half_period_per_walk():
     # 10.37 T_r start 10,618.88 steps apart, so none starts on the grid: each
     # of the five segments takes a leading and a closing step, and each of
     # the two Hamiltonians folds 1024 / 2 = 512 steps once: 2 * 512 + 5 + 5.
-    # Each Hamiltonian hands eigh its half-period batch and then one batch of
-    # its leading and closing steps, 6 for the drive's three segments and 4
-    # for the delay's two: 4 calls, where one call per leading or closing
-    # step made 12
-    _, calls = _eigh_calls(lambda: extract_gate(
+    # Each Hamiltonian hands the step exponential its half-period batch and
+    # then one batch of its leading and closing steps, 6 for the drive's
+    # three segments and 4 for the delay's two: 4 calls, where one call per
+    # leading or closing step made 12
+    _, calls, decomposed = _counted(lambda: extract_gate(
         glycine_system(phi=0.3), _alternating_walk(10.37), steps_per_period=1024))
     assert sum(calls) == 2 * 512 + 5 + 5
     assert calls == [512, 6, 512, 4]
+    assert decomposed == 0
 
 
 @pytest.mark.parametrize("events, kept", [
@@ -1291,9 +1337,9 @@ def test_repeated_hamiltonian_walk_matches_lab_frame_walk(walk):
 @given(walk=repeated_walks())
 def test_walk_exponentiates_and_samples_what_its_plan_counts(walk):
     # the plan fixes the work before any matrix: each folded Hamiltonian's
-    # half-period batch, the runs of its edge batch and one eigh per segment
-    # of a constant Hamiltonian; no batch passes ceil(s/2) steps, and the
-    # walk returns as many samples as the plan counts
+    # half-period batch and the runs of its edge batch, as step exponentials,
+    # and one eigh per segment of a constant Hamiltonian; no batch passes
+    # ceil(s/2) steps, and the walk returns as many samples as the plan counts
     phi, events, sample_every, steps_per_period = walk
     system = glycine_system(phi=phi)
     plan = propagator._Plan(system, events, steps_per_period, sample_every)
@@ -1301,9 +1347,9 @@ def test_walk_exponentiates_and_samples_what_its_plan_counts(walk):
     steps = len(plan.folding) * plan.half + sum(
         run[2] for chunks in plan.chunks.values() for chunk in chunks for run in chunk)
     constant = sum(seg.where is None for seg in segments)
-    (_, samples), calls = _eigh_calls(lambda: propagator._propagate(
+    (_, samples), calls, decomposed = _counted(lambda: propagator._propagate(
         system, events, steps_per_period, sample_every))
-    assert sum(calls) == steps + constant
+    assert (sum(calls), decomposed) == (steps, constant)
     assert max(calls, default=0) <= plan.half
     assert len(samples) == plan.samples
 

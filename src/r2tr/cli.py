@@ -27,7 +27,7 @@ from .readout import classify_state, fid_to_csv, simulate_fid, stick_spectrum
 from .recoupling import (brentq, operating_point, plans_to_json, solve_plans,
                          theta_from_period)
 from .units import (GAMMA_C13, HBAR, MU0_OVER_4PI, TWO_PI, deg_to_rad,
-                    hz_to_angular, ppm_to_hz, rad_to_deg)
+                    hz_to_angular, number, ppm_to_hz, rad_to_deg)
 
 SCHEMA_VERSION = 1
 # size limits, checked before anything is allocated: integrator steps of one
@@ -102,7 +102,7 @@ def build_system(cfg):
     """SpinSystem from the config's system block (degrees/Hz boundary)."""
     blk = _block(cfg, "system")
 
-    def number(key, default=None):
+    def scalar(key, default=None):
         value = _field(blk, key, "system") if default is None else blk.get(key, default)
         return _number(value, f"system.{key}")
 
@@ -112,17 +112,17 @@ def build_system(cfg):
             raise ConfigError(f"system.{key} must list the I and S offsets, got {values!r}")
         return [_number(v, f"system.{key}[{k}]") for k, v in enumerate(values)]
 
-    gamma = number("gamma_rad_per_s_per_t", GAMMA_C13)
+    gamma = scalar("gamma_rad_per_s_per_t", GAMMA_C13)
     has_r = "r_angstrom" in blk
     has_coupling = "coupling_hz" in blk
     if has_r == has_coupling:
         raise ConfigError(
             "system block needs exactly one of 'r_angstrom' or 'coupling_hz'")
     if has_r:
-        r_key, r = "r_angstrom", number("r_angstrom") * 1e-10
+        r_key, r = "r_angstrom", scalar("r_angstrom") * 1e-10
     else:
         r_key = "coupling_hz"
-        r = _radius_from_coupling(gamma, _positive(blk[r_key], "system.coupling_hz"))
+        r = _radius_from_coupling(gamma, _number(blk[r_key], "system.coupling_hz", positive=True))
     if "offsets_hz" in blk:
         key = "offsets_hz"
         offsets_hz = offsets(key)
@@ -130,12 +130,12 @@ def build_system(cfg):
         if "carrier_mhz" not in blk:
             raise ConfigError("'offsets_ppm' requires 'carrier_mhz'")
         key = "offsets_ppm"
-        carrier = _positive(blk["carrier_mhz"], "system.carrier_mhz")
+        carrier = _number(blk["carrier_mhz"], "system.carrier_mhz", positive=True)
         offsets_hz = [ppm_to_hz(p, carrier) for p in offsets(key)]
     else:
         raise ConfigError("system block needs 'offsets_hz' or 'offsets_ppm'")
-    theta_d = deg_to_rad(number("theta_d_deg", 0.0))
-    phi = deg_to_rad(number("phi_deg", 0.0))
+    theta_d = deg_to_rad(scalar("theta_d_deg", 0.0))
+    phi = deg_to_rad(scalar("phi_deg", 0.0))
     omega_r = hz_to_angular(_number(_field(blk, "spin_rate_hz", "system"),
                                     "system.spin_rate_hz"))
     angular = tuple(_angular(o, f"system.{key}[{k}]") for k, o in enumerate(offsets_hz))
@@ -164,27 +164,12 @@ def _field(blk, key, where):
     return blk[key]
 
 
-def _number(value, field, minimum=-math.inf):
-    """value as a float; anything but a finite number >= minimum raises a
-    ConfigError naming `field`."""
-    number = math.nan
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer beyond the float range
-            number = math.inf
-    if not (math.isfinite(number) and number >= minimum):
-        bound = "" if minimum == -math.inf else f" >= {minimum:g}"
-        raise ConfigError(f"{field} must be a finite number{bound}, got {value!r}")
-    return number
-
-
-def _positive(value, field):
-    """`_number` of a value that must also be above zero."""
-    number = _number(value, field, 0.0)
-    if number == 0.0:
-        raise ConfigError(f"{field} must be positive, got {value!r}")
-    return number
+def _number(value, field, minimum=-math.inf, positive=False):
+    """`units.number` of a config value, its ValueError a ConfigError."""
+    try:
+        return number(value, field, minimum, positive)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _angular(hz, field):
@@ -568,7 +553,7 @@ def cmd_spectrum(cfg, args):
     system, _, events, steps = build_run(cfg)
     fid_blk = _block(cfg, "fid")
     if fid_blk:
-        dwell = _positive(_field(fid_blk, "dwell_s", "fid"), "fid.dwell_s")
+        dwell = _number(_field(fid_blk, "dwell_s", "fid"), "fid.dwell_s", positive=True)
         duration = _number(_field(fid_blk, "duration_s", "fid"), "fid.duration_s", 0.0)
         # round(x) exceeds the (even) limit exactly when x > limit + 1/2;
         # x may overflow to inf, where round would raise

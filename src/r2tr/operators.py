@@ -10,12 +10,11 @@ Conventions fixed once here:
 from dataclasses import dataclass
 from functools import lru_cache
 import math
-import numbers
 
 import numpy as np
 
 from .hamiltonian import dipolar_constants
-from .units import TWO_PI
+from .units import TWO_PI, number
 
 SPINS = (0, 1)  # spin indices: 0 is I, 1 is S
 BASIS_LABELS = ("00", "01", "10", "11")
@@ -66,12 +65,6 @@ def basis_state(label):
 
 def expectation(rho, op):
     return np.trace(rho @ op)
-
-
-def real_number(value):
-    """Whether value is a real number: an int or a float, Python's or numpy's,
-    but not a bool, which would pass for 0 or 1."""
-    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
 
 
 def check_density_matrix(rho, herm_tol=1e-12, trace_tol=1e-10, eig_tol=1e-10,
@@ -138,15 +131,15 @@ class SpinSystem:
     offsets: tuple
 
     def __post_init__(self):
-        if len(self.offsets) != 2:
-            raise ValueError("the spin pair needs exactly two offsets")
-        for field in ("gamma", "r", "theta_d", "phi", "omega_r", "offsets"):
-            value = getattr(self, field)
-            if not all(real_number(v) and math.isfinite(v)
-                       for v in (value if field == "offsets" else [value])):
-                raise ValueError(f"{field} must be finite, a real number and not a bool, "
-                                 f"got {value!r}")
-        object.__setattr__(self, "offsets", tuple(float(o) for o in self.offsets))
+        try:
+            offset_i, offset_s = self.offsets
+        except (TypeError, ValueError):  # not a pair
+            raise ValueError("offsets must be a pair: the I and S offsets") from None
+        for field in ("gamma", "r", "theta_d", "phi", "omega_r"):
+            minimum = TWO_PI * MIN_SPIN_RATE_HZ if field == "omega_r" else -math.inf
+            number(getattr(self, field), field, minimum)
+        object.__setattr__(self, "offsets", (number(offset_i, "offsets"),
+                                             number(offset_s, "offsets")))
         try:  # r <= 0, or r**3 underflows or overflows
             coupling = dipolar_constants(self.gamma, self.r, 0.0).omega_full
         except (ValueError, ArithmeticError):
@@ -154,9 +147,6 @@ class SpinSystem:
         if not (math.isfinite(coupling) and coupling > 0):
             raise ValueError(f"r = {self.r!r} m (with gamma = {self.gamma!r}) gives a dipolar "
                              f"coupling of {coupling:g} rad/s; it must be finite and positive")
-        if not self.omega_r >= TWO_PI * MIN_SPIN_RATE_HZ:
-            raise ValueError(f"omega_r must be at least 2 pi x {MIN_SPIN_RATE_HZ:g} Hz, got "
-                             f"{self.omega_r!r} rad/s")
         object.__setattr__(self, "theta_d", _fold_theta(self.theta_d))
 
     @property

@@ -74,7 +74,8 @@ import numbers
 import numpy as np
 
 from .hamiltonian import dipolar_constants, effective_field
-from .operators import SPINS, check_density_matrix, real_number, spin_operator
+from .operators import SPINS, check_density_matrix, spin_operator
+from .units import number
 
 DEFAULT_STEPS_PER_PERIOD = 1024
 # the most steps per rotor period, which sizes a fold: ceil(s/2) steps, 1 MB a
@@ -96,15 +97,6 @@ _DIAG = np.arange(4)
 _SUB_ROW, _SUB_COL = np.arange(1, 4), np.arange(3)
 
 
-def _finite(value, field, non_negative=False):
-    """Raise a ValueError that names the field unless value is a finite real
-    number, not a bool or a string (and, if non_negative, not below 0)."""
-    if (not real_number(value) or not math.isfinite(value)
-            or (non_negative and value < 0)):
-        sign = " non-negative" if non_negative else ""
-        raise ValueError(f"{field} must be a finite{sign} number, got {value!r}")
-
-
 def _flag(value, field):
     """Raise a ValueError that names the field unless value is a bool."""
     if not isinstance(value, (bool, np.bool_)):
@@ -113,8 +105,9 @@ def _flag(value, field):
 
 def _steps(value, field):
     """value, if an integer (not a bool) from 1 to MAX_STEPS_PER_PERIOD; else a ValueError."""
-    if value is True or not (isinstance(value, numbers.Integral)
-                             and 1 <= value <= MAX_STEPS_PER_PERIOD):
+    # number rejects an integer past the float range, which repr may not print
+    if not (isinstance(value, numbers.Integral)
+            and 1 <= number(value, field) <= MAX_STEPS_PER_PERIOD):
         raise ValueError(f"{field} must be an integer from 1 to "
                          f"{MAX_STEPS_PER_PERIOD}, got {value!r}")
     return value
@@ -142,8 +135,8 @@ class RFDrive:
     phase: float = 0.0
 
     def __post_init__(self):
-        _finite(self.omega_1, "omega_1", non_negative=True)
-        _finite(self.phase, "phase")
+        number(self.omega_1, "omega_1", 0.0)
+        number(self.phase, "phase")
 
 
 @dataclass(frozen=True)
@@ -156,7 +149,7 @@ class IdealRotation:
 
     def __post_init__(self):
         object.__setattr__(self, "targets", targets := _spins(self.targets, "targets"))
-        _finite(self.angle, "angle")
+        number(self.angle, "angle")
         if self.axis not in ("x", "y", "z"):  # exp(-i angle I_k^axis) needs a Hermitian axis
             raise ValueError(f"axis must be x, y or z, got {self.axis!r}")
         if not targets or len(set(targets)) != len(targets):
@@ -171,7 +164,7 @@ class Delay:
     dipolar_on: bool = True
 
     def __post_init__(self):
-        _finite(self.duration, "duration", non_negative=True)
+        number(self.duration, "duration", 0.0)
         _flag(self.dipolar_on, "dipolar_on")
 
 
@@ -190,7 +183,7 @@ class CWSegment:
     skip_trim: tuple = ()
 
     def __post_init__(self):
-        _finite(self.duration, "duration", non_negative=True)
+        number(self.duration, "duration", 0.0)
         _flag(self.trim, "trim")
         object.__setattr__(self, "skip_trim", _spins(self.skip_trim, "skip_trim"))
 
@@ -386,6 +379,7 @@ def _fold(fn, t0, step, counts):
 def segment_propagator(hamiltonian_fn, t0, t1, steps):
     """Time-ordered propagator over [t0, t1] under a time-dependent
     Hamiltonian, in `steps` equal steps."""
+    t0, t1 = number(t0, "t0"), number(t1, "t1")
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
     _steps(steps, "steps")
@@ -686,12 +680,11 @@ def run_sequence(initial, system, events, sample_every,
     every step end, and inf only the start and the end. The last sample is
     the state at the end of the sequence, after any trailing pulses.
 
-    `initial` must be a 4x4 density matrix and sample_every a non-negative
-    real number; anything else raises a ValueError that names it.
+    `initial` must be a 4x4 density matrix and sample_every a real number
+    >= 0, finite or inf; anything else raises a ValueError that names it.
     """
-    if not (real_number(sample_every) and sample_every >= 0):
-        raise ValueError(f"sample_every must be a non-negative number (0 for every "
-                         f"step end, inf for the ends only), got {sample_every!r}")
+    if not (isinstance(sample_every, numbers.Real) and sample_every == math.inf):
+        sample_every = number(sample_every, "sample_every", 0.0)
     rho = check_density_matrix(initial, field="initial")
     _, samples = _propagate(system, events, steps_per_period, sample_every)
     v = np.array([v for _, v in samples])

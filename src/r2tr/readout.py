@@ -8,13 +8,12 @@ line at its resonance offset.
 """
 
 from dataclasses import dataclass
-import math
 
 import numpy as np
 
-from .operators import SPINS, expectation, real_number, spin_operator
+from .operators import SPINS, expectation, spin_operator
 from .propagator import rotation_unitary
-from .units import angular_to_hz
+from .units import angular_to_hz, number
 
 
 # smallest |peak amplitude| that classify_state reads as a bit
@@ -56,10 +55,8 @@ def simulate_fid(rho, system, duration, dwell):
     non-negative number, or a dwell that is not a finite positive one,
     raises a ValueError that names it.
     """
-    if not (real_number(duration) and 0 <= duration < math.inf):
-        raise ValueError(f"duration must be a finite non-negative number, got {duration!r}")
-    if not (real_number(dwell) and 0 < dwell < math.inf):
-        raise ValueError(f"dwell must be a finite positive number, got {dwell!r}")
+    duration = number(duration, "duration", 0.0)
+    dwell = number(dwell, "dwell", positive=True)
     u = rotation_unitary(SPINS, "y", np.pi / 2)
     rho = u @ np.asarray(rho, dtype=complex) @ u.conj().T
     amplitudes = [expectation(rho, spin_operator(k, "+")) for k in SPINS]

@@ -13,7 +13,7 @@ import math
 from typing import NamedTuple
 
 from .hamiltonian import bq_factors, effective_field
-from .units import angular_to_hz
+from .units import angular_to_hz, number
 
 SOLVER_REL_TOL = 1e-6
 BRACKET_FACTOR = 10.0  # no amplitude above 10 * omega_r is returned
@@ -232,8 +232,7 @@ def theta_from_period(period, b_factor, omega_full):
     Uses period = 2 pi / (|B| omega_full sin^2 theta); raises when the
     implied sin^2 falls outside [0, 1].
     """
-    if period <= 0:
-        raise ValueError("period must be positive")
+    period = number(period, "period", positive=True)
     sin2 = 2.0 * math.pi / (period * abs(b_factor) * omega_full)
     if sin2 > 1.0 + 1e-12:
         raise ValueError(

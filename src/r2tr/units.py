@@ -1,11 +1,18 @@
-"""Unit conversions and physical constants.
+"""Unit conversions, physical constants and the one rule for numbers.
 
 Internal convention: all frequencies are angular (rad/s) once inside the
 package; Hz and degrees appear only at external boundaries (CLI, file
 formats, reporting).
+
+Every number that enters the package, from a library caller or a config,
+goes through `number`: a finite real number, not a bool or a string, at or
+above its bound. Anything else, an integer past the float range included,
+raises a ValueError that starts with `<field> must be finite`. This module
+imports nothing from the package, so every module can use it.
 """
 
 import math
+import numbers
 
 TWO_PI = 2.0 * math.pi
 
@@ -16,6 +23,27 @@ MU0_OVER_4PI = 1e-7  # T^2 m^3 / J
 # 13C defaults (glycine C-C pair)
 GAMMA_C13 = 6.7283e7  # rad s^-1 T^-1
 GLYCINE_CC_DISTANCE = 1.53e-10  # m, literature C-C bond length
+
+
+def number(value, field, minimum=-math.inf, positive=False):
+    """value as a float, if it is a finite real number (an int or a float,
+    Python's or numpy's, but not a bool, which would pass for 0 or 1) at
+    least `minimum`, and above 0 if `positive`; else a ValueError naming
+    `field`."""
+    x = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    if math.isfinite(x) and x >= minimum and (x > 0 or not positive):
+        return x
+    bound = " and > 0" if positive else "" if minimum == -math.inf else f" and >= {minimum:g}"
+    try:
+        shown = repr(value)
+    except ValueError:  # an integer past Python's limit on digits to print
+        shown = "an integer too long to print"
+    raise ValueError(f"{field} must be finite, a real number, not a bool{bound}, got {shown}")
 
 
 def hz_to_angular(f):
@@ -33,9 +61,7 @@ def ppm_to_hz(shift, carrier_mhz):
 
     1 ppm of an f MHz carrier is exactly f Hz.
     """
-    if carrier_mhz <= 0:
-        raise ValueError(f"carrier must be positive, got {carrier_mhz} MHz")
-    return shift * carrier_mhz
+    return shift * number(carrier_mhz, "carrier_mhz", positive=True)
 
 
 def deg_to_rad(deg):

@@ -1,6 +1,8 @@
+import dataclasses
 import functools
 import itertools
 import math
+import sys
 import time
 import tracemalloc
 
@@ -20,6 +22,7 @@ from r2tr.propagator import (MAX_SAMPLES, MAX_STEPS_PER_PERIOD, CWSegment, Delay
                              _period_partials, _sample_steps, _segment_hamiltonian,
                              _step_unitaries, extract_gate, rotation_unitary, run_sequence,
                              segment_propagator, trim_unitaries)
+from r2tr.readout import simulate_fid
 from r2tr.units import GAMMA_C13, GLYCINE_CC_DISTANCE, TWO_PI, deg_to_rad, hz_to_angular
 
 
@@ -221,6 +224,12 @@ def test_walk_rejects_steps_per_period_outside_the_cap(walk, steps):
     (-1e-6, 64, "t1 must be >= t0"),
     (1e-4, 0, "steps must be"),
     (1e-4, MAX_STEPS_PER_PERIOD + 1, "steps must be"),
+    # unchecked, a NaN or inf bound warned and then named neither bound, True
+    # was taken as 1 s and an integer past the float range overflowed
+    pytest.param(math.nan, 64, "^t1 must be finite", id="t1-nan"),
+    pytest.param(math.inf, 64, "^t1 must be finite", id="t1-inf"),
+    pytest.param(True, 64, "^t1 must be finite", id="t1-bool"),
+    pytest.param(10**400, 64, "^t1 must be finite", id="t1-huge-int"),
 ])
 def test_segment_propagator_rejects_bad_bounds(t1, steps, message):
     fn = harmonic_hamiltonian(glycine_system(), CW_2339)
@@ -511,6 +520,73 @@ def _sampled(initial=basis_state("00"), sample_every=1e-4):
     system = glycine_system()
     events = [CWSegment(RFDrive(hz_to_angular(2339.0)), 2 * system.rotor_period)]
     return run_sequence(initial, system, events, sample_every, steps_per_period=16)
+
+
+# no finite real number: an integer past the float range, and one past the
+# digits Python prints, included
+NOT_NUMBERS = [math.nan, math.inf, -math.inf, True, np.True_, "1", None, [1.0],
+               10**400, -10**400, 10**5000]
+
+
+def _finite_negative(value):
+    """Whether value is a negative int or float in the float range: legal
+    where a parameter has no bound."""
+    return type(value) in (int, float) and -sys.float_info.max <= value < 0
+
+
+def _bounded(value):
+    """No value is legal: every drawn value is bad where the bound is 0 or more."""
+    return False
+
+
+def _each_not_number(test):
+    """test, with every value of NOT_NUMBERS as an explicit example."""
+    for value in NOT_NUMBERS:
+        test = example(value=value)(test)
+    return test
+
+
+# each entry point's numeric parameters: (parameter, which drawn values are
+# legal for it, a call that passes the value to it and valid values to the rest)
+NUMBER_PARAMETERS = [
+    ("duration", _bounded, lambda v: Delay(v)),
+    ("duration", _bounded, lambda v: CWSegment(CW_2339, v)),
+    ("angle", _finite_negative, lambda v: IdealRotation((0,), "x", v)),
+    ("omega_1", _bounded, lambda v: RFDrive(v)),
+    ("phase", _finite_negative, lambda v: RFDrive(1e4, v)),
+    *[(field, _bounded if field in ("r", "omega_r") else _finite_negative,
+       lambda v, field=field: dataclasses.replace(glycine_system(), **{field: v}))
+      for field in ("gamma", "r", "theta_d", "phi", "omega_r", "offsets")],
+    ("offsets", _finite_negative,
+     lambda v: dataclasses.replace(glycine_system(), offsets=(0.0, v))),
+    # inf samples the ends only
+    ("sample_every", lambda v: v == math.inf, lambda v: _sampled(sample_every=v)),
+    ("duration", _bounded, lambda v: simulate_fid(basis_state("00"), glycine_system(), v, 1e-5)),
+    ("dwell", _bounded, lambda v: simulate_fid(basis_state("00"), glycine_system(), 1e-3, v)),
+    ("t0", _finite_negative, lambda v: segment_propagator(
+        harmonic_hamiltonian(glycine_system(), CW_2339), v, 1e-4, 64)),
+    ("t1", _finite_negative, lambda v: segment_propagator(
+        harmonic_hamiltonian(glycine_system(), CW_2339), 0.0, v, 64)),
+    ("steps_per_period", _bounded, lambda v: extract_gate(
+        glycine_system(), [CWSegment(CW_2339, 1e-4)], steps_per_period=v)),
+]
+
+
+@pytest.mark.parametrize("field, legal, call", NUMBER_PARAMETERS,
+                         ids=[f"{field}-{k}" for k, (field, *_) in enumerate(NUMBER_PARAMETERS)])
+@settings(max_examples=20, deadline=None)
+@given(value=st.one_of(st.sampled_from(NOT_NUMBERS),
+                       st.floats(max_value=0.0, exclude_max=True), st.integers(max_value=-1)))
+@_each_not_number
+def test_entry_points_reject_a_bad_number_naming_the_parameter(field, legal, call, value):
+    # an integer past the float range raised a bare OverflowError, and one
+    # past the digits Python prints failed in the message itself
+    if legal(value):
+        return
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^{field} "):
+        call(value)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("sample_every, samples", [(0.0, 33), (math.inf, 2)])
@@ -1288,8 +1364,8 @@ def test_walk_keeps_a_batch_only_for_a_later_segment(walk, events, kept):
 ])
 def test_walk_of_many_short_segments_stays_within_the_walk_bound(walk):
     # 600 CW segments of one Hamiltonian, each under half a period, so none
-    # folds: their leading, whole and closing steps, about 47,000, go to eigh
-    # in chunks of at most 128 steps, each built when the walk reaches it
+    # folds: their leading, whole and closing steps, about 47,000, go to the
+    # step exponential in chunks of at most 128 steps, each built when the walk reaches it
     # and after the chunk before it has gone (a segment's leading step ends
     # one chunk, and its whole and closing steps start the next). The module
     # docstring's bound for one Hamiltonian is 2 + 3 batch arrays and the

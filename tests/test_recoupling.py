@@ -286,6 +286,11 @@ def test_theta_from_period_rejects_too_short_period():
         theta_from_period(1e-5, -0.18, c.omega_full)
     with pytest.raises(ValueError):
         theta_from_period(-1.0, -0.18, c.omega_full)
+    # unchecked, a NaN period gave a NaN angle and an integer past the float
+    # range raised an OverflowError
+    for period in (math.nan, 10**400):
+        with pytest.raises(ValueError, match="^period must be finite"):
+            theta_from_period(period, -0.18, c.omega_full)
 
 
 def test_off_condition_point_is_far_from_all_matches():

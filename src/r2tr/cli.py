@@ -23,7 +23,7 @@ from .hamiltonian import dipolar_constants
 from .operators import BASIS_LABELS, SPINS, SpinSystem, basis_state
 from .propagator import (DEFAULT_STEPS_PER_PERIOD, MAX_STEPS_PER_PERIOD, CWSegment,
                          Delay, IdealRotation, RFDrive, extract_gate, run_sequence)
-from .readout import classify_state, fid_to_csv, simulate_fid, stick_spectrum
+from .readout import MAX_FID_POINTS, classify_state, fid_to_csv, simulate_fid, stick_spectrum
 from .recoupling import (brentq, operating_point, plans_to_json, solve_plans,
                          theta_from_period)
 from .units import (GAMMA_C13, HBAR, MU0_OVER_4PI, TWO_PI, deg_to_rad,
@@ -31,10 +31,9 @@ from .units import (GAMMA_C13, HBAR, MU0_OVER_4PI, TWO_PI, deg_to_rad,
 
 SCHEMA_VERSION = 1
 # size limits, checked before anything is allocated: integrator steps of one
-# CW or delay segment and points of an FID (the samples of a trajectory are
-# bounded by propagator.MAX_SAMPLES)
+# CW or delay segment and points of an FID, readout.MAX_FID_POINTS (the
+# samples of a trajectory are bounded by propagator.MAX_SAMPLES)
 MAX_SEGMENT_STEPS = 2**20
-MAX_FID_POINTS = 2**20
 # angular frequencies of the period fit's scan over [0.5, 1.5] of the guess
 FIT_SCAN_POINTS = 101
 # the period fit's scan QR-factors its frequencies in chunks whose
@@ -555,8 +554,7 @@ def cmd_spectrum(cfg, args):
     if fid_blk:
         dwell = _number(_field(fid_blk, "dwell_s", "fid"), "fid.dwell_s", positive=True)
         duration = _number(_field(fid_blk, "duration_s", "fid"), "fid.duration_s", 0.0)
-        # round(x) exceeds the (even) limit exactly when x > limit + 1/2;
-        # x may overflow to inf, where round would raise
+        # simulate_fid's check, before the walk
         if duration / dwell > MAX_FID_POINTS + 0.5:
             raise ConfigError(
                 f"fid.duration_s = {duration:g} s is {duration / dwell:.4g} points "

@@ -31,10 +31,14 @@ and in the band frame it is real symmetric and even in time about t_a. So
 from t_a every period of whole steps has the product U_T, and the steps of
 its second half are transposes of the first half's: with P(r) the product
 of the first r steps, U_T = P(floor(s/2))^T P(ceil(s/2)) and P(r) =
-conj(P(s - r)) U_T. A long segment's unitaries are P(r) U_T^K P(r0)^dag,
-from half a period's step unitaries, built once per walk and Hamiltonian;
-one of at most ceil(s/2) whole steps folds them directly. Its cost grows
-with s, not with its length.
+conj(P(s - r)) U_T. So U_T is complex symmetric: its real and imaginary
+parts A and B commute and share real orthogonal eigenvectors O, from one
+eigh of A + sqrt(2) B, and eigh of B splits each run of eigenvalues it
+mixes. A long segment's unitaries are P(r) O e^{i K theta} O^T P(r0)^dag by
+this Floquet form of U_T, unitary at roundoff for any K, from half a
+period's step unitaries and (U_T, O, theta), built once per walk and
+Hamiltonian; one of at most ceil(s/2) whole steps folds them directly. Its
+cost grows with s, not with its length.
 
 A segment is integrated in the singlet-triplet band frame Q = (S, T0, A,
 B): S and T0 are the singlet and central triplet, and A, B = (+-e^{-i phi}
@@ -75,7 +79,7 @@ import numpy as np
 
 from .hamiltonian import dipolar_constants, effective_field
 from .operators import SPINS, check_density_matrix, spin_operator
-from .units import number
+from .units import number, shown
 
 DEFAULT_STEPS_PER_PERIOD = 1024
 # the most steps per rotor period, which sizes a fold: ceil(s/2) steps, 1 MB a
@@ -100,16 +104,15 @@ _SUB_ROW, _SUB_COL = np.arange(1, 4), np.arange(3)
 def _flag(value, field):
     """Raise a ValueError that names the field unless value is a bool."""
     if not isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{field} must be a bool, got {value!r}")
+        raise ValueError(f"{field} must be a bool, got {shown(value)}")
 
 
 def _steps(value, field):
     """value, if an integer (not a bool) from 1 to MAX_STEPS_PER_PERIOD; else a ValueError."""
-    # number rejects an integer past the float range, which repr may not print
     if not (isinstance(value, numbers.Integral)
             and 1 <= number(value, field) <= MAX_STEPS_PER_PERIOD):
         raise ValueError(f"{field} must be an integer from 1 to "
-                         f"{MAX_STEPS_PER_PERIOD}, got {value!r}")
+                         f"{MAX_STEPS_PER_PERIOD}, got {shown(value)}")
     return value
 
 
@@ -119,7 +122,7 @@ def _spins(indices, field):
     if not (isinstance(indices, (list, tuple)) and all(
             isinstance(k, numbers.Integral) and not isinstance(k, bool) and k in SPINS
             for k in indices)):
-        raise ValueError(f"{field} must list spin indices {SPINS}, got {indices!r}")
+        raise ValueError(f"{field} must list spin indices {SPINS}, got {shown(indices)}")
     return tuple(indices)
 
 
@@ -151,7 +154,7 @@ class IdealRotation:
         object.__setattr__(self, "targets", targets := _spins(self.targets, "targets"))
         number(self.angle, "angle")
         if self.axis not in ("x", "y", "z"):  # exp(-i angle I_k^axis) needs a Hermitian axis
-            raise ValueError(f"axis must be x, y or z, got {self.axis!r}")
+            raise ValueError(f"axis must be x, y or z, got {shown(self.axis)}")
         if not targets or len(set(targets)) != len(targets):
             raise ValueError(f"targets must name at least one spin and none twice, got {targets}")
 
@@ -455,14 +458,32 @@ def _sample_steps(g0, t, h, n, due, every, last, limit=MAX_SAMPLES):
     return marks, due
 
 
-def _period_partials(batch, s, residues):
-    """U_T and {r: P(r)} for residues r in [0, s), P(r) the product of the
-    first r steps of h = T_r / s from rotor phase 0: by the mirror identities
-    of the module docstring, from `batch`, the first ceil(s/2) of them."""
-    p = _partials(batch, {min(r, s - r) for r in residues} | {s // 2, -(-s // 2)})
-    u_period = p[s // 2].T @ p[-(-s // 2)]
-    return u_period, {r: p[r] if 2 * r <= s else p[s - r].conj() @ u_period
-                      for r in residues}
+def _floquet(u_period):
+    """(U_T, O, theta) of a complex symmetric unitary U_T, as the module docstring states."""
+    w, o = np.linalg.eigh(u_period.real + math.sqrt(2.0) * u_period.imag)
+    d = o.T @ u_period @ o
+    # i and j join where |d_ij| passes U_T's roundoff and 4 |w_i - w_j| < |d_ii - d_jj|
+    # + 2 |d_ij|, at least |lambda_i - lambda_j|: then eigh of B splits them
+    lam = d.diagonal()
+    joined = abs(d) > 5e-14
+    joined &= 4.0 * abs(w[:, None] - w) < abs(lam[:, None] - lam) + 2.0 * abs(d)
+    if np.count_nonzero(joined) > 4:  # runs of up to 3 joins, by boolean products
+        for run in {tuple(np.flatnonzero(r)) for r in joined @ joined @ joined if r.sum() > 1}:
+            o[:, run] = o[:, run] @ np.linalg.eigh(o[:, run].T @ u_period.imag @ o[:, run])[1]
+        d = o.T @ u_period @ o
+    return u_period, o, np.angle(d.diagonal())
+
+
+def _period_partials(batch, s, residues, floquet=None):
+    """(U_T, O, theta) and {r: P(r)} for residues r in [0, s), P(r) the first r
+    steps of h = T_r / s from rotor phase 0: from `batch`, the first ceil(s/2), by
+    the mirror identities, and only as far as the residues given `floquet`."""
+    p = _partials(batch, {min(r, s - r) for r in residues}
+                  | (set() if floquet else {s // 2, -(-s // 2)}))
+    if floquet is None:
+        floquet = _floquet(p[s // 2].T @ p[-(-s // 2)])
+    return floquet, {r: p[r] if 2 * r <= s else p[s - r].conj() @ floquet[0]
+                     for r in residues}
 
 
 def _band_key(event):
@@ -584,17 +605,17 @@ def _propagate(system, events, steps_per_period, sample_every):
     starts from the identity; the walk multiplies it in.
 
     A segment's leading step, n whole steps and closing step end at counts
-    0 to n + 1. If n <= ceil(s/2) or H is constant, they are folded from g0.
-    Else `_period_partials` gives U_T and P(r) at the residues of j0 and of
-    the sampled counts; after c whole steps the unitary is P((j0 + c) mod s)
-    U_T^q P(j0 mod s)^dag, q = (j0 + c) div s - j0 div s.
+    0 to n + 1. After c whole steps its unitary is P(c), folded from g0, if
+    n <= ceil(s/2) or H is constant; else P(r) O e^{i (q - q0) theta} O^T
+    P(r0)^dag from `_period_partials`, (q, r) = divmod(j0 + c, s) and (q0,
+    r0) = divmod(j0, s) in Python integers; the sampled c and n at once.
     """
     s = _steps(steps_per_period, "steps_per_period")
     plan = _Plan(system, events, s, sample_every)
     constants = dipolar_constants(system.gamma, system.r, system.theta_d)
     eye = np.eye(4, dtype=complex)
     u, samples = eye, []
-    halves, edges = {}, {}  # per Hamiltonian: its half-period batch; (index, chunk)
+    halves, floquets, edges = {}, {}, {}  # per Hamiltonian: batch, (U_T, O, theta), (index, chunk)
     for seg in plan.walk:
         if seg is None:
             samples.append((0.0, u))
@@ -618,8 +639,6 @@ def _propagate(system, events, steps_per_period, sample_every):
             if seg.where is None:
                 start, step, _ = seg.runs(plan.h)[k]
                 return _fold(fn, start, step, counts)
-            if seg.where[k] is None:  # no whole steps
-                return _partials((), counts)
             index, offset = seg.where[k]
             if edges[key][0] != index:
                 edges[key] = None  # the chunk before goes first
@@ -634,33 +653,25 @@ def _propagate(system, events, steps_per_period, sample_every):
             u = fold(0, {1})[1] @ u
         if 0 in marks:  # only ever at the end of a leading step
             samples.append((g0, u_close @ u))
-        counts = [c for c in marks if 0 < c <= n]
+        counts = [c for c in marks if 0 < c <= n] + [n]  # the sampled whole steps, then all
         if seg.folds:
-            j0, period = seg.j0, s
-            u_period, partial = _period_partials(
-                halves[key], s, {(j0 + c) % s for c in [0, *counts, n]})
-        else:  # a short or constant segment folds its own steps, as one unrepeated period
-            j0, period, u_period = 0, n + 1, eye
-            partial = fold(1, {0, *counts, n})
-        u, periods = partial[j0 % period].conj().T @ u, j0 // period
-        units, partials = [], []
-        for c in counts:
-            q, r = divmod(j0 + c, period)
-            u, periods = np.linalg.matrix_power(u_period, q - periods) @ u, q
-            units.append(u)
-            partials.append(partial[r])
-        if counts:  # the segment's sampled views, as one stacked product
-            views = u_close @ np.array(partials) @ np.array(units)
-            samples += zip([g0 + c * plan.h for c in counts], views)
-        q, r = divmod(j0 + n, period)
-        u = partial[r] @ np.linalg.matrix_power(u_period, q - periods) @ u
-        u = fold(2, {1})[1] @ u
+            (q0, r0), (qs, rs) = divmod(seg.j0, s), zip(*[divmod(seg.j0 + c, s) for c in counts])
+            floquets[key], partial = _period_partials(halves[key], s, {r0, *rs}, floquets.get(key))
+            _, o, theta = floquets[key]
+            phases = np.exp(1j * np.multiply.outer([float(q - q0) for q in qs], theta))
+            units = np.array([partial[r] for r in rs]) @ ((o * phases[:, None]) @ o.T) @ (
+                partial[r0].conj().T @ u)
+        else:  # a short or constant segment folds its own whole steps
+            partial = fold(1, set(counts)) if n else {0: eye}
+            units = np.array([partial[c] for c in counts]) @ u
+        samples += zip([g0 + c * plan.h for c in counts[:-1]], u_close @ units[:-1])
+        u = fold(2, {1})[1] @ units[-1]
         if n + 1 in marks:
             samples.append((seg.t, u_close @ u))
         u = u_close @ u
         if seg.last:  # its Hamiltonian's batches go
-            halves.pop(key, None)
-            edges.pop(key, None)
+            for kept in (halves, floquets, edges):
+                kept.pop(key, None)
     t = plan.end
     if samples and samples[-1][0] >= t:
         t = samples.pop()[0]  # a sample at the end gives way to U

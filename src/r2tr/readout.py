@@ -18,6 +18,8 @@ from .units import angular_to_hz, number
 
 # smallest |peak amplitude| that classify_state reads as a bit
 CLASSIFY_THRESHOLD = 0.2
+# the most points of an FID, checked before any is allocated
+MAX_FID_POINTS = 2**20
 
 
 class UnclassifiableStateError(ValueError):
@@ -52,11 +54,15 @@ def simulate_fid(rho, system, duration, dwell):
     The register then precesses freely under its offsets only; the detected
     signal is <I_+ + S_+>(t). For |0>|0> this is
     (1/2)(e^{i dw_I t} + e^{i dw_S t}). A duration that is not a finite
-    non-negative number, or a dwell that is not a finite positive one,
-    raises a ValueError that names it.
+    non-negative number of at most MAX_FID_POINTS dwells, or a dwell that is
+    not a finite positive one, raises a ValueError that names it.
     """
     duration = number(duration, "duration", 0.0)
     dwell = number(dwell, "dwell", positive=True)
+    # round(x) passes the (even) limit exactly when x > limit + 1/2, or x = inf
+    if duration / dwell > MAX_FID_POINTS + 0.5:
+        raise ValueError(f"duration must be at most {MAX_FID_POINTS} dwells of {dwell:g} s, "
+                         f"got {duration:g} s")
     u = rotation_unitary(SPINS, "y", np.pi / 2)
     rho = u @ np.asarray(rho, dtype=complex) @ u.conj().T
     amplitudes = [expectation(rho, spin_operator(k, "+")) for k in SPINS]

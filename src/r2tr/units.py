@@ -39,11 +39,16 @@ def number(value, field, minimum=-math.inf, positive=False):
     if math.isfinite(x) and x >= minimum and (x > 0 or not positive):
         return x
     bound = " and > 0" if positive else "" if minimum == -math.inf else f" and >= {minimum:g}"
+    raise ValueError(f"{field} must be finite, a real number, not a bool{bound}, "
+                     f"got {shown(value)}")
+
+
+def shown(value):
+    """repr(value), or a note where it holds an integer too long to print."""
     try:
-        shown = repr(value)
-    except ValueError:  # an integer past Python's limit on digits to print
-        shown = "an integer too long to print"
-    raise ValueError(f"{field} must be finite, a real number, not a bool{bound}, got {shown}")
+        return repr(value)
+    except ValueError:
+        return "an integer too long to print"
 
 
 def hz_to_angular(f):

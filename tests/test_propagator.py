@@ -18,8 +18,8 @@ from r2tr.hamiltonian import dipolar_constants, effective_field
 from r2tr.operators import (SpinSystem, basis_state, check_density_matrix,
                             check_unitary, expectation, spin_operator)
 from r2tr.propagator import (MAX_SAMPLES, MAX_STEPS_PER_PERIOD, CWSegment, Delay,
-                             HarmonicHamiltonian, IdealRotation, RFDrive, Trajectory, _fold,
-                             _period_partials, _sample_steps, _segment_hamiltonian,
+                             HarmonicHamiltonian, IdealRotation, RFDrive, Trajectory, _floquet,
+                             _fold, _period_partials, _sample_steps, _segment_hamiltonian,
                              _step_unitaries, extract_gate, rotation_unitary, run_sequence,
                              segment_propagator, trim_unitaries)
 from r2tr.readout import simulate_fid
@@ -483,6 +483,12 @@ def test_event_validation():
     pytest.param(lambda: IdealRotation((0, 0), "x", 1.0), "targets", id="targets-repeated"),
     pytest.param(lambda: CWSegment(RFDrive(1e4), 1e-3, skip_trim=(True,)), "skip_trim",
                  id="skip-trim-bool"),
+    # an integer past the digits Python prints fails in a message's repr
+    pytest.param(lambda: IdealRotation((10**5000,), "x", 1.0), "targets",
+                 id="target-unprintable"),
+    pytest.param(lambda: Delay(1e-3, dipolar_on=10**5000), "dipolar_on",
+                 id="dipolar-on-unprintable"),
+    pytest.param(lambda: IdealRotation((0,), 10**5000, 1.0), "axis", id="axis-unprintable"),
     # a bool is not a number: True would be 1 s, 1 rad/s or 1 rad
     pytest.param(lambda: Delay(True), "duration", id="duration-bool"),
     pytest.param(lambda: RFDrive(True), "omega_1", id="amplitude-bool"),
@@ -569,6 +575,10 @@ NUMBER_PARAMETERS = [
         harmonic_hamiltonian(glycine_system(), CW_2339), 0.0, v, 64)),
     ("steps_per_period", _bounded, lambda v: extract_gate(
         glycine_system(), [CWSegment(CW_2339, 1e-4)], steps_per_period=v)),
+    # past readout.MAX_FID_POINTS whatever is drawn: the point count of 1e600
+    # overflowed to a bare OverflowError
+    ("duration", _bounded, lambda v: simulate_fid(basis_state("00"), glycine_system(),
+                                                  1e300, 1e-300)),
 ]
 
 
@@ -1204,25 +1214,27 @@ def test_fig3a_makes_the_pinned_eigh_matrices(tmp_path):
     # fig3a's CW segment of 51,761 steps (50 periods and 561 steps at 1024
     # per period) starts at t = 0 with phi = 0, on the grid, so it takes no
     # leading step; it folds half a period, 1024 / 2 = 512 steps, and then
-    # takes one closing step: 512 + 1 = 513 step exponentials, and no
-    # eigendecomposition builds the band frame
+    # takes one closing step: 512 + 1 = 513 step exponentials. No
+    # eigendecomposition builds the band frame, and one gives U_T its
+    # Floquet form (that eigh mixes none of its eigenvalues, so none splits)
     code, exponentiated, decomposed = _counted(
         lambda: cli_main(["repro", "fig3a", "--out", str(tmp_path)]))
-    assert (code, sum(exponentiated), decomposed) == (0, 513, 0)
+    assert (code, sum(exponentiated), decomposed) == (0, 513, 1)
 
 
 def test_eigh_matrices_do_not_grow_with_segment_length():
     # a segment of 10 rotor periods and one of 40 both take one leading step
     # (phi = 0.3 puts t = 0 off the grid, 0.3 / 2 pi * 1024 = 48.9 steps past
     # rotor phase 0), fold half a period, 1024 / 2 = 512 steps, and take one
-    # closing step: 1 + 512 + 1 = 514 step exponentials, and no eigh
+    # closing step: 1 + 512 + 1 = 514 step exponentials, and one eigh, of
+    # U_T for its Floquet form, at any length
     system = glycine_system(phi=0.3)
     drive = RFDrive(omega_1=hz_to_angular(2339.0))
     for periods in (10, 40):
         seg = CWSegment(drive=drive, duration=periods * T_R)
         _, exponentiated, decomposed = _counted(
             lambda: extract_gate(system, [seg], steps_per_period=1024))
-        assert (sum(exponentiated), decomposed) == (1 + 512 + 1, 0), periods
+        assert (sum(exponentiated), decomposed) == (1 + 512 + 1, 1), periods
 
 
 @st.composite
@@ -1242,12 +1254,62 @@ def test_half_period_fold_matches_a_full_period_fold(fold):
     # the first: U_T and every P(r) follow from ceil(s/2) folded steps
     fn, steps = fold
     t_a, h = -fn.phi / fn.omega_r, TWO_PI / fn.omega_r / steps
-    u_period, partial = _period_partials(_step_unitaries(fn, [(t_a, h, -(-steps // 2))]),
-                                         steps, set(range(steps)))
+    (u_period, *_), partial = _period_partials(
+        _step_unitaries(fn, [(t_a, h, -(-steps // 2))]), steps, set(range(steps)))
     full = _fold(fn, t_a, h, range(steps + 1))
     assert np.max(np.abs(u_period - full[steps])) < 1e-12
     for r in range(steps):
         assert np.max(np.abs(partial[r] - full[r])) < 1e-12, r
+
+
+def _period_propagator(fold):
+    """U_T of a period fold, from rotor phase 0."""
+    fn, steps = fold
+    t_a, h = -fn.phi / fn.omega_r, TWO_PI / fn.omega_r / steps
+    batch = _step_unitaries(fn, [(t_a, h, -(-steps // 2))])
+    return _period_partials(batch, steps, set())[0][0]
+
+
+# eigenphases phi_0 +- 0.4, phi_0 = atan2(sqrt(2), 1), have equal a + sqrt(2) b
+# = sqrt(3) cos(phi - phi_0): eigh of A + sqrt(2) B merges them, in a basis
+# turned by a fixed random rotation
+PHI_0 = math.atan2(math.sqrt(2.0), 1.0)
+_TURN = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))[0]
+MERGED_PERIOD = (_TURN * np.exp(1j * np.array([PHI_0 + 0.4, PHI_0 - 0.4, 0.3, -2.0]))) @ _TURN.T
+
+
+@settings(max_examples=40, deadline=None)
+@given(u_period=period_folds().map(_period_propagator))
+@example(u_period=MERGED_PERIOD)
+@example(u_period=np.exp(0.7j) * np.eye(4))
+def test_period_propagator_has_a_real_orthogonal_floquet_form(u_period):
+    # U_T = A + iB is symmetric, so A and B commute and share real orthogonal
+    # eigenvectors: U_T = O e^{i theta} O^T. No unitary comes closer to U_T
+    # than U_T's own departure from unitarity, which the squarings of a few
+    # long steps (s = 1, 2 or 3) take past 1e-13
+    _, o, theta = _floquet(u_period)
+    departure = np.max(np.abs(u_period.conj().T @ u_period - np.eye(4)))
+    assert np.max(np.abs(u_period - u_period.T)) <= 1e-13
+    assert o.dtype == np.float64 and np.max(np.abs(o.T @ o - np.eye(4))) <= 1e-14
+    assert np.max(np.abs((o * np.exp(1j * theta)) @ o.T - u_period)) <= 1e-13 + departure
+
+
+@pytest.mark.parametrize("periods", [10, 1e3, 1e5, 1e7, 1e9])
+@pytest.mark.parametrize("event", [lambda duration: CWSegment(CW_2339, duration), Delay],
+                         ids=["cw", "dipolar-on-delay"])
+def test_gate_unitarity_stays_flat_in_whole_periods(event, periods):
+    # U_T^q = O e^{i q theta} O^T is unitary at roundoff for any q; the matrix
+    # power of U_T drifted in proportion to q, 2.3e-11 at 1e3 periods
+    u = extract_gate(glycine_system(), [event((periods + 0.3) * T_R)])
+    assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-13
+
+
+@pytest.mark.parametrize("duration", [1e12, 1e20])
+def test_gate_of_a_segment_of_any_length_is_unitary(duration):
+    # 1e20 s is 8e26 steps of T_r / 1024, past int64: the walk counts whole
+    # periods in Python integers, and U came back 1.0 from unitary
+    u = extract_gate(glycine_system(), [CWSegment(CW_2339, duration)])
+    assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -1320,12 +1382,13 @@ def test_each_hamiltonian_folds_one_half_period_per_walk():
     # Each Hamiltonian hands the step exponential its half-period batch and
     # then one batch of its leading and closing steps, 6 for the drive's
     # three segments and 4 for the delay's two: 4 calls, where one call per
-    # leading or closing step made 12
+    # leading or closing step made 12. Each Hamiltonian's U_T takes its
+    # Floquet form once, at its first segment: 2 eigh, not one per segment
     _, calls, decomposed = _counted(lambda: extract_gate(
         glycine_system(phi=0.3), _alternating_walk(10.37), steps_per_period=1024))
     assert sum(calls) == 2 * 512 + 5 + 5
     assert calls == [512, 6, 512, 4]
-    assert decomposed == 0
+    assert decomposed == 2
 
 
 @pytest.mark.parametrize("events, kept", [
@@ -1414,8 +1477,11 @@ def test_repeated_hamiltonian_walk_matches_lab_frame_walk(walk):
 def test_walk_exponentiates_and_samples_what_its_plan_counts(walk):
     # the plan fixes the work before any matrix: each folded Hamiltonian's
     # half-period batch and the runs of its edge batch, as step exponentials,
-    # and one eigh per segment of a constant Hamiltonian; no batch passes
-    # ceil(s/2) steps, and the walk returns as many samples as the plan counts
+    # one 4x4 eigh per segment of a constant Hamiltonian and one per folded
+    # Hamiltonian, for the Floquet form of its U_T; any other eigh splits a
+    # run of 2 or 3 eigenvalues that the Floquet eigh mixed, at most two runs
+    # per U_T. No batch passes ceil(s/2) steps, and the walk returns
+    # as many samples as the plan counts
     phi, events, sample_every, steps_per_period = walk
     system = glycine_system(phi=phi)
     plan = propagator._Plan(system, events, steps_per_period, sample_every)
@@ -1423,9 +1489,12 @@ def test_walk_exponentiates_and_samples_what_its_plan_counts(walk):
     steps = len(plan.folding) * plan.half + sum(
         run[2] for chunks in plan.chunks.values() for chunk in chunks for run in chunk)
     constant = sum(seg.where is None for seg in segments)
-    (_, samples), calls, decomposed = _counted(lambda: propagator._propagate(
-        system, events, steps_per_period, sample_every))
-    assert (sum(calls), decomposed) == (steps, constant)
+    (_, samples), shapes, decomposed = _recorded(lambda: propagator._propagate(
+        system, events, steps_per_period, sample_every), np.shape)
+    calls = [shape[0] for shape in shapes]
+    splits = len(decomposed) - decomposed.count((4, 4))
+    assert (sum(calls), decomposed.count((4, 4))) == (steps, constant + len(plan.folding))
+    assert splits <= 2 * len(plan.folding)
     assert max(calls, default=0) <= plan.half
     assert len(samples) == plan.samples
 

@@ -34,11 +34,11 @@ of the first r steps, U_T = P(floor(s/2))^T P(ceil(s/2)) and P(r) =
 conj(P(s - r)) U_T. So U_T is complex symmetric: its real and imaginary
 parts A and B commute and share real orthogonal eigenvectors O, from one
 eigh of A + sqrt(2) B, and eigh of B splits each run of eigenvalues it
-mixes. A long segment's unitaries are P(r) O e^{i K theta} O^T P(r0)^dag by
-this Floquet form of U_T, unitary at roundoff for any K, from half a
-period's step unitaries and (U_T, O, theta), built once per walk and
-Hamiltonian; one of at most ceil(s/2) whole steps folds them directly. Its
-cost grows with s, not with its length.
+mixes. A Hamiltonian whose segments' whole steps sum past ceil(s/2) folds
+them by this Floquet form, P(r) O e^{i K theta} O^T P(r0)^dag, unitary at
+roundoff for any K: one chain of half a period's steps, at its first
+segment, gives (U_T, O, theta) and each P(r) they need. Other segments fold
+their own whole steps. A segment's cost grows with s, not with its length.
 
 A segment is integrated in the singlet-triplet band frame Q = (S, T0, A,
 B): S and T0 are the singlet and central triplet, and A, B = (+-e^{-i phi}
@@ -59,14 +59,15 @@ at any length.
 A fold returns its partial products at the step counts asked of it, by
 batched pairwise products, with no Python loop per step. A time-dependent
 Hamiltonian's steps are exponentiated in batches of at most ceil(s/2), each
-by one generator call and one batched exponential: its half-period batch,
-built at its first segment if a segment folds it, and the chunks of its edge
-batch (its leading, closing and short segments' steps, in walk order), each
-built as the walk reaches it, once the chunk before has gone; both go at its
-last segment. So s <= MAX_STEPS_PER_PERIOD bounds a walk's memory: (2k + 3)
-ceil(s/2) step unitaries of 256 B for k time-dependent Hamiltonians still to
-come (a half-period batch and a chunk each, and three arrays of a batch being
-built), besides the plan, under 1 kB per timed event, and the samples.
+by one generator call and one batched exponential: its half-period batch if
+it folds, gone once chained, and its edge batch (leading and closing steps
+and unfolded whole steps, in walk order) in chunks, each built as the walk
+reaches it, once the chunk before has gone. Its partials and chunk go at
+its last segment. So s <= MAX_STEPS_PER_PERIOD bounds a walk's memory: per
+time-dependent Hamiltonian still to come, a chunk of ceil(s/2) step
+unitaries of 256 B and, if it folds, at most s partials under 0.5 kB each;
+three batch arrays while a batch is built or chained; the plan, under 1 kB
+per timed event and 0.1 kB per residue; and the samples.
 """
 
 import cmath
@@ -474,14 +475,12 @@ def _floquet(u_period):
     return u_period, o, np.angle(d.diagonal())
 
 
-def _period_partials(batch, s, residues, floquet=None):
+def _period_partials(batch, s, residues):
     """(U_T, O, theta) and {r: P(r)} for residues r in [0, s), P(r) the first r
     steps of h = T_r / s from rotor phase 0: from `batch`, the first ceil(s/2), by
-    the mirror identities, and only as far as the residues given `floquet`."""
-    p = _partials(batch, {min(r, s - r) for r in residues}
-                  | (set() if floquet else {s // 2, -(-s // 2)}))
-    if floquet is None:
-        floquet = _floquet(p[s // 2].T @ p[-(-s // 2)])
+    the mirror identities."""
+    p = _partials(batch, {min(r, s - r) for r in residues} | {s // 2, -(-s // 2)})
+    floquet = _floquet(p[s // 2].T @ p[-(-s // 2)])
     return floquet, {r: p[r] if 2 * r <= s else p[s - r].conj() @ floquet[0]
                      for r in residues}
 
@@ -498,14 +497,14 @@ class _Segment:
     __slots__ = ("event", "key", "t0", "t", "j0", "g0", "n", "marks", "folds", "where",
                  "last")
 
-    def __init__(self, event, key, t0, t, j0, g0, n, marks, folds):
+    def __init__(self, event, key, t0, t, j0, g0, n, marks):
         self.event, self.key, self.t0, self.t, self.j0 = event, key, t0, t, j0
-        self.g0, self.n, self.marks, self.folds = g0, n, marks, folds
-        self.where, self.last = None, True
+        self.g0, self.n, self.marks = g0, n, marks
+        self.folds, self.where, self.last = False, None, False
 
     def runs(self, h):
         """Its leading, whole and closing steps, each (t0, step, steps): None
-        for no leading step and for whole steps that fold."""
+        for no leading step and for whole steps that fold (`_Plan.folding`)."""
         t_close = self.g0 + self.n * h
         return ((self.t0, self.g0 - self.t0, 1) if self.g0 > self.t0 else None,
                 None if self.folds else (self.g0, h, self.n),
@@ -520,12 +519,13 @@ class _Plan:
     event of nonzero duration as a _Segment: from t0 to t a leading step to
     g0 (if g0 > t0), n whole steps of h from grid point j0 and a closing
     step, samples after the step counts `marks` (0 to n + 1), and whole
-    steps from the half-period batch if it `folds`. `chunks` holds each
-    time-dependent Hamiltonian's edge batch, by `_band_key`: its segments'
-    runs in walk order, in chunks of at most ceil(s/2) steps, at a segment's
-    `where` (chunk, offset); `last` marks its last segment, and `folding`
-    the Hamiltonians that some segment folds. More than MAX_SAMPLES
-    `samples` raise a ValueError; the count stops there.
+    steps from its Hamiltonian's period partials if it `folds`. `chunks`
+    holds each time-dependent Hamiltonian's edge batch, by `_band_key`: its
+    segments' runs in walk order, in chunks of at most ceil(s/2) steps, at a
+    segment's `where` (chunk, offset); `last` marks its last segment.
+    `folding` maps each Hamiltonian whose whole steps sum past ceil(s/2) to
+    its segments' residues (j0 + c) mod s: r0, each sampled c and n. More
+    than MAX_SAMPLES `samples` raise a ValueError; the count stops there.
     """
 
     def __init__(self, system, events, s, sample_every):
@@ -535,9 +535,8 @@ class _Plan:
         constants = dipolar_constants(system.gamma, system.r, system.theta_d)
         # D(t) = 0 leaves every segment's H constant, even with the dipolar term on
         varies = bool(constants.omega_d1 or constants.omega_d2)
-        self.walk, self.chunks, self.folding = [], {}, set()
-        # per Hamiltonian: one key object, its latest segment and its last chunk's steps
-        keys, latest, fill = {}, {}, {}
+        self.walk, self.chunks, self.folding = [], {}, {}
+        keys, segments = {}, {}  # per Hamiltonian: one key object, its time-dependent segments
         t, due, last, samples = 0.0, sample_every, None, 0
         for event in events:
             if isinstance(event, IdealRotation):
@@ -561,29 +560,30 @@ class _Plan:
                 break
             if marks:
                 last = g0 + marks[-1] * h if marks[-1] <= n else t
-            varying = key[1] and varies
-            seg = _Segment(event, keys.setdefault(key, key), t0, t, j0, g0, n,
-                           tuple(marks), varying and n > half)
+            seg = _Segment(event, keys.setdefault(key, key), t0, t, j0, g0, n, tuple(marks))
             self.walk.append(seg)
-            if not varying:
-                continue
-            if key in latest:
-                latest[key].last = False
-            latest[key] = seg
-            if seg.folds:
-                self.folding.add(key)
-            chunks, where = self.chunks.setdefault(key, [[]]), []
-            for run in seg.runs(h):
-                if not (run and run[2]):
-                    where.append(None)
-                    continue
-                if fill.setdefault(key, 0) + run[2] > half:
-                    chunks.append([])
-                    fill[key] = 0
-                where.append((len(chunks) - 1, fill[key]))
-                chunks[-1].append(run)
-                fill[key] += run[2]
-            seg.where = tuple(where)
+            if key[1] and varies:
+                segments.setdefault(key, []).append(seg)
+        for key, segs in segments.items():
+            segs[-1].last = True
+            if sum(seg.n for seg in segs) > half:  # then every segment with whole steps folds
+                self.folding[key] = {(seg.j0 + c) % s for seg in segs if seg.n
+                                     for c in (0, *seg.marks, seg.n) if c <= seg.n}
+            chunks, fill = self.chunks.setdefault(key, [[]]), 0
+            for seg in segs:
+                seg.folds = seg.n > 0 and key in self.folding
+                where = []
+                for run in seg.runs(h):
+                    if not (run and run[2]):
+                        where.append(None)
+                        continue
+                    if fill + run[2] > half:
+                        chunks.append([])
+                        fill = 0
+                    where.append((len(chunks) - 1, fill))
+                    chunks[-1].append(run)
+                    fill += run[2]
+                seg.where = tuple(where)
         # a sample due at the end gives way to U, which the walk takes last
         self.samples = samples + (not samples or last < t)
         if self.samples > MAX_SAMPLES:
@@ -605,17 +605,18 @@ def _propagate(system, events, steps_per_period, sample_every):
     starts from the identity; the walk multiplies it in.
 
     A segment's leading step, n whole steps and closing step end at counts
-    0 to n + 1. After c whole steps its unitary is P(c), folded from g0, if
-    n <= ceil(s/2) or H is constant; else P(r) O e^{i (q - q0) theta} O^T
-    P(r0)^dag from `_period_partials`, (q, r) = divmod(j0 + c, s) and (q0,
-    r0) = divmod(j0, s) in Python integers; the sampled c and n at once.
+    0 to n + 1. After c whole steps its unitary is P(r) O e^{i (q - q0)
+    theta} O^T P(r0)^dag if it folds, from its Hamiltonian's one
+    `_period_partials` call, (q, r) = divmod(j0 + c, s) and (q0, r0) =
+    divmod(j0, s) in Python integers; else P(c), folded from g0: the sampled
+    c and n at once.
     """
     s = _steps(steps_per_period, "steps_per_period")
     plan = _Plan(system, events, s, sample_every)
     constants = dipolar_constants(system.gamma, system.r, system.theta_d)
     eye = np.eye(4, dtype=complex)
     u, samples = eye, []
-    halves, floquets, edges = {}, {}, {}  # per Hamiltonian: batch, (U_T, O, theta), (index, chunk)
+    folds, edges = {}, {}  # per Hamiltonian: _period_partials, (index, chunk)
     for seg in plan.walk:
         if seg is None:
             samples.append((0.0, u))
@@ -630,17 +631,16 @@ def _propagate(system, events, steps_per_period, sample_every):
         else:
             u_open, u_close = trim_unitaries(system, event)
             fn = _segment_hamiltonian(system, event.drive, constants)
-        if seg.where is not None and key not in edges:  # its Hamiltonian's first segment
-            if key in plan.folding:
-                halves[key] = _step_unitaries(fn, [(plan.t_a, plan.h, plan.half)])
-            edges[key] = None, None
+        if key in plan.folding and key not in folds:  # one call serves all its segments
+            folds[key] = _period_partials(_step_unitaries(fn, [(plan.t_a, plan.h, plan.half)]),
+                                          s, plan.folding[key])
 
         def fold(k, counts):  # the partials of the leading (0), whole (1) or closing (2) run
             if seg.where is None:
                 start, step, _ = seg.runs(plan.h)[k]
                 return _fold(fn, start, step, counts)
             index, offset = seg.where[k]
-            if edges[key][0] != index:
+            if edges.get(key, (None,))[0] != index:
                 edges[key] = None  # the chunk before goes first
                 edges[key] = index, _step_unitaries(fn, plan.chunks[key][index])
             return _partials(edges[key][1][offset:offset + max(counts)], counts)
@@ -656,8 +656,7 @@ def _propagate(system, events, steps_per_period, sample_every):
         counts = [c for c in marks if 0 < c <= n] + [n]  # the sampled whole steps, then all
         if seg.folds:
             (q0, r0), (qs, rs) = divmod(seg.j0, s), zip(*[divmod(seg.j0 + c, s) for c in counts])
-            floquets[key], partial = _period_partials(halves[key], s, {r0, *rs}, floquets.get(key))
-            _, o, theta = floquets[key]
+            (_, o, theta), partial = folds[key]
             phases = np.exp(1j * np.multiply.outer([float(q - q0) for q in qs], theta))
             units = np.array([partial[r] for r in rs]) @ ((o * phases[:, None]) @ o.T) @ (
                 partial[r0].conj().T @ u)
@@ -669,8 +668,8 @@ def _propagate(system, events, steps_per_period, sample_every):
         if n + 1 in marks:
             samples.append((seg.t, u_close @ u))
         u = u_close @ u
-        if seg.last:  # its Hamiltonian's batches go
-            for kept in (halves, floquets, edges):
+        if seg.last:  # its Hamiltonian's partials and chunk go
+            for kept in (folds, edges):
                 kept.pop(key, None)
     t = plan.end
     if samples and samples[-1][0] >= t:

@@ -1317,8 +1317,9 @@ def test_gate_of_a_segment_of_any_length_is_unitary(duration):
        part=st.floats(0.0, 1.0), rest=st.floats(0.0, 1.0, exclude_max=True))
 def test_short_segment_makes_at_most_two_more_eigh_matrices(phi, steps_per_period, part,
                                                             rest):
-    # n <= ceil(s/2) whole steps are folded as they are, with at most a
-    # leading and a closing step around them: at most n + 2 matrices
+    # a lone segment of n <= ceil(s/2) whole steps does not fold: they are
+    # folded as they are, with at most a leading and a closing step around
+    # them: at most n + 2 matrices
     whole = math.floor(part * -(-steps_per_period // 2))
     seg = CWSegment(drive=CW_2339, duration=(whole + rest) * T_R / steps_per_period)
     _, exponentiated, decomposed = _counted(lambda: extract_gate(
@@ -1376,19 +1377,24 @@ def _alternating_walk(periods):
 
 def test_each_hamiltonian_folds_one_half_period_per_walk():
     # phi = 0.3 puts t = 0 48.89 steps past rotor phase 0, and segments of
-    # 10.37 T_r start 10,618.88 steps apart, so none starts on the grid: each
-    # of the five segments takes a leading and a closing step, and each of
-    # the two Hamiltonians folds 1024 / 2 = 512 steps once: 2 * 512 + 5 + 5.
+    # 10.37 T_r start 10,618.88 steps apart (of 0.3 T_r, 307.2), so none
+    # starts on the grid: each of the five segments takes a leading and a
+    # closing step. The whole steps of each Hamiltonian's segments sum past
+    # 1024 / 2, whether each segment is longer than half a period or not, so
+    # each of the two Hamiltonians folds 512 steps once: 2 * 512 + 5 + 5.
     # Each Hamiltonian hands the step exponential its half-period batch and
     # then one batch of its leading and closing steps, 6 for the drive's
     # three segments and 4 for the delay's two: 4 calls, where one call per
-    # leading or closing step made 12. Each Hamiltonian's U_T takes its
-    # Floquet form once, at its first segment: 2 eigh, not one per segment
-    _, calls, decomposed = _counted(lambda: extract_gate(
-        glycine_system(phi=0.3), _alternating_walk(10.37), steps_per_period=1024))
-    assert sum(calls) == 2 * 512 + 5 + 5
-    assert calls == [512, 6, 512, 4]
-    assert decomposed == 2
+    # leading or closing step made 12, and short segments that fold their
+    # own whole steps made 5 calls of about 307 steps. Each Hamiltonian's
+    # U_T takes its Floquet form once, at its first segment: 2 eigh, not one
+    # per segment
+    for periods in (10.37, 0.3):
+        _, calls, decomposed = _counted(lambda: extract_gate(
+            glycine_system(phi=0.3), _alternating_walk(periods), steps_per_period=1024))
+        assert sum(calls) == 2 * 512 + 5 + 5
+        assert calls == [512, 6, 512, 4]
+        assert decomposed == 2
 
 
 @pytest.mark.parametrize("events, kept", [
@@ -1405,11 +1411,12 @@ def test_each_hamiltonian_folds_one_half_period_per_walk():
         steps_per_period=steps), id="run_sequence"),
 ])
 def test_walk_keeps_a_batch_only_for_a_later_segment(walk, events, kept):
-    # the walk keeps a Hamiltonian's half-period batch while a later segment
-    # has that Hamiltonian, and lets it go at its last: the alternating walk
-    # keeps two, a walk of three drives used once each none; a fold has at
-    # most three batch arrays alive besides, and the 64 kB of slack holds
-    # the small arrays
+    # the walk keeps a Hamiltonian's period partials (here a few residues,
+    # far under a half-period batch) and its edge chunk while a later
+    # segment has that Hamiltonian, and lets them go at its last: the
+    # alternating walk keeps two, a walk of three drives used once each
+    # none; a fold has at most three batch arrays alive besides, and the
+    # 64 kB of slack holds the small arrays
     system, steps = glycine_system(phi=0.3), 1024
     walk(system, events, steps)
     batch = -(-steps // 2) * 256
@@ -1426,27 +1433,33 @@ def test_walk_keeps_a_batch_only_for_a_later_segment(walk, events, kept):
         steps_per_period=steps), id="run_sequence"),
 ])
 def test_walk_of_many_short_segments_stays_within_the_walk_bound(walk):
-    # 600 CW segments of one Hamiltonian, each under half a period, so none
-    # folds: their leading, whole and closing steps, about 47,000, go to the
-    # step exponential in chunks of at most 128 steps, each built when the walk reaches it
-    # and after the chunk before it has gone (a segment's leading step ends
-    # one chunk, and its whole and closing steps start the next). The module
-    # docstring's bound for one Hamiltonian is 2 + 3 batch arrays and the
+    # 600 CW segments of one Hamiltonian, each under half a period. Of 0.3
+    # T_r (at s = 256 and 1024), their whole steps sum past half a period,
+    # so every segment folds through its Hamiltonian's one set of period
+    # partials, of 20 residues as the segments repeat every 3 periods, and
+    # its leading and closing steps go in chunks. Of 0.003 T_r, no segment
+    # has a whole step (n = 0), so none folds: their 1,061 leading and
+    # closing steps go to the step exponential in 9 chunks of at most 128
+    # steps, each built when the walk reaches it and after the chunk before
+    # it has gone. The module docstring's bound for one Hamiltonian is a
+    # chunk, its partials and 3 batch arrays, under 2 + 3 here, and the
     # plan, under 1 kB a segment; the 64 kB of slack holds the small arrays
-    system, steps = glycine_system(phi=0.3), 256
-    events = [CWSegment(CW_2339, 0.3 * T_R) for _ in range(600)]
-    walk(system, events[:10], steps)  # numpy's one-time allocations are not the walk's
-    batch = -(-steps // 2) * 256
-    assert _peak_bytes(lambda: walk(system, events, steps)) <= (
-        (2 + 3) * batch + 600 * 1024 + 64 * 1024)
+    system = glycine_system(phi=0.3)
+    for periods, steps in ((0.3, 256), (0.003, 256), (0.3, 1024)):
+        events = [CWSegment(CW_2339, periods * T_R) for _ in range(600)]
+        walk(system, events[:10], steps)  # numpy's one-time allocations are not the walk's
+        batch = -(-steps // 2) * 256
+        assert _peak_bytes(lambda: walk(system, events, steps)) <= (
+            (2 + 3) * batch + 600 * 1024 + 64 * 1024)
 
 
 @st.composite
 def repeated_walks(draw):
     """phi, up to six events whose segments repeat two drive amplitudes (at
     any phase) and the two delays, a sampling interval and a step count per
-    period. Most segments run past half a period, so they fold through the
-    half-period batch their Hamiltonian shares."""
+    period. Most Hamiltonians' segments together run past half a period, so
+    they fold through the one set of period partials their Hamiltonian
+    shares."""
     steps_per_period = draw(st.integers(1, 64))
     amplitudes = draw(st.lists(st.floats(0.0, 1e4).map(hz_to_angular), min_size=2,
                                max_size=2))

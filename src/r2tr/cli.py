@@ -36,10 +36,9 @@ SCHEMA_VERSION = 1
 MAX_SEGMENT_STEPS = 2**20
 # angular frequencies of the period fit's scan over [0.5, 1.5] of the guess
 FIT_SCAN_POINTS = 101
-# the period fit's scan QR-factors its frequencies in chunks whose
-# frequencies times the window's samples stay within this many elements (a
-# chunk holds about nine such float arrays); a window longer than this takes
-# one frequency at a time
+# the period fit's scan projects its frequencies in chunks of at most this many
+# frequencies times window samples (a chunk holds about five such float arrays);
+# a longer window takes one frequency at a time
 FIT_SCAN_ELEMENTS = 2**11
 
 
@@ -94,7 +93,7 @@ def load_config(path):
 
 def _radius_from_coupling(gamma, coupling_hz):
     # invert omega_full = (mu0/4pi) gamma^2 hbar / r^3
-    return (MU0_OVER_4PI * gamma**2 * HBAR / hz_to_angular(coupling_hz)) ** (1.0 / 3.0)
+    return (MU0_OVER_4PI * gamma * gamma * HBAR / hz_to_angular(coupling_hz)) ** (1.0 / 3.0)
 
 
 def build_system(cfg):
@@ -115,8 +114,7 @@ def build_system(cfg):
     has_r = "r_angstrom" in blk
     has_coupling = "coupling_hz" in blk
     if has_r == has_coupling:
-        raise ConfigError(
-            "system block needs exactly one of 'r_angstrom' or 'coupling_hz'")
+        raise ConfigError("system block needs exactly one of 'r_angstrom' or 'coupling_hz'")
     if has_r:
         r_key, r = "r_angstrom", scalar("r_angstrom") * 1e-10
     else:
@@ -143,6 +141,8 @@ def build_system(cfg):
                           offsets=angular)
     except ValueError as exc:  # SpinSystem's range checks, named r or omega_r
         field = {"r": r_key, "omega_r": "spin_rate_hz"}[str(exc).split()[0]]
+        if field == r_key and not 0.0 < MU0_OVER_4PI * gamma * gamma * HBAR < math.inf:
+            field = "gamma_rad_per_s_per_t"  # no r gives this gamma a coupling
         raise ConfigError(f"system.{field} = {blk[field]!r}: {exc}") from exc
 
 
@@ -294,13 +294,14 @@ class PeriodFit:
 def fit_exchange_period(times, values, period_guess):
     """Fit a sinusoid to an exchange trajectory and return its period.
 
-    The fit window is two predicted periods (if it holds 8 samples). The
-    fit is by variable projection: at a fixed angular frequency w the model
-    a + p cos(wt) + q sin(wt) is linear, so a least-squares solve gives its
-    best sum of squares S(w). S is scanned over [0.5, 1.5] 2 pi/period_guess,
-    and the best w is refined to the root of dS/dw next to the scan's
-    minimum. Raises RuntimeError when there is no fit: fewer samples than
-    the four model parameters, or no minimum inside the scan.
+    The fit window is two predicted periods (if it holds 8 samples). The fit
+    is by variable projection: at a fixed angular frequency w the model a + p
+    cos(wt) + q sin(wt) is linear, and its best sum of squares S(w) is, in
+    closed form, what the centred values keep off the centred cos(wt) and
+    sin(wt), made orthogonal by Gram-Schmidt. S is scanned over [0.5, 1.5] 2
+    pi/period_guess, and the best w is refined to the root of dS/dw next to
+    the scan's minimum. Raises RuntimeError when there is no fit: fewer
+    samples than the four model parameters, or no minimum inside the scan.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -309,39 +310,43 @@ def fit_exchange_period(times, values, period_guess):
     mask = times <= 2.0 * period_guess + 1e-12
     if mask.sum() >= 8:
         times, values = times[mask], values[mask]
+    centred = values - (mean := values.mean())
 
-    def design(w):
-        # columns 1, cos(wt), sin(wt); one matrix per frequency in w
-        wt = np.multiply.outer(w, times)
-        return np.stack([np.ones_like(wt), np.cos(wt), np.sin(wt)], axis=-1)
+    def project(w):
+        # per frequency in w: S, the coefficients p and q of cos(wt) and
+        # sin(wt), and the columns' means, from row-wise sums of the centred
+        # columns c and s, with s less its part along c
+        columns = np.stack((np.cos(wt := np.multiply.outer(w, times)), np.sin(wt)))
+        columns -= (means := np.einsum("kij->ki", columns) / len(times))[:, :, None]
+        cos, sin = columns
+        cc, sc = np.einsum("ij,kij->ki", cos, columns)
+        cc = np.maximum(cc, math.ulp(0.0))  # a zero column's sums are 0: it takes no part
+        sin -= (along := sc / cc)[:, None] * cos
+        ss = np.maximum(np.einsum("ij,ij->i", sin, sin), math.ulp(0.0))
+        vc, vs = np.einsum("kij,j->ki", columns, centred)
+        p, q = vc / cc, vs / ss
+        return centred @ centred - vc * p - vs * q, p - q * along, q, means
 
     def slope(w):
-        # dS/dw at w's least-squares coefficients (a, p, q); their own
-        # derivatives drop out, since S is stationary in them
-        columns = design(w)
-        _, p, q = coef = np.linalg.lstsq(columns, values, rcond=None)[0]
-        residual = columns @ coef - values
-        return float(residual @ (times * (q * columns[:, 1] - p * columns[:, 2])))
-
-    def sum_of_squares(w):
-        basis = np.linalg.qr(design(w))[0]  # orthonormal columns, per frequency
-        residuals = values - (basis @ (values @ basis)[..., None])[..., 0]
-        return np.sum(residuals**2, axis=-1)
+        # dS/dw at w's least-squares coefficients, whose own derivatives drop out
+        _, (p,), (q,), ((mc,), (ms,)) = project(np.array([w]))
+        cos, sin = np.cos(wt := w * times), np.sin(wt)
+        return float((p * (cos - mc) + q * (sin - ms) - centred) @ (times * (q * cos - p * sin)))
 
     scan = np.linspace(0.5, 1.5, FIT_SCAN_POINTS) * (TWO_PI / period_guess)
     chunk = max(1, FIT_SCAN_ELEMENTS // len(times))
-    k = int(np.argmin(np.concatenate([sum_of_squares(scan[i:i + chunk])
+    k = int(np.argmin(np.concatenate([project(scan[i:i + chunk])[0]
                                       for i in range(0, len(scan), chunk)])))
     if k in (0, len(scan) - 1):
         raise RuntimeError("no cosine fit: the best frequency is at the edge of the scan")
-    lo, hi = scan[k - 1], scan[k + 1]
-    if not slope(lo) < 0.0 < slope(hi):
+    ends = {(lo := scan[k - 1]): slope(lo), (hi := scan[k + 1]): slope(hi)}
+    if not ends[lo] < 0.0 < ends[hi]:
         raise RuntimeError("no cosine fit: no minimum next to the best scanned frequency")
-    w = brentq(slope, lo, hi, xtol=1e-15 * hi)
-    a, p, q = np.linalg.lstsq(design(w), values, rcond=None)[0]
+    w = brentq(lambda x: ends.pop(x) if x in ends else slope(x), lo, hi, xtol=1e-15 * hi)
+    _, (p,), (q,), ((mc,), (ms,)) = project(np.array([w]))
     # a + p cos(wt) + q sin(wt) = a + b cos(wt + c)
     return PeriodFit(period=TWO_PI / w, amplitude=2.0 * math.hypot(p, q),
-                     offset=a, phase=math.atan2(-q, p) % TWO_PI)
+                     offset=mean - p * mc - q * ms, phase=math.atan2(-q, p) % TWO_PI)
 
 
 def transfer_fraction(traj):
@@ -354,8 +359,7 @@ def transfer_fraction(traj):
     if abs(gap) < 1e-9:
         return 0.0
     sign = 1.0 if gap > 0 else -1.0
-    exchanged = np.minimum(sign * (traj.iz - traj.iz[0]),
-                           sign * (traj.sz[0] - traj.sz))
+    exchanged = np.minimum(sign * (traj.iz - traj.iz[0]), sign * (traj.sz[0] - traj.sz))
     return max(0.0, float(exchanged.max()) / abs(gap))
 
 
@@ -363,8 +367,7 @@ def analytic_point(system, drive):
     """Class-a, m=2 operating point of the drive on the system's pair; its
     exchange period is inf when the pair lies along the spinning axis."""
     constants = dipolar_constants(system.gamma, system.r, system.theta_d)
-    return operating_point(system.offsets[0], system.offsets[1],
-                           drive.omega_1, constants, "a", 2)
+    return operating_point(system.offsets[0], system.offsets[1], drive.omega_1, constants, "a", 2)
 
 
 # ---------------------------------------------------------------- presets
@@ -421,19 +424,16 @@ def _simulate_report(cfg):
     if point is not None and math.isfinite(point.exchange_period):
         report["analytic_period_s"] = point.exchange_period
         try:
-            fit = fit_exchange_period(traj.times, traj.iz,
-                                      point.exchange_period)
+            fit = fit_exchange_period(traj.times, traj.iz, point.exchange_period)
         except RuntimeError:
             fit = None
         # <I_z> lies in [-1/2, 1/2], so a real swing is at most 1
         if fit is not None and 0.05 < fit.amplitude <= 1.0:
-            constants = dipolar_constants(system.gamma, system.r,
-                                          system.theta_d)
+            constants = dipolar_constants(system.gamma, system.r, system.theta_d)
             report["fitted_period_s"] = fit.period
             report["fitted_amplitude"] = fit.amplitude
             try:
-                theta = theta_from_period(fit.period, point.b_factor,
-                                          constants.omega_full)
+                theta = theta_from_period(fit.period, point.b_factor, constants.omega_full)
                 report["theta_d_deg_from_period"] = rad_to_deg(theta)
             except ValueError as exc:
                 report["theta_d_deg_from_period"] = None
@@ -525,8 +525,7 @@ def cmd_simulate(cfg, args):
 
 def cmd_gate(cfg, args):
     system, _, events, steps = build_run(cfg)
-    u = extract_gate(system, events, steps_per_period=steps,
-                     remove_effective_precession=True)
+    u = extract_gate(system, events, steps_per_period=steps, remove_effective_precession=True)
     g1, g2 = makhlin_invariants(u)
     angles = weyl_coordinates(u)
     report = {
@@ -535,15 +534,13 @@ def cmd_gate(cfg, args):
         "makhlin_g2": g2,
         # the verdict tolerance absorbs the second-order shift of the
         # matching condition left when operating at the nominal amplitude
-        "locally_equivalent_iswap": bool(
-            locally_equivalent(u, iswap(), tol=2.5e-2)),
+        "locally_equivalent_iswap": bool(locally_equivalent(u, iswap(), tol=2.5e-2)),
         "locally_equivalent_cns": bool(locally_equivalent(u, cns(), tol=2.5e-2)),
         "weyl_coordinates": [angles.theta_x, angles.theta_y, angles.theta_z],
         "universality_class": universality_class(angles, tol=1e-2),
     }
     _emit(args.out, "gate.json", lambda path: _write_json(path, report))
-    print(f"makhlin invariants: g1 = {g1.real:.6g}{g1.imag:+.6g}j, "
-          f"g2 = {g2:.6g}")
+    print(f"makhlin invariants: g1 = {g1.real:.6g}{g1.imag:+.6g}j, g2 = {g2:.6g}")
     print(f"locally equivalent to ISWAP: {report['locally_equivalent_iswap']}")
     return 0
 

@@ -18,10 +18,12 @@ diagonal.
 Integration is by step exponentials of each step's exact integral of H
 plus the leading commutator correction, from the rotor-harmonic form of H.
 Made real symmetric (below), a step exponent m has exp(-i m) = cos m - i
-sin m, summed from their Taylor series through m^9 by real matrix products:
-the rest is under 2.6e-19 < 2^-53 for ||m||_inf <= theta = 2^-4. A larger m
-is scaled by 2^-k onto theta and squared back k times, at a roundoff of 2^k
-eps; past k = 25 (7.5e-9) a ValueError names steps_per_period.
+sin m, from their Taylor series through m^9: the rest is under 2.6e-19 <
+2^-53 for ||m||_inf <= theta = 2^-4. Both are polynomials in x = m^2, summed
+by Paterson and Stockmeyer in five real products per step: x, x^2, one by x^2
+for each and one by m. A larger m is scaled by 2^-k onto theta and squared
+back k times, at a roundoff of 2^k eps (at most 13.2 2^k eps); past k = 25
+(7.5e-9) a ValueError names steps_per_period.
 
 Whole steps of h = T_r / s, s = steps_per_period, lie on one grid per walk,
 t_a + j h, where the rotor phase omega_r t + phi is 0. A segment takes a
@@ -93,13 +95,15 @@ MAX_SAMPLES = 2**16
 # and the differences d_j - d_{j+1} of its neighbouring entries
 _DIPOLAR_BAND = np.array([0.0, -0.5, 0.25, 0.25])
 _DIPOLAR_STEPS = _DIPOLAR_BAND[:-1] - _DIPOLAR_BAND[1:]
-# the step exponential's theta, cap on squarings and series of cos m and -sin m
+# the step exponential's theta and cap on squarings; and for its series
+# p(x) = sum_{j<5} a_j x^j of cos m and of -sin m / m (x = m^2), from a_j =
+# (-1)^j / (2j)! and -(-1)^j / (2j + 1)!: a_3/a_4, a_1/a_3, a_2/a_4 - a_1/a_3, a_4
 _THETA, _MAX_SQUARINGS = 2.0**-4, 25
-_COS = [(-1) ** j / math.factorial(2 * j) for j in range(5)]
-_MINUS_SIN = [(-1) ** (j + 1) / math.factorial(2 * j + 1) for j in range(5)]
-# the diagonal and subdiagonal entries of a 4x4 matrix
+_COS, _MINUS_SIN = (-56.0, 360.0, 1320.0, 1 / 40320), (-72.0, 840.0, 2184.0, -1 / 362880)
+# the diagonal and subdiagonal entries of a 4x4 matrix; a tridiagonal one's, flat
 _DIAG = np.arange(4)
 _SUB_ROW, _SUB_COL = np.arange(1, 4), np.arange(3)
+_BAND = np.array([0, 1, 4, 5, 6, 9, 10, 11, 14, 15])
 
 
 def _flag(value, field):
@@ -298,10 +302,19 @@ def _exp_minus_i(m):
                          f"norm {norm.max():.3g} needs over {_MAX_SQUARINGS} squarings")
     squarings = np.maximum(np.frexp(norm / _THETA)[1], 0)  # norm / _THETA is exact
     m *= np.ldexp(1.0, -squarings)[:, None, None]
-    x, poly, sin = m @ m, np.empty_like(m), np.empty_like(m)
-    np.matmul(m, _horner(x, _MINUS_SIN, sin, poly), out=sin)  # -sin m
-    cos = _horner(x, _COS, poly, m)  # into m, which the caller may still hold
-    del x, poly, m
+    band = m.reshape(-1, 16)[:, _BAND]  # m, while its array holds y
+    x = m @ m
+    y = np.matmul(x, x, out=m)
+    np.add(q := x * _MINUS_SIN[0], y, out=q)
+    np.add(np.multiply(x, _COS[0], out=x), y, out=x)
+    odd = _series(y, q, None, _MINUS_SIN)
+    cos = _series(y, x, q, _COS)
+    x.fill(0.0)
+    x.reshape(-1, 16)[:, _BAND] = band  # m again
+    sin = np.matmul(x, odd, out=y)
+    sin -= x  # -sin m = m (p(x) + 1) - m, as a_0 = -1
+    del x, odd
+    cos.reshape(-1, 16)[:, ::5] += 1.0  # a_0 = 1, on the diagonal
     for k in range(squarings.max(initial=0)):  # C <- C^2 - S^2, S <- 2 S C
         c, s = cos[double := squarings > k], sin[double]
         cos[double], sin[double] = c @ c - s @ s, 2.0 * (s @ c)
@@ -310,15 +323,13 @@ def _exp_minus_i(m):
     return u
 
 
-def _horner(x, coefficients, p, q):
-    """sum_j coefficients[j] x^j by Horner's rule, into p and q by turns; it
-    returns the one written last, q for five coefficients."""
-    np.multiply(x, coefficients[-1], out=p)
-    for k, c in enumerate(coefficients[-2::-1]):
-        if k:
-            p, q = np.matmul(p, x, out=q), p
-        p.reshape(-1, 16)[:, ::5] += c  # the diagonals, a view
-    return p
+def _series(y, q, out, ratios):
+    """p(x) - a_0 = a_4 (y q + (a_1/a_3) q + (a_2/a_4 - a_1/a_3) y), ratios as `_COS`
+    holds them, q = (a_3/a_4) x + y (overwritten), into out (a new array if None)."""
+    p = np.matmul(y, q, out=out)
+    p += np.multiply(q, ratios[1], out=q)
+    p += np.multiply(y, ratios[2], out=q)
+    return np.multiply(p, ratios[3], out=p)
 
 
 def _step_unitaries(fn, runs):
@@ -345,16 +356,17 @@ def _step_unitaries(fn, runs):
     if not np.all(np.isfinite(generators)):
         raise ValueError("Hamiltonian produced non-finite entries")
     sub = generators[:, _SUB_ROW, _SUB_COL]
-    p = np.ones((len(sub), 4), dtype=complex)
-    # np.angle, not sub / abs(sub), which overflows on a subnormal entry
-    p[:, 1:] = np.exp(-1j * np.add.accumulate(np.angle(sub), axis=1))
+    # p = exp(-i phases): np.angle, not sub / abs(sub), which overflows on a subnormal
+    phases = np.zeros((len(sub), 4))
+    np.add.accumulate(np.angle(sub), axis=1, out=phases[:, 1:])
     real = np.ascontiguousarray(generators.real)
     real[:, _SUB_ROW, _SUB_COL] = real[:, _SUB_COL, _SUB_ROW] = np.abs(sub)
     del generators, sub
     batch = _exp_minus_i(real)
-    del real  # two batch arrays, not three, in each einsum
-    batch = np.einsum("ni,nij->nij", p.conj(), batch)
-    return np.einsum("nij,nj->nij", batch, p)
+    del real
+    batch *= (conj_p := np.exp(1j * phases))[:, :, None]
+    batch *= np.conj(conj_p, out=conj_p)[:, None, :]  # p
+    return batch
 
 
 def _partials(batch, counts):
@@ -507,8 +519,7 @@ class _Segment:
         for no leading step and for whole steps that fold (`_Plan.folding`)."""
         t_close = self.g0 + self.n * h
         return ((self.t0, self.g0 - self.t0, 1) if self.g0 > self.t0 else None,
-                None if self.folds else (self.g0, h, self.n),
-                (t_close, self.t - t_close, 1))
+                None if self.folds else (self.g0, h, self.n), (t_close, self.t - t_close, 1))
 
 
 class _Plan:

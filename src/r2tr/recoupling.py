@@ -189,10 +189,8 @@ def operating_point(delta_i, delta_s, omega_1, constants, condition_class, m):
 
 def make_plan(delta_i, delta_s, omega_r, condition_class, m, omega_1, constants):
     """Assemble a RecouplingPlan for a solved (or proposed) amplitude."""
-    point = operating_point(delta_i, delta_s, omega_1, constants,
-                            condition_class, m)
-    residual = condition_residual(delta_i, delta_s, omega_1, omega_r,
-                                  condition_class, m)
+    point = operating_point(delta_i, delta_s, omega_1, constants, condition_class, m)
+    residual = condition_residual(delta_i, delta_s, omega_1, omega_r, condition_class, m)
     warning = None
     shift_diff_hz = angular_to_hz(abs(delta_s - delta_i))
     if shift_diff_hz < SELECTIVITY_THRESHOLD_HZ:
@@ -200,17 +198,11 @@ def make_plan(delta_i, delta_s, omega_r, condition_class, m, omega_1, constants)
                    f"{SELECTIVITY_THRESHOLD_HZ:.0f} Hz; selective recoupling "
                    "may be inefficient")
     return RecouplingPlan(
-        condition_class=condition_class,
-        m=m,
-        delta_i=delta_i,
-        delta_s=delta_s,
-        omega_1=omega_1,
-        residual=residual,
-        coupling=point.coupling,
+        condition_class=condition_class, m=m, delta_i=delta_i, delta_s=delta_s,
+        omega_1=omega_1, residual=residual, coupling=point.coupling,
         exchange_period=point.exchange_period,
         mechanism_score=_mechanism_score(condition_class, delta_i, delta_s, omega_1),
-        warning=warning,
-    )
+        warning=warning)
 
 
 def solve_plans(delta_i, delta_s, omega_r, constants,

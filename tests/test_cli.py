@@ -130,6 +130,14 @@ def test_fit_exchange_period_matches_curve_fit_on_fig3a():
 @given(period=st.floats(1e-3, 1e-2), guess=st.floats(0.95, 1.05), samples=st.integers(12, 200),
        span=st.floats(1.2, 3.0), amplitude=st.floats(0.05, 0.5),
        offset=st.floats(-0.2, 0.2), delay=st.floats(-0.5, 0.5))
+# the sample floor, where the closed-form projection has least to work with:
+# 4 samples (the four model parameters), 7, and 8 (the window's threshold)
+@example(period=3.3e-3, guess=0.95, samples=4, span=1.2, amplitude=0.45, offset=0.05,
+         delay=0.2)
+@example(period=3.3e-3, guess=1.0, samples=7, span=2.0, amplitude=0.45, offset=0.05,
+         delay=0.2)
+@example(period=3.3e-3, guess=1.0, samples=8, span=2.0, amplitude=0.45, offset=0.05,
+         delay=0.2)
 def test_fit_exchange_period_matches_curve_fit_on_cosines(period, guess, samples, span,
                                                           amplitude, offset, delay):
     # exchange-like curves, which start near their minimum, and a guess
@@ -424,6 +432,11 @@ DIGIT_LIMIT = 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000
                  id="coupling-zero"),
     pytest.param(_coupling_system(1e308), "system.coupling_hz", ["gate"],
                  id="coupling-overflow"),
+    # no distance gives gamma = 0 a coupling: the field named is gamma's
+    pytest.param(_system(gamma_rad_per_s_per_t=0.0), "system.gamma_rad_per_s_per_t",
+                 ["solve"], id="gamma-zero"),
+    pytest.param({"system": dict(_coupling_system(1e3)["system"], gamma_rad_per_s_per_t=1e200)},
+                 "system.gamma_rad_per_s_per_t", SIMULATE, id="gamma-overflow"),
     # segment and FID sizes are rejected from the config, before any allocation
     pytest.param({"sequence": [PULSE, {"type": "cw", "duration_s": 1.0}]},
                  "sequence[1].duration_s", SIMULATE, id="cw-too-many-steps"),

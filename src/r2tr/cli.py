@@ -23,7 +23,7 @@ from .hamiltonian import dipolar_constants
 from .operators import BASIS_LABELS, SPINS, SpinSystem, basis_state
 from .propagator import (DEFAULT_STEPS_PER_PERIOD, MAX_STEPS_PER_PERIOD, CWSegment,
                          Delay, IdealRotation, RFDrive, extract_gate, run_sequence)
-from .readout import MAX_FID_POINTS, classify_state, fid_to_csv, simulate_fid, stick_spectrum
+from .readout import classify_state, fid_points, fid_to_csv, simulate_fid, stick_spectrum
 from .recoupling import (brentq, operating_point, plans_to_json, solve_plans,
                          theta_from_period)
 from .units import (GAMMA_C13, HBAR, MU0_OVER_4PI, TWO_PI, deg_to_rad,
@@ -31,7 +31,7 @@ from .units import (GAMMA_C13, HBAR, MU0_OVER_4PI, TWO_PI, deg_to_rad,
 
 SCHEMA_VERSION = 1
 # size limits, checked before anything is allocated: integrator steps of one
-# CW or delay segment and points of an FID, readout.MAX_FID_POINTS (the
+# CW or delay segment and points of an FID, by readout.fid_points (the
 # samples of a trajectory are bounded by propagator.MAX_SAMPLES)
 MAX_SEGMENT_STEPS = 2**20
 # angular frequencies of the period fit's scan over [0.5, 1.5] of the guess
@@ -300,8 +300,10 @@ def fit_exchange_period(times, values, period_guess):
     closed form, what the centred values keep off the centred cos(wt) and
     sin(wt), made orthogonal by Gram-Schmidt. S is scanned over [0.5, 1.5] 2
     pi/period_guess, and the best w is refined to the root of dS/dw next to
-    the scan's minimum. Raises RuntimeError when there is no fit: fewer
-    samples than the four model parameters, or no minimum inside the scan.
+    the scan's minimum: of the scanned w within roundoff of the least S (exact
+    aliases of the samples), the one nearest the guess. Raises RuntimeError
+    when there is no fit: fewer samples than the four model parameters, or no
+    minimum inside the scan.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -335,8 +337,11 @@ def fit_exchange_period(times, values, period_guess):
 
     scan = np.linspace(0.5, 1.5, FIT_SCAN_POINTS) * (TWO_PI / period_guess)
     chunk = max(1, FIT_SCAN_ELEMENTS // len(times))
-    k = int(np.argmin(np.concatenate([project(scan[i:i + chunk])[0]
-                                      for i in range(0, len(scan), chunk)])))
+    scanned = np.concatenate([project(scan[i:i + chunk])[0] for i in range(0, len(scan), chunk)])
+    # exact aliases fit equally well, each S at a roundoff of eps |centred|^2:
+    # of the frequencies within 64 times that of the least S, the one nearest the guess
+    near = np.flatnonzero(scanned <= scanned.min() + 64.0 * math.ulp(1.0) * (centred @ centred))
+    k = int(near[np.argmin(abs(near - len(scan) // 2))])
     if k in (0, len(scan) - 1):
         raise RuntimeError("no cosine fit: the best frequency is at the edge of the scan")
     ends = {(lo := scan[k - 1]): slope(lo), (hi := scan[k + 1]): slope(hi)}
@@ -551,11 +556,10 @@ def cmd_spectrum(cfg, args):
     if fid_blk:
         dwell = _number(_field(fid_blk, "dwell_s", "fid"), "fid.dwell_s", positive=True)
         duration = _number(_field(fid_blk, "duration_s", "fid"), "fid.duration_s", 0.0)
-        # simulate_fid's check, before the walk
-        if duration / dwell > MAX_FID_POINTS + 0.5:
-            raise ConfigError(
-                f"fid.duration_s = {duration:g} s is {duration / dwell:.4g} points "
-                f"at fid.dwell_s = {dwell:g} s; at most {MAX_FID_POINTS} are allowed")
+        try:  # simulate_fid's check, before the walk
+            fid_points(duration, dwell)
+        except ValueError as exc:  # the number checks above leave only the point cap
+            raise ConfigError(f"fid.duration_s: {exc}") from exc
     rho = basis_state(_choice(cfg.get("initial_state", "00"), BASIS_LABELS, "initial_state"))
     if events:
         u = extract_gate(system, events, steps_per_period=steps)

@@ -36,11 +36,12 @@ of the first r steps, U_T = P(floor(s/2))^T P(ceil(s/2)) and P(r) =
 conj(P(s - r)) U_T. So U_T is complex symmetric: its real and imaginary
 parts A and B commute and share real orthogonal eigenvectors O, from one
 eigh of A + sqrt(2) B, and eigh of B splits each run of eigenvalues it
-mixes. A Hamiltonian whose segments' whole steps sum past ceil(s/2) folds
-them by this Floquet form, P(r) O e^{i K theta} O^T P(r0)^dag, unitary at
-roundoff for any K: one chain of half a period's steps, at its first
-segment, gives (U_T, O, theta) and each P(r) they need. Other segments fold
-their own whole steps. A segment's cost grows with s, not with its length.
+mixes. Every time-dependent Hamiltonian with a whole step folds all its
+whole steps by this Floquet form, P(r) O e^{i K theta} O^T P(r0)^dag,
+unitary at roundoff for any K: one chain of half a period's steps, at its
+first segment, gives (U_T, O, theta) and each P(r) they need. A segment's
+cost grows with s, not with its length: a Hamiltonian's whole steps cost
+ceil(s/2) step exponentials and one 4x4 eigh, however few they are.
 
 A segment is integrated in the singlet-triplet band frame Q = (S, T0, A,
 B): S and T0 are the singlet and central triplet, and A, B = (+-e^{-i phi}
@@ -61,15 +62,15 @@ at any length.
 A fold returns its partial products at the step counts asked of it, by
 batched pairwise products, with no Python loop per step. A time-dependent
 Hamiltonian's steps are exponentiated in batches of at most ceil(s/2), each
-by one generator call and one batched exponential: its half-period batch if
-it folds, gone once chained, and its edge batch (leading and closing steps
-and unfolded whole steps, in walk order) in chunks, each built as the walk
-reaches it, once the chunk before has gone. Its partials and chunk go at
-its last segment. So s <= MAX_STEPS_PER_PERIOD bounds a walk's memory: per
-time-dependent Hamiltonian still to come, a chunk of ceil(s/2) step
-unitaries of 256 B and, if it folds, at most s partials under 0.5 kB each;
-three batch arrays while a batch is built or chained; the plan, under 1 kB
-per timed event and 0.1 kB per residue; and the samples.
+by one generator call and one batched exponential: its half-period batch,
+gone once chained, and its edge batch, one leading and closing step per
+segment in walk order, in chunks, each built as the walk reaches it, once
+the chunk before has gone. Its partials and chunk go at its last step.
+So s <= MAX_STEPS_PER_PERIOD bounds a walk's memory: per time-dependent
+Hamiltonian still to come, a chunk of ceil(s/2) step unitaries of 256 B
+and at most s partials under 0.5 kB each; three batch arrays while a batch
+is built or chained; the plan, under 0.3 kB per timed event (0.55 kB while
+it is made) and 0.1 kB per residue; and the samples.
 """
 
 import cmath
@@ -333,25 +334,23 @@ def _series(y, q, out, ratios):
 
 
 def _step_unitaries(fn, runs):
-    """fn's step unitaries U_k = exp(-i M_k) as one batch, for `runs` of
-    (t0, step, steps): from each t0, the steps k < steps from t0 + k step,
-    in turn. They are built from their edges (not a grid), checked and
-    exponentiated.
+    """fn's step unitaries U_k = exp(-i M_k) as one batch: of one run [(t0,
+    step, steps)], the steps k < steps from t0 + k step; or of single steps,
+    an (m, 2) array of (t0, step) rows, in turn. They are built from their
+    edges (not a grid), checked and exponentiated.
 
     Each generator M is tridiagonal and is decomposed as D M D^dag, D =
     diag(p) with p_j = exp(-i sum_{m<j} theta_m) and theta_m the phase of
     M[m+1, m]. This unitary similarity makes M real symmetric tridiagonal,
     with subdiagonal |M[m+1, m]|, and U = D^dag exp(-i D M D^dag) D.
     """
-    edges = [np.arange(steps + 1, dtype=float) * step + t0 for t0, step, steps in runs]
-    if len(runs) == 1:
-        generators = fn.step_generators(edges[0], runs[0][1])
-    else:  # no step joins one run's last edge to the next run's first
-        counts = [steps for *_, steps in runs]
-        firsts = np.cumsum([0, *counts[:-1]]) + np.arange(len(runs))
-        generators = fn.step_generators(
-            np.concatenate(edges), np.repeat([step for _, step, _ in runs], counts),
-            np.concatenate([np.arange(steps) + j for j, steps in zip(firsts, counts)]))
+    if isinstance(runs, np.ndarray):  # each step's edges (t0, step + t0), as a run's
+        edges = np.column_stack((runs[:, 0], runs[:, 1] + runs[:, 0])).ravel()
+        generators = fn.step_generators(edges, runs[:, 1], np.arange(0, len(edges), 2))
+    else:
+        (t0, step, steps), = runs
+        edges = np.arange(steps + 1, dtype=float) * step + t0
+        generators = fn.step_generators(edges, step)
     del edges
     if not np.all(np.isfinite(generators)):
         raise ValueError("Hamiltonian produced non-finite entries")
@@ -506,20 +505,11 @@ def _band_key(event):
 class _Segment:
     """A timed event of a walk, as `_Plan` holds it."""
 
-    __slots__ = ("event", "key", "t0", "t", "j0", "g0", "n", "marks", "folds", "where",
-                 "last")
+    __slots__ = ("event", "key", "t0", "t", "j0", "g0", "n", "marks")
 
     def __init__(self, event, key, t0, t, j0, g0, n, marks):
         self.event, self.key, self.t0, self.t, self.j0 = event, key, t0, t, j0
         self.g0, self.n, self.marks = g0, n, marks
-        self.folds, self.where, self.last = False, None, False
-
-    def runs(self, h):
-        """Its leading, whole and closing steps, each (t0, step, steps): None
-        for no leading step and for whole steps that fold (`_Plan.folding`)."""
-        t_close = self.g0 + self.n * h
-        return ((self.t0, self.g0 - self.t0, 1) if self.g0 > self.t0 else None,
-                None if self.folds else (self.g0, h, self.n), (t_close, self.t - t_close, 1))
 
 
 class _Plan:
@@ -529,25 +519,23 @@ class _Plan:
     first sample is taken (t = 0, after any leading pulses), and a timed
     event of nonzero duration as a _Segment: from t0 to t a leading step to
     g0 (if g0 > t0), n whole steps of h from grid point j0 and a closing
-    step, samples after the step counts `marks` (0 to n + 1), and whole
-    steps from its Hamiltonian's period partials if it `folds`. `chunks`
-    holds each time-dependent Hamiltonian's edge batch, by `_band_key`: its
-    segments' runs in walk order, in chunks of at most ceil(s/2) steps, at a
-    segment's `where` (chunk, offset); `last` marks its last segment.
-    `folding` maps each Hamiltonian whose whole steps sum past ceil(s/2) to
-    its segments' residues (j0 + c) mod s: r0, each sampled c and n. More
-    than MAX_SAMPLES `samples` raise a ValueError; the count stops there.
+    step, and samples after the step counts `marks` (0 to n + 1). Per
+    Hamiltonian, by `_band_key`, `edges` holds its segments' leading and
+    closing steps as one (m, 2) array of (t0, step) rows, in walk order.
+    `folding` maps each time-dependent Hamiltonian with a whole step to its
+    segments' residues (j0 + c) mod s: r0, each sampled c and n. More than
+    MAX_SAMPLES `samples` raise a ValueError; the count stops there.
     """
 
     def __init__(self, system, events, s, sample_every):
         self.h = h = system.rotor_period / s
         self.t_a = t_a = -(system.phi % math.tau) / system.omega_r
-        self.half = half = -(-s // 2)
+        self.half = -(-s // 2)
         constants = dipolar_constants(system.gamma, system.r, system.theta_d)
         # D(t) = 0 leaves every segment's H constant, even with the dipolar term on
         varies = bool(constants.omega_d1 or constants.omega_d2)
-        self.walk, self.chunks, self.folding = [], {}, {}
-        keys, segments = {}, {}  # per Hamiltonian: one key object, its time-dependent segments
+        self.walk, self.edges, self.folding = [], {}, {}
+        keys = {}  # one key object per Hamiltonian
         t, due, last, samples = 0.0, sample_every, None, 0
         for event in events:
             if isinstance(event, IdealRotation):
@@ -571,30 +559,17 @@ class _Plan:
                 break
             if marks:
                 last = g0 + marks[-1] * h if marks[-1] <= n else t
-            seg = _Segment(event, keys.setdefault(key, key), t0, t, j0, g0, n, tuple(marks))
-            self.walk.append(seg)
-            if key[1] and varies:
-                segments.setdefault(key, []).append(seg)
-        for key, segs in segments.items():
-            segs[-1].last = True
-            if sum(seg.n for seg in segs) > half:  # then every segment with whole steps folds
-                self.folding[key] = {(seg.j0 + c) % s for seg in segs if seg.n
-                                     for c in (0, *seg.marks, seg.n) if c <= seg.n}
-            chunks, fill = self.chunks.setdefault(key, [[]]), 0
-            for seg in segs:
-                seg.folds = seg.n > 0 and key in self.folding
-                where = []
-                for run in seg.runs(h):
-                    if not (run and run[2]):
-                        where.append(None)
-                        continue
-                    if fill + run[2] > half:
-                        chunks.append([])
-                        fill = 0
-                    where.append((len(chunks) - 1, fill))
-                    chunks[-1].append(run)
-                    fill += run[2]
-                seg.where = tuple(where)
+            key = keys.setdefault(key, key)
+            self.walk.append(_Segment(event, key, t0, t, j0, g0, n, tuple(marks)))
+            edges = self.edges.setdefault(key, [])
+            if g0 > t0:
+                edges.append((t0, g0 - t0))
+            t_close = g0 + n * h
+            edges.append((t_close, t - t_close))
+            if n and key[1] and varies:
+                self.folding.setdefault(key, set()).update(
+                    (j0 + c) % s for c in (0, *marks, n) if c <= n)
+        self.edges = {key: np.array(steps) for key, steps in self.edges.items()}
         # a sample due at the end gives way to U, which the walk takes last
         self.samples = samples + (not samples or last < t)
         if self.samples > MAX_SAMPLES:
@@ -607,27 +582,44 @@ def _propagate(system, events, steps_per_period, sample_every):
     """Walk a sequence once, as `_Plan` plans it; return its unitary U and
     the samples [(t, V)].
 
-    With the plan, this is the only dispatch over event types, and every
-    segment is folded into U here. V is the unitary a measurement at t sees: U so far, taken
-    through the closing trim pulse inside a CW segment. Samples are taken at
-    t = 0 after any leading pulses, at the step counts `_sample_steps` finds
-    for each multiple of sample_every, and at the end of the sequence (the
-    last sample holds U, so it includes any trailing pulses). Each fold
-    starts from the identity; the walk multiplies it in.
+    Every segment is folded into U here; event types are told apart here,
+    in `_band_key`, in `_Plan` and in `extract_gate`'s precession sum. V is
+    the unitary a measurement at t sees: U so far, taken through the
+    closing trim pulse inside a CW segment. Samples are taken at t = 0
+    after any leading pulses, at the step counts `_sample_steps` finds for
+    each multiple of sample_every, and at the end of the sequence (the last
+    sample holds U, so it includes any trailing pulses). Each fold starts
+    from the identity; the walk multiplies it in.
 
     A segment's leading step, n whole steps and closing step end at counts
-    0 to n + 1. After c whole steps its unitary is P(r) O e^{i (q - q0)
-    theta} O^T P(r0)^dag if it folds, from its Hamiltonian's one
-    `_period_partials` call, (q, r) = divmod(j0 + c, s) and (q0, r0) =
-    divmod(j0, s) in Python integers; else P(c), folded from g0: the sampled
-    c and n at once.
+    0 to n + 1. A Hamiltonian's k-th leading or closing step is `edges`
+    row k of the plan; if the Hamiltonian is time-dependent, its unitary is
+    step k mod ceil(s/2) of the edge chunk k // ceil(s/2). After c whole
+    steps its unitary is P(r) O e^{i (q - q0) theta} O^T P(r0)^dag, from its
+    Hamiltonian's one `_period_partials` call, (q, r) = divmod(j0 + c, s)
+    and (q0, r0) = divmod(j0, s) in Python integers. A constant
+    Hamiltonian's steps are `_fold`ed in closed form: the sampled c and n at
+    once.
     """
     s = _steps(steps_per_period, "steps_per_period")
     plan = _Plan(system, events, s, sample_every)
     constants = dipolar_constants(system.gamma, system.r, system.theta_d)
     eye = np.eye(4, dtype=complex)
     u, samples = eye, []
-    folds, edges = {}, {}  # per Hamiltonian: _period_partials, (index, chunk)
+    folds, chunks, taken = {}, {}, {}  # per Hamiltonian: _period_partials, chunk, edge steps
+
+    def edge(fn, key):  # the unitary of its Hamiltonian's next leading or closing step
+        k = taken[key] = taken.get(key, -1) + 1
+        if fn.eigh is not None:  # a constant H, in closed form
+            return _fold(fn, *plan.edges[key][k], {1})[1]
+        if not k % plan.half:
+            chunks[key] = None  # the chunk before goes first
+            chunks[key] = _step_unitaries(fn, plan.edges[key][k:k + plan.half])
+        if k + 1 < len(plan.edges[key]):
+            return chunks[key][k % plan.half]
+        folds.pop(key, None)  # its last step: its partials and chunk go
+        return chunks.pop(key)[k % plan.half]
+
     for seg in plan.walk:
         if seg is None:
             samples.append((0.0, u))
@@ -645,43 +637,29 @@ def _propagate(system, events, steps_per_period, sample_every):
         if key in plan.folding and key not in folds:  # one call serves all its segments
             folds[key] = _period_partials(_step_unitaries(fn, [(plan.t_a, plan.h, plan.half)]),
                                           s, plan.folding[key])
-
-        def fold(k, counts):  # the partials of the leading (0), whole (1) or closing (2) run
-            if seg.where is None:
-                start, step, _ = seg.runs(plan.h)[k]
-                return _fold(fn, start, step, counts)
-            index, offset = seg.where[k]
-            if edges.get(key, (None,))[0] != index:
-                edges[key] = None  # the chunk before goes first
-                edges[key] = index, _step_unitaries(fn, plan.chunks[key][index])
-            return _partials(edges[key][1][offset:offset + max(counts)], counts)
-
         # into the segment's band frame and, at each sample and the end, out
         u_close = u_close @ fn.frame
         u = fn.frame.conj().T @ u_open @ u
         g0, n, marks = seg.g0, seg.n, seg.marks
         if g0 > seg.t0:  # the leading step
-            u = fold(0, {1})[1] @ u
+            u = edge(fn, key) @ u
         if 0 in marks:  # only ever at the end of a leading step
             samples.append((g0, u_close @ u))
         counts = [c for c in marks if 0 < c <= n] + [n]  # the sampled whole steps, then all
-        if seg.folds:
+        if n and key in plan.folding:
             (q0, r0), (qs, rs) = divmod(seg.j0, s), zip(*[divmod(seg.j0 + c, s) for c in counts])
             (_, o, theta), partial = folds[key]
             phases = np.exp(1j * np.multiply.outer([float(q - q0) for q in qs], theta))
             units = np.array([partial[r] for r in rs]) @ ((o * phases[:, None]) @ o.T) @ (
                 partial[r0].conj().T @ u)
-        else:  # a short or constant segment folds its own whole steps
-            partial = fold(1, set(counts)) if n else {0: eye}
+        else:  # a constant Hamiltonian, or no whole step
+            partial = _fold(fn, g0, plan.h, set(counts)) if n else {0: eye}
             units = np.array([partial[c] for c in counts]) @ u
         samples += zip([g0 + c * plan.h for c in counts[:-1]], u_close @ units[:-1])
-        u = fold(2, {1})[1] @ units[-1]
+        u = edge(fn, key) @ units[-1]
         if n + 1 in marks:
             samples.append((seg.t, u_close @ u))
         u = u_close @ u
-        if seg.last:  # its Hamiltonian's partials and chunk go
-            for kept in (folds, edges):
-                kept.pop(key, None)
     t = plan.end
     if samples and samples[-1][0] >= t:
         t = samples.pop()[0]  # a sample at the end gives way to U

@@ -48,27 +48,32 @@ def stick_spectrum(rho, system):
     return Spectrum(peaks=tuple(peaks))
 
 
-def simulate_fid(rho, system, duration, dwell):
-    """Complex FID after an ideal nonselective pi/2 pulse.
-
-    The register then precesses freely under its offsets only; the detected
-    signal is <I_+ + S_+>(t). For |0>|0> this is
-    (1/2)(e^{i dw_I t} + e^{i dw_S t}). A duration that is not a finite
-    non-negative number of at most MAX_FID_POINTS dwells, or a dwell that is
-    not a finite positive one, raises a ValueError that names it.
-    """
+def fid_points(duration, dwell):
+    """round(duration / dwell), an FID's point count. A duration that is not
+    a finite non-negative number of at most MAX_FID_POINTS dwells, or a dwell
+    that is not a finite positive one, raises a ValueError that names it."""
     duration = number(duration, "duration", 0.0)
     dwell = number(dwell, "dwell", positive=True)
     # round(x) passes the (even) limit exactly when x > limit + 1/2, or x = inf
     if duration / dwell > MAX_FID_POINTS + 0.5:
         raise ValueError(f"duration must be at most {MAX_FID_POINTS} dwells of {dwell:g} s, "
                          f"got {duration:g} s")
+    return int(round(duration / dwell))
+
+
+def simulate_fid(rho, system, duration, dwell):
+    """Complex FID after an ideal nonselective pi/2 pulse, of `fid_points`
+    points.
+
+    The register then precesses freely under its offsets only; the detected
+    signal is <I_+ + S_+>(t). For |0>|0> this is
+    (1/2)(e^{i dw_I t} + e^{i dw_S t}).
+    """
+    ts = np.arange(fid_points(duration, dwell)) * float(dwell)  # dwell, checked there
     u = rotation_unitary(SPINS, "y", np.pi / 2)
     rho = u @ np.asarray(rho, dtype=complex) @ u.conj().T
     amplitudes = [expectation(rho, spin_operator(k, "+")) for k in SPINS]
-    npts = int(round(duration / dwell))
-    ts = np.arange(npts) * dwell
-    fid = np.zeros(npts, dtype=complex)
+    fid = np.zeros(len(ts), dtype=complex)
     for amp, dw in zip(amplitudes, system.offsets):
         fid += amp * np.exp(1j * dw * ts)
     return fid

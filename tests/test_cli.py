@@ -138,6 +138,13 @@ def test_fit_exchange_period_matches_curve_fit_on_fig3a():
          delay=0.2)
 @example(period=3.3e-3, guess=1.0, samples=8, span=2.0, amplitude=0.45, offset=0.05,
          delay=0.2)
+# exact aliases, whose S is roundoff as the period's is: 7 samples over 2.5
+# periods also fit 0.714 of the period, and 4 over 1.2 periods also fit the
+# scan's edge; the fit takes the frequency nearest the guess
+@example(period=3.3e-3, guess=1.0, samples=7, span=2.5, amplitude=0.45, offset=0.05,
+         delay=0.2)
+@example(period=3.3e-3, guess=1.0, samples=4, span=1.2, amplitude=0.45, offset=0.05,
+         delay=0.2)
 def test_fit_exchange_period_matches_curve_fit_on_cosines(period, guess, samples, span,
                                                           amplitude, offset, delay):
     # exchange-like curves, which start near their minimum, and a guess
@@ -160,9 +167,11 @@ def test_fit_exchange_period_without_interior_minimum():
 
 
 def test_fit_exchange_period_memory_is_a_chunk_of_the_scan():
-    # the scan's frequencies are QR-factored a chunk at a time, so a long
-    # window holds less than one (FIT_SCAN_POINTS, samples, 3) design array;
-    # factoring the whole scan at once holds several
+    # the scan projects its frequencies a chunk at a time, about five
+    # (frequencies, samples) float arrays a chunk, and a window past the
+    # chunk's element budget one frequency at a time: about ten window-sized
+    # arrays, less than one (FIT_SCAN_POINTS, samples, 3) array; projecting
+    # the whole scan at once holds several
     samples, period = 4000, 3.2e-3
     t = np.linspace(0.0, 2.0 * period, samples)
     iz = 0.02 - 0.48 * np.cos(TWO_PI * t / period)
@@ -184,9 +193,9 @@ def noisy_exchange(samples, period=3.2e-3, seed=0):
 
 @pytest.mark.parametrize("chunk", [0, 5, 7, 15])
 def test_fit_exchange_period_is_bitwise_the_same_in_any_chunk(chunk, monkeypatch):
-    # the scan's QR is per frequency, so how many frequencies share a chunk
-    # changes no bit of the fit; a budget below the window's samples (chunk
-    # 0 here) takes one frequency at a time
+    # the scan's projection sums each frequency's row on its own, so how
+    # many frequencies share a chunk changes no bit of the fit; a budget
+    # below the window's samples (chunk 0 here) takes one frequency at a time
     samples = 2000
     t, iz = noisy_exchange(samples)
     monkeypatch.setattr(cli, "FIT_SCAN_ELEMENTS", FIT_SCAN_POINTS * samples)
@@ -196,9 +205,9 @@ def test_fit_exchange_period_is_bitwise_the_same_in_any_chunk(chunk, monkeypatch
 
 
 def test_fit_exchange_period_memory_is_bounded_on_a_long_window():
-    # a window above the scan's element budget is factored one frequency at a
-    # time: about ten window-sized float arrays, where the whole scan would
-    # hold about 900
+    # a window above the scan's element budget is projected one frequency at
+    # a time: about nine window-sized float arrays, where the whole scan would
+    # hold about 500, five per frequency
     samples = 2**16 + 1
     assert samples > FIT_SCAN_ELEMENTS
     t, iz = noisy_exchange(samples)

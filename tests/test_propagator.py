@@ -649,6 +649,20 @@ def test_numpy_flags_and_indices_give_the_gate_of_python_ones():
     assert np.array_equal(u, reference)
 
 
+def test_numpy_durations_give_the_gate_of_python_floats():
+    # numpy floats compare to numpy bools, which the plan's list of a
+    # segment's edge steps cannot be scaled by
+    system = glycine_system(phi=0.3)
+
+    def walk(to_time):
+        return [CWSegment(CW_2339, to_time(0.3 * T_R)), Delay(to_time(2.3 * T_R)),
+                CWSegment(CW_2339, to_time(1.3 * T_R))]
+
+    reference = extract_gate(system, walk(float), steps_per_period=64)
+    assert np.array_equal(extract_gate(system, walk(np.float64), steps_per_period=64),
+                          reference)
+
+
 def test_extract_gate_reads_an_iterator_of_events_once():
     # the walk and the precession sum both read the events: an iterator
     # spent by the walk left the precession in
@@ -1340,15 +1354,21 @@ def test_gate_of_a_segment_of_any_length_is_unitary(duration):
        part=st.floats(0.0, 1.0), rest=st.floats(0.0, 1.0, exclude_max=True))
 def test_short_segment_makes_at_most_two_more_eigh_matrices(phi, steps_per_period, part,
                                                             rest):
-    # a lone segment of n <= ceil(s/2) whole steps does not fold: they are
-    # folded as they are, with at most a leading and a closing step around
-    # them: at most n + 2 matrices
-    whole = math.floor(part * -(-steps_per_period // 2))
+    # a lone segment of n <= ceil(s/2) whole steps folds them if n > 0, as
+    # a longer one does: its half-period batch and one eigh for the Floquet
+    # form of U_T, which may split at most two runs of eigenvalues it mixed.
+    # Its leading and closing steps add at most 2 matrices; with n = 0 they
+    # are all it makes, and it makes no eigh
+    whole = math.floor(part * (half := -(-steps_per_period // 2)))
     seg = CWSegment(drive=CW_2339, duration=(whole + rest) * T_R / steps_per_period)
+    system = glycine_system(phi=phi)
+    n = sum(planned.n for planned in propagator._Plan(system, [seg], steps_per_period,
+                                                      math.inf).walk
+            if isinstance(planned, propagator._Segment))
     _, exponentiated, decomposed = _counted(lambda: extract_gate(
-        glycine_system(phi=phi), [seg], steps_per_period=steps_per_period))
-    assert sum(exponentiated) <= whole + 2
-    assert decomposed == 0
+        system, [seg], steps_per_period=steps_per_period))
+    assert sum(exponentiated) - (half if n else 0) in ((1, 2) if seg.duration else (0,))
+    assert 1 <= decomposed <= 3 if n else decomposed == 0
 
 
 # ------------------------------- constant segments and one fold per Hamiltonian
@@ -1418,6 +1438,12 @@ def test_each_hamiltonian_folds_one_half_period_per_walk():
         assert sum(calls) == 2 * 512 + 5 + 5
         assert calls == [512, 6, 512, 4]
         assert decomposed == 2
+    # two CW segments of 0.1 T_r, whose whole steps sum to under 512, fold
+    # as well: the drive's half-period batch, then one batch of the two
+    # segments' leading and closing steps, and one eigh for U_T's Floquet form
+    _, calls, decomposed = _counted(lambda: extract_gate(
+        glycine_system(phi=0.3), [CWSegment(CW_2339, 0.1 * T_R)] * 2, steps_per_period=1024))
+    assert (calls, decomposed) == ([512, 4], 1)
 
 
 @pytest.mark.parametrize("events, kept", [
@@ -1512,19 +1538,24 @@ def test_repeated_hamiltonian_walk_matches_lab_frame_walk(walk):
 @given(walk=repeated_walks())
 def test_walk_exponentiates_and_samples_what_its_plan_counts(walk):
     # the plan fixes the work before any matrix: each folded Hamiltonian's
-    # half-period batch and the runs of its edge batch, as step exponentials,
-    # one 4x4 eigh per segment of a constant Hamiltonian and one per folded
-    # Hamiltonian, for the Floquet form of its U_T; any other eigh splits a
-    # run of 2 or 3 eigenvalues that the Floquet eigh mixed, at most two runs
-    # per U_T. No batch passes ceil(s/2) steps, and the walk returns
-    # as many samples as the plan counts
+    # half-period batch and the steps of its edge batch, as step
+    # exponentials, one 4x4 eigh per segment of a constant Hamiltonian and
+    # one per folded Hamiltonian, for the Floquet form of its U_T; any other
+    # eigh splits a run of 2 or 3 eigenvalues that the Floquet eigh mixed, at
+    # most two runs per U_T. Every time-dependent Hamiltonian with a whole
+    # step folds, and its edge batch holds one leading step per segment off
+    # the grid and one closing step per segment. No batch passes ceil(s/2)
+    # steps, and the walk returns as many samples as the plan counts
     phi, events, sample_every, steps_per_period = walk
     system = glycine_system(phi=phi)
     plan = propagator._Plan(system, events, steps_per_period, sample_every)
     segments = [seg for seg in plan.walk if isinstance(seg, propagator._Segment)]
-    steps = len(plan.folding) * plan.half + sum(
-        run[2] for chunks in plan.chunks.values() for chunk in chunks for run in chunk)
-    constant = sum(seg.where is None for seg in segments)
+    varying = [seg for seg in segments if seg.key[1]]  # dipolar on: glycine's D(t) != 0
+    assert set(plan.folding) == {seg.key for seg in varying if seg.n}
+    edges = {seg.key: len(plan.edges[seg.key]) for seg in varying}
+    assert sum(edges.values()) == sum(1 + (seg.g0 > seg.t0) for seg in varying)
+    steps = len(plan.folding) * plan.half + sum(edges.values())
+    constant = len(segments) - len(varying)
     (_, samples), shapes, decomposed = _recorded(lambda: propagator._propagate(
         system, events, steps_per_period, sample_every), np.shape)
     calls = [shape[0] for shape in shapes]

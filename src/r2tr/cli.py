@@ -26,7 +26,7 @@ from .propagator import (DEFAULT_STEPS_PER_PERIOD, MAX_STEPS_PER_PERIOD, CWSegme
 from .readout import classify_state, fid_points, fid_to_csv, simulate_fid, stick_spectrum
 from .recoupling import (brentq, operating_point, plans_to_json, solve_plans,
                          theta_from_period)
-from .units import (GAMMA_C13, HBAR, MU0_OVER_4PI, TWO_PI, deg_to_rad,
+from .units import (GAMMA_C13, HBAR, MU0_OVER_4PI, TWO_PI, FieldError, deg_to_rad,
                     hz_to_angular, number, ppm_to_hz, rad_to_deg)
 
 SCHEMA_VERSION = 1
@@ -139,8 +139,8 @@ def build_system(cfg):
     try:
         return SpinSystem(gamma=gamma, r=r, theta_d=theta_d, phi=phi, omega_r=omega_r,
                           offsets=angular)
-    except ValueError as exc:  # SpinSystem's range checks, named r or omega_r
-        field = {"r": r_key, "omega_r": "spin_rate_hz"}[str(exc).split()[0]]
+    except FieldError as exc:  # SpinSystem's range checks, on r or omega_r
+        field = {"r": r_key, "omega_r": "spin_rate_hz"}[exc.field]
         if field == r_key and not 0.0 < MU0_OVER_4PI * gamma * gamma * HBAR < math.inf:
             field = "gamma_rad_per_s_per_t"  # no r gives this gamma a coupling
         raise ConfigError(f"system.{field} = {blk[field]!r}: {exc}") from exc
@@ -301,9 +301,10 @@ def fit_exchange_period(times, values, period_guess):
     sin(wt), made orthogonal by Gram-Schmidt. S is scanned over [0.5, 1.5] 2
     pi/period_guess, and the best w is refined to the root of dS/dw next to
     the scan's minimum: of the scanned w within roundoff of the least S (exact
-    aliases of the samples), the one nearest the guess. Raises RuntimeError
-    when there is no fit: fewer samples than the four model parameters, or no
-    minimum inside the scan.
+    aliases of the samples), the one nearest the guess. dS/dw is taken on one
+    frequency's row by the scan's sums, and its p and q at the root are the
+    fit's. Raises RuntimeError when there is no fit: fewer samples than the
+    four model parameters, or no minimum inside the scan.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -315,40 +316,45 @@ def fit_exchange_period(times, values, period_guess):
     centred = values - (mean := values.mean())
 
     def project(w):
-        # per frequency in w: S, the coefficients p and q of cos(wt) and
-        # sin(wt), and the columns' means, from row-wise sums of the centred
-        # columns c and s, with s less its part along c
+        # S per frequency in w, from row-wise sums of the centred columns c
+        # and s, with s less its part along c
         columns = np.stack((np.cos(wt := np.multiply.outer(w, times)), np.sin(wt)))
-        columns -= (means := np.einsum("kij->ki", columns) / len(times))[:, :, None]
+        columns -= (np.einsum("kij->ki", columns) / len(times))[:, :, None]
         cos, sin = columns
         cc, sc = np.einsum("ij,kij->ki", cos, columns)
         cc = np.maximum(cc, math.ulp(0.0))  # a zero column's sums are 0: it takes no part
-        sin -= (along := sc / cc)[:, None] * cos
+        sin -= (sc / cc)[:, None] * cos
         ss = np.maximum(np.einsum("ij,ij->i", sin, sin), math.ulp(0.0))
         vc, vs = np.einsum("kij,j->ki", columns, centred)
-        p, q = vc / cc, vs / ss
-        return centred @ centred - vc * p - vs * q, p - q * along, q, means
+        return centred @ centred - vc * (vc / cc) - vs * (vs / ss)
 
     def slope(w):
-        # dS/dw at w's least-squares coefficients, whose own derivatives drop out
-        _, (p,), (q,), ((mc,), (ms,)) = project(np.array([w]))
+        # dS/dw at w's least-squares coefficients, whose own derivatives drop
+        # out; the coefficients by `project`'s sums on w's row alone, recorded
         cos, sin = np.cos(wt := w * times), np.sin(wt)
+        mc, ms = np.einsum("i->", cos) / len(times), np.einsum("i->", sin) / len(times)
+        c, s = cos - mc, sin - ms
+        cc = max(np.einsum("i,i->", c, c), math.ulp(0.0))
+        s -= (along := np.einsum("i,i->", c, s) / cc) * c
+        q = np.einsum("i,i->", s, centred) / max(np.einsum("i,i->", s, s), math.ulp(0.0))
+        fits[w] = (p := np.einsum("i,i->", c, centred) / cc - q * along), q, mc, ms
         return float((p * (cos - mc) + q * (sin - ms) - centred) @ (times * (q * cos - p * sin)))
 
     scan = np.linspace(0.5, 1.5, FIT_SCAN_POINTS) * (TWO_PI / period_guess)
     chunk = max(1, FIT_SCAN_ELEMENTS // len(times))
-    scanned = np.concatenate([project(scan[i:i + chunk])[0] for i in range(0, len(scan), chunk)])
+    scanned = np.concatenate([project(scan[i:i + chunk]) for i in range(0, len(scan), chunk)])
     # exact aliases fit equally well, each S at a roundoff of eps |centred|^2:
     # of the frequencies within 64 times that of the least S, the one nearest the guess
     near = np.flatnonzero(scanned <= scanned.min() + 64.0 * math.ulp(1.0) * (centred @ centred))
     k = int(near[np.argmin(abs(near - len(scan) // 2))])
     if k in (0, len(scan) - 1):
         raise RuntimeError("no cosine fit: the best frequency is at the edge of the scan")
+    fits = {}  # (p, q, mc, ms) at each w that `slope` takes, brentq's root among them
     ends = {(lo := scan[k - 1]): slope(lo), (hi := scan[k + 1]): slope(hi)}
     if not ends[lo] < 0.0 < ends[hi]:
         raise RuntimeError("no cosine fit: no minimum next to the best scanned frequency")
     w = brentq(lambda x: ends.pop(x) if x in ends else slope(x), lo, hi, xtol=1e-15 * hi)
-    _, (p,), (q,), ((mc,), (ms,)) = project(np.array([w]))
+    p, q, mc, ms = fits[w]
     # a + p cos(wt) + q sin(wt) = a + b cos(wt + c)
     return PeriodFit(period=TWO_PI / w, amplitude=2.0 * math.hypot(p, q),
                      offset=mean - p * mc - q * ms, phase=math.atan2(-q, p) % TWO_PI)
@@ -418,8 +424,8 @@ def _simulate_report(cfg):
     initial = basis_state(_choice(cfg.get("initial_state", "00"), BASIS_LABELS, "initial_state"))
     try:
         traj = run_sequence(initial, system, events, sample_every, steps_per_period=steps)
-    except ValueError as exc:  # too many samples, counted before any is taken
-        if not str(exc).startswith("sample_every"):
+    except FieldError as exc:  # too many samples, counted before any is taken
+        if exc.field != "sample_every":
             raise
         raise ConfigError(f"sample_every_s: {exc}") from exc
     report = {"max_transfer_fraction": transfer_fraction(traj)}

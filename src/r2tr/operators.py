@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .hamiltonian import dipolar_constants
-from .units import TWO_PI, number
+from .units import TWO_PI, FieldError, number
 
 SPINS = (0, 1)  # spin indices: 0 is I, 1 is S
 BASIS_LABELS = ("00", "01", "10", "11")
@@ -120,7 +120,7 @@ class SpinSystem:
     offsets  (I, S) resonance offsets from the RF carrier, rad/s; exactly two
 
     r and gamma must give a finite, positive dipolar coupling. A field out
-    of range raises a ValueError that starts with its name.
+    of range raises a FieldError (a ValueError) that names it.
     """
 
     gamma: float
@@ -145,7 +145,7 @@ class SpinSystem:
         except (ValueError, ArithmeticError):
             coupling = math.nan
         if not (math.isfinite(coupling) and coupling > 0):
-            raise ValueError(f"r = {self.r!r} m (with gamma = {self.gamma!r}) gives a dipolar "
+            raise FieldError("r", f"r = {self.r!r} m with gamma = {self.gamma!r} gives a dipolar "
                              f"coupling of {coupling:g} rad/s; it must be finite and positive")
         object.__setattr__(self, "theta_d", _fold_theta(self.theta_d))
 

@@ -60,13 +60,14 @@ unitaries are W e^{-i Lambda x} W^T at its times x: one eigh, no step error
 at any length.
 
 A fold returns its partial products at the step counts asked of it, by
-batched pairwise products, with no Python loop per step. A time-dependent
-Hamiltonian's steps are exponentiated in batches of at most ceil(s/2), each
-by one generator call and one batched exponential: its half-period batch,
-gone once chained, and its edge batch, one leading and closing step per
-segment in walk order, in chunks, each built as the walk reaches it, once
-the chunk before has gone. Its partials and chunk go at its last step.
-So s <= MAX_STEPS_PER_PERIOD bounds a walk's memory: per time-dependent
+batched pairwise products, with no Python loop per step. Each batch of
+steps takes one generator call and one batched exponential. A time-
+dependent Hamiltonian's edge steps, a leading and a closing step per
+segment in walk order, go in chunks of ceil(s/2), each built as the walk
+reaches it once the chunk before has gone; if it folds, its first batch is
+its half period's ceil(s/2) steps, gone once chained, and its first chunk:
+at most 2 ceil(s/2) steps. Its partials and chunk go at its last step. So
+s <= MAX_STEPS_PER_PERIOD bounds a walk's memory: per time-dependent
 Hamiltonian still to come, a chunk of ceil(s/2) step unitaries of 256 B
 and at most s partials under 0.5 kB each; three batch arrays while a batch
 is built or chained; the plan, under 0.3 kB per timed event (0.55 kB while
@@ -83,11 +84,11 @@ import numpy as np
 
 from .hamiltonian import dipolar_constants, effective_field
 from .operators import SPINS, check_density_matrix, spin_operator
-from .units import number, shown
+from .units import FieldError, number, shown
 
 DEFAULT_STEPS_PER_PERIOD = 1024
-# the most steps per rotor period, which sizes a fold: ceil(s/2) steps, 1 MB a
-# batch array. On glycine, doubling s changes a rotor period's propagator by
+# the most steps per rotor period, which sizes a fold: 2 ceil(s/2) steps, 2 MB
+# a batch array. On glycine, doubling s changes a rotor period's propagator by
 # 5e-13 from 2**11, 2e-13 from 2**12 and 2**13, and 4e-13 from 2**14: roundoff
 MAX_STEPS_PER_PERIOD = 2**13
 # the most samples of one walk, each about 1 kB until the trajectory is reduced
@@ -333,37 +334,38 @@ def _series(y, q, out, ratios):
     return np.multiply(p, ratios[3], out=p)
 
 
-def _step_unitaries(fn, runs):
+def _step_unitaries(fn, runs, rows=None):
     """fn's step unitaries U_k = exp(-i M_k) as one batch: of one run [(t0,
-    step, steps)], the steps k < steps from t0 + k step; or of single steps,
-    an (m, 2) array of (t0, step) rows, in turn. They are built from their
-    edges (not a grid), checked and exponentiated.
+    step, steps)], the steps k < steps from t0 + k step; then of any rows, an
+    (m, 2) array of single steps (t0, step), in turn (runs may be []). One
+    generator call builds them from their edges (not a grid), and one call
+    exponentiates them.
 
     Each generator M is tridiagonal and is decomposed as D M D^dag, D =
     diag(p) with p_j = exp(-i sum_{m<j} theta_m) and theta_m the phase of
     M[m+1, m]. This unitary similarity makes M real symmetric tridiagonal,
     with subdiagonal |M[m+1, m]|, and U = D^dag exp(-i D M D^dag) D.
     """
-    if isinstance(runs, np.ndarray):  # each step's edges (t0, step + t0), as a run's
-        edges = np.column_stack((runs[:, 0], runs[:, 1] + runs[:, 0])).ravel()
-        generators = fn.step_generators(edges, runs[:, 1], np.arange(0, len(edges), 2))
-    else:
-        (t0, step, steps), = runs
-        edges = np.arange(steps + 1, dtype=float) * step + t0
+    (t0, step, steps), = runs or [(0.0, 0.0, 0)]
+    edges = np.arange(steps + 1, dtype=float) * step + t0
+    if rows is None:
         generators = fn.step_generators(edges, step)
+    else:  # each row's edges (t0, t0 + step) after the run's, and a dt per step
+        edges = np.append(edges, rows.cumsum(axis=1))
+        generators = fn.step_generators(edges, np.r_[np.full(steps, step), rows[:, 1]],
+                                        np.r_[:steps, steps + 1:len(edges):2])
     del edges
     if not np.all(np.isfinite(generators)):
         raise ValueError("Hamiltonian produced non-finite entries")
     sub = generators[:, _SUB_ROW, _SUB_COL]
-    # p = exp(-i phases): np.angle, not sub / abs(sub), which overflows on a subnormal
-    phases = np.zeros((len(sub), 4))
-    np.add.accumulate(np.angle(sub), axis=1, out=phases[:, 1:])
+    # p = exp(-i phases), 0 in row 0: np.angle, not sub / abs(sub), which overflows on a subnormal
+    phases = np.add.accumulate(np.angle(sub), axis=1)
     real = np.ascontiguousarray(generators.real)
     real[:, _SUB_ROW, _SUB_COL] = real[:, _SUB_COL, _SUB_ROW] = np.abs(sub)
     del generators, sub
     batch = _exp_minus_i(real)
     del real
-    batch *= (conj_p := np.exp(1j * phases))[:, :, None]
+    batch *= (conj_p := np.exp(1j * np.column_stack((np.zeros(len(batch)), phases))))[:, :, None]
     batch *= np.conj(conj_p, out=conj_p)[:, None, :]  # p
     return batch
 
@@ -524,7 +526,7 @@ class _Plan:
     closing steps as one (m, 2) array of (t0, step) rows, in walk order.
     `folding` maps each time-dependent Hamiltonian with a whole step to its
     segments' residues (j0 + c) mod s: r0, each sampled c and n. More than
-    MAX_SAMPLES `samples` raise a ValueError; the count stops there.
+    MAX_SAMPLES `samples` raise a FieldError; the count stops there.
     """
 
     def __init__(self, system, events, s, sample_every):
@@ -573,8 +575,8 @@ class _Plan:
         # a sample due at the end gives way to U, which the walk takes last
         self.samples = samples + (not samples or last < t)
         if self.samples > MAX_SAMPLES:
-            raise ValueError(f"sample_every = {sample_every!r} s takes more than "
-                             f"{MAX_SAMPLES} samples of this sequence")
+            raise FieldError("sample_every", f"sample_every = {sample_every!r} s takes "
+                             f"more than {MAX_SAMPLES} samples of this sequence")
         self.end = t
 
 
@@ -594,12 +596,12 @@ def _propagate(system, events, steps_per_period, sample_every):
     A segment's leading step, n whole steps and closing step end at counts
     0 to n + 1. A Hamiltonian's k-th leading or closing step is `edges`
     row k of the plan; if the Hamiltonian is time-dependent, its unitary is
-    step k mod ceil(s/2) of the edge chunk k // ceil(s/2). After c whole
-    steps its unitary is P(r) O e^{i (q - q0) theta} O^T P(r0)^dag, from its
-    Hamiltonian's one `_period_partials` call, (q, r) = divmod(j0 + c, s)
-    and (q0, r0) = divmod(j0, s) in Python integers. A constant
-    Hamiltonian's steps are `_fold`ed in closed form: the sampled c and n at
-    once.
+    step k mod ceil(s/2) of the edge chunk k // ceil(s/2), chunk 0 of a
+    folding one from its half-period batch. After c whole steps its unitary
+    is P(r) O e^{i (q - q0) theta} O^T P(r0)^dag, from its Hamiltonian's
+    one `_period_partials` call, (q, r) = divmod(j0 + c, s) and (q0, r0) =
+    divmod(j0, s) in Python integers. A constant Hamiltonian's steps are
+    `_fold`ed in closed form: the sampled c and n at once.
     """
     s = _steps(steps_per_period, "steps_per_period")
     plan = _Plan(system, events, s, sample_every)
@@ -612,9 +614,9 @@ def _propagate(system, events, steps_per_period, sample_every):
         k = taken[key] = taken.get(key, -1) + 1
         if fn.eigh is not None:  # a constant H, in closed form
             return _fold(fn, *plan.edges[key][k], {1})[1]
-        if not k % plan.half:
+        if not k % plan.half and (k or key not in chunks):  # a fold brings chunk 0
             chunks[key] = None  # the chunk before goes first
-            chunks[key] = _step_unitaries(fn, plan.edges[key][k:k + plan.half])
+            chunks[key] = _step_unitaries(fn, [], plan.edges[key][k:k + plan.half])
         if k + 1 < len(plan.edges[key]):
             return chunks[key][k % plan.half]
         folds.pop(key, None)  # its last step: its partials and chunk go
@@ -634,9 +636,12 @@ def _propagate(system, events, steps_per_period, sample_every):
         else:
             u_open, u_close = trim_unitaries(system, event)
             fn = _segment_hamiltonian(system, event.drive, constants)
-        if key in plan.folding and key not in folds:  # one call serves all its segments
-            folds[key] = _period_partials(_step_unitaries(fn, [(plan.t_a, plan.h, plan.half)]),
-                                          s, plan.folding[key])
+        if key in plan.folding and key not in folds:  # one batch serves all its segments
+            batch = _step_unitaries(fn, [(plan.t_a, plan.h, plan.half)],
+                                    plan.edges[key][:plan.half])
+            folds[key] = _period_partials(batch[:plan.half], s, plan.folding[key])
+            chunks[key] = batch[plan.half:].copy()  # its edge chunk 0
+            del batch
         # into the segment's band frame and, at each sample and the end, out
         u_close = u_close @ fn.frame
         u = fn.frame.conj().T @ u_open @ u

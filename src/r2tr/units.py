@@ -7,8 +7,9 @@ formats, reporting).
 Every number that enters the package, from a library caller or a config,
 goes through `number`: a finite real number, not a bool or a string, at or
 above its bound. Anything else, an integer past the float range included,
-raises a ValueError that starts with `<field> must be finite`. This module
-imports nothing from the package, so every module can use it.
+raises a FieldError, a ValueError with a `field` attribute, that starts
+`<field> must be finite`. This module imports nothing from the package, so
+every module can use it.
 """
 
 import math
@@ -25,11 +26,19 @@ GAMMA_C13 = 6.7283e7  # rad s^-1 T^-1
 GLYCINE_CC_DISTANCE = 1.53e-10  # m, literature C-C bond length
 
 
+class FieldError(ValueError):
+    """A ValueError about one named input: its `field` attribute names it."""
+
+    def __init__(self, field, message):
+        super().__init__(message)
+        self.field = field
+
+
 def number(value, field, minimum=-math.inf, positive=False):
     """value as a float, if it is a finite real number (an int or a float,
     Python's or numpy's, but not a bool, which would pass for 0 or 1) at
     least `minimum`, and above 0 if `positive`; else a ValueError naming
-    `field`."""
+    `field` (a FieldError)."""
     x = math.nan
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
@@ -39,8 +48,8 @@ def number(value, field, minimum=-math.inf, positive=False):
     if math.isfinite(x) and x >= minimum and (x > 0 or not positive):
         return x
     bound = " and > 0" if positive else "" if minimum == -math.inf else f" and >= {minimum:g}"
-    raise ValueError(f"{field} must be finite, a real number, not a bool{bound}, "
-                     f"got {shown(value)}")
+    raise FieldError(field, f"{field} must be finite, a real number, not a bool{bound}, "
+                            f"got {shown(value)}")
 
 
 def shown(value):

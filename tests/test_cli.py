@@ -21,7 +21,7 @@ from r2tr.cli import (FIT_SCAN_ELEMENTS, FIT_SCAN_POINTS, ConfigError, _simulate
 from r2tr.operators import BASIS_LABELS, basis_state
 from r2tr.propagator import CWSegment, Delay, IdealRotation, Trajectory, extract_gate
 from r2tr.readout import simulate_fid, stick_spectrum
-from r2tr.units import TWO_PI
+from r2tr.units import TWO_PI, FieldError
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -102,15 +102,19 @@ def test_fit_exchange_period_synthetic():
     assert fit.amplitude == pytest.approx(0.96, rel=1e-6)
 
 
+def fit_window(times, values, period_guess):
+    """The samples fit_exchange_period fits: two guessed periods, if they hold 8."""
+    mask = times <= 2.0 * period_guess + 1e-12
+    return (times[mask], values[mask]) if mask.sum() >= 8 else (times, values)
+
+
 def curve_fit_period(times, values, period_guess):
     """Period of scipy's Levenberg-Marquardt cosine fit, from the analytic
     guess and over the same window as fit_exchange_period, run to
     convergence (its default tolerances stop it about 1e-9 short)."""
     from scipy.optimize import OptimizeWarning, curve_fit
 
-    mask = times <= 2.0 * period_guess + 1e-12
-    if mask.sum() >= 8:
-        times, values = times[mask], values[mask]
+    times, values = fit_window(times, values, period_guess)
     p0 = (values.mean(), 0.5 * (values.max() - values.min()), TWO_PI / period_guess, math.pi)
     with warnings.catch_warnings():
         # an exact cosine leaves no residual to estimate the covariance from
@@ -126,10 +130,21 @@ def test_fit_exchange_period_matches_curve_fit_on_fig3a():
     assert report["fitted_period_s"] == pytest.approx(expected, rel=1e-9)
 
 
+# exchange-like curves, which start near their minimum, and a guess within 5%
+# of the period
+COSINES = dict(period=st.floats(1e-3, 1e-2), guess=st.floats(0.95, 1.05),
+               samples=st.integers(12, 200), span=st.floats(1.2, 3.0),
+               amplitude=st.floats(0.05, 0.5), offset=st.floats(-0.2, 0.2),
+               delay=st.floats(-0.5, 0.5))
+
+
+def cosine_samples(period, samples, span, amplitude, offset, delay):
+    t = np.linspace(0.0, span * period, samples)
+    return t, offset - amplitude * np.cos(TWO_PI * t / period + delay)
+
+
 @settings(max_examples=40, deadline=None)
-@given(period=st.floats(1e-3, 1e-2), guess=st.floats(0.95, 1.05), samples=st.integers(12, 200),
-       span=st.floats(1.2, 3.0), amplitude=st.floats(0.05, 0.5),
-       offset=st.floats(-0.2, 0.2), delay=st.floats(-0.5, 0.5))
+@given(**COSINES)
 # the sample floor, where the closed-form projection has least to work with:
 # 4 samples (the four model parameters), 7, and 8 (the window's threshold)
 @example(period=3.3e-3, guess=0.95, samples=4, span=1.2, amplitude=0.45, offset=0.05,
@@ -147,15 +162,33 @@ def test_fit_exchange_period_matches_curve_fit_on_fig3a():
          delay=0.2)
 def test_fit_exchange_period_matches_curve_fit_on_cosines(period, guess, samples, span,
                                                           amplitude, offset, delay):
-    # exchange-like curves, which start near their minimum, and a guess
-    # within 5% of the period: curve_fit is a local search from the guess,
-    # and it reaches the least-squares optimum from there
-    t = np.linspace(0.0, span * period, samples)
-    iz = offset - amplitude * np.cos(TWO_PI * t / period + delay)
+    # curve_fit is a local search from the guess, and it reaches the
+    # least-squares optimum from there
+    t, iz = cosine_samples(period, samples, span, amplitude, offset, delay)
     fit = fit_exchange_period(t, iz, guess * period)
     assert fit.period == pytest.approx(curve_fit_period(t, iz, guess * period), rel=1e-9)
     assert fit.period == pytest.approx(period, rel=1e-9)
     assert fit.amplitude == pytest.approx(2.0 * amplitude, rel=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**COSINES)
+def test_fit_exchange_period_coefficients_are_the_least_squares_ones(period, guess, samples,
+                                                                     span, amplitude, offset,
+                                                                     delay):
+    # the fit reports the coefficients its last dS/dw took at the root: those
+    # of the linear least-squares fit of a + p cos(wt) + q sin(wt) at w = 2 pi
+    # / period, here by lstsq, within 1e-9 of the swing
+    t, iz = cosine_samples(period, samples, span, amplitude, offset, delay)
+    fit = fit_exchange_period(t, iz, guess * period)
+    t, iz = fit_window(t, iz, guess * period)
+    wt = TWO_PI / fit.period * t
+    (a, p, q), *_ = np.linalg.lstsq(np.column_stack((np.ones_like(t), np.cos(wt), np.sin(wt))),
+                                    iz, rcond=None)
+    tol = 1e-9 * 2.0 * math.hypot(p, q)
+    assert fit.amplitude == pytest.approx(2.0 * math.hypot(p, q), rel=1e-9)
+    assert fit.offset == pytest.approx(a, abs=tol)
+    assert abs(math.remainder(fit.phase - math.atan2(-q, p), TWO_PI)) <= 1e-9
 
 
 def test_fit_exchange_period_without_interior_minimum():
@@ -504,6 +537,23 @@ def test_cli_malformed_config_exit_code(tmp_path, capsys, patch, field, argv):
     assert field in captured.err
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize("target, field, shown", [
+    ("SpinSystem", "r", "system.r_angstrom"),
+    ("SpinSystem", "omega_r", "system.spin_rate_hz"),
+    ("run_sequence", "sample_every", "sample_every_s"),
+])
+def test_cli_reads_a_library_error_by_its_field(tmp_path, capsys, monkeypatch, target, field,
+                                                shown):
+    # the CLI names the config field of a library ValueError by its `field`
+    # attribute, not by its message: a reworded message still exits 2
+    def reject(*args, **kwargs):
+        raise FieldError(field, "reworded")
+
+    monkeypatch.setattr(cli, target, reject)
+    assert main(["simulate", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {shown}")
 
 
 @pytest.mark.parametrize("argv", [

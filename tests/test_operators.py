@@ -133,8 +133,9 @@ def test_spin_system_rejects_non_finite_fields(field, value):
     # which math.isfinite takes as 1, spun the pair at 1 rad/s; a string
     # raised a TypeError that named no field
     bad = (TWO_PI * 2000.0, value) if field == "offsets" else value
-    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+    with pytest.raises(ValueError, match=f"^{field} must be finite") as exc:
         _system(**{field: bad})
+    assert exc.value.field == field  # what the CLI reads, not the message
 
 
 @pytest.mark.parametrize("field, value", [
@@ -146,8 +147,9 @@ def test_spin_system_rejects_out_of_range_fields(field, value):
     # (omega_r**2 underflows) were taken, and extract_gate then raised a bare
     # ZeroDivisionError; below 1 Hz of spinning the step integrals lose the
     # dipolar term
-    with pytest.raises(ValueError, match=f"^{field} "):
+    with pytest.raises(ValueError, match=f"^{field} ") as exc:
         _system(**{field: value})
+    assert exc.value.field == field  # what the CLI reads, not the message
 
 
 def test_theta_folding():

@@ -628,10 +628,12 @@ def test_too_many_samples_fail_before_any_step_is_exponentiated():
     events = [CWSegment(CW_2339, 1e4 * T_R)]
     start = time.perf_counter()
     with pytest.MonkeyPatch.context() as monkeypatch, pytest.raises(
-            ValueError, match=f"^sample_every = 0.0 s takes more than {MAX_SAMPLES} samples"):
+            ValueError, match=f"^sample_every = 0.0 s takes more than {MAX_SAMPLES} samples"
+    ) as exc:
         monkeypatch.setattr(propagator, "_exp_minus_i", None)
         monkeypatch.setattr(np.linalg, "eigh", None)
         run_sequence(basis_state("00"), glycine_system(), events, 0.0)
+    assert exc.value.field == "sample_every"  # what the CLI reads, not the message
     assert time.perf_counter() - start < 5.0
 
 
@@ -1299,6 +1301,26 @@ def test_half_period_fold_matches_a_full_period_fold(fold):
         assert np.max(np.abs(partial[r] - full[r])) < 1e-12, r
 
 
+@settings(max_examples=60, deadline=None)
+@given(segment=pair_segments(), steps=st.integers(1, 1024), rows=st.lists(
+    st.tuples(st.floats(-1.0, 2.0), st.floats(0.0, 1.0)), max_size=8))
+def test_merged_batch_is_bitwise_the_run_then_the_rows(segment, steps, rows):
+    # a folded Hamiltonian's first batch: its half-period run of whole steps
+    # and single (t0, step) rows, on the run's grid, inside it or outside it,
+    # in one generator call and one exponential. Each step is formed from its
+    # own edges and dt alone, so the batch is, byte for byte, the run's batch
+    # and then the rows'
+    system, drive, dipolar_on, *_ = segment
+    fn = harmonic_hamiltonian(system, drive, dipolar_on)
+    t_a, h = -fn.phi / fn.omega_r, system.rotor_period / steps
+    run = [(t_a, h, -(-steps // 2))]
+    rows = np.array([(t_a + start * system.rotor_period, fraction * h)
+                     for start, fraction in rows]).reshape(-1, 2)
+    merged = _step_unitaries(fn, run, rows)
+    assert merged.tobytes() == np.concatenate(
+        (_step_unitaries(fn, run), _step_unitaries(fn, [], rows))).tobytes()
+
+
 def _period_propagator(fold):
     """U_T of a period fold, from rotor phase 0."""
     fn, steps = fold
@@ -1425,25 +1447,26 @@ def test_each_hamiltonian_folds_one_half_period_per_walk():
     # closing step. The whole steps of each Hamiltonian's segments sum past
     # 1024 / 2, whether each segment is longer than half a period or not, so
     # each of the two Hamiltonians folds 512 steps once: 2 * 512 + 5 + 5.
-    # Each Hamiltonian hands the step exponential its half-period batch and
-    # then one batch of its leading and closing steps, 6 for the drive's
-    # three segments and 4 for the delay's two: 4 calls, where one call per
-    # leading or closing step made 12, and short segments that fold their
-    # own whole steps made 5 calls of about 307 steps. Each Hamiltonian's
-    # U_T takes its Floquet form once, at its first segment: 2 eigh, not one
-    # per segment
+    # Each Hamiltonian hands the step exponential one batch, at its first
+    # segment: its half-period steps, then its leading and closing steps, 6
+    # for the drive's three segments and 4 for the delay's two. That is 2
+    # calls, where a second call per Hamiltonian for its edge steps made 4,
+    # one call per leading or closing step made 12, and short segments that
+    # fold their own whole steps made 5 calls of about 307 steps. Each
+    # Hamiltonian's U_T takes its Floquet form once, at its first segment: 2
+    # eigh, not one per segment
     for periods in (10.37, 0.3):
         _, calls, decomposed = _counted(lambda: extract_gate(
             glycine_system(phi=0.3), _alternating_walk(periods), steps_per_period=1024))
         assert sum(calls) == 2 * 512 + 5 + 5
-        assert calls == [512, 6, 512, 4]
+        assert calls == [512 + 6, 512 + 4]
         assert decomposed == 2
     # two CW segments of 0.1 T_r, whose whole steps sum to under 512, fold
-    # as well: the drive's half-period batch, then one batch of the two
+    # as well: one batch of the drive's half-period steps and the two
     # segments' leading and closing steps, and one eigh for U_T's Floquet form
     _, calls, decomposed = _counted(lambda: extract_gate(
         glycine_system(phi=0.3), [CWSegment(CW_2339, 0.1 * T_R)] * 2, steps_per_period=1024))
-    assert (calls, decomposed) == ([512, 4], 1)
+    assert (calls, decomposed) == ([512 + 4], 1)
 
 
 @pytest.mark.parametrize("events, kept", [
@@ -1544,8 +1567,10 @@ def test_walk_exponentiates_and_samples_what_its_plan_counts(walk):
     # eigh splits a run of 2 or 3 eigenvalues that the Floquet eigh mixed, at
     # most two runs per U_T. Every time-dependent Hamiltonian with a whole
     # step folds, and its edge batch holds one leading step per segment off
-    # the grid and one closing step per segment. No batch passes ceil(s/2)
-    # steps, and the walk returns as many samples as the plan counts
+    # the grid and one closing step per segment. A folded Hamiltonian's first
+    # batch holds its ceil(s/2) half-period steps and its first ceil(s/2)
+    # edge steps, no other batch passes ceil(s/2) steps, and the walk returns
+    # as many samples as the plan counts
     phi, events, sample_every, steps_per_period = walk
     system = glycine_system(phi=phi)
     plan = propagator._Plan(system, events, steps_per_period, sample_every)
@@ -1562,6 +1587,7 @@ def test_walk_exponentiates_and_samples_what_its_plan_counts(walk):
     splits = len(decomposed) - decomposed.count((4, 4))
     assert (sum(calls), decomposed.count((4, 4))) == (steps, constant + len(plan.folding))
     assert splits <= 2 * len(plan.folding)
-    assert max(calls, default=0) <= plan.half
+    assert sorted(c for c in calls if c > plan.half) == sorted(
+        plan.half + min(plan.half, edges[key]) for key in plan.folding)
     assert len(samples) == plan.samples
 

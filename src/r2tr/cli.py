@@ -30,10 +30,10 @@ from .units import (GAMMA_C13, HBAR, MU0_OVER_4PI, TWO_PI, FieldError, deg_to_ra
                     hz_to_angular, number, ppm_to_hz, rad_to_deg)
 
 SCHEMA_VERSION = 1
-# size limits, checked before anything is allocated: integrator steps of one
-# CW or delay segment and points of an FID, by readout.fid_points (the
-# samples of a trajectory are bounded by propagator.MAX_SAMPLES)
-MAX_SEGMENT_STEPS = 2**20
+# the phase, in rad, that one float step of a timed event's end time t,
+# math.ulp(t), may make at the walk's fastest angular frequency: past it, float
+# time no longer resolves the rotor phase that locks a CW segment's recoupling
+GRID_TOLERANCE = 1e-9
 # angular frequencies of the period fit's scan over [0.5, 1.5] of the guess
 FIT_SCAN_POINTS = 101
 # the period fit's scan projects its frequencies in chunks of at most this many
@@ -102,13 +102,13 @@ def build_system(cfg):
 
     def scalar(key, default=None):
         value = _field(blk, key, "system") if default is None else blk.get(key, default)
-        return _number(value, f"system.{key}")
+        return number(value, f"system.{key}")
 
     def offsets(key):
         values = blk[key]
         if not (isinstance(values, list) and len(values) == 2):
             raise ConfigError(f"system.{key} must list the I and S offsets, got {values!r}")
-        return [_number(v, f"system.{key}[{k}]") for k, v in enumerate(values)]
+        return [number(v, f"system.{key}[{k}]") for k, v in enumerate(values)]
 
     gamma = scalar("gamma_rad_per_s_per_t", GAMMA_C13)
     has_r = "r_angstrom" in blk
@@ -119,7 +119,7 @@ def build_system(cfg):
         r_key, r = "r_angstrom", scalar("r_angstrom") * 1e-10
     else:
         r_key = "coupling_hz"
-        r = _radius_from_coupling(gamma, _number(blk[r_key], "system.coupling_hz", positive=True))
+        r = _radius_from_coupling(gamma, number(blk[r_key], "system.coupling_hz", positive=True))
     if "offsets_hz" in blk:
         key = "offsets_hz"
         offsets_hz = offsets(key)
@@ -127,14 +127,14 @@ def build_system(cfg):
         if "carrier_mhz" not in blk:
             raise ConfigError("'offsets_ppm' requires 'carrier_mhz'")
         key = "offsets_ppm"
-        carrier = _number(blk["carrier_mhz"], "system.carrier_mhz", positive=True)
+        carrier = number(blk["carrier_mhz"], "system.carrier_mhz", positive=True)
         offsets_hz = [ppm_to_hz(p, carrier) for p in offsets(key)]
     else:
         raise ConfigError("system block needs 'offsets_hz' or 'offsets_ppm'")
     theta_d = deg_to_rad(scalar("theta_d_deg", 0.0))
     phi = deg_to_rad(scalar("phi_deg", 0.0))
-    omega_r = hz_to_angular(_number(_field(blk, "spin_rate_hz", "system"),
-                                    "system.spin_rate_hz"))
+    omega_r = hz_to_angular(number(_field(blk, "spin_rate_hz", "system"),
+                                   "system.spin_rate_hz"))
     angular = tuple(_angular(o, f"system.{key}[{k}]") for k, o in enumerate(offsets_hz))
     try:
         return SpinSystem(gamma=gamma, r=r, theta_d=theta_d, phi=phi, omega_r=omega_r,
@@ -161,14 +161,6 @@ def _field(blk, key, where):
     if key not in blk:
         raise ConfigError(f"{where}.{key} is missing")
     return blk[key]
-
-
-def _number(value, field, minimum=-math.inf, positive=False):
-    """`units.number` of a config value, its ValueError a ConfigError."""
-    try:
-        return number(value, field, minimum, positive)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _angular(hz, field):
@@ -199,8 +191,8 @@ def build_drive(cfg):
     if "drive" not in cfg:
         return None
     blk = _block(cfg, "drive")
-    amplitude = _number(_field(blk, "amplitude_hz", "drive"), "drive.amplitude_hz", 0.0)
-    phase = _number(blk.get("phase_deg", 0.0), "drive.phase_deg")
+    amplitude = number(_field(blk, "amplitude_hz", "drive"), "drive.amplitude_hz", 0.0)
+    phase = number(blk.get("phase_deg", 0.0), "drive.phase_deg")
     return RFDrive(omega_1=_angular(amplitude, "drive.amplitude_hz"), phase=deg_to_rad(phase))
 
 
@@ -208,9 +200,9 @@ def build_events(cfg, drive):
     """Event list from the config's sequence block; CW events use `drive`
     (the config's `build_drive`, None without a drive block).
 
-    A missing field, an event that is not an object, an angle or duration
-    that is not a finite number (or is negative), or a bad drive.trim or
-    drive.skip_trim raises a ConfigError that names the field. The event
+    A missing field, an event that is not an object or a bad drive.trim or
+    drive.skip_trim raises a ConfigError, and an angle or duration that is
+    not a finite number (or is negative) a FieldError: each names the field. The event
     types check spin indices, target lists, axes and flags: their ValueError
     becomes a ConfigError naming the field, e.g. sequence[0].axis.
     """
@@ -224,10 +216,10 @@ def build_events(cfg, drive):
             raise ConfigError(f"{where} must be an object, got {ev!r}")
         kind = ev.get("type")
         if kind in ("cw", "delay"):
-            duration = _number(_field(ev, "duration_s", where),
-                               f"{where}.duration_s", 0.0)
+            duration = number(_field(ev, "duration_s", where),
+                              f"{where}.duration_s", 0.0)
         if kind == "pulse":
-            angle = deg_to_rad(_number(_field(ev, "angle_deg", where), f"{where}.angle_deg"))
+            angle = deg_to_rad(number(_field(ev, "angle_deg", where), f"{where}.angle_deg"))
             event, fields = IdealRotation, dict(targets=_field(ev, "targets", where),
                                                 axis=_field(ev, "axis", where), angle=angle)
         elif kind == "cw":
@@ -248,32 +240,33 @@ def build_events(cfg, drive):
 
 
 def build_run(cfg):
-    """(system, drive, events, steps per period) of a config; a CW or delay
-    segment of more than MAX_SEGMENT_STEPS integrator steps raises a
-    ConfigError naming its sequence[k].duration_s."""
+    """(system, drive, events, steps per period) of a config. A timed event
+    whose end time t gives ulp(t) times the walk's fastest angular frequency
+    (2 omega_r, an offset or the drive's omega_1) above GRID_TOLERANCE raises
+    a ConfigError naming its sequence[k].duration_s."""
     system = build_system(cfg)
     drive = build_drive(cfg)
     events = build_events(cfg, drive)
     steps = _steps_per_period(cfg)
+    omega = max(2.0 * system.omega_r, *map(abs, system.offsets), drive.omega_1 if drive else 0.0)
+    t = 0.0  # each timed event's end, summed as propagator._Plan sums the walk's time
     for k, event in enumerate(events):
         if isinstance(event, IdealRotation):
             continue
-        # the segment takes up to ceil(x) + 1 steps, which are bounded by
-        # bounding x; x may overflow to inf, where ceil would raise
-        x = event.duration / system.rotor_period * steps
-        if x > MAX_SEGMENT_STEPS:
+        t += event.duration
+        if (phase := math.ulp(t) * omega) > GRID_TOLERANCE:
             raise ConfigError(
-                f"sequence[{k}].duration_s = {event.duration:g} s needs {x:.4g} "
-                f"integrator steps at {steps} per rotor period; at most "
-                f"{MAX_SEGMENT_STEPS} are allowed")
+                f"sequence[{k}].duration_s = {event.duration:g} s ends at t = {t:g} s, "
+                f"whose float step of {math.ulp(t):.2g} s is {phase:.2g} rad at the fastest "
+                f"angular frequency, {omega:.4g} rad/s; at most {GRID_TOLERANCE:g} rad is allowed")
     return system, drive, events, steps
 
 
 def _steps_per_period(cfg, field="integrator.steps_per_period"):
     """integrator.steps_per_period, a whole number from 1 to MAX_STEPS_PER_PERIOD;
-    a ConfigError names `field`, --steps-per-period if the flag set it."""
+    a ConfigError or FieldError names `field`, --steps-per-period if the flag set it."""
     value = _block(cfg, "integrator").get("steps_per_period", DEFAULT_STEPS_PER_PERIOD)
-    if not 1 <= _number(value, field) == int(value) <= MAX_STEPS_PER_PERIOD:
+    if not 1 <= number(value, field) == int(value) <= MAX_STEPS_PER_PERIOD:
         raise ConfigError(f"{field} must be a whole number from 1 to "
                           f"{MAX_STEPS_PER_PERIOD}, got {value!r}")
     return int(value)
@@ -419,15 +412,10 @@ def _write_json(path, payload):
 def _simulate_report(cfg):
     """Run the configured sequence; return (trajectory, report dict)."""
     system, drive, events, steps = build_run(cfg)
-    sample_every = (_number(cfg.get("sample_every_s", 0.0), "sample_every_s", 0.0)
+    sample_every = (number(cfg.get("sample_every_s", 0.0), "sample_every_s", 0.0)
                     or system.rotor_period)
     initial = basis_state(_choice(cfg.get("initial_state", "00"), BASIS_LABELS, "initial_state"))
-    try:
-        traj = run_sequence(initial, system, events, sample_every, steps_per_period=steps)
-    except FieldError as exc:  # too many samples, counted before any is taken
-        if exc.field != "sample_every":
-            raise
-        raise ConfigError(f"sample_every_s: {exc}") from exc
+    traj = run_sequence(initial, system, events, sample_every, steps_per_period=steps)
     report = {"max_transfer_fraction": transfer_fraction(traj)}
     cw = drive is not None and any(isinstance(e, CWSegment) for e in events)
     point = analytic_point(system, drive) if cw else None
@@ -560,8 +548,8 @@ def cmd_spectrum(cfg, args):
     system, _, events, steps = build_run(cfg)
     fid_blk = _block(cfg, "fid")
     if fid_blk:
-        dwell = _number(_field(fid_blk, "dwell_s", "fid"), "fid.dwell_s", positive=True)
-        duration = _number(_field(fid_blk, "duration_s", "fid"), "fid.duration_s", 0.0)
+        dwell = number(_field(fid_blk, "dwell_s", "fid"), "fid.dwell_s", positive=True)
+        duration = number(_field(fid_blk, "duration_s", "fid"), "fid.duration_s", 0.0)
         try:  # simulate_fid's check, before the walk
             fid_points(duration, dwell)
         except ValueError as exc:  # the number checks above leave only the point cap
@@ -634,20 +622,24 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    flag = getattr(args, "steps_per_period", None) is not None
     try:
         if args.command == "repro":
             cfg = preset_config(args.preset)
         else:
             cfg = load_config(args.config) if args.config else glycine_defaults()
-        if getattr(args, "steps_per_period", None) is not None:
+        if flag:
             cfg["integrator"] = dict(_block(cfg, "integrator"),
                                      steps_per_period=args.steps_per_period)
             _steps_per_period(cfg, "--steps-per-period")
         handler = {"solve": cmd_solve, "simulate": cmd_simulate, "gate": cmd_gate,
                    "spectrum": cmd_spectrum, "repro": cmd_repro}[args.command]
         return handler(cfg, args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, FieldError) as exc:
+        # a FieldError names a config field, or a library parameter renamed here
+        field = {"sample_every": "sample_every_s", "steps_per_period": "--steps-per-period"
+                 if flag else "integrator.steps_per_period"}.get(getattr(exc, "field", None))
+        print(f"error: {field}: {exc}" if field else f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, TypeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -300,8 +300,9 @@ def _exp_minus_i(m):
     # ||m||_inf, its largest row sum (inf if that overflows)
     norm = functools.reduce(np.maximum, (abs(m).reshape(-1, 4) @ np.ones(4)).reshape(-1, 4).T)
     if not np.all(norm < _THETA * 2.0**_MAX_SQUARINGS):
-        raise ValueError(f"steps_per_period is too small for these frequencies: a step of "
-                         f"norm {norm.max():.3g} needs over {_MAX_SQUARINGS} squarings")
+        raise FieldError("steps_per_period", f"steps_per_period is too small for these "
+                         f"frequencies: a step of norm {norm.max():.3g} needs over "
+                         f"{_MAX_SQUARINGS} squarings")
     squarings = np.maximum(np.frexp(norm / _THETA)[1], 0)  # norm / _THETA is exact
     m *= np.ldexp(1.0, -squarings)[:, None, None]
     band = m.reshape(-1, 16)[:, _BAND]  # m, while its array holds y

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import types
 import warnings
 
 from hypothesis import example, given, settings, strategies as st
@@ -19,7 +20,8 @@ from r2tr.cli import (FIT_SCAN_ELEMENTS, FIT_SCAN_POINTS, ConfigError, _simulate
                       fit_exchange_period, glycine_defaults, load_config, main,
                       preset_config, transfer_fraction)
 from r2tr.operators import BASIS_LABELS, basis_state
-from r2tr.propagator import CWSegment, Delay, IdealRotation, Trajectory, extract_gate
+from r2tr.propagator import (CWSegment, Delay, IdealRotation, Trajectory, _Plan, _Segment,
+                             extract_gate)
 from r2tr.readout import simulate_fid, stick_spectrum
 from r2tr.units import TWO_PI, FieldError
 
@@ -479,22 +481,33 @@ DIGIT_LIMIT = 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000
                  ["solve"], id="gamma-zero"),
     pytest.param({"system": dict(_coupling_system(1e3)["system"], gamma_rad_per_s_per_t=1e200)},
                  "system.gamma_rad_per_s_per_t", SIMULATE, id="gamma-overflow"),
-    # segment and FID sizes are rejected from the config, before any allocation
-    pytest.param({"sequence": [PULSE, {"type": "cw", "duration_s": 1.0}]},
-                 "sequence[1].duration_s", SIMULATE, id="cw-too-many-steps"),
+    # an end time t whose float step ulp(t) is over GRID_TOLERANCE rad at the
+    # fastest frequency (on glycine, the 18.7 kHz offset: t of 64 s or more)
+    # is rejected from the config, before any allocation, as are FID sizes
     pytest.param({"sequence": [{"type": "delay", "duration_s": 1e300}]},
                  "sequence[0].duration_s", ["gate"], id="delay-steps-overflow"),
-    # a step count that once only the segment bound caught now meets the cap
-    # on steps per period; within the cap, a long segment still meets the
-    # segment bound: 2e-2 s at 8192 steps per period is 1.3e6 steps
+    pytest.param({"sequence": [PULSE, {"type": "cw", "duration_s": 1e4}]},
+                 "sequence[1].duration_s", ["gate"], id="cw-past-the-float-grid"),
+    # the first delay ends at 40 s, within the rule; the second at 80 s, past it
+    pytest.param({"sequence": [{"type": "delay", "duration_s": 40.0}] * 2},
+                 "sequence[1].duration_s", ["gate"], id="second-delay-past-the-float-grid"),
+    # offsets that the float grid of a 1 ms segment cannot resolve: a float
+    # step of its t is 1.4e-8 rad at 1e10 Hz
+    pytest.param({**_system(offsets_hz=[1e10, -1e10]), "sequence": [CW]},
+                 "sequence[0].duration_s", ["gate"], id="offsets-past-the-float-grid"),
+    pytest.param({**_system(offsets_hz=[1e299, -1e299]), "sequence": [CW]},
+                 "sequence[0].duration_s", ["gate"], id="offsets-1e299"),
+    # within the rule, a 0.99 s segment at 1 Hz spinning and one step per
+    # period is one step past the step exponential's 25 squarings
+    pytest.param({**_system(spin_rate_hz=1.0, offsets_hz=[7e5, -7e5]),
+                  "sequence": [{"type": "cw", "duration_s": 0.99}]}, "--steps-per-period: ",
+                 ["gate", "--steps-per-period", "1"], id="steps-flag-past-the-squarings"),
+    # a step count past the cap on steps per period, from the flag
     pytest.param({"sequence": [PULSE, {"type": "cw", "duration_s": 2e-2}]},
                  "--steps-per-period", ["spectrum", "--steps-per-period", "1000000"],
                  id="steps-flag-too-many-steps"),
     pytest.param({}, "--steps-per-period", ["repro", "fig4", "--steps-per-period", "100000"],
                  id="repro-too-many-steps"),
-    pytest.param({"sequence": [PULSE, {"type": "cw", "duration_s": 2e-2}]},
-                 "sequence[1].duration_s", ["spectrum", "--steps-per-period", "8192"],
-                 id="steps-flag-segment-too-many-steps"),
     pytest.param({"fid": {"duration_s": 1.0, "dwell_s": 1e-7}}, "fid.duration_s",
                  ["spectrum"], id="fid-too-many-points"),
     pytest.param({"fid": {"duration_s": 1.0, "dwell_s": 1e-320}}, "fid.duration_s",
@@ -543,6 +556,9 @@ def test_cli_malformed_config_exit_code(tmp_path, capsys, patch, field, argv):
     ("SpinSystem", "r", "system.r_angstrom"),
     ("SpinSystem", "omega_r", "system.spin_rate_hz"),
     ("run_sequence", "sample_every", "sample_every_s"),
+    # the step exponential's cap on squarings, set by the config or the flag
+    ("extract_gate", "steps_per_period", "integrator.steps_per_period"),
+    ("extract_gate", "steps_per_period", "--steps-per-period"),
 ])
 def test_cli_reads_a_library_error_by_its_field(tmp_path, capsys, monkeypatch, target, field,
                                                 shown):
@@ -552,8 +568,13 @@ def test_cli_reads_a_library_error_by_its_field(tmp_path, capsys, monkeypatch, t
         raise FieldError(field, "reworded")
 
     monkeypatch.setattr(cli, target, reject)
-    assert main(["simulate", "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {shown}")
+    argv = ["gate" if target == "extract_gate" else "simulate", "--out", str(tmp_path)]
+    if shown == "--steps-per-period":
+        argv += [shown, "64"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {shown}")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -569,8 +590,9 @@ def test_cli_repro_rejects_ignored_flags(argv, capsys):
     assert exc.value.code == 2
 
 
-# magnitudes stay small: a segment within the step limit can still take
-# 2**20 steps, hundreds of MB and seconds to integrate
+# magnitudes stay small, though a run's time is bounded without them: a
+# segment's cost does not grow with its length, propagator.MAX_SAMPLES caps
+# the samples, and the float-grid rule (cli.GRID_TOLERANCE) caps the end time
 SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
                     st.floats(-10.0, 10.0), st.sampled_from([math.nan, math.inf, -math.inf]),
                     st.text(max_size=3))
@@ -700,6 +722,52 @@ def test_cli_gate_zero_duration_identity(tmp_path):
     report = json.loads((tmp_path / "gate.json").read_text())
     assert report["universality_class"] == "non-entangling"
     assert report["makhlin_g2"] == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("duration", [
+    pytest.param(0.13, id="cw-0.13s"),  # 1,025 rotor periods
+    pytest.param(1.0, id="cw-1s"),
+])
+def test_cli_simulate_runs_a_long_cw_segment(tmp_path, capsys, duration):
+    # a segment's cost does not grow with its length: only the float-grid rule
+    # bounds its end time, at 64 s on glycine
+    cfg = {**glycine_defaults(), "sequence": [PULSE, {"type": "cw", "duration_s": duration}]}
+    assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 0
+    times = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1)[:, 0]
+    assert times[-1] == pytest.approx(duration, rel=1e-12)
+    assert "fitted_period_s" in capsys.readouterr().out
+
+
+def test_cli_gate_of_a_long_cw_segment_is_unitary(tmp_path):
+    cfg = {**glycine_defaults(), "sequence": [{"type": "cw", "duration_s": 10.0}]}
+    assert main(["gate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 0
+    u = np.array(json.loads((tmp_path / "gate.json").read_text())["unitary"])
+    u = u[..., 0] + 1j * u[..., 1]
+    assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-12
+
+
+TIMED = st.tuples(st.sampled_from(["pulse", "cw", "delay"]), st.one_of(
+    st.just(0.0), st.floats(1e-9, 10.0), st.sampled_from([0.1, 1 / 7884.0])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sequence=st.lists(TIMED, max_size=6))
+def test_grid_rule_checks_the_walks_own_end_times(sequence):
+    # the rule takes ulp(t) of the t that the walk reaches, bit for bit: each
+    # segment's end and the sequence's end, as propagator._Plan sums them
+    cfg = {**glycine_defaults(), "sequence": [
+        PULSE if kind == "pulse" else {"type": kind, "duration_s": d} for kind, d in sequence]}
+    ends = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "math", types.SimpleNamespace(
+            **{**vars(math), "ulp": lambda t: ends.append(t.hex()) or math.ulp(t)}))
+        system, _, events, steps = build_run(cfg)
+    timed = [e for e in events if not isinstance(e, IdealRotation)]
+    assert len(ends) == len(timed)
+    plan = _Plan(system, events, steps, math.inf)
+    assert [t for t, e in zip(ends, timed) if e.duration] == [
+        s.t.hex() for s in plan.walk if isinstance(s, _Segment)]
+    assert plan.end.hex() == (ends[-1] if ends else (0.0).hex())
 
 
 def test_cli_spectrum_json(tmp_path):

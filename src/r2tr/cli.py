@@ -34,12 +34,11 @@ SCHEMA_VERSION = 1
 # math.ulp(t), may make at the walk's fastest angular frequency: past it, float
 # time no longer resolves the rotor phase that locks a CW segment's recoupling
 GRID_TOLERANCE = 1e-9
-# angular frequencies of the period fit's scan over [0.5, 1.5] of the guess
-FIT_SCAN_POINTS = 101
-# the period fit's scan projects its frequencies in chunks of at most this many
-# frequencies times window samples (a chunk holds about five such float arrays);
-# a longer window takes one frequency at a time
-FIT_SCAN_ELEMENTS = 2**11
+# the least peak-to-peak swing of <I_z> that counts as an exchange: the period
+# fit's amplitude floor, and 4 w (1 - w) of a Floquet pair's cross weight w
+MIN_SWING = 0.05
+# the period fit refines the Floquet period within this fraction of its frequency
+FIT_BRACKET = 0.02
 
 
 class ConfigError(ValueError):
@@ -284,20 +283,36 @@ class PeriodFit:
     phase: float
 
 
-def fit_exchange_period(times, values, period_guess):
-    """Fit a sinusoid to an exchange trajectory and return its period.
+def floquet_period(system, traj):
+    """The exchange period 2 pi T_r / |dtheta| of the walk's first driven
+    Hamiltonian: dtheta in (-pi, pi] is the quasi-phase gap of its two Floquet
+    states with the most weight on |01> and |10>. None if none folded, or if
+    that pair does not mix: 4 w (1 - w) <= MIN_SWING for its cross weight w, the
+    least weight either has on |01> or |10> (a two-level exchange between them
+    swings <I_z> by at most 4 w (1 - w))."""
+    for event, theta, states in traj.floquet:
+        if isinstance(event, CWSegment):
+            weights = abs(states[1:3]) ** 2
+            pair = np.argsort(weights.sum(axis=0))[-2:]
+            w = weights[:, pair].min()
+            gap = abs(math.remainder(theta[pair[0]] - theta[pair[1]], TWO_PI))
+            mixes = 4.0 * w * (1.0 - w) > MIN_SWING and gap
+            return TWO_PI * system.rotor_period / gap if mixes else None
+    return None
 
-    The fit window is two predicted periods (if it holds 8 samples). The fit
+
+def fit_exchange_period(times, values, period_guess):
+    """Fit a sinusoid to an exchange trajectory and return its period,
+    refined from a guess within FIT_BRACKET of it.
+
+    The fit window is two guessed periods (if it holds 8 samples). The fit
     is by variable projection: at a fixed angular frequency w the model a + p
     cos(wt) + q sin(wt) is linear, and its best sum of squares S(w) is, in
     closed form, what the centred values keep off the centred cos(wt) and
-    sin(wt), made orthogonal by Gram-Schmidt. S is scanned over [0.5, 1.5] 2
-    pi/period_guess, and the best w is refined to the root of dS/dw next to
-    the scan's minimum: of the scanned w within roundoff of the least S (exact
-    aliases of the samples), the one nearest the guess. dS/dw is taken on one
-    frequency's row by the scan's sums, and its p and q at the root are the
+    sin(wt), made orthogonal by Gram-Schmidt. The fit's w is the root of dS/dw
+    within FIT_BRACKET of 2 pi/period_guess, and its p and q there are the
     fit's. Raises RuntimeError when there is no fit: fewer samples than the
-    four model parameters, or no minimum inside the scan.
+    four model parameters, or no sign change of dS/dw in the bracket.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -308,22 +323,9 @@ def fit_exchange_period(times, values, period_guess):
         times, values = times[mask], values[mask]
     centred = values - (mean := values.mean())
 
-    def project(w):
-        # S per frequency in w, from row-wise sums of the centred columns c
-        # and s, with s less its part along c
-        columns = np.stack((np.cos(wt := np.multiply.outer(w, times)), np.sin(wt)))
-        columns -= (np.einsum("kij->ki", columns) / len(times))[:, :, None]
-        cos, sin = columns
-        cc, sc = np.einsum("ij,kij->ki", cos, columns)
-        cc = np.maximum(cc, math.ulp(0.0))  # a zero column's sums are 0: it takes no part
-        sin -= (sc / cc)[:, None] * cos
-        ss = np.maximum(np.einsum("ij,ij->i", sin, sin), math.ulp(0.0))
-        vc, vs = np.einsum("kij,j->ki", columns, centred)
-        return centred @ centred - vc * (vc / cc) - vs * (vs / ss)
-
     def slope(w):
-        # dS/dw at w's least-squares coefficients, whose own derivatives drop
-        # out; the coefficients by `project`'s sums on w's row alone, recorded
+        # dS/dw at w's least-squares coefficients, whose own derivatives drop out,
+        # recorded: by sums of the centred columns c and s, s less its part along c
         cos, sin = np.cos(wt := w * times), np.sin(wt)
         mc, ms = np.einsum("i->", cos) / len(times), np.einsum("i->", sin) / len(times)
         c, s = cos - mc, sin - ms
@@ -333,19 +335,11 @@ def fit_exchange_period(times, values, period_guess):
         fits[w] = (p := np.einsum("i,i->", c, centred) / cc - q * along), q, mc, ms
         return float((p * (cos - mc) + q * (sin - ms) - centred) @ (times * (q * cos - p * sin)))
 
-    scan = np.linspace(0.5, 1.5, FIT_SCAN_POINTS) * (TWO_PI / period_guess)
-    chunk = max(1, FIT_SCAN_ELEMENTS // len(times))
-    scanned = np.concatenate([project(scan[i:i + chunk]) for i in range(0, len(scan), chunk)])
-    # exact aliases fit equally well, each S at a roundoff of eps |centred|^2:
-    # of the frequencies within 64 times that of the least S, the one nearest the guess
-    near = np.flatnonzero(scanned <= scanned.min() + 64.0 * math.ulp(1.0) * (centred @ centred))
-    k = int(near[np.argmin(abs(near - len(scan) // 2))])
-    if k in (0, len(scan) - 1):
-        raise RuntimeError("no cosine fit: the best frequency is at the edge of the scan")
     fits = {}  # (p, q, mc, ms) at each w that `slope` takes, brentq's root among them
-    ends = {(lo := scan[k - 1]): slope(lo), (hi := scan[k + 1]): slope(hi)}
+    lo, hi = (TWO_PI / period_guess) * np.array([1.0 - FIT_BRACKET, 1.0 + FIT_BRACKET])
+    ends = {lo: slope(lo), hi: slope(hi)}
     if not ends[lo] < 0.0 < ends[hi]:
-        raise RuntimeError("no cosine fit: no minimum next to the best scanned frequency")
+        raise RuntimeError(f"no cosine fit: no minimum within {FIT_BRACKET:.0%} of the guess")
     w = brentq(lambda x: ends.pop(x) if x in ends else slope(x), lo, hi, xtol=1e-15 * hi)
     p, q, mc, ms = fits[w]
     # a + p cos(wt) + q sin(wt) = a + b cos(wt + c)
@@ -422,12 +416,13 @@ def _simulate_report(cfg):
     # a pair along the spinning axis is never recoupled: no period to fit
     if point is not None and math.isfinite(point.exchange_period):
         report["analytic_period_s"] = point.exchange_period
+        period = floquet_period(system, traj)  # None: a pair that does not mix
         try:
-            fit = fit_exchange_period(traj.times, traj.iz, point.exchange_period)
+            fit = fit_exchange_period(traj.times, traj.iz, period) if period else None
         except RuntimeError:
             fit = None
         # <I_z> lies in [-1/2, 1/2], so a real swing is at most 1
-        if fit is not None and 0.05 < fit.amplitude <= 1.0:
+        if fit is not None and MIN_SWING < fit.amplitude <= 1.0:
             constants = dipolar_constants(system.gamma, system.r, system.theta_d)
             report["fitted_period_s"] = fit.period
             report["fitted_amplitude"] = fit.amplitude
@@ -441,33 +436,27 @@ def _simulate_report(cfg):
 
 
 def run_fig4(cfg):
-    """Truth table: prepare each basis state, evolve half a period, classify."""
-    steps = _steps_per_period(cfg)
-    fit_cfg = preset_config("fig3a")
-    fit_cfg["integrator"] = {"steps_per_period": steps}
-    _, fit_report = _simulate_report(fit_cfg)
-    if "fitted_period_s" not in fit_report:
-        raise ValueError(f"fig4 needs the period of the fig3a fit, which found "
-                         f"none at {steps} steps per period")
-    half_period = 0.5 * fit_report["fitted_period_s"]
+    """Truth table: prepare each basis state, evolve half an exchange period
+    (the drive's Floquet period, from a walk of one rotor period), classify."""
+    def cw_run(duration):
+        return build_run(dict(cfg, sequence=[{"type": "cw", "duration_s": duration}]))
 
-    system, _, events, _ = build_run(dict(cfg, sequence=[
-        {"type": "cw", "duration_s": half_period}]))
+    system, _, events, steps = cw_run(build_system(cfg).rotor_period)
+    period = floquet_period(system, run_sequence(basis_state("00"), system, events, math.inf,
+                                                 steps_per_period=steps))
+    if period is None:
+        raise ValueError(f"fig4 needs the drive's exchange period, which its Floquet "
+                         f"form does not give at {steps} steps per period")
+    half_period = 0.5 * period
+    system, _, events, _ = cw_run(half_period)
     gate = extract_gate(system, events, steps_per_period=steps)
 
-    table = {}
-    spectra = {}
-    for label in BASIS_LABELS:
-        rho = basis_state(label)
-        rho = gate @ rho @ gate.conj().T
-        spectrum = stick_spectrum(rho, system)
-        spectra[label] = spectrum
-        table[label] = classify_state(spectrum)
+    spectra = {label: stick_spectrum(gate @ basis_state(label) @ gate.conj().T, system)
+               for label in BASIS_LABELS}
     report = {
-        "truth_table": table,
+        "truth_table": {label: classify_state(sp) for label, sp in spectra.items()},
         "half_period_s": half_period,
         "half_period_nominal_s": 1.6e-3,
-        "fitted_period_s": fit_report["fitted_period_s"],
         "peak_amplitudes": {label: [[off, amp] for off, amp in sp.peaks]
                             for label, sp in spectra.items()},
     }

@@ -71,7 +71,8 @@ s <= MAX_STEPS_PER_PERIOD bounds a walk's memory: per time-dependent
 Hamiltonian still to come, a chunk of ceil(s/2) step unitaries of 256 B
 and at most s partials under 0.5 kB each; three batch arrays while a batch
 is built or chained; the plan, under 0.3 kB per timed event (0.55 kB while
-it is made) and 0.1 kB per residue; and the samples.
+it is made) and 0.1 kB per residue; the samples; and, kept to the end, each
+folded Hamiltonian's theta and Floquet states, under 0.5 kB.
 """
 
 import cmath
@@ -200,11 +201,13 @@ class CWSegment:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled per-spin longitudinal magnetizations along a sequence."""
+    """Sampled per-spin longitudinal magnetizations along a sequence, and its
+    walk's Floquet forms, as `_propagate` returns them."""
 
     times: np.ndarray
     iz: np.ndarray
     sz: np.ndarray
+    floquet: tuple = ()
 
     def to_csv(self, path):
         with open(path, "w") as fh:
@@ -582,17 +585,18 @@ class _Plan:
 
 
 def _propagate(system, events, steps_per_period, sample_every):
-    """Walk a sequence once, as `_Plan` plans it; return its unitary U and
-    the samples [(t, V)].
+    """Walk a sequence once, as `_Plan` plans it; return its unitary U, the
+    samples [(t, V)], the plan and, per folded Hamiltonian, (its first
+    segment's event, theta, the Floquet states u_close Q O there as columns).
 
     Every segment is folded into U here; event types are told apart here,
-    in `_band_key`, in `_Plan` and in `extract_gate`'s precession sum. V is
-    the unitary a measurement at t sees: U so far, taken through the
-    closing trim pulse inside a CW segment. Samples are taken at t = 0
-    after any leading pulses, at the step counts `_sample_steps` finds for
-    each multiple of sample_every, and at the end of the sequence (the last
-    sample holds U, so it includes any trailing pulses). Each fold starts
-    from the identity; the walk multiplies it in.
+    in `_band_key`, in `_Plan`, in `extract_gate`'s precession sum and in
+    `cli.floquet_period`. V is the unitary a measurement at t sees: U so
+    far, through the closing trim pulse inside a CW segment. Samples are
+    taken at t = 0 after any leading pulses, at the step counts
+    `_sample_steps` finds for each multiple of sample_every, and at the end
+    of the sequence (the last sample holds U, so it includes any trailing
+    pulses). Each fold starts from the identity; the walk multiplies it in.
 
     A segment's leading step, n whole steps and closing step end at counts
     0 to n + 1. A Hamiltonian's k-th leading or closing step is `edges`
@@ -608,7 +612,7 @@ def _propagate(system, events, steps_per_period, sample_every):
     plan = _Plan(system, events, s, sample_every)
     constants = dipolar_constants(system.gamma, system.r, system.theta_d)
     eye = np.eye(4, dtype=complex)
-    u, samples = eye, []
+    u, samples, floquet = eye, [], []
     folds, chunks, taken = {}, {}, {}  # per Hamiltonian: _period_partials, chunk, edge steps
 
     def edge(fn, key):  # the unitary of its Hamiltonian's next leading or closing step
@@ -637,15 +641,17 @@ def _propagate(system, events, steps_per_period, sample_every):
         else:
             u_open, u_close = trim_unitaries(system, event)
             fn = _segment_hamiltonian(system, event.drive, constants)
+        # into the segment's band frame and, at each sample and the end, out
+        u_close = u_close @ fn.frame
+        u = fn.frame.conj().T @ u_open @ u
         if key in plan.folding and key not in folds:  # one batch serves all its segments
             batch = _step_unitaries(fn, [(plan.t_a, plan.h, plan.half)],
                                     plan.edges[key][:plan.half])
             folds[key] = _period_partials(batch[:plan.half], s, plan.folding[key])
             chunks[key] = batch[plan.half:].copy()  # its edge chunk 0
             del batch
-        # into the segment's band frame and, at each sample and the end, out
-        u_close = u_close @ fn.frame
-        u = fn.frame.conj().T @ u_open @ u
+            (_, o, theta), _ = folds[key]
+            floquet.append((event, theta, u_close @ o))  # kept past its partials
         g0, n, marks = seg.g0, seg.n, seg.marks
         if g0 > seg.t0:  # the leading step
             u = edge(fn, key) @ u
@@ -670,7 +676,7 @@ def _propagate(system, events, steps_per_period, sample_every):
     if samples and samples[-1][0] >= t:
         t = samples.pop()[0]  # a sample at the end gives way to U
     samples.append((t, u))
-    return u, samples
+    return u, samples, plan, tuple(floquet)
 
 
 def run_sequence(initial, system, events, sample_every,
@@ -691,13 +697,13 @@ def run_sequence(initial, system, events, sample_every,
     if not (isinstance(sample_every, numbers.Real) and sample_every == math.inf):
         sample_every = number(sample_every, "sample_every", 0.0)
     rho = check_density_matrix(initial, field="initial")
-    _, samples = _propagate(system, events, steps_per_period, sample_every)
+    _, samples, _, floquet = _propagate(system, events, steps_per_period, sample_every)
     v = np.array([v for _, v in samples])
     populations = np.einsum("nij,jk,nik->ni", v, rho, v.conj()).real
     iz_op, sz_op = (spin_operator(k, "z") for k in SPINS)
     return Trajectory(times=np.array([t for t, _ in samples]),
                       iz=populations @ iz_op.diagonal().real,
-                      sz=populations @ sz_op.diagonal().real)
+                      sz=populations @ sz_op.diagonal().real, floquet=floquet)
 
 
 def extract_gate(system, events, steps_per_period=DEFAULT_STEPS_PER_PERIOD,
@@ -708,13 +714,13 @@ def extract_gate(system, events, steps_per_period=DEFAULT_STEPS_PER_PERIOD,
     z-precession exp(-i T (w_eI I_z + w_eS S_z)) accumulated over the CW
     segments is divided out on the left, exposing the recoupled bilinear part.
     """
-    events = tuple(events)  # read twice: by the walk and by the precession sum
-    u, _ = _propagate(system, events, steps_per_period, math.inf)
+    u, _, plan, _ = _propagate(system, events, steps_per_period, math.inf)
     if not remove_effective_precession:
         return u
-    precession = sum((event.duration * effective_field(dw, event.drive.omega_1).omega_e
+    precession = sum((seg.event.duration * effective_field(dw, seg.event.drive.omega_1).omega_e
                       * spin_operator(k, "z")
-                      for event in events if isinstance(event, CWSegment)
+                      for seg in plan.walk
+                      if isinstance(seg, _Segment) and isinstance(seg.event, CWSegment)
                       for k, dw in enumerate(system.offsets)),
                      np.zeros((4, 4), dtype=complex))
     # the precession is diagonal: its exponential is that of the diagonal

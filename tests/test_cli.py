@@ -15,14 +15,15 @@ import numpy as np
 import pytest
 
 from r2tr import cli
-from r2tr.cli import (FIT_SCAN_ELEMENTS, FIT_SCAN_POINTS, ConfigError, _simulate_report,
-                      build_drive, build_events, build_run, build_system,
-                      fit_exchange_period, glycine_defaults, load_config, main,
-                      preset_config, transfer_fraction)
+from r2tr.cli import (FIT_BRACKET, ConfigError, _simulate_report, analytic_point, build_drive,
+                      build_events, build_run, build_system, fit_exchange_period,
+                      floquet_period, glycine_defaults, load_config, main, preset_config,
+                      run_fig4, transfer_fraction)
 from r2tr.operators import BASIS_LABELS, basis_state
 from r2tr.propagator import (CWSegment, Delay, IdealRotation, Trajectory, _Plan, _Segment,
-                             extract_gate)
+                             extract_gate, run_sequence)
 from r2tr.readout import simulate_fid, stick_spectrum
+from r2tr.recoupling import solve_amplitude
 from r2tr.units import TWO_PI, FieldError
 
 
@@ -96,10 +97,11 @@ def test_load_config_diagnostics(tmp_path):
 
 
 def test_fit_exchange_period_synthetic():
+    # the guess is 1.5% off, inside the fit's 2% bracket
     t = np.linspace(0.0, 6.5e-3, 400)
     period = 3.21e-3
     iz = 0.02 - 0.48 * np.cos(TWO_PI * t / period)
-    fit = fit_exchange_period(t, iz, period_guess=3.0e-3)
+    fit = fit_exchange_period(t, iz, period_guess=3.16e-3)
     assert fit.period == pytest.approx(period, rel=1e-6)
     assert fit.amplitude == pytest.approx(0.96, rel=1e-6)
 
@@ -127,14 +129,17 @@ def curve_fit_period(times, values, period_guess):
 
 
 def test_fit_exchange_period_matches_curve_fit_on_fig3a():
-    traj, report = _simulate_report(preset_config("fig3a"))
-    expected = curve_fit_period(traj.times, traj.iz, report["analytic_period_s"])
+    # from the fit's guess, the Floquet period, and over its window
+    cfg = preset_config("fig3a")
+    traj, report = _simulate_report(cfg)
+    guess = floquet_period(build_system(cfg), traj)
+    expected = curve_fit_period(traj.times, traj.iz, guess)
     assert report["fitted_period_s"] == pytest.approx(expected, rel=1e-9)
 
 
-# exchange-like curves, which start near their minimum, and a guess within 5%
-# of the period
-COSINES = dict(period=st.floats(1e-3, 1e-2), guess=st.floats(0.95, 1.05),
+# exchange-like curves, which start near their minimum, and a guess within
+# 1.5% of the period, inside the fit's 2% bracket
+COSINES = dict(period=st.floats(1e-3, 1e-2), guess=st.floats(0.985, 1.015),
                samples=st.integers(12, 200), span=st.floats(1.2, 3.0),
                amplitude=st.floats(0.05, 0.5), offset=st.floats(-0.2, 0.2),
                delay=st.floats(-0.5, 0.5))
@@ -149,15 +154,15 @@ def cosine_samples(period, samples, span, amplitude, offset, delay):
 @given(**COSINES)
 # the sample floor, where the closed-form projection has least to work with:
 # 4 samples (the four model parameters), 7, and 8 (the window's threshold)
-@example(period=3.3e-3, guess=0.95, samples=4, span=1.2, amplitude=0.45, offset=0.05,
+@example(period=3.3e-3, guess=0.985, samples=4, span=1.2, amplitude=0.45, offset=0.05,
          delay=0.2)
 @example(period=3.3e-3, guess=1.0, samples=7, span=2.0, amplitude=0.45, offset=0.05,
          delay=0.2)
 @example(period=3.3e-3, guess=1.0, samples=8, span=2.0, amplitude=0.45, offset=0.05,
          delay=0.2)
-# exact aliases, whose S is roundoff as the period's is: 7 samples over 2.5
-# periods also fit 0.714 of the period, and 4 over 1.2 periods also fit the
-# scan's edge; the fit takes the frequency nearest the guess
+# exact aliases of sparse samples, which fit as well as the period and lie
+# outside the bracket: 7 samples over 2.5 periods also fit 0.714 of the
+# period, and 4 over 1.2 periods 0.667 of it
 @example(period=3.3e-3, guess=1.0, samples=7, span=2.5, amplitude=0.45, offset=0.05,
          delay=0.2)
 @example(period=3.3e-3, guess=1.0, samples=4, span=1.2, amplitude=0.45, offset=0.05,
@@ -194,30 +199,11 @@ def test_fit_exchange_period_coefficients_are_the_least_squares_ones(period, gue
 
 
 def test_fit_exchange_period_without_interior_minimum():
-    # a relaxation with no oscillation: the best frequency of the scan over
-    # [0.5, 1.5] of the guess is its lowest one, so there is no fit
+    # a relaxation with no oscillation: dS/dw does not rise through zero within
+    # the bracket around the guess, so there is no fit
     t = np.linspace(0.0, 6e-3, 60)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="no minimum within 2%"):
         fit_exchange_period(t, 0.5 - 100.0 * t, period_guess=3e-3)
-
-
-def test_fit_exchange_period_memory_is_a_chunk_of_the_scan():
-    # the scan projects its frequencies a chunk at a time, about five
-    # (frequencies, samples) float arrays a chunk, and a window past the
-    # chunk's element budget one frequency at a time: about ten window-sized
-    # arrays, less than one (FIT_SCAN_POINTS, samples, 3) array; projecting
-    # the whole scan at once holds several
-    samples, period = 4000, 3.2e-3
-    t = np.linspace(0.0, 2.0 * period, samples)
-    iz = 0.02 - 0.48 * np.cos(TWO_PI * t / period)
-    tracemalloc.start()
-    try:
-        fit = fit_exchange_period(t, iz, period_guess=3.0e-3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert fit.period == pytest.approx(period, rel=1e-6)
-    assert peak < FIT_SCAN_POINTS * samples * 3 * 8
 
 
 def noisy_exchange(samples, period=3.2e-3, seed=0):
@@ -226,29 +212,14 @@ def noisy_exchange(samples, period=3.2e-3, seed=0):
     return t, 0.02 - 0.48 * np.cos(TWO_PI * t / period) + noise
 
 
-@pytest.mark.parametrize("chunk", [0, 5, 7, 15])
-def test_fit_exchange_period_is_bitwise_the_same_in_any_chunk(chunk, monkeypatch):
-    # the scan's projection sums each frequency's row on its own, so how
-    # many frequencies share a chunk changes no bit of the fit; a budget
-    # below the window's samples (chunk 0 here) takes one frequency at a time
-    samples = 2000
-    t, iz = noisy_exchange(samples)
-    monkeypatch.setattr(cli, "FIT_SCAN_ELEMENTS", FIT_SCAN_POINTS * samples)
-    expected = fit_exchange_period(t, iz, period_guess=3.0e-3)  # the whole scan at once
-    monkeypatch.setattr(cli, "FIT_SCAN_ELEMENTS", (chunk + 1) * samples - 1)
-    assert fit_exchange_period(t, iz, period_guess=3.0e-3) == expected
-
-
 def test_fit_exchange_period_memory_is_bounded_on_a_long_window():
-    # a window above the scan's element budget is projected one frequency at
-    # a time: about nine window-sized float arrays, where the whole scan would
-    # hold about 500, five per frequency
+    # each dS/dw of the refinement takes one frequency on window-sized 1-D
+    # arrays: about nine of them at once, however long the window
     samples = 2**16 + 1
-    assert samples > FIT_SCAN_ELEMENTS
     t, iz = noisy_exchange(samples)
     tracemalloc.start()
     try:
-        fit = fit_exchange_period(t, iz, period_guess=3.0e-3)
+        fit = fit_exchange_period(t, iz, period_guess=3.16e-3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -650,6 +621,81 @@ def test_period_below_the_geometry_minimum_reports_a_theta_note():
     assert "below the theta=90deg minimum" in report["theta_note"]
 
 
+def walked_period(cfg, steps=None):
+    """The Floquet period of a config's walk, at its own or `steps` steps per period."""
+    if steps is not None:
+        cfg = dict(cfg, integrator={"steps_per_period": steps})
+    system, _, events, steps = build_run(cfg)
+    return floquet_period(system, run_sequence(basis_state("00"), system, events, math.inf,
+                                               steps_per_period=steps))
+
+
+def theta_90_config():
+    cfg = glycine_defaults()
+    cfg["system"]["theta_d_deg"] = 90.0
+    cfg["drive"]["amplitude_hz"] = 2600.0
+    cfg["sequence"] = [PULSE, {"type": "cw", "duration_s": 6e-3}]
+    return cfg
+
+
+@pytest.mark.parametrize("cfg, steps, mixes", [
+    pytest.param(preset_config("fig3b"), None, False, id="fig3b"),
+    pytest.param(preset_config("fig3a"), 1, False, id="fig3a-1-step"),
+    pytest.param(preset_config("fig3a"), 2, False, id="fig3a-2-steps"),
+    pytest.param(theta_90_config(), None, True, id="theta-90-at-2600-hz"),
+])
+def test_floquet_period_is_null_where_the_pair_does_not_mix(cfg, steps, mixes):
+    # the pair mixes when 4 w (1 - w) > MIN_SWING = 0.05, w > 0.0127 for its
+    # cross weight w: the largest swing of <I_z> that a two-level exchange
+    # between the pair can make would be under the period fit's amplitude
+    # floor below it. fig3b's pair has w = 1.9e-7, and fig3a's at 1 and 2 steps
+    # per period 6.4e-26 and 2.4e-7, where no fit exists; the theta_D = 90 deg
+    # config off its matching amplitude has w = 0.297 and exchanges 83%
+    period = walked_period(cfg, steps)
+    assert (period is not None) == mixes
+    if mixes:
+        assert period == pytest.approx(2.517e-3, rel=1e-3)
+
+
+# exchange-like systems, drawn as the exchange benchmark draws them: the class-a
+# m = 2 amplitude, and the coupling that makes the analytic period 24 rotor periods
+EXCHANGE_LIKE = dict(spin_rate=st.floats(7600.0, 8200.0), phi=st.floats(0.0, 360.0),
+                     theta_d=st.floats(58.0, 80.0))
+
+
+@settings(max_examples=20, deadline=None)
+@given(**EXCHANGE_LIKE)
+def test_floquet_period_of_exchange_like_systems(spin_rate, phi, theta_d):
+    cfg = glycine_defaults()
+    cfg["system"].update(spin_rate_hz=spin_rate, phi_deg=phi, theta_d_deg=theta_d)
+    system = build_system(cfg)
+    (amplitude,) = solve_amplitude(*system.offsets, system.omega_r, "a", 2)
+    cfg["drive"]["amplitude_hz"] = amplitude / TWO_PI
+    point = analytic_point(system, build_drive(cfg))
+    del cfg["system"]["r_angstrom"]
+    cfg["system"]["coupling_hz"] = 1.0 / (24 * system.rotor_period * abs(point.b_factor)
+                                          * math.sin(math.radians(theta_d)) ** 2)
+    cfg["sequence"] = [PULSE, {"type": "cw", "duration_s": 24 * system.rotor_period}]
+    traj, report = _simulate_report(cfg)
+    period = floquet_period(build_system(cfg), traj)
+    assert period is not None  # the pair mixes
+    assert walked_period(cfg, 2048) == pytest.approx(period, rel=1e-9)
+    # the fit's root lies inside the bracket around the Floquet frequency
+    assert abs(period / report["fitted_period_s"] - 1.0) < FIT_BRACKET
+
+
+def test_fig4_evolves_for_half_the_floquet_period():
+    # the fig4 drive is fig3a's: its Floquet period, from a walk of one rotor
+    # period, is fig3a's, and the fig3a fit refines it by 3.3e-7
+    report, _ = run_fig4(preset_config("fig4"))
+    cfg = preset_config("fig3a")
+    traj, fig3a = _simulate_report(cfg)
+    assert 2.0 * report["half_period_s"] == pytest.approx(
+        floquet_period(build_system(cfg), traj), rel=1e-12)
+    assert 2.0 * report["half_period_s"] == pytest.approx(fig3a["fitted_period_s"], rel=1e-4)
+    assert "fitted_period_s" not in report
+
+
 def test_cli_simulate_too_short_to_fit(tmp_path, capsys):
     # 2e-4 s is under two rotor periods: three samples cannot fix the four
     # parameters of the cosine fit, so no period is reported
@@ -676,12 +722,13 @@ def test_cli_repro_fig3a_without_a_fit(tmp_path, capsys, steps):
 
 
 def test_cli_repro_fig4_without_a_fit(tmp_path, capsys):
-    # fig4 evolves for half the fitted fig3a period, which one step per
-    # rotor period does not find
+    # fig4 evolves for half the drive's Floquet exchange period: at one step
+    # per rotor period a one-period walk has no whole step to fold, so no
+    # Floquet form gives one
     assert main(["repro", "fig4", "--steps-per-period", "1", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert "fig3a fit" in err and "at 1 steps per period" in err
+    assert "Floquet form" in err and "at 1 steps per period" in err
     assert not list(tmp_path.iterdir())
 
 

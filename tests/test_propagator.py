@@ -738,7 +738,7 @@ def test_sampled_populations_match_the_trace_of_each_state(system, events, sampl
     # the batched contraction against <I_z> = tr(V rho V^dag I_z) at each
     # of the walk's own samples
     sample_every = sample_periods * T_R
-    _, samples = propagator._propagate(system, events, 16, sample_every)
+    _, samples, _, _ = propagator._propagate(system, events, 16, sample_every)
     traj = run_sequence(rho, system, events, sample_every, steps_per_period=16)
     assert traj.times.tobytes() == np.array([t for t, _ in samples]).tobytes()
     for (_, v), iz, sz in zip(samples, traj.iz, traj.sz, strict=True):
@@ -1118,7 +1118,8 @@ def reference_walk(system, events, steps_per_period, sample_every):
     lies inside). Every step is exponentiated in
     the product basis by the complex Hermitian solver and multiplied in,
     and a sample is taken at the first step end at or after each due time
-    (less 1e-15 s) that is past the sample before it."""
+    (less 1e-15 s) that is past the sample before it. It returns no plan and
+    no Floquet form."""
     constants = dipolar_constants(system.gamma, system.r, system.theta_d)
     eye = np.eye(4, dtype=complex)
     h = system.rotor_period / steps_per_period
@@ -1158,7 +1159,7 @@ def reference_walk(system, events, steps_per_period, sample_every):
     if samples and samples[-1][0] >= t:
         t = samples.pop()[0]
     samples.append((t, u))
-    return u, samples
+    return u, samples, None, ()
 
 
 def _lab_frame_walk(run):
@@ -1469,6 +1470,26 @@ def test_each_hamiltonian_folds_one_half_period_per_walk():
     assert (calls, decomposed) == ([512 + 4], 1)
 
 
+@pytest.mark.parametrize("phi", [0.0, 0.3])
+def test_walk_keeps_each_folded_hamiltonians_floquet_form(phi):
+    # the alternating walk's two Hamiltonians, each with the event of its first
+    # segment: e^{i theta} on its Floquet states is its period propagator from
+    # rotor phase 0 as the samples see it, through that segment's closing trim
+    system, steps = glycine_system(phi=phi), 64
+    events = _alternating_walk(3.3)
+    traj = run_sequence(basis_state("10"), system, events, T_R, steps_per_period=steps)
+    assert [event for event, _, _ in traj.floquet] == events[:2]
+    t_a = -(phi % TWO_PI) / system.omega_r
+    constants = dipolar_constants(system.gamma, system.r, system.theta_d)
+    for event, theta, states in traj.floquet:
+        cw = isinstance(event, CWSegment)
+        fn = _segment_hamiltonian(system, event.drive if cw else None, constants)
+        u_close = trim_unitaries(system, event)[1] if cw else np.eye(4)
+        u_period = u_close @ segment_propagator(fn, t_a, t_a + T_R, steps) @ u_close.conj().T
+        assert np.max(np.abs(states.conj().T @ states - np.eye(4))) < 1e-13
+        assert np.max(np.abs((states * np.exp(1j * theta)) @ states.conj().T - u_period)) < 1e-12
+
+
 @pytest.mark.parametrize("events, kept", [
     pytest.param(_alternating_walk(3.3), 2, id="two-alternating"),
     pytest.param([CWSegment(RFDrive(hz_to_angular(amplitude)), 3.3 * T_R)
@@ -1581,7 +1602,7 @@ def test_walk_exponentiates_and_samples_what_its_plan_counts(walk):
     assert sum(edges.values()) == sum(1 + (seg.g0 > seg.t0) for seg in varying)
     steps = len(plan.folding) * plan.half + sum(edges.values())
     constant = len(segments) - len(varying)
-    (_, samples), shapes, decomposed = _recorded(lambda: propagator._propagate(
+    (_, samples, _, _), shapes, decomposed = _recorded(lambda: propagator._propagate(
         system, events, steps_per_period, sample_every), np.shape)
     calls = [shape[0] for shape in shapes]
     splits = len(decomposed) - decomposed.count((4, 4))

@@ -19,8 +19,8 @@ import numpy as np
 
 from .gates import (cns, gate_to_json, iswap, locally_equivalent,
                     makhlin_invariants, universality_class, weyl_coordinates)
-from .hamiltonian import dipolar_constants
-from .operators import BASIS_LABELS, SPINS, SpinSystem, basis_state
+from .hamiltonian import dipolar_constants, effective_field
+from .operators import BASIS_LABELS, SPINS, SpinSystem, basis_state, spin_operator
 from .propagator import (DEFAULT_STEPS_PER_PERIOD, MAX_STEPS_PER_PERIOD, CWSegment,
                          Delay, IdealRotation, RFDrive, extract_gate, run_sequence)
 from .readout import classify_state, fid_points, fid_to_csv, simulate_fid, stick_spectrum
@@ -513,7 +513,13 @@ def cmd_simulate(cfg, args):
 
 def cmd_gate(cfg, args):
     system, _, events, steps = build_run(cfg)
-    u = extract_gate(system, events, steps_per_period=steps, remove_effective_precession=True)
+    # the CW segments' effective-field z-precession exp(-i T (w_eI I_z + w_eS S_z)) is
+    # divided out on the left: it is diagonal, and no invariant sees it
+    precession = sum((event.duration * effective_field(dw, event.drive.omega_1).omega_e
+                      * spin_operator(k, "z")
+                      for event in events if isinstance(event, CWSegment)
+                      for k, dw in enumerate(system.offsets)), np.zeros((4, 4), dtype=complex))
+    u = np.diag(np.exp(1j * np.diag(precession))) @ extract_gate(system, events, steps)
     g1, g2 = makhlin_invariants(u)
     angles = weyl_coordinates(u)
     report = {

@@ -22,8 +22,8 @@ sin m, from their Taylor series through m^9: the rest is under 2.6e-19 <
 2^-53 for ||m||_inf <= theta = 2^-4. Both are polynomials in x = m^2, summed
 by Paterson and Stockmeyer in five real products per step: x, x^2, one by x^2
 for each and one by m. A larger m is scaled by 2^-k onto theta and squared
-back k times, at a roundoff of 2^k eps (at most 13.2 2^k eps); past k = 25
-(7.5e-9) a ValueError names steps_per_period.
+back k times, at a roundoff of 2^k eps (at most 13.2 2^k eps); past k = 18
+(13.2 2^18 eps = 7.7e-10) a ValueError names steps_per_period.
 
 Whole steps of h = T_r / s, s = steps_per_period, lie on one grid per walk,
 t_a + j h, where the rotor phase omega_r t + phi is 0. A segment takes a
@@ -101,7 +101,7 @@ _DIPOLAR_STEPS = _DIPOLAR_BAND[:-1] - _DIPOLAR_BAND[1:]
 # the step exponential's theta and cap on squarings; and for its series
 # p(x) = sum_{j<5} a_j x^j of cos m and of -sin m / m (x = m^2), from a_j =
 # (-1)^j / (2j)! and -(-1)^j / (2j + 1)!: a_3/a_4, a_1/a_3, a_2/a_4 - a_1/a_3, a_4
-_THETA, _MAX_SQUARINGS = 2.0**-4, 25
+_THETA, _MAX_SQUARINGS = 2.0**-4, 18
 _COS, _MINUS_SIN = (-56.0, 360.0, 1320.0, 1 / 40320), (-72.0, 840.0, 2184.0, -1 / 362880)
 # the diagonal and subdiagonal entries of a 4x4 matrix; a tridiagonal one's, flat
 _DIAG = np.arange(4)
@@ -384,12 +384,9 @@ def _partials(batch, counts):
     return partials
 
 
-def _fold(fn, t0, step, counts):
-    """The `_partials` of fn's steps k < max(counts) from t0 + k step; for a
-    constant H = W Lambda W^T (fn.eigh) they are W e^{-i Lambda c step} W^T."""
-    if fn.eigh is None:
-        steps = max(counts)
-        return _partials(_step_unitaries(fn, [(t0, step, steps)]) if steps else (), counts)
+def _fold(fn, step, counts):
+    """{c: W e^{-i Lambda c step} W^T} for each count c, the unitary of c steps
+    of a constant H = W Lambda W^T (fn.eigh)."""
     evals, w = fn.eigh
     phases = {c: -(c * step) * evals for c in counts}
     if not np.all(np.isfinite([*phases.values()])):
@@ -406,8 +403,10 @@ def segment_propagator(hamiltonian_fn, t0, t1, steps):
     _steps(steps, "steps")
     if t1 == t0:
         return np.eye(4, dtype=complex)
-    q = hamiltonian_fn.frame
-    return q @ _fold(hamiltonian_fn, t0, (t1 - t0) / steps, {steps})[steps] @ q.conj().T
+    fn, step = hamiltonian_fn, (t1 - t0) / steps
+    u = _chain(_step_unitaries(fn, [(t0, step, steps)])) if fn.eigh is None else (
+        _fold(fn, step, {steps})[steps])
+    return fn.frame @ u @ fn.frame.conj().T
 
 
 def _segment_hamiltonian(system, drive, constants, dipolar_on=True):
@@ -589,14 +588,14 @@ def _propagate(system, events, steps_per_period, sample_every):
     samples [(t, V)], the plan and, per folded Hamiltonian, (its first
     segment's event, theta, the Floquet states u_close Q O there as columns).
 
-    Every segment is folded into U here; event types are told apart here,
-    in `_band_key`, in `_Plan`, in `extract_gate`'s precession sum and in
-    `cli.floquet_period`. V is the unitary a measurement at t sees: U so
-    far, through the closing trim pulse inside a CW segment. Samples are
-    taken at t = 0 after any leading pulses, at the step counts
-    `_sample_steps` finds for each multiple of sample_every, and at the end
-    of the sequence (the last sample holds U, so it includes any trailing
-    pulses). Each fold starts from the identity; the walk multiplies it in.
+    Every segment is folded into U here; event types are told apart here, in
+    `_band_key`, in `_Plan`, in `cli.floquet_period` and in `cli.cmd_gate`'s
+    precession sum. V is the unitary a measurement at t sees: U so far,
+    through the closing trim pulse inside a CW segment. Samples are taken at
+    t = 0 after any leading pulses, at the step counts `_sample_steps` finds
+    for each multiple of sample_every, and at the end of the sequence (the
+    last sample holds U, so it includes any trailing pulses). Each fold starts
+    from the identity; the walk multiplies it in.
 
     A segment's leading step, n whole steps and closing step end at counts
     0 to n + 1. A Hamiltonian's k-th leading or closing step is `edges`
@@ -618,7 +617,7 @@ def _propagate(system, events, steps_per_period, sample_every):
     def edge(fn, key):  # the unitary of its Hamiltonian's next leading or closing step
         k = taken[key] = taken.get(key, -1) + 1
         if fn.eigh is not None:  # a constant H, in closed form
-            return _fold(fn, *plan.edges[key][k], {1})[1]
+            return _fold(fn, plan.edges[key][k, 1], {1})[1]
         if not k % plan.half and (k or key not in chunks):  # a fold brings chunk 0
             chunks[key] = None  # the chunk before goes first
             chunks[key] = _step_unitaries(fn, [], plan.edges[key][k:k + plan.half])
@@ -665,7 +664,7 @@ def _propagate(system, events, steps_per_period, sample_every):
             units = np.array([partial[r] for r in rs]) @ ((o * phases[:, None]) @ o.T) @ (
                 partial[r0].conj().T @ u)
         else:  # a constant Hamiltonian, or no whole step
-            partial = _fold(fn, g0, plan.h, set(counts)) if n else {0: eye}
+            partial = _fold(fn, plan.h, set(counts)) if n else {0: eye}
             units = np.array([partial[c] for c in counts]) @ u
         samples += zip([g0 + c * plan.h for c in counts[:-1]], u_close @ units[:-1])
         u = edge(fn, key) @ units[-1]
@@ -706,22 +705,6 @@ def run_sequence(initial, system, events, sample_every,
                       sz=populations @ sz_op.diagonal().real, floquet=floquet)
 
 
-def extract_gate(system, events, steps_per_period=DEFAULT_STEPS_PER_PERIOD,
-                 remove_effective_precession=False):
-    """Total rotating-frame unitary of a sequence (identity propagated through).
-
-    With remove_effective_precession=True, the known effective-field
-    z-precession exp(-i T (w_eI I_z + w_eS S_z)) accumulated over the CW
-    segments is divided out on the left, exposing the recoupled bilinear part.
-    """
-    u, _, plan, _ = _propagate(system, events, steps_per_period, math.inf)
-    if not remove_effective_precession:
-        return u
-    precession = sum((seg.event.duration * effective_field(dw, seg.event.drive.omega_1).omega_e
-                      * spin_operator(k, "z")
-                      for seg in plan.walk
-                      if isinstance(seg, _Segment) and isinstance(seg.event, CWSegment)
-                      for k, dw in enumerate(system.offsets)),
-                     np.zeros((4, 4), dtype=complex))
-    # the precession is diagonal: its exponential is that of the diagonal
-    return np.diag(np.exp(1j * np.diag(precession))) @ u
+def extract_gate(system, events, steps_per_period=DEFAULT_STEPS_PER_PERIOD):
+    """Total rotating-frame unitary of a sequence (identity propagated through)."""
+    return _propagate(system, events, steps_per_period, math.inf)[0]

@@ -19,9 +19,10 @@ from r2tr.cli import (FIT_BRACKET, ConfigError, _simulate_report, analytic_point
                       build_events, build_run, build_system, fit_exchange_period,
                       floquet_period, glycine_defaults, load_config, main, preset_config,
                       run_fig4, transfer_fraction)
+from r2tr.hamiltonian import dipolar_constants
 from r2tr.operators import BASIS_LABELS, basis_state
 from r2tr.propagator import (CWSegment, Delay, IdealRotation, Trajectory, _Plan, _Segment,
-                             extract_gate, run_sequence)
+                             _segment_hamiltonian, extract_gate, run_sequence)
 from r2tr.readout import simulate_fid, stick_spectrum
 from r2tr.recoupling import solve_amplitude
 from r2tr.units import TWO_PI, FieldError
@@ -468,8 +469,16 @@ DIGIT_LIMIT = 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000
                  "sequence[0].duration_s", ["gate"], id="offsets-past-the-float-grid"),
     pytest.param({**_system(offsets_hz=[1e299, -1e299]), "sequence": [CW]},
                  "sequence[0].duration_s", ["gate"], id="offsets-1e299"),
+    # within the rule, a 10 s delay at 1 Hz spinning and 7 steps per period:
+    # its batch of 5 steps has norm 1.02e6, 24 squarings, whose roundoff the
+    # gate's unitarity check would reject; past the cap of 18, it exits 2
+    pytest.param({**_system(spin_rate_hz=1.0, offsets_hz=[0.0, 18699.0]),
+                  "drive": dict(glycine_defaults()["drive"], amplitude_hz=0.0),
+                  "integrator": {"steps_per_period": 7},
+                  "sequence": [{"type": "delay", "duration_s": 10.0}]},
+                 "integrator.steps_per_period: ", ["gate"], id="config-steps-past-the-squarings"),
     # within the rule, a 0.99 s segment at 1 Hz spinning and one step per
-    # period is one step past the step exponential's 25 squarings
+    # period is one step past the step exponential's squarings
     pytest.param({**_system(spin_rate_hz=1.0, offsets_hz=[7e5, -7e5]),
                   "sequence": [{"type": "cw", "duration_s": 0.99}]}, "--steps-per-period: ",
                  ["gate", "--steps-per-period", "1"], id="steps-flag-past-the-squarings"),
@@ -663,9 +672,10 @@ EXCHANGE_LIKE = dict(spin_rate=st.floats(7600.0, 8200.0), phi=st.floats(0.0, 360
                      theta_d=st.floats(58.0, 80.0))
 
 
-@settings(max_examples=20, deadline=None)
-@given(**EXCHANGE_LIKE)
-def test_floquet_period_of_exchange_like_systems(spin_rate, phi, theta_d):
+def exchange_like_config(spin_rate, phi, theta_d, periods):
+    """Glycine defaults at the drawn spin rate, phi and theta_D, driven at the
+    class-a m = 2 amplitude, with the coupling of a 24-rotor-period exchange:
+    a pi pulse on spin I, then a CW segment of `periods` rotor periods."""
     cfg = glycine_defaults()
     cfg["system"].update(spin_rate_hz=spin_rate, phi_deg=phi, theta_d_deg=theta_d)
     system = build_system(cfg)
@@ -675,13 +685,64 @@ def test_floquet_period_of_exchange_like_systems(spin_rate, phi, theta_d):
     del cfg["system"]["r_angstrom"]
     cfg["system"]["coupling_hz"] = 1.0 / (24 * system.rotor_period * abs(point.b_factor)
                                           * math.sin(math.radians(theta_d)) ** 2)
-    cfg["sequence"] = [PULSE, {"type": "cw", "duration_s": 24 * system.rotor_period}]
+    cfg["sequence"] = [PULSE, {"type": "cw", "duration_s": periods * system.rotor_period}]
+    return cfg
+
+
+@settings(max_examples=20, deadline=None)
+@given(**EXCHANGE_LIKE)
+def test_floquet_period_of_exchange_like_systems(spin_rate, phi, theta_d):
+    cfg = exchange_like_config(spin_rate, phi, theta_d, 24)
     traj, report = _simulate_report(cfg)
     period = floquet_period(build_system(cfg), traj)
     assert period is not None  # the pair mixes
     assert walked_period(cfg, 2048) == pytest.approx(period, rel=1e-9)
     # the fit's root lies inside the bracket around the Floquet frequency
     assert abs(period / report["fitted_period_s"] - 1.0) < FIT_BRACKET
+
+
+def sambe_theta(fn, zones=8):
+    """theta = -eps T_r mod 2 pi, sorted, of the four quasi-energies eps with the
+    most weight on the n = 0 block of the truncated Floquet (Sambe) Hamiltonian
+    of fn, in the basis e^{i n (w_r t + phi)} for |n| <= zones: its diagonal
+    blocks are tridiag(c) + n w_r, and its blocks at |n - m| = 1 and 2 are
+    (w_d1 / 2) diag(d) and (w_d2 / 2) diag(d), d = (0, -1/2, 1/4, 1/4). Shirley,
+    Phys. Rev. 138, B979 (1965); Sambe, Phys. Rev. A 7, 2203 (1973)."""
+    n = np.arange(-zones, zones + 1)
+    band, d = np.diag(fn.coupling, -1), np.diag([0.0, -0.5, 0.25, 0.25])
+
+    def apart(k):  # the blocks at |n - m| = k
+        return np.eye(len(n), k=k) + np.eye(len(n), k=-k)
+
+    h = (np.kron(np.eye(len(n)), band + band.T) + np.kron(np.diag(n * fn.omega_r), np.eye(4))
+         + np.kron(apart(1), fn.omega_d1 / 2 * d) + np.kron(apart(2), fn.omega_d2 / 2 * d))
+    eps, states = np.linalg.eigh(h)
+    weight = (abs(states[4 * zones:4 * zones + 4]) ** 2).sum(axis=0)
+    return np.sort(np.mod(-eps[np.argsort(weight)[-4:]] * TWO_PI / fn.omega_r, TWO_PI))
+
+
+@settings(max_examples=20, deadline=None)
+@given(**EXCHANGE_LIKE, steps=st.integers(64, 1024))
+def test_walk_quasi_phases_match_the_sambe_reference(spin_rate, phi, theta_d, steps):
+    # the integrator against a reference that does not use it: the walk's
+    # theta, from its period propagator U_T, and the Sambe quasi-energies.
+    # Measured over 200 draws, |theta_walk - theta_ref| is 8.2e-12 (1024/s)^4
+    # (fourth order; 8.6e-12 at most, with roundoff), and the 8-zone truncation
+    # moves theta by under 1.3e-12. The exchange period is 2 pi T_r over a gap
+    # of two theta, 2 pi / 24 here: the bound holds it within 1.6e-10 (1024/s)^4
+    cfg = dict(exchange_like_config(spin_rate, phi, theta_d, 1),
+               integrator={"steps_per_period": steps})
+    system, drive, events, _ = build_run(cfg)
+    (_, theta, _), = run_sequence(basis_state("00"), system, events, math.inf,
+                                  steps_per_period=steps).floquet
+    reference = sambe_theta(_segment_hamiltonian(
+        system, drive, dipolar_constants(system.gamma, system.r, system.theta_d)))
+    # sorted mod 2 pi, a theta near 0 may sort first in one set and last in the
+    # other: the sets match at the best cyclic shift
+    theta = np.sort(np.mod(theta, TWO_PI))
+    error = min(np.max(abs(np.remainder(theta - np.roll(reference, k) + math.pi, TWO_PI)
+                           - math.pi)) for k in range(4))
+    assert error <= 2e-11 * (1024 / steps) ** 4
 
 
 def test_fig4_evolves_for_half_the_floquet_period():

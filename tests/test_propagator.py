@@ -19,11 +19,12 @@ from r2tr.operators import (SpinSystem, basis_state, check_density_matrix,
                             check_unitary, expectation, spin_operator)
 from r2tr.propagator import (MAX_SAMPLES, MAX_STEPS_PER_PERIOD, CWSegment, Delay,
                              HarmonicHamiltonian, IdealRotation, RFDrive, Trajectory, _floquet,
-                             _fold, _period_partials, _sample_steps, _segment_hamiltonian,
+                             _partials, _period_partials, _sample_steps, _segment_hamiltonian,
                              _step_unitaries, extract_gate, rotation_unitary, run_sequence,
                              segment_propagator, trim_unitaries)
 from r2tr.readout import simulate_fid
-from r2tr.units import GAMMA_C13, GLYCINE_CC_DISTANCE, TWO_PI, deg_to_rad, hz_to_angular
+from r2tr.units import (GAMMA_C13, GLYCINE_CC_DISTANCE, TWO_PI, FieldError, deg_to_rad,
+                        hz_to_angular)
 
 
 def glycine_system(phi=0.0, offsets=(2000.0, 18699.0)):
@@ -108,11 +109,12 @@ def test_fold_matches_serial_product(steps):
     # U_{c-1} ... U_1 U_0 after each step count c, one product per step
     serial = list(itertools.accumulate((expm(-1j * m) for m in generators),
                                        lambda u, uk: uk @ u, initial=np.eye(4)))
+    batch = _step_unitaries(fn, [(0.0, step, steps)])
     # every count; every 37th, which ends runs of 37 steps; the last alone;
     # and count 0, a repeated count and a middle count, unsorted
     for counts in (range(steps + 1), [*range(37, steps, 37), steps], [steps],
                    [steps, -(-steps // 2), 0, 1, 1, -(-steps // 2)]):
-        partials = _fold(fn, 0.0, step, counts)
+        partials = _partials(batch, counts)
         assert sorted(partials) == sorted(set(counts))
         for c in counts:
             assert np.max(np.abs(partials[c] - serial[c])) < 1e-12, c
@@ -666,14 +668,11 @@ def test_numpy_durations_give_the_gate_of_python_floats():
 
 
 def test_extract_gate_reads_an_iterator_of_events_once():
-    # the walk and the precession sum both read the events: an iterator
-    # spent by the walk left the precession in
+    # the walk reads the events once, so an iterator gives the gate of a list
     system = glycine_system()
     events = [IdealRotation((0,), "x", np.pi), _cw(3e-3 / system.rotor_period)]
-    expected = extract_gate(system, events, steps_per_period=64,
-                            remove_effective_precession=True)
-    u = extract_gate(system, iter(events), steps_per_period=64,
-                     remove_effective_precession=True)
+    expected = extract_gate(system, events, steps_per_period=64)
+    u = extract_gate(system, iter(events), steps_per_period=64)
     assert np.array_equal(u, expected)
 
 
@@ -782,9 +781,7 @@ STEP_PHASE = 1e-3
 
 class _EdgeRecorder:
     """A diagonal Hamiltonian that keeps the edges and step of each call
-    `_fold` makes. It has no constant form, so `_fold` builds its steps."""
-
-    eigh = None
+    `_step_unitaries` makes."""
 
     def __init__(self):
         self.calls = []
@@ -818,7 +815,8 @@ def test_streamed_grid_matches_the_step_grid(grid):
     t0, step, steps, marks = grid
     edges = np.arange(steps + 1) * step + t0
     recorder = _EdgeRecorder()
-    partials = _fold(recorder, t0, step, [k + 1 for k in marks] + [steps])
+    partials = _partials(_step_unitaries(recorder, [(t0, step, steps)]),
+                         [k + 1 for k in marks] + [steps])
     # one batch: one call, with every edge of the step grid
     [(batch_edges, dt)] = recorder.calls
     assert batch_edges.tobytes() == edges.tobytes()
@@ -991,9 +989,9 @@ def _recorded(run, record):
 @example(segment=SUBNORMAL_DRIVE)
 def test_band_frame_hands_eigh_real_tridiagonal_generators(segment):
     # what keeps each step exponential in real arithmetic: every generator
-    # `_fold` exponentiates is exactly zero off the tridiagonal band and
-    # symmetric, and reaches the exponential as a float64 array; the one eigh
-    # of a constant H gets a real symmetric tridiagonal matrix too
+    # `segment_propagator` exponentiates is exactly zero off the tridiagonal
+    # band and symmetric, and reaches the exponential as a float64 array; the
+    # one eigh of a constant H gets a real symmetric tridiagonal matrix too
     fn, _, t0, t1, steps = _band_segment(segment)
     q = fn.frame
     assert np.max(np.abs(q.conj().T @ q - np.eye(4))) <= 1e-15
@@ -1020,10 +1018,10 @@ def test_band_frame_hands_eigh_real_tridiagonal_generators(segment):
 @st.composite
 def tridiagonal_batches(draw):
     """0 to 5 real symmetric tridiagonal 4x4 matrices, each at its own scale:
-    0, subnormal, or from 1e-12 to 2e4 (row sums to 6e4, where the step
-    exponential squares 20 times)."""
+    0, subnormal, or from 1e-12 to 5e3 (row sums to 1.5e4, where the step
+    exponential squares 18 times, its cap)."""
     entries = st.lists(st.floats(-1.0, 1.0), min_size=7, max_size=7)
-    scales = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310]), st.floats(1e-12, 2e4))
+    scales = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310]), st.floats(1e-12, 5e3))
     batch = np.zeros((draw(st.integers(0, 5)), 4, 4))
     for m in batch:
         scale, (*diagonal, a, b, c) = draw(scales), draw(entries)
@@ -1033,18 +1031,26 @@ def tridiagonal_batches(draw):
 
 # a scaled draw near a falsifying one of the former bound, 128 eps ||m||_inf:
 # after k = 20 squarings its unitarity deviation is 1.6e-9, 1.63 times that
-# bound and 6.9 2^k eps
+# bound and 6.9 2^k eps. It is past the cap: its quarter, scaled onto the
+# same m and squared 18 times, stays within it
 ROUNDOFF_DRAW = (np.diag([0.0, -0.9215586589200193, -14831.164672655257, 0.0])
                  + np.diag([0.0, 10022.801202916511, 10022.801202916511], 1)
                  + np.diag([0.0, 10022.801202916511, 10022.801202916511], -1))
 
 
+def wide_draw(scale):
+    """One matrix of row sums up to 2 scale, with a subnormal subdiagonal entry."""
+    return (np.diag([scale, -scale, 1.0, 0.0]) + np.diag([scale, 0.0, 5e-324], 1)
+            + np.diag([scale, 0.0, 5e-324], -1))[None]
+
+
 @settings(max_examples=200, deadline=None)
 @given(batch=tridiagonal_batches())
 @example(batch=np.zeros((0, 4, 4)))
-@example(batch=np.diag([2e4, -2e4, 1.0, 0.0])[None] + np.diag([2e4, 0.0, 5e-324], 1)
-         + np.diag([2e4, 0.0, 5e-324], -1))
-@example(batch=ROUNDOFF_DRAW[None])
+@example(batch=wide_draw(5e3))
+@example(batch=0.25 * ROUNDOFF_DRAW[None])
+# an ulp under the cap's row sum of theta 2^18 = 2^14: 18 squarings
+@example(batch=np.diag([math.nextafter(2.0**14, 0.0), 0.0, 0.0, 0.0])[None])
 def test_step_exponential_matches_expm_alone_and_in_a_batch(batch):
     # a bound for k squarings in float64, with each squaring's own roundoff.
     # In the 2-norm, let d_j be the distance of the j-th computed square U_j
@@ -1056,7 +1062,7 @@ def test_step_exponential_matches_expm_alone_and_in_a_batch(batch):
     # adds at most ||F||_F <= sqrt(18^2 + 16^2) u = 12.04 eps, while U^2 - E^2
     # = (U - E) U + E (U - E) at most doubles d. So d_k <= 2^k (d_0 + 12.04
     # eps) <= 13.2 2^k eps: 13.14 to first order, and the second order adds
-    # under 2e-6 of it at the 25-squaring cap. The unitarity defect U^dag U -
+    # under 2e-8 of it at the 18-squaring cap. The unitarity defect U^dag U -
     # 1 = E^dag D + D^dag E + D^dag D is at most 2 d_k, with 24 eps to spare
     # for the check's own rounding. Both bound the largest entry. scipy's
     # expm (a degree-13 Pade approximant, squared about 6 times fewer) stayed
@@ -1073,10 +1079,24 @@ def test_step_exponential_matches_expm_alone_and_in_a_batch(batch):
         assert propagator._exp_minus_i(m[None].copy())[0].tobytes() == step.tobytes()
 
 
+@pytest.mark.parametrize("batch", [
+    np.diag([2.0**14, 0.0, 0.0, 0.0])[None],  # a row sum of theta 2^18
+    wide_draw(2e4),
+    ROUNDOFF_DRAW[None],
+], ids=["at-the-cap", "wide", "roundoff"])
+def test_step_exponential_past_its_squarings_fails_naming_steps_per_period(batch):
+    # 18 squarings keep the roundoff within 13.2 2^18 eps = 7.7e-10, under the
+    # 1e-9 unitarity check of the gate's invariants: a step of ||m||_inf from
+    # theta 2^18 = 2^14 on would need a 19th, and raises instead
+    with pytest.raises(FieldError, match="^steps_per_period ") as exc:
+        propagator._exp_minus_i(batch.copy())
+    assert exc.value.field == "steps_per_period"
+
+
 def test_absurd_step_phases_fail_naming_steps_per_period():
     # offsets of 1e300 Hz make each step's exponent about 1e294 rad: its
     # exponential would need some 980 squarings, and its phase has no digit
-    # left; past 25 squarings (a roundoff of 2^25 eps = 7.5e-9) the engine
+    # left; past 18 squarings (a roundoff of 13.2 2^18 eps = 7.7e-10) the engine
     # raises instead of returning a meaningless gate
     system = glycine_system(offsets=(1e300, -1e300))
     for event in (CWSegment(CW_2339, 3.3 * T_R), Delay(3.3 * T_R)):
@@ -1296,7 +1316,7 @@ def test_half_period_fold_matches_a_full_period_fold(fold):
     t_a, h = -fn.phi / fn.omega_r, TWO_PI / fn.omega_r / steps
     (u_period, *_), partial = _period_partials(
         _step_unitaries(fn, [(t_a, h, -(-steps // 2))]), steps, set(range(steps)))
-    full = _fold(fn, t_a, h, range(steps + 1))
+    full = _partials(_step_unitaries(fn, [(t_a, h, steps)]), range(steps + 1))
     assert np.max(np.abs(u_period - full[steps])) < 1e-12
     for r in range(steps):
         assert np.max(np.abs(partial[r] - full[r])) < 1e-12, r

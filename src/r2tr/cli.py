@@ -21,13 +21,13 @@ from .gates import (cns, gate_to_json, iswap, locally_equivalent,
                     makhlin_invariants, universality_class, weyl_coordinates)
 from .hamiltonian import dipolar_constants, effective_field
 from .operators import BASIS_LABELS, SPINS, SpinSystem, basis_state, spin_operator
-from .propagator import (DEFAULT_STEPS_PER_PERIOD, MAX_STEPS_PER_PERIOD, CWSegment,
-                         Delay, IdealRotation, RFDrive, extract_gate, run_sequence)
+from .propagator import (DEFAULT_STEPS_PER_PERIOD, CWSegment, Delay, IdealRotation,
+                         RFDrive, check_steps, extract_gate, run_sequence)
 from .readout import classify_state, fid_points, fid_to_csv, simulate_fid, stick_spectrum
 from .recoupling import (brentq, operating_point, plans_to_json, solve_plans,
                          theta_from_period)
-from .units import (GAMMA_C13, HBAR, MU0_OVER_4PI, TWO_PI, FieldError, deg_to_rad,
-                    hz_to_angular, number, ppm_to_hz, rad_to_deg)
+from .units import (GAMMA_C13, HBAR, MU0_OVER_4PI, TWO_PI, FieldError, choice, choices,
+                    deg_to_rad, hz_to_angular, number, ppm_to_hz, rad_to_deg)
 
 SCHEMA_VERSION = 1
 # the phase, in rad, that one float step of a timed event's end time t,
@@ -171,21 +171,6 @@ def _angular(hz, field):
     return omega
 
 
-def _choice(value, allowed, field):
-    """value, if it is one of `allowed` and of its type (true is not 1, nor
-    is 1.0); anything else raises a ConfigError naming `field`."""
-    if (type(value), value) not in [(type(a), a) for a in allowed]:
-        raise ConfigError(f"{field} must be one of {json.dumps(allowed)}, got {value!r}")
-    return value
-
-
-def _choices(values, allowed, field):
-    """A list of `_choice` values, as a tuple."""
-    if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"{field} must be a list, got {values!r}")
-    return tuple(_choice(v, allowed, f"{field}[{k}]") for k, v in enumerate(values))
-
-
 def build_drive(cfg):
     if "drive" not in cfg:
         return None
@@ -199,15 +184,15 @@ def build_events(cfg, drive):
     """Event list from the config's sequence block; CW events use `drive`
     (the config's `build_drive`, None without a drive block).
 
-    A missing field, an event that is not an object or a bad drive.trim or
-    drive.skip_trim raises a ConfigError, and an angle or duration that is
-    not a finite number (or is negative) a FieldError: each names the field. The event
+    A missing field or an event that is not an object raises a ConfigError, and
+    a bad drive.trim or drive.skip_trim, or an angle or duration that is not a
+    finite number (or is negative), a FieldError: each names the field. The event
     types check spin indices, target lists, axes and flags: their ValueError
     becomes a ConfigError naming the field, e.g. sequence[0].axis.
     """
     drive_blk = _block(cfg, "drive")
-    trim = _choice(drive_blk.get("trim", True), (True, False), "drive.trim")
-    skip_trim = _choices(drive_blk.get("skip_trim", ()), SPINS, "drive.skip_trim")
+    trim = choice(drive_blk.get("trim", True), (True, False), "drive.trim")
+    skip_trim = choices(drive_blk.get("skip_trim", ()), SPINS, "drive.skip_trim")
     events = []
     for k, ev in enumerate(_block(cfg, "sequence", list)):
         where = f"sequence[{k}]"
@@ -246,7 +231,8 @@ def build_run(cfg):
     system = build_system(cfg)
     drive = build_drive(cfg)
     events = build_events(cfg, drive)
-    steps = _steps_per_period(cfg)
+    steps = check_steps(_block(cfg, "integrator").get(
+        "steps_per_period", DEFAULT_STEPS_PER_PERIOD), "steps_per_period")
     omega = max(2.0 * system.omega_r, *map(abs, system.offsets), drive.omega_1 if drive else 0.0)
     t = 0.0  # each timed event's end, summed as propagator._Plan sums the walk's time
     for k, event in enumerate(events):
@@ -259,16 +245,6 @@ def build_run(cfg):
                 f"whose float step of {math.ulp(t):.2g} s is {phase:.2g} rad at the fastest "
                 f"angular frequency, {omega:.4g} rad/s; at most {GRID_TOLERANCE:g} rad is allowed")
     return system, drive, events, steps
-
-
-def _steps_per_period(cfg, field="integrator.steps_per_period"):
-    """integrator.steps_per_period, a whole number from 1 to MAX_STEPS_PER_PERIOD;
-    a ConfigError or FieldError names `field`, --steps-per-period if the flag set it."""
-    value = _block(cfg, "integrator").get("steps_per_period", DEFAULT_STEPS_PER_PERIOD)
-    if not 1 <= number(value, field) == int(value) <= MAX_STEPS_PER_PERIOD:
-        raise ConfigError(f"{field} must be a whole number from 1 to "
-                          f"{MAX_STEPS_PER_PERIOD}, got {value!r}")
-    return int(value)
 
 
 # --------------------------------------------------------------- analysis
@@ -408,7 +384,7 @@ def _simulate_report(cfg):
     system, drive, events, steps = build_run(cfg)
     sample_every = (number(cfg.get("sample_every_s", 0.0), "sample_every_s", 0.0)
                     or system.rotor_period)
-    initial = basis_state(_choice(cfg.get("initial_state", "00"), BASIS_LABELS, "initial_state"))
+    initial = basis_state(choice(cfg.get("initial_state", "00"), BASIS_LABELS, "initial_state"))
     traj = run_sequence(initial, system, events, sample_every, steps_per_period=steps)
     report = {"max_transfer_fraction": transfer_fraction(traj)}
     cw = drive is not None and any(isinstance(e, CWSegment) for e in events)
@@ -467,11 +443,15 @@ def run_fig4(cfg):
 
 def _emit(out_dir, name, write):
     """write(path) of the file `name` in out_dir (made if missing; the
-    current directory if empty), then announce the path."""
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
+    current directory if empty), then announce the path. An OSError, say
+    out_dir is a file or lies under one, raises a FieldError naming --out."""
     path = os.path.join(out_dir, name)
-    write(path)
+    try:
+        if out_dir:
+            os.makedirs(out_dir, exist_ok=True)
+        write(path)
+    except OSError as exc:
+        raise FieldError("--out", f"--out {out_dir!r} cannot take {name}: {exc}") from exc
     print(f"wrote {path}")
 
 
@@ -479,8 +459,8 @@ def cmd_solve(cfg, args):
     system = build_system(cfg)
     constants = dipolar_constants(system.gamma, system.r, system.theta_d)
     solve_blk = _block(cfg, "solve")
-    classes = _choices(solve_blk.get("classes", ("a", "b")), ("a", "b"), "solve.classes")
-    harmonics = _choices(solve_blk.get("harmonics", (1, 2)), (1, 2), "solve.harmonics")
+    classes = choices(solve_blk.get("classes", ("a", "b")), ("a", "b"), "solve.classes")
+    harmonics = choices(solve_blk.get("harmonics", (1, 2)), (1, 2), "solve.harmonics")
     plans = solve_plans(system.offsets[0], system.offsets[1], system.omega_r,
                         constants, classes=classes, harmonics=harmonics)
     text = plans_to_json(plans)
@@ -549,7 +529,7 @@ def cmd_spectrum(cfg, args):
             fid_points(duration, dwell)
         except ValueError as exc:  # the number checks above leave only the point cap
             raise ConfigError(f"fid.duration_s: {exc}") from exc
-    rho = basis_state(_choice(cfg.get("initial_state", "00"), BASIS_LABELS, "initial_state"))
+    rho = basis_state(choice(cfg.get("initial_state", "00"), BASIS_LABELS, "initial_state"))
     if events:
         u = extract_gate(system, events, steps_per_period=steps)
         rho = u @ rho @ u.conj().T
@@ -626,7 +606,6 @@ def main(argv=None):
         if flag:
             cfg["integrator"] = dict(_block(cfg, "integrator"),
                                      steps_per_period=args.steps_per_period)
-            _steps_per_period(cfg, "--steps-per-period")
         handler = {"solve": cmd_solve, "simulate": cmd_simulate, "gate": cmd_gate,
                    "spectrum": cmd_spectrum, "repro": cmd_repro}[args.command]
         return handler(cfg, args)

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .hamiltonian import dipolar_constants
-from .units import TWO_PI, FieldError, number
+from .units import TWO_PI, FieldError, choice, number
 
 SPINS = (0, 1)  # spin indices: 0 is I, 1 is S
 BASIS_LABELS = ("00", "01", "10", "11")
@@ -41,8 +41,7 @@ def spin_operator(index, axis):
     """
     if index not in SPINS:
         raise IndexError(f"spin index {index} out of range for the spin pair")
-    if axis not in _SINGLE:
-        raise ValueError(f"unknown axis {axis!r}")
+    choice(axis, tuple(_SINGLE), "axis")
     op = np.eye(1, dtype=complex)
     for k in SPINS:
         op = np.kron(op, _SINGLE[axis] if k == index else np.eye(2))
@@ -55,9 +54,7 @@ def basis_state(label):
 
     '0' is spin up (+1/2 along z).
     """
-    if label not in BASIS_LABELS:
-        raise ValueError(f"basis label must be one of {BASIS_LABELS}, got {label!r}")
-    idx = int(label, 2)
+    idx = int(choice(label, BASIS_LABELS, "label"), 2)
     rho = np.zeros((4, 4), dtype=complex)
     rho[idx, idx] = 1.0
     return rho

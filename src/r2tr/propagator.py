@@ -85,7 +85,7 @@ import numpy as np
 
 from .hamiltonian import dipolar_constants, effective_field
 from .operators import SPINS, check_density_matrix, spin_operator
-from .units import FieldError, number, shown
+from .units import FieldError, choice, choices, number, shown
 
 DEFAULT_STEPS_PER_PERIOD = 1024
 # the most steps per rotor period, which sizes a fold: 2 ceil(s/2) steps, 2 MB
@@ -109,29 +109,13 @@ _SUB_ROW, _SUB_COL = np.arange(1, 4), np.arange(3)
 _BAND = np.array([0, 1, 4, 5, 6, 9, 10, 11, 14, 15])
 
 
-def _flag(value, field):
-    """Raise a ValueError that names the field unless value is a bool."""
-    if not isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{field} must be a bool, got {shown(value)}")
-
-
-def _steps(value, field):
-    """value, if an integer (not a bool) from 1 to MAX_STEPS_PER_PERIOD; else a ValueError."""
-    if not (isinstance(value, numbers.Integral)
-            and 1 <= number(value, field) <= MAX_STEPS_PER_PERIOD):
-        raise ValueError(f"{field} must be an integer from 1 to "
-                         f"{MAX_STEPS_PER_PERIOD}, got {shown(value)}")
-    return value
-
-
-def _spins(indices, field):
-    """indices as a tuple, if a list or tuple of integers (not bools) in SPINS;
-    else a ValueError that names the field."""
-    if not (isinstance(indices, (list, tuple)) and all(
-            isinstance(k, numbers.Integral) and not isinstance(k, bool) and k in SPINS
-            for k in indices)):
-        raise ValueError(f"{field} must list spin indices {SPINS}, got {shown(indices)}")
-    return tuple(indices)
+def check_steps(value, field):
+    """value as an int, if a whole number (not a bool) from 1 to MAX_STEPS_PER_PERIOD;
+    else a FieldError naming `field`."""
+    if not 1 <= number(value, field) == int(value) <= MAX_STEPS_PER_PERIOD:
+        raise FieldError(field, f"{field} must be a whole number from 1 to "
+                                f"{MAX_STEPS_PER_PERIOD}, got {shown(value)}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -159,10 +143,9 @@ class IdealRotation:
     angle: float
 
     def __post_init__(self):
-        object.__setattr__(self, "targets", targets := _spins(self.targets, "targets"))
+        object.__setattr__(self, "targets", targets := choices(self.targets, SPINS, "targets"))
         number(self.angle, "angle")
-        if self.axis not in ("x", "y", "z"):  # exp(-i angle I_k^axis) needs a Hermitian axis
-            raise ValueError(f"axis must be x, y or z, got {shown(self.axis)}")
+        choice(self.axis, ("x", "y", "z"), "axis")  # exp(-i angle I_k^axis) needs a Hermitian axis
         if not targets or len(set(targets)) != len(targets):
             raise ValueError(f"targets must name at least one spin and none twice, got {targets}")
 
@@ -176,7 +159,7 @@ class Delay:
 
     def __post_init__(self):
         number(self.duration, "duration", 0.0)
-        _flag(self.dipolar_on, "dipolar_on")
+        choice(self.dipolar_on, (True, False), "dipolar_on")
 
 
 @dataclass(frozen=True)
@@ -195,8 +178,8 @@ class CWSegment:
 
     def __post_init__(self):
         number(self.duration, "duration", 0.0)
-        _flag(self.trim, "trim")
-        object.__setattr__(self, "skip_trim", _spins(self.skip_trim, "skip_trim"))
+        choice(self.trim, (True, False), "trim")
+        object.__setattr__(self, "skip_trim", choices(self.skip_trim, SPINS, "skip_trim"))
 
 
 @dataclass(frozen=True)
@@ -400,7 +383,7 @@ def segment_propagator(hamiltonian_fn, t0, t1, steps):
     t0, t1 = number(t0, "t0"), number(t1, "t1")
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
-    _steps(steps, "steps")
+    steps = check_steps(steps, "steps")
     if t1 == t0:
         return np.eye(4, dtype=complex)
     fn, step = hamiltonian_fn, (t1 - t0) / steps
@@ -607,7 +590,7 @@ def _propagate(system, events, steps_per_period, sample_every):
     divmod(j0, s) in Python integers. A constant Hamiltonian's steps are
     `_fold`ed in closed form: the sampled c and n at once.
     """
-    s = _steps(steps_per_period, "steps_per_period")
+    s = check_steps(steps_per_period, "steps_per_period")
     plan = _Plan(system, events, s, sample_every)
     constants = dipolar_constants(system.gamma, system.r, system.theta_d)
     eye = np.eye(4, dtype=complex)

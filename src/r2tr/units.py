@@ -1,4 +1,4 @@
-"""Unit conversions, physical constants and the one rule for numbers.
+"""Unit conversions, physical constants and the rules for numbers and choices.
 
 Internal convention: all frequencies are angular (rad/s) once inside the
 package; Hz and degrees appear only at external boundaries (CLI, file
@@ -8,12 +8,15 @@ Every number that enters the package, from a library caller or a config,
 goes through `number`: a finite real number, not a bool or a string, at or
 above its bound. Anything else, an integer past the float range included,
 raises a FieldError, a ValueError with a `field` attribute, that starts
-`<field> must be finite`. This module imports nothing from the package, so
-every module can use it.
+`<field> must be finite`. Every flag, spin index, axis or label goes through
+`choice`, and every list of them through `choices`: True is not spin 1, nor
+is 1.0. This module imports nothing from the package, so every module can use it.
 """
 
 import math
 import numbers
+
+import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -50,6 +53,33 @@ def number(value, field, minimum=-math.inf, positive=False):
     bound = " and > 0" if positive else "" if minimum == -math.inf else f" and >= {minimum:g}"
     raise FieldError(field, f"{field} must be finite, a real number, not a bool{bound}, "
                             f"got {shown(value)}")
+
+
+def _kind(value):
+    """A `choice`'s kind: bool (Python's or numpy's), int (any other integer), str or None."""
+    return (bool if isinstance(value, (bool, np.bool_)) else int
+            if isinstance(value, numbers.Integral) else str if isinstance(value, str) else None)
+
+
+def _allowed(value, allowed):
+    """Whether value equals one of `allowed` and is of its kind."""
+    kind = _kind(value)
+    return kind is not None and any(_kind(a) is kind and value == a for a in allowed)
+
+
+def choice(value, allowed, field):
+    """value, if one of `allowed` and of its kind; else a FieldError naming `field`."""
+    if not _allowed(value, allowed):
+        raise FieldError(field, f"{field} must be one of {tuple(allowed)}, got {shown(value)}")
+    return value
+
+
+def choices(values, allowed, field):
+    """values as a tuple, if a list or a tuple of `choice`s; else a FieldError naming `field`."""
+    if not (isinstance(values, (list, tuple)) and all(_allowed(v, allowed) for v in values)):
+        raise FieldError(field, f"{field} must list values from {tuple(allowed)}, "
+                                f"got {shown(values)}")
+    return tuple(values)
 
 
 def shown(value):

@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -21,8 +23,8 @@ from r2tr.cli import (FIT_BRACKET, ConfigError, _simulate_report, analytic_point
                       run_fig4, transfer_fraction)
 from r2tr.hamiltonian import dipolar_constants
 from r2tr.operators import BASIS_LABELS, basis_state
-from r2tr.propagator import (CWSegment, Delay, IdealRotation, Trajectory, _Plan, _Segment,
-                             _segment_hamiltonian, extract_gate, run_sequence)
+from r2tr.propagator import (MAX_STEPS_PER_PERIOD, CWSegment, Delay, IdealRotation, Trajectory,
+                             _Plan, _Segment, _segment_hamiltonian, extract_gate, run_sequence)
 from r2tr.readout import simulate_fid, stick_spectrum
 from r2tr.recoupling import solve_amplitude
 from r2tr.units import TWO_PI, FieldError
@@ -600,8 +602,62 @@ def test_cli_config_fuzz_exits_cleanly(path, value, command):
         with open(cfg_path, "w") as fh:
             json.dump(cfg, fh)
         code = main([command, "--config", cfg_path, "--out", out])
-    assert code in (0, 1, 2)
+    assert code in (0, 2)
     assert "Traceback" not in err.getvalue()
+
+
+COMBINED_EVENTS = st.one_of(
+    st.fixed_dictionaries({"type": st.just("pulse"),
+                           "targets": st.sampled_from([[0], [1], [0, 1]]),
+                           "axis": st.sampled_from("xyz"), "angle_deg": st.floats(-360.0, 360.0)}),
+    st.fixed_dictionaries({"type": st.sampled_from(["cw", "delay"]),
+                           "duration_s": st.floats(1e-9, 60.0)}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spin_rate=st.floats(1.0, 1e9), offsets=st.lists(st.floats(-1e9, 1e9), min_size=2,
+                                                        max_size=2),
+       amplitude=st.floats(0.0, 1e7), steps=st.integers(1, MAX_STEPS_PER_PERIOD),
+       sequence=st.lists(COMBINED_EVENTS, min_size=1, max_size=4),
+       command=st.sampled_from(["simulate", "gate", "spectrum"]))
+# slow spinning at 2 steps per period: a step past the step exponential's squarings
+@example(spin_rate=1.0, offsets=[0.0, 18699.0], amplitude=2339.0, steps=2,
+         sequence=[{"type": "cw", "duration_s": 3.0}], command="gate")
+def test_cli_exits_cleanly_at_combined_extremes(spin_rate, offsets, amplitude, steps, sequence,
+                                                command):
+    # the fuzz above changes one field at a time; here the spin rate, offsets,
+    # drive, step count and sequence all vary at once: a run exits 0, or 2 with
+    # one line that names the field
+    cfg = glycine_defaults()
+    cfg["system"].update(spin_rate_hz=spin_rate, offsets_hz=offsets)
+    cfg["drive"]["amplitude_hz"] = amplitude
+    cfg["integrator"]["steps_per_period"] = steps
+    cfg["sequence"] = sequence
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main([command, "--config", write_config(pathlib.Path(out), cfg), "--out", out])
+    assert code in (0, 2)
+    if code:
+        assert re.match(r"error: ((system|drive|integrator|sequence\[\d\])\.\w+|sample_every_s)",
+                        err.getvalue())
+        assert err.getvalue().count("\n") == 1
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("command, out", [
+    ("gate", "F"),  # an existing file
+    ("solve", os.path.join("F", "sub")),  # a directory under one
+])
+def test_cli_out_that_cannot_take_the_files_exits_2_naming_it(tmp_path, capsys, command, out):
+    # an OSError from making the directory or writing into it ended, after
+    # all the work, in a traceback and exit 1
+    (tmp_path / "F").write_text("")
+    assert main([command, "--out", str(tmp_path / out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --out ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err + captured.out
 
 
 def test_period_fit_reported_only_for_a_real_swing():

@@ -653,6 +653,39 @@ def test_numpy_flags_and_indices_give_the_gate_of_python_ones():
     assert np.array_equal(u, reference)
 
 
+def test_whole_float_steps_per_period_gives_the_gate_of_an_int():
+    # a config's 64.0 is 64 steps, and so is a library caller's
+    system = glycine_system(phi=0.3)
+    events = [CWSegment(CW_2339, 1.3 * system.rotor_period), Delay(0.4 * system.rotor_period)]
+    assert np.array_equal(extract_gate(system, events, steps_per_period=64.0),
+                          extract_gate(system, events, steps_per_period=64))
+
+
+@pytest.mark.parametrize("make, field", [
+    pytest.param(lambda: Delay(1e-3, dipolar_on=1), "dipolar_on", id="dipolar-on-int"),
+    pytest.param(lambda: CWSegment(CW_2339, 1e-3, trim="yes"), "trim", id="trim-string"),
+    pytest.param(lambda: CWSegment(CW_2339, 1e-3, skip_trim=(2,)), "skip_trim",
+                 id="skip-trim-out-of-range"),
+    pytest.param(lambda: CWSegment(CW_2339, 1e-3, skip_trim=1), "skip_trim",
+                 id="skip-trim-not-a-list"),
+    pytest.param(lambda: IdealRotation((np.True_,), "x", 1.0), "targets",
+                 id="target-numpy-bool"),
+    pytest.param(lambda: IdealRotation((0,), "+", 1.0), "axis", id="axis-not-hermitian"),
+    pytest.param(lambda: spin_operator(0, "w"), "axis", id="spin-operator-axis"),
+    pytest.param(lambda: basis_state(0), "label", id="label-int"),
+    pytest.param(lambda: extract_gate(glycine_system(), [], steps_per_period=64.5),
+                 "steps_per_period", id="steps-fraction"),
+    pytest.param(lambda: extract_gate(glycine_system(), [], steps_per_period=np.True_),
+                 "steps_per_period", id="steps-numpy-bool"),
+])
+def test_shared_rules_raise_a_field_error_naming_the_parameter(make, field):
+    # the library's flags, spin indices, axes and step counts go through the
+    # rules a config's do: a FieldError whose `field` names the parameter
+    with pytest.raises(FieldError, match=f"^{field} ") as exc:
+        make()
+    assert exc.value.field == field
+
+
 def test_numpy_durations_give_the_gate_of_python_floats():
     # numpy floats compare to numpy bools, which the plan's list of a
     # segment's edge steps cannot be scaled by
